@@ -532,3 +532,7 @@ def run_command(argv) -> int:
 
 def entry() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -58,11 +58,11 @@ class SchemeDef:
     s : int
         Number of extra time levels (two-level scheme: s = 0).
     lam : float
-        Grid ratio dt/dx, fixed once and for all.
+        Grid ratio dt/dx, positive and finite, fixed once and for all.
     interior : ndarray, shape (p+r+1, s+1, N, N)
-        Real coefficients A[ell, sigma], indexed by [ell+r, sigma].
+        Finite real coefficients A[ell, sigma], indexed by [ell+r, sigma].
     boundary : ndarray, shape (q+1, r, s+2, N, N)
-        Real coefficients B[ell, j, sigma], indexed by
+        Finite real coefficients B[ell, j, sigma], indexed by
         [ell, j-(1-r), sigma+1]; sigma = -1 couples to the new time level.
     label : str
         Optional human-readable name used in reports.
@@ -84,8 +84,10 @@ class SchemeDef:
                 f"need N>=1, r>=1, p,q,s>=0; got N={self.N} r={self.r} "
                 f"p={self.p} q={self.q} s={self.s}"
             )
-        if not (self.lam > 0):
-            raise SchemeError(f"grid ratio must be positive, got {self.lam}")
+        if not (0 < self.lam < math.inf):
+            raise SchemeError(
+                f"grid ratio lambda must be positive and finite, got {self.lam}"
+            )
         interior = np.asarray(self.interior, dtype=float)
         boundary = np.asarray(self.boundary, dtype=float)
         if interior.shape != (self.p + self.r + 1, self.s + 1, self.N, self.N):
@@ -98,6 +100,9 @@ class SchemeDef:
                 f"boundary shape {boundary.shape} != "
                 f"{(self.q + 1, self.r, self.s + 2, self.N, self.N)}"
             )
+        for name, arr in (("interior", interior), ("boundary", boundary)):
+            if not np.isfinite(arr).all():
+                raise SchemeError(f"{name} coefficients must be finite")
         interior.setflags(write=False)
         boundary.setflags(write=False)
         object.__setattr__(self, "interior", interior)
@@ -133,25 +138,9 @@ class SchemeDef:
             taps = {0: np.zeros((self.N, self.N))}
         return DifferenceOp(taps)
 
-    def boundary_op(self, j: int, sigma: int) -> "DifferenceOp":
-        """The boundary operator B_{j,sigma} as a DifferenceOp."""
-        taps = {
-            ell: self.B(ell, j, sigma)
-            for ell in range(self.q + 1)
-            if np.any(self.B(ell, j, sigma))
-        }
-        if not taps:
-            taps = {0: np.zeros((self.N, self.N))}
-        return DifferenceOp(taps)
-
     def consistency_sum(self) -> np.ndarray:
         """sum over all (ell, sigma) of A[ell, sigma]; equals I if consistent."""
         return self.interior.sum(axis=(0, 1))
-
-    @property
-    def stencil_extent(self) -> int:
-        """Total interior stencil width p + r."""
-        return self.p + self.r
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +302,6 @@ class DifferenceOp:
             out = out @ self
         return out
 
-    def symbol(self, kappa: complex) -> np.ndarray:
-        """sum_ell kappa^ell taps[ell] (N x N complex)."""
-        out = np.zeros((self.N, self.N), dtype=complex)
-        for ell, m in self.taps.items():
-            out += (kappa ** ell) * m
-        return out
-
     def drop_zeros(self, tol: float = 0.0) -> "DifferenceOp":
         taps = {ell: m for ell, m in self.taps.items() if np.abs(m).max() > tol}
         if not taps:
@@ -393,14 +375,38 @@ class ValidationReport:
         return self.dimensions_ok and self.noncharacteristic_ok
 
 
-def _resolvent_block(scheme: SchemeDef, ell: int, z: complex) -> np.ndarray:
-    """delta_{ell,0} I - sum_sigma z^{-sigma-1} A[ell, sigma]."""
-    out = np.eye(scheme.N, dtype=complex) if ell == 0 else np.zeros(
-        (scheme.N, scheme.N), dtype=complex
+def _laurent(coeffs: np.ndarray, exponents, points) -> np.ndarray:
+    """sum_k x**exponents[k] * coeffs[k] for each x in ``points``, stacked.
+
+    x**e is taken on each scalar and the terms are added in the order
+    given, so a value is the same bit for bit alone or in a stack.
+    """
+    powers = np.array([[x**e for e in exponents] for x in points]).reshape(
+        (len(points), len(exponents)) + (1,) * (coeffs.ndim - 1)
     )
-    for sigma in range(scheme.s + 1):
-        out = out - z ** (-sigma - 1) * scheme.A(ell, sigma)
+    out = np.zeros((len(points),) + coeffs.shape[1:], dtype=complex)
+    for k, c in enumerate(coeffs):
+        out += powers[:, k] * c
     return out
+
+
+def _resolvent_stack(scheme: SchemeDef, zs) -> tuple:
+    """RA_l(z) and RB_{l,j}(z) for each z in ``zs``, stacked on the first axis.
+
+    RA_l(z) = delta_{l0} I - sum_sigma z^{-sigma-1} A[l, sigma] at
+    ``RA[i, l + r]``; RB_{l,j}(z) = sum_sigma z^{-sigma-1} B[l, j, sigma] at
+    ``RB[i, l, j - (1-r)]``.  Both are Laurent polynomials in the powers
+    z^0 .. z^{-s-1}, so one evaluation covers them.
+    """
+    r, p, q, s, N = scheme.r, scheme.p, scheme.q, scheme.s, scheme.N
+    # I is the z^0 term and -A[l, sigma] the others, so RA_l is built by the
+    # same additions as I - z^-1 A[l, 0] - z^-2 A[l, 1] - ... in sequence
+    ra = np.zeros((s + 2, p + r + 1, N, N))
+    ra[0, r] = np.eye(N)
+    ra[1:] = -scheme.interior.transpose(1, 0, 2, 3)
+    rb = scheme.boundary.transpose(2, 0, 1, 3, 4).reshape(s + 2, -1, N, N)
+    vals = _laurent(np.concatenate([ra, rb], axis=1), range(0, -s - 2, -1), zs)
+    return vals[:, : p + r + 1], vals[:, p + r + 1 :].reshape(-1, q + 1, r, N, N)
 
 
 def validate_scheme(
@@ -431,15 +437,14 @@ def validate_scheme(
     if not consistent:
         messages.append(f"consistency sum differs from identity by {residual:.3e}")
 
-    min_left = np.inf
-    min_right = np.inf
-    for rho in radii:
-        for t in range(n_theta):
-            z = rho * np.exp(2j * np.pi * t / n_theta)
-            sv_l = np.linalg.svd(_resolvent_block(scheme, -scheme.r, z), compute_uv=False)
-            sv_r = np.linalg.svd(_resolvent_block(scheme, scheme.p, z), compute_uv=False)
-            min_left = min(min_left, float(sv_l[-1]))
-            min_right = min(min_right, float(sv_r[-1]))
+    zs = [
+        rho * np.exp(2j * np.pi * t / n_theta) for rho in radii for t in range(n_theta)
+    ]
+    RA, _ = _resolvent_stack(scheme, zs)
+    sv_l = np.linalg.svd(RA[:, 0], compute_uv=False)
+    sv_r = np.linalg.svd(RA[:, -1], compute_uv=False)
+    min_left = float(sv_l[:, -1].min(initial=np.inf))
+    min_right = float(sv_r[:, -1].min(initial=np.inf))
     noncharacteristic_ok = min_left > tol and min_right > tol
     if not noncharacteristic_ok:
         messages.append(

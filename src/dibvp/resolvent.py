@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import SchemeDef, _resolvent_block
+from .core import SchemeDef, _resolvent_stack
 from .symbol import find_glancing, von_neumann_check
 
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -73,16 +73,8 @@ def resolvent_coeffs(scheme: SchemeDef, z: complex) -> ResolventCoeffs:
     """Evaluate RA_l(z) and RB_{l,j}(z)."""
     if z == 0:
         raise ResolventError("resolvent coefficients are singular at z = 0")
-    r, p, q, s, N = scheme.r, scheme.p, scheme.q, scheme.s, scheme.N
-    A = np.stack([_resolvent_block(scheme, ell, z) for ell in range(-r, p + 1)])
-    B = np.zeros((q + 1, r, N, N), dtype=complex)
-    for ell in range(q + 1):
-        for j in range(1 - r, 1):
-            acc = np.zeros((N, N), dtype=complex)
-            for sigma in range(-1, s + 1):
-                acc += z ** (-sigma - 1) * scheme.B(ell, j, sigma)
-            B[ell, j - (1 - r)] = acc
-    return ResolventCoeffs(z=z, r=r, A_blocks=A, B_blocks=B)
+    RA, RB = _resolvent_stack(scheme, [z])
+    return ResolventCoeffs(z=z, r=scheme.r, A_blocks=RA[0], B_blocks=RB[0])
 
 
 @dataclass(frozen=True)
@@ -93,14 +85,12 @@ class CompanionMatrix:
     M: np.ndarray
 
 
-def assemble_M(
-    scheme: SchemeDef, z: complex, cond_cutoff: float = 1e12
+def _companion(
+    scheme: SchemeDef, z: complex, RA: np.ndarray, cond_cutoff: float = 1e12
 ) -> CompanionMatrix:
-    """Build M(z) of size N(p+r): top block row -RA_p^{-1}(RA_{p-1}..RA_{-r}),
-    identity on the subdiagonal."""
-    coeffs = resolvent_coeffs(scheme, z)
+    """assemble_M from the blocks RA[l + r] = RA_l(z)."""
     r, p, N = scheme.r, scheme.p, scheme.N
-    Ap = coeffs.A_blocks[p + r]
+    Ap = RA[p + r]
     if np.linalg.cond(Ap) > cond_cutoff:
         raise ResolventError(
             f"leading coefficient RA_p({z}) is numerically singular"
@@ -110,10 +100,18 @@ def assemble_M(
     ApInv = np.linalg.inv(Ap)
     # top row blocks multiply (W_{j+p-1}, ..., W_{j-r})
     for k, ell in enumerate(range(p - 1, -r - 1, -1)):
-        M[:N, k * N : (k + 1) * N] = -ApInv @ coeffs.A_blocks[ell + r]
+        M[:N, k * N : (k + 1) * N] = -ApInv @ RA[ell + r]
     if p + r > 1:
         M[N:, :-N] = np.eye(N * (p + r - 1))
     return CompanionMatrix(z=z, M=M)
+
+
+def assemble_M(
+    scheme: SchemeDef, z: complex, cond_cutoff: float = 1e12
+) -> CompanionMatrix:
+    """Build M(z) of size N(p+r): top block row -RA_p^{-1}(RA_{p-1}..RA_{-r}),
+    identity on the subdiagonal."""
+    return _companion(scheme, z, resolvent_coeffs(scheme, z).A_blocks, cond_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,13 @@ def kl_boundary_matrix(scheme: SchemeDef, z: complex) -> np.ndarray:
     l >= p is extracted by iterating the companion matrix:
     W_{1+l} = E_top M(z)^{l+1-p} Wvec_1.
     """
-    coeffs = resolvent_coeffs(scheme, z)
+    c = resolvent_coeffs(scheme, z)
+    M = _companion(scheme, z, c.A_blocks).M if scheme.q >= scheme.p else None
+    return _boundary_rows(scheme, c.B_blocks, M)
+
+
+def _boundary_rows(scheme: SchemeDef, RB: np.ndarray, M: np.ndarray | None):
+    """kl_boundary_matrix from RB[l, j-(1-r)] = RB_{l,j}(z); M(z) is read if q >= p."""
     r, p, q, N = scheme.r, scheme.p, scheme.q, scheme.N
     dim = N * (p + r)
 
@@ -234,11 +238,9 @@ def kl_boundary_matrix(scheme: SchemeDef, z: complex) -> np.ndarray:
 
     powers = None
     if q >= p:
-        Mmat = assemble_M(scheme, z).M
-        max_pow = q + 1 - p
         powers = [np.eye(dim, dtype=complex)]
-        for _ in range(max_pow):
-            powers.append(Mmat @ powers[-1])
+        for _ in range(q + 1 - p):
+            powers.append(M @ powers[-1])
 
     def extract(i: int) -> np.ndarray:
         # matrix X with W_i = X @ Wvec_1 on homogeneous interior solutions
@@ -250,9 +252,24 @@ def kl_boundary_matrix(scheme: SchemeDef, z: complex) -> np.ndarray:
     for j in range(0, -r, -1):
         row = selector(j).copy()
         for ell in range(q + 1):
-            row -= coeffs.B_blocks[ell, j - (1 - r)] @ extract(1 + ell)
+            row -= RB[ell, j - (1 - r)] @ extract(1 + ell)
         rows.append(row)
     return np.concatenate(rows, axis=0)
+
+
+def _determinant(scheme: SchemeDef, z: complex, RA, RB, b_eff) -> float:
+    """kl_determinant from the RA and RB blocks at z, with M(z) built once."""
+    companion = _companion(scheme, z, RA)
+    split = spectral_split(companion, scheme)
+    if not split.counts_ok:
+        raise ResolventError(split.message)
+    B = _boundary_rows(scheme, RB, companion.M) if b_eff is None else np.asarray(b_eff)
+    if B.shape != (split.n_stable, scheme.N * (scheme.p + scheme.r)):
+        raise ResolventError(
+            f"boundary matrix shape {B.shape} incompatible with "
+            f"state dimension {scheme.N * (scheme.p + scheme.r)}"
+        )
+    return float(abs(np.linalg.det(B @ split.V_s)))
 
 
 def kl_determinant(
@@ -264,16 +281,8 @@ def kl_determinant(
     the assembled boundary rows (shape N r x N(p+r)); rows of zeros give
     |Delta| = 0 identically.
     """
-    split = spectral_split(assemble_M(scheme, z), scheme)
-    if not split.counts_ok:
-        raise ResolventError(split.message)
-    B = kl_boundary_matrix(scheme, z) if b_eff is None else np.asarray(b_eff)
-    if B.shape != (split.n_stable, scheme.N * (scheme.p + scheme.r)):
-        raise ResolventError(
-            f"boundary matrix shape {B.shape} incompatible with "
-            f"state dimension {scheme.N * (scheme.p + scheme.r)}"
-        )
-    return float(abs(np.linalg.det(B @ split.V_s)))
+    c = resolvent_coeffs(scheme, z)
+    return _determinant(scheme, z, c.A_blocks, c.B_blocks, b_eff)
 
 
 @dataclass(frozen=True)
@@ -308,11 +317,11 @@ def uklc_scan(
     equivalence.
     """
     thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-    values = np.empty((len(radii), len(thetas)))
-    for i, delta in enumerate(radii):
-        for k, th in enumerate(thetas):
-            z = (1 + delta) * np.exp(1j * th)
-            values[i, k] = kl_determinant(scheme, z, b_eff=b_eff)
+    zs = [(1 + delta) * np.exp(1j * th) for delta in radii for th in thetas]
+    RA, RB = _resolvent_stack(scheme, zs)
+    values = np.array(
+        [_determinant(scheme, *zab, b_eff) for zab in zip(zs, RA, RB)]
+    ).reshape(len(radii), len(thetas))
     flat = int(np.argmin(values))
     i0, k0 = divmod(flat, len(thetas))
     warnings = []

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize_scalar
 
-from .core import SchemeDef
+from .core import SchemeDef, _laurent
 
 #: spectral radius may exceed 1 by at most this much (rounding slack)
 VON_NEUMANN_TOL = 1e-10
@@ -46,32 +46,13 @@ class SymbolError(ValueError):
     """Raised when a symbol-side computation is ill-posed."""
 
 
-def symbol_blocks(scheme: SchemeDef, kappa: complex) -> list:
-    """Qhat_sigma(kappa) for sigma = 0..s."""
-    out = []
-    for sigma in range(scheme.s + 1):
-        acc = np.zeros((scheme.N, scheme.N), dtype=complex)
-        for ell in range(-scheme.r, scheme.p + 1):
-            acc += kappa**ell * scheme.A(ell, sigma)
-        out.append(acc)
-    return out
-
-
 def _amplification_stack(scheme: SchemeDef, kappas) -> np.ndarray:
-    """amp(kappa) for each kappa in ``kappas``, stacked on the first axis.
-
-    kappa**ell is taken on each scalar and the terms are summed in ell
-    order, so a matrix is the same bit for bit alone or in a stack.
-    """
+    """amp(kappa) for each kappa in ``kappas``, stacked on the first axis."""
     N, s = scheme.N, scheme.s
-    powers = np.array(
-        [[k**ell for ell in range(-scheme.r, scheme.p + 1)] for k in kappas]
-    )
     # row block of each A[ell, .]: [A[ell, 0] A[ell, 1] ... A[ell, s]]
     rows = scheme.interior.transpose(0, 2, 1, 3).reshape(-1, N, N * (s + 1))
-    amp = np.zeros((len(powers), N * (s + 1), N * (s + 1)), dtype=complex)
-    for i, row in enumerate(rows):
-        amp[:, :N, :] += powers[:, i, None, None] * row
+    amp = np.zeros((len(kappas), N * (s + 1), N * (s + 1)), dtype=complex)
+    amp[:, :N, :] = _laurent(rows, range(-scheme.r, scheme.p + 1), kappas)
     if s:
         amp[:, N:, :-N] = np.eye(N * s)
     return amp

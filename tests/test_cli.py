@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dibvp
 from dibvp.cli import emit_report, run_command
 from dibvp.core import lax_wendroff, leap_frog, save_scheme, upwind
 
@@ -293,6 +297,45 @@ def test_corrupt_scheme_file_exits_two(paths, capsys):
     code, _, err = run(["check-cauchy", "--scheme", str(bad)], capsys)
     assert code == 2
     assert "cannot load scheme" in err
+
+
+@pytest.mark.parametrize(
+    "field,edit",
+    [
+        ("lambda", lambda d: d.update({"lambda": float("inf")})),
+        ("interior", lambda d: d["interior"][0].update({"matrix": [[float("nan")]]})),
+        ("boundary", lambda d: d["boundary"].append(
+            {"ell": 0, "j": 0, "sigma": 0, "matrix": [[float("inf")]]})),
+    ],
+    ids=["lambda-inf", "interior-nan", "boundary-inf"],
+)
+@pytest.mark.parametrize("command", ["check-cauchy", "simulate"])
+def test_non_finite_scheme_data_exits_two(paths, capsys, field, edit, command):
+    # json writes these as Infinity / NaN, which the loader parses
+    data = json.loads(open(paths["upwind"]).read())
+    edit(data)
+    bad = paths["dir"] / "non_finite.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run([command, "--scheme", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert field in err and "finite" in err
+
+
+def test_python_dash_m_runs_the_cli(paths):
+    env = dict(os.environ)
+    src = str(Path(dibvp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "dibvp.cli"]
+    done = subprocess.run(
+        argv + ["check-cauchy", "--scheme", paths["upwind"]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["command"] == "check-cauchy"
+    bare = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert bare.returncode == 2
+    assert "usage:" in bare.stderr
 
 
 # ---------------------------------------------------------------------------

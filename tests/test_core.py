@@ -174,15 +174,6 @@ def test_validate_flags_characteristic_scheme():
     assert rep.min_sv_right < 1e-10
 
 
-def test_resolvent_block_values_for_upwind():
-    # z = 2, lam*a = 0.5: block at ell=0 is 1 - 0.5/2 = 0.75, at ell=-1 is -0.25
-    from dibvp.core import _resolvent_block
-
-    sch = upwind(1.0, 0.5)
-    assert _resolvent_block(sch, 0, 2.0)[0, 0] == pytest.approx(0.75)
-    assert _resolvent_block(sch, -1, 2.0)[0, 0] == pytest.approx(-0.25)
-
-
 def test_scheme_constructor_rejects_bad_shapes():
     with pytest.raises(SchemeError):
         SchemeDef(

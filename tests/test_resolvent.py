@@ -98,6 +98,48 @@ def test_coeffs_reject_zero():
         resolvent_coeffs(upwind(1.0, 0.5), 0.0)
 
 
+def _random_three_level(seed, p, q):
+    """2x2 three-level scheme (s = 2, r = 1) with random interior and boundary."""
+    rng = np.random.default_rng(seed)
+    return SchemeDef(
+        N=2, r=1, p=p, q=q, s=2, lam=1.0,
+        interior=rng.normal(scale=0.3, size=(p + 2, 3, 2, 2)),
+        boundary=rng.normal(scale=0.3, size=(q + 1, 1, 4, 2, 2)),
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [_random_three_level(3, p=1, q=2), _random_three_level(4, p=2, q=0)],
+    ids=["q-at-least-p", "q-below-p"],
+)
+def test_stacked_laurent_matches_pointwise_bits(scheme):
+    # every z is the same bit for bit in a stack, alone, and as the
+    # recursion delta_{l0} I - z^{-1} A[l,0] - z^{-2} A[l,1] - ... written out
+    from dibvp.core import _laurent, _resolvent_stack
+
+    zs = [2.0, 1.3 - 0.4j, *random_annulus_z(np.random.default_rng(5), 6)]
+    RA, RB = _resolvent_stack(scheme, zs)
+    for i, z in enumerate(zs):
+        c = resolvent_coeffs(scheme, z)
+        assert RA[i].tobytes() == c.A_blocks.tobytes()
+        assert RB[i].tobytes() == c.B_blocks.tobytes()
+        for ell in range(-scheme.r, scheme.p + 1):
+            expect = np.eye(2, dtype=complex) if ell == 0 else np.zeros((2, 2), complex)
+            for sigma in range(scheme.s + 1):
+                expect = expect - z ** (-sigma - 1) * scheme.A(ell, sigma)
+            assert c.A(ell).tobytes() == expect.tobytes()
+        for ell in range(scheme.q + 1):
+            expect = np.zeros((2, 2), dtype=complex)
+            for sigma in range(-1, scheme.s + 1):
+                expect += z ** (-sigma - 1) * scheme.B(ell, 0, sigma)
+            assert c.B(ell, 0).tobytes() == expect.tobytes()
+    exps = range(-scheme.r, scheme.p + 1)
+    stacked = _laurent(scheme.interior, exps, zs)
+    for i, z in enumerate(zs):
+        assert stacked[i].tobytes() == _laurent(scheme.interior, exps, [z])[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # companion matrix
 
@@ -260,6 +302,35 @@ def test_kl_basis_independence():
 def test_kl_rejects_bad_shape():
     with pytest.raises(ResolventError):
         kl_determinant(upwind(1.0, 0.5), 2.0, b_eff=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [upwind(1.0, 0.5), lax_wendroff(1.0, 0.5, boundary="extrapolation"),
+     _random_three_level(3, p=1, q=2)],
+    ids=["q-equals-p", "q-below-p", "q-above-p"],
+)
+def test_determinant_builds_coefficients_and_M_once_per_z(scheme, monkeypatch):
+    import dibvp.resolvent as res
+
+    calls = {"coeffs": 0, "M": 0}
+
+    def counted(name, key):
+        real = getattr(res, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(res, name, wrapper)
+
+    counted("_resolvent_stack", "coeffs")
+    counted("_companion", "M")
+    kl_determinant(scheme, 1.3 + 0.2j)
+    assert calls == {"coeffs": 1, "M": 1}
+    calls.update(coeffs=0, M=0)
+    uklc_scan(scheme, radii=(0.3, 0.6), n_theta=8, check_symbol=False)
+    assert calls == {"coeffs": 1, "M": 16}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dibvp.symbol import (
     frequency_derivative,
     group_velocity,
     power_bound_estimate,
-    symbol_blocks,
     track_branches,
     von_neumann_check,
 )
@@ -37,10 +36,12 @@ def test_amplification_leap_frog_at_i():
     assert np.allclose(np.abs(eig), 1.0)
 
 
-def test_symbol_blocks_sum_is_identity_at_one():
+def test_amplification_top_blocks_sum_to_identity_at_one():
     for scheme in [upwind(1.0, 0.3), leap_frog(1.0, 0.4)]:
-        total = sum(symbol_blocks(scheme, 1.0))
-        assert np.allclose(total, np.eye(scheme.N), atol=1e-14)
+        N = scheme.N
+        top = amplification_matrix(scheme, 1.0)[:N]
+        total = top.reshape(N, scheme.s + 1, N).sum(axis=1)
+        assert np.allclose(total, np.eye(N), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,10 @@ def test_von_neumann_batch_matches_pointwise_eigensolves(scheme):
     # block-by-block companion matrix and one eigvals call per theta
     # exactly, and report the first theta that attains the largest radius
     def companion(kappa):
-        top = np.hstack(symbol_blocks(scheme, kappa))
+        # top block row sum_ell kappa^ell [A[ell, 0] ... A[ell, s]]
+        top = np.zeros((scheme.N, scheme.N * (scheme.s + 1)), dtype=complex)
+        for ell in range(-scheme.r, scheme.p + 1):
+            top += kappa**ell * np.hstack(scheme.interior[ell + scheme.r])
         return np.vstack([top, np.eye(top.shape[1] - scheme.N, top.shape[1])])
 
     rep = von_neumann_check(scheme, n_theta=96)
