@@ -8,8 +8,7 @@ fails, 2 usage or configuration error.
 
 Reports are deterministic given the same configuration and seed: the
 ``meta`` block (wall clock) is the only part excluded from that
-contract.  The only environment variable read is ``DIBVP_THREADS``,
-which parallelizes independent experiment cells.
+contract.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -199,17 +197,6 @@ def _check_positive(args) -> None:
     ntheta = getattr(args, "grid_ntheta", None)
     if ntheta is not None and ntheta < 8:
         raise ConfigError("--grid-ntheta must be at least 8")
-
-
-def _threads() -> int:
-    raw = os.environ.get("DIBVP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"DIBVP_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError("DIBVP_THREADS must be at least 1")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -428,31 +415,23 @@ def _cmd_packet_experiment(scheme, args):
     if len(Ts) < 2:
         raise ConfigError("--Ts needs at least two horizons")
 
-    def one(dt):
-        return glancing_trace_experiment(spec, T_list=Ts, dt_list=(dt,))
-
-    n_threads = _threads()
     dts = tuple(args.dts)
-    if n_threads > 1 and len(dts) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            reps = list(pool.map(one, dts))
-    else:
-        reps = [one(dt) for dt in dts]
+    rep = glancing_trace_experiment(spec, T_list=Ts, dt_list=dts)
 
     sum_rows, fit_rows, growing = [], [], []
-    for dt, rep in zip(dts, reps):
+    for i, dt in enumerate(dts):
         for k, T in enumerate(Ts):
             sum_rows.append(
-                (float(dt), float(T), float(rep.trace_sums[0, k]),
-                 float(rep.mass_ratios[0, k]))
+                (float(dt), float(T), float(rep.trace_sums[i, k]),
+                 float(rep.mass_ratios[i, k]))
             )
-        fit_rows.append((float(dt), rep.slopes[0], rep.intercepts[0],
-                         rep.r_squared[0]))
+        fit_rows.append((float(dt), rep.slopes[i], rep.intercepts[i],
+                         rep.r_squared[i]))
         growing.append(
-            rep.r_squared[0] >= 0.9 and rep.slopes[0] >= 0.5 * rep.reference
+            rep.r_squared[i] >= 0.9 and rep.slopes[i] >= 0.5 * rep.reference
         )
-    reference = reps[0].reference
-    velocity = reps[0].velocity
+    reference = rep.reference
+    velocity = rep.velocity
     detail = (
         f"reference slope {reference:.6e}; fitted slopes "
         + ", ".join(f"{r[1]:.6e}" for r in fit_rows)

@@ -330,15 +330,25 @@ def apply_op(op: DifferenceOp, u: GridSequence) -> GridSequence:
                 f"length {len(u)}"
             )
     out = np.zeros((new_len, u.N), dtype=complex)
-    for ell, m in op.taps.items():
-        # rows j = new_off .. new_off+new_len-1 read u_{j+ell}
-        lo = new_off + ell
-        hi = lo + new_len - 1
-        block = u.window(lo, hi) if u.implicit_zero else u.values[
-            lo - u.offset : hi - u.offset + 1
-        ]
-        out += block @ m.T
+    # rows j = new_off .. new_off+new_len-1 read u_{j+ell}
+    if u.implicit_zero:
+        source = u.window(new_off + op.ell_min, new_off + new_len - 1 + op.ell_max)
+        _apply_taps(out, source, -op.ell_min, op.taps.items())
+    else:
+        _apply_taps(out, u.values, new_off - u.offset, op.taps.items())
     return GridSequence(new_off, out, u.implicit_zero)
+
+
+def _apply_taps(out: np.ndarray, source: np.ndarray, start: int, taps) -> None:
+    """out += source[start+ell : start+ell+len(out)] @ M.T for each (ell, M).
+
+    The only loop in the package that applies stencil taps.  Terms are
+    added in the order given, so callers that pass the taps in sigma, then
+    ell order get the same bits as a step written out tap by tap.
+    """
+    m = len(out)
+    for ell, mat in taps:
+        out += source[start + ell : start + ell + m] @ mat.T
 
 
 def difference_power_taps(k: int) -> dict:

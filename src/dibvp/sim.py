@@ -22,11 +22,11 @@ runs the corresponding empirical verifiers across (gamma, dt) grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridSequence, SchemeDef, SchemeError
+from .core import GridSequence, SchemeDef, SchemeError, _apply_taps
 from .resolvent import uklc_scan
 from .sbp import DecompositionError, boundary_energy_rate
 from .symbol import find_glancing, von_neumann_check
@@ -96,49 +96,16 @@ def step_ibvp(
     stored range count as zero).
     """
     scheme = state.scheme
-    r, p, q, s, N = scheme.r, scheme.p, scheme.q, scheme.s, scheme.N
-    lo = 1 - r
+    lo = 1 - scheme.r
     edge = state.edge
-    new_edge = edge - p
-    if new_edge < max(1, 1 + q):
+    new_edge = edge - scheme.p
+    if new_edge < max(1, 1 + scheme.q):
         raise SimError(
             f"window exhausted: right edge {edge} cannot support another step"
         )
-    width = new_edge - lo + 1
-    out = np.zeros((width, N), dtype=complex)
-
-    # interior rows j in [1, new_edge]
-    i1 = 1 - lo
+    out = np.zeros((new_edge - lo + 1, scheme.N), dtype=complex)
     prev = [lay.window(lo, edge) for lay in state.layers]  # U^{n-s}..U^n
-    for sigma in range(s + 1):
-        layer = prev[s - sigma]
-        for ell in range(-r, p + 1):
-            A = scheme.A(ell, sigma)
-            if not np.any(A):
-                continue
-            seg = layer[i1 + ell : i1 + ell + (new_edge - 1) + 1]
-            out[i1:] += seg @ A.T
-    if F_row is not None:
-        flo = max(1, F_row.offset)
-        fhi = min(new_edge, F_row.last)
-        if flo <= fhi:
-            out[flo - lo : fhi - lo + 1] += state.dt * F_row.window(flo, fhi)
-
-    # boundary rows j in [1-r, 0]; sigma = -1 reads the new interior values
-    if g_row is not None:
-        g_row = np.asarray(g_row, dtype=complex).reshape(r, N)
-    for j in range(lo, 1):
-        acc = np.zeros(N, dtype=complex)
-        for sigma in range(-1, s + 1):
-            source = out if sigma == -1 else prev[s - sigma]
-            for ell in range(q + 1):
-                B = scheme.B(ell, j, sigma)
-                if np.any(B):
-                    acc += B @ source[i1 + ell]
-        if g_row is not None:
-            acc += g_row[j - lo]
-        out[j - lo] = acc
-
+    _advance(_taps(scheme), out, prev, new_edge, g_row, F_row, state.dt)
     keep_zero = all(lay.implicit_zero for lay in state.layers) and (
         F_row is None or F_row.implicit_zero
     )
@@ -149,18 +116,81 @@ def step_ibvp(
     )
 
 
+def _taps(scheme: SchemeDef) -> tuple:
+    """The nonzero (ell, matrix) taps of the interior and boundary recursions.
+
+    ``interior[sigma]`` lists the taps of Q_sigma; ``boundary[k]`` lists
+    (sigma, taps) for boundary row j = k + 1 - r, sigma = -1..s, leaving
+    out sigmas without a nonzero tap.  A run resolves them once.
+    """
+    r, p, q, s = scheme.r, scheme.p, scheme.q, scheme.s
+
+    def nonzero(pairs):
+        return [(ell, m) for ell, m in pairs if np.any(m)]
+
+    interior = [
+        nonzero((ell, scheme.A(ell, sigma)) for ell in range(-r, p + 1))
+        for sigma in range(s + 1)
+    ]
+    boundary = []
+    for j in range(1 - r, 1):
+        rows = [
+            (sigma, nonzero((ell, scheme.B(ell, j, sigma)) for ell in range(q + 1)))
+            for sigma in range(-1, s + 1)
+        ]
+        boundary.append([(sigma, taps) for sigma, taps in rows if taps])
+    return interior, boundary
+
+
+def _advance(taps, out, prev, hi, g_row, F_row, dt) -> None:
+    """Write U^{n+1} into ``out`` on columns 1-r..hi from prev = U^{n-s}..U^n.
+
+    Every row starts at column 1-r.  Columns past ``hi`` are left as they
+    are; the boundary rows read ``out`` up to column 1+q, so any of those
+    past ``hi`` must already hold zeros.
+    """
+    interior, boundary = taps
+    r, s = len(boundary), len(prev) - 1
+    out[: r + hi] = 0
+    for sigma, sigma_taps in enumerate(interior):
+        _apply_taps(out[r : r + hi], prev[s - sigma], r, sigma_taps)
+    if F_row is not None:
+        flo = max(1, F_row.offset)
+        fhi = min(hi, F_row.last)
+        if flo <= fhi:
+            out[flo - 1 + r : fhi + r] += dt * F_row.window(flo, fhi)
+
+    # boundary rows j in [1-r, 0]; sigma = -1 reads the new interior values
+    if g_row is not None:
+        g_row = np.asarray(g_row, dtype=complex).reshape(r, out.shape[1])
+    for k, rows in enumerate(boundary):
+        acc = out[k : k + 1]
+        for sigma, sigma_taps in rows:
+            _apply_taps(acc, out if sigma == -1 else prev[s - sigma], r, sigma_taps)
+        if g_row is not None:
+            acc += g_row[k]
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
 
 @dataclass(frozen=True)
 class IBVPTrace:
-    """Levels U^0..U^{n_max} of a half-line run, cropped to [1-r, j_obs]."""
+    """Levels U^0..U^{n_max} of a half-line run, cropped to [1-r, j_obs].
+
+    In a trace from ``run_ibvp`` or ``run_cauchy``, ``layers[n]`` is row n
+    of one read-only (n_max+1, L, N) array, kept as ``_levels`` so that
+    the norm sums take all levels in one reduction.
+    """
 
     scheme: SchemeDef
     dt: float
     layers: tuple
     j_obs: int
+    _levels: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_max(self) -> int:
@@ -169,6 +199,31 @@ class IBVPTrace:
     @property
     def dx(self) -> float:
         return self.dt / self.scheme.lam
+
+
+def _trace_of_levels(scheme, dt, levels, offset, zero_flags, j_obs) -> IBVPTrace:
+    levels.setflags(write=False)
+    trace = IBVPTrace(
+        scheme=scheme, dt=dt, j_obs=j_obs,
+        layers=tuple(
+            GridSequence(offset, lev, implicit_zero=z)
+            for lev, z in zip(levels, zero_flags)
+        ),
+    )
+    object.__setattr__(trace, "_levels", levels)
+    return trace
+
+
+def _zeros(shape: tuple, n_max: int) -> np.ndarray:
+    """np.zeros for a run's arrays; a horizon too large to hold is a SimError."""
+    try:
+        return np.zeros(shape, dtype=complex)
+    except MemoryError:
+        size = 16.0 * np.prod(shape, dtype=float)
+        raise SimError(
+            f"horizon too large: n_max {n_max} over a {shape[1]}-column "
+            f"window needs {size:.3g} bytes"
+        ) from None
 
 
 def _as_row_provider(data, n_max: int):
@@ -205,28 +260,52 @@ def run_ibvp(
         raise SimError(f"n_max must be at least s = {scheme.s}")
     if len(f_layers) != scheme.s + 1:
         raise SimError(f"need {scheme.s + 1} initial layers, got {len(f_layers)}")
+    r, p, q, s, N = scheme.r, scheme.p, scheme.q, scheme.s, scheme.N
+    lo = 1 - r
     jf = max(f.last for f in f_layers)
     auto_obs = j_obs is None
     if auto_obs:
-        j_obs = max(jf, 1 + scheme.q, 1) + n_max * scheme.r
-    pad_to = j_obs + (n_max - scheme.s) * scheme.p + margin
+        j_obs = max(jf, 1 + q, 1) + n_max * r
+    pad_to = j_obs + (n_max - s) * p + margin
+    width = j_obs - lo + 1
+    levels = _zeros((n_max + 1, width, N), n_max)
     state = initial_state(scheme, f_layers, pad_to, dt=dt)
     g_of = _as_row_provider(g, n_max)
     F_of = F if F is not None else (lambda n: None)
 
-    levels = list(state.layers)
-    while state.n < n_max:
-        state = step_ibvp(state, g_row=g_of(state.n + 1), F_row=F_of(state.n))
-        levels.append(state.top())
-    cropped = tuple(
-        GridSequence(
-            1 - scheme.r,
-            lay.window(1 - scheme.r, j_obs),
-            implicit_zero=auto_obs and lay.implicit_zero,
+    # a ring of s+2 full-width rows: level n lives in row n % (s+2)
+    ring = _zeros((s + 2, pad_to - lo + 1, N), n_max)
+    for n, lay in enumerate(state.layers):
+        ring[n] = lay.values
+        levels[n] = lay.values[:width]
+    zero_flags = [lay.implicit_zero for lay in state.layers]
+    taps = _taps(scheme)
+    edge = pad_to
+    # columns past hi are zero: the data's support grows by r per step,
+    # and F adds its own range
+    hi = max(jf, 0)
+    for n in range(s, n_max):
+        edge -= p
+        if edge < max(1, 1 + q):
+            raise SimError(
+                f"window exhausted: right edge {edge + p} cannot support "
+                "another step"
+            )
+        g_row = g_of(n + 1)
+        F_row = F_of(n)
+        hi = min(edge, hi + r if F_row is None else max(hi + r, F_row.last))
+        out = ring[(n + 1) % (s + 2)]
+        prev = [ring[k % (s + 2)] for k in range(n - s, n + 1)]
+        # numpy multiplies one row by a different BLAS routine than a block
+        # of rows; two rows keep every value bit-identical to a full step
+        _advance(taps, out, prev, max(hi, min(2, edge)), g_row, F_row, dt)
+        levels[n + 1] = out[:width]
+        zero_flags.append(
+            all(zero_flags[-(s + 1):]) and (F_row is None or F_row.implicit_zero)
         )
-        for lay in levels[: n_max + 1]
+    return _trace_of_levels(
+        scheme, dt, levels, lo, [auto_obs and z for z in zero_flags], j_obs
     )
-    return IBVPTrace(scheme=scheme, dt=dt, layers=cropped, j_obs=j_obs)
 
 
 def run_cauchy(
@@ -257,31 +336,33 @@ def run_cauchy(
     W1 = max(Rmax + n_max * scheme.p, jmax)
 
     r, p, s, N = scheme.r, scheme.p, scheme.s, scheme.N
-    buf = [f.window(W0, W1) for f in f_layers]
-    levels = [np.array(b) for b in buf]
+    levels = _zeros((n_max + 1, Rmax - Lmin + 1, N), n_max)
+    ring = _zeros((s + 2, W1 - W0 + 1, N), n_max)
+    crop = slice(Lmin - W0, Rmax - W0 + 1)
+    for n, f in enumerate(f_layers):
+        ring[n] = f.window(W0, W1)
+        if n <= n_max:
+            levels[n] = ring[n][crop]
+    interior = _taps(scheme)[0]
     lo_k, hi_k = 0, W1 - W0  # currently valid slice of the buffer
-    for _ in range(n_max - s):
+    a, b = jmin - W0, jmax - W0  # the solution's support
+    for n in range(s, n_max):
         lo_k += r
         hi_k -= p
-        out = np.zeros((W1 - W0 + 1, N), dtype=complex)
-        m = hi_k - lo_k + 1
-        for sigma in range(s + 1):
-            layer = buf[s - sigma]
-            for ell in range(-r, p + 1):
-                A = scheme.A(ell, sigma)
-                if np.any(A):
-                    out[lo_k : hi_k + 1] += layer[lo_k + ell : lo_k + ell + m] @ A.T
-        buf = buf[1:] + [out]
-        levels.append(out)
-
-    layers = []
-    for n, lev in enumerate(levels[: n_max + 1]):
-        # values outside the shrunken slice are stale zeros, but the
-        # observation window stays inside the valid region by construction
-        layers.append(
-            GridSequence(Lmin, lev[Lmin - W0 : Rmax - W0 + 1], implicit_zero=auto)
-        )
-    return IBVPTrace(scheme=scheme, dt=dt, layers=tuple(layers), j_obs=Rmax)
+        a -= p
+        b += r
+        # the observation window stays inside the valid slice, and the
+        # solution is zero outside its support, so only their overlap is
+        # computed; one row is widened to two as in run_ibvp
+        c0, c1 = max(lo_k, a), min(hi_k, b)
+        if c0 == c1 and lo_k < hi_k:
+            c0, c1 = (c0, c1 + 1) if c1 < hi_k else (c0 - 1, c1)
+        out = ring[(n + 1) % (s + 2)]
+        out[c0 : c1 + 1] = 0
+        for sigma, sigma_taps in enumerate(interior):
+            _apply_taps(out[c0 : c1 + 1], ring[(n - sigma) % (s + 2)], c0, sigma_taps)
+        levels[n + 1] = out[crop]
+    return _trace_of_levels(scheme, dt, levels, Lmin, [auto] * (n_max + 1), Rmax)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +385,14 @@ def reconstruct_boundary_source(
 ) -> np.ndarray:
     """g_j^n = -V_j^n + sum_{sigma=-1}^{s} (B_{j,sigma} V^{n-1-sigma})_1."""
     r, q, s, N = scheme.r, scheme.q, scheme.s, scheme.N
+    boundary = _taps(scheme)[1]
     g = np.zeros((n_max + 1, r, N), dtype=complex)
     for n in range(s + 1, n_max + 1):
-        for j in range(1 - r, 1):
-            acc = -V.layers[n].get(j).copy()
-            for sigma in range(-1, s + 1):
-                layer = V.layers[n - 1 - sigma]
-                for ell in range(q + 1):
-                    B = scheme.B(ell, j, sigma)
-                    if np.any(B):
-                        acc += B @ layer.get(1 + ell)
-            g[n, j - (1 - r)] = acc
+        for k, rows in enumerate(boundary):
+            g[n, k] = -V.layers[n].get(k + 1 - r)
+            for sigma, sigma_taps in rows:
+                jet = V.layers[n - 1 - sigma].window(1, 1 + q)
+                _apply_taps(g[n, k : k + 1], jet, 0, sigma_taps)
     return g
 
 
@@ -381,24 +459,43 @@ def accumulate_norms(
     trace: IBVPTrace, gamma: float, P: int, n_start: int = 0
 ) -> NormSeries:
     """Weighted interior/trace/sup accumulators of a solution trace."""
+    return _weighted_norms(trace, _level_sums(trace, P), gamma, P, n_start)
+
+
+def _level_sums(trace: IBVPTrace, P: int) -> tuple:
+    """sum_j |U_j^n|^2 for each level n, over the stored values and over
+    1-r <= j <= P.  Neither depends on gamma, so a verifier takes them once
+    per trace and weights them for every gamma."""
+    lo = 1 - trace.scheme.r
+    if P < lo:
+        raise SimError(f"trace width P must be at least {lo}")
+    levels = trace._levels
+    if levels is None or trace.layers[0].offset != lo:
+        # assembled by hand (its layers may differ in range), or a
+        # whole-line trace whose window does not start at 1-r
+        return (
+            np.array([np.sum(np.abs(lay.values) ** 2) for lay in trace.layers]),
+            np.array([
+                np.sum(np.abs(lay.window(lo, min(P, lay.last))) ** 2)
+                for lay in trace.layers
+            ]),
+        )
+    sq = np.abs(levels) ** 2
+    hi = min(P, lo + levels.shape[1] - 1)
+    return sq.sum(axis=(1, 2)), sq[:, : hi - lo + 1].sum(axis=(1, 2))
+
+
+def _weighted_norms(trace, sums, gamma, P, n_start) -> NormSeries:
     if gamma < 0:
         raise SimError("gamma must be nonnegative")
-    scheme = trace.scheme
-    if P < 1 - scheme.r:
-        raise SimError(f"trace width P must be at least {1 - scheme.r}")
     dt, dx = trace.dt, trace.dx
-    n_levels = trace.n_max + 1
-    interior_terms = np.zeros(n_levels)
-    trace_terms = np.zeros(n_levels)
-    level_mass = np.zeros(n_levels)
-    for n, lay in enumerate(trace.layers):
-        w = np.exp(-2 * gamma * n * dt)
-        mass = lay.norm_sq(dx)
-        level_mass[n] = mass
-        if n >= n_start:
-            interior_terms[n] = dt * w * mass
-            seg = lay.window(1 - scheme.r, min(P, lay.last))
-            trace_terms[n] = dt * w * float(np.sum(np.abs(seg) ** 2))
+    mass_sums, trace_sums = sums
+    w = np.exp(-2 * gamma * np.arange(len(mass_sums)) * dt)
+    level_mass = dx * mass_sums
+    interior_terms = dt * w * level_mass
+    trace_terms = dt * w * trace_sums
+    interior_terms[: max(n_start, 0)] = 0.0
+    trace_terms[: max(n_start, 0)] = 0.0
     return NormSeries(
         gamma=gamma, dt=dt, dx=dx, P=P, n_start=n_start,
         interior=float(interior_terms.sum()),
@@ -412,7 +509,7 @@ def accumulate_norms(
 
 def _log_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of log y against log x."""
-    good = (np.asarray(x) > 0) & (np.asarray(y) > 0)
+    good = (np.asarray(x) > 0) & (np.asarray(y) > 0) & np.isfinite(y)
     if good.sum() < 2:
         return 0.0
     return float(np.polyfit(np.log(np.asarray(x)[good]),
@@ -500,19 +597,41 @@ class EstimateReport:
     verdict: str
 
 
-def _verdict(kind, max_ratio, slope, bounded, hypotheses_met, issues, vacuous):
+def _estimate_report(kind, dts, gammas, ratios, measured, issues) -> EstimateReport:
+    """Fit and verdict of a ratio table; ``measured`` marks cells with data.
+
+    A measured cell that is not finite (the norms overflowed) counts as
+    growth and is named in the verdict; the fit uses the finite cells.
+    """
+    vacuous = not measured.any()
+    blown = np.argwhere(measured & ~np.isfinite(ratios))
+    finite = np.where(np.isfinite(ratios), ratios, np.nan)
+    per_dt = np.fmax.reduce(finite, axis=1) if not vacuous else np.zeros(len(dts))
+    slope = _log_slope(1.0 / np.asarray(dts), per_dt)
+    bounded = slope <= SLOPE_TOL and not len(blown)
+    max_ratio = float(np.fmax.reduce(finite, axis=None)) if not vacuous else 0.0
     if vacuous:
-        return f"{kind}: vacuous (zero data)"
-    parts = []
-    if not hypotheses_met:
-        parts.append("hypotheses unmet (" + "; ".join(issues) + ")")
-    parts.append(
-        f"{'bounded' if bounded else 'growth observed'} "
-        f"(max ratio {max_ratio:.3g}, slope {slope:+.3f})"
+        verdict = f"{kind}: vacuous (zero data)"
+    else:
+        parts = []
+        if issues:
+            parts.append("hypotheses unmet (" + "; ".join(issues) + ")")
+        fit = f"max ratio {max_ratio:.3g}, slope {slope:+.3f}"
+        if len(blown):
+            i, k = blown[0]
+            fit = (f"non-finite ratio at dt {dts[i]:g}, gamma {gammas[k]:g}; "
+                   f"max finite ratio {max_ratio:.3g}, slope {slope:+.3f}")
+        parts.append(f"{'bounded' if bounded else 'growth observed'} ({fit})")
+        verdict = f"{kind}: " + ", ".join(parts)
+    return EstimateReport(
+        kind=kind, dts=tuple(dts), gammas=tuple(gammas), ratios=ratios,
+        max_ratio=max_ratio, slope=slope, bounded=bounded,
+        hypotheses_met=not issues, issues=issues, vacuous=vacuous,
+        verdict=verdict,
     )
-    return f"{kind}: " + ", ".join(parts)
 
 
+@np.errstate(all="ignore")
 def verify_thm1(
     scheme: SchemeDef,
     f_generator=None,
@@ -539,36 +658,25 @@ def verify_thm1(
     issues = _hypothesis_report(scheme)
     rng = np.random.default_rng(seed)
     ratios = np.zeros((len(refinements), len(gammas)))
-    vacuous = True
+    measured = np.zeros(ratios.shape, dtype=bool)
     for i, dt in enumerate(refinements):
         n_max = int(round(t_end / dt))
         f_layers = f_generator(scheme, dt, n_max, rng)
         trace = run_ibvp(scheme, f_layers, n_max, dt=dt)
         dx = dt / scheme.lam
         rhs = sum(f.norm_sq(dx) for f in f_layers)
+        sums = _level_sums(trace, P)
         for k, gamma in enumerate(gammas):
-            ns = accumulate_norms(trace, gamma, P)
+            ns = _weighted_norms(trace, sums, gamma, P, 0)
             lhs = gamma / (gamma * dt + 1) * ns.interior + ns.trace
-            if rhs > 0:
-                ratios[i, k] = lhs / rhs
-                vacuous = False
-            else:
-                ratios[i, k] = np.nan
-    per_dt = np.nanmax(ratios, axis=1) if not vacuous else np.zeros(len(refinements))
-    slope = _log_slope(1.0 / np.asarray(refinements), per_dt)
-    bounded = slope <= SLOPE_TOL
-    hypotheses_met = not issues
-    return EstimateReport(
-        kind="trace-estimate",
-        dts=tuple(refinements), gammas=tuple(gammas), ratios=ratios,
-        max_ratio=float(np.nanmax(ratios)) if not vacuous else 0.0,
-        slope=slope, bounded=bounded, hypotheses_met=hypotheses_met,
-        issues=issues, vacuous=vacuous,
-        verdict=_verdict("trace-estimate", float(np.nanmax(ratios)) if not vacuous else 0.0,
-                         slope, bounded, hypotheses_met, issues, vacuous),
+            measured[i, k] = rhs > 0
+            ratios[i, k] = lhs / rhs if rhs > 0 else np.nan
+    return _estimate_report(
+        "trace-estimate", refinements, gammas, ratios, measured, issues
     )
 
 
+@np.errstate(all="ignore")
 def verify_strong_stability(
     scheme: SchemeDef,
     g_gen=None,
@@ -592,7 +700,7 @@ def verify_strong_stability(
     rng = np.random.default_rng(seed)
     s = scheme.s
     ratios = np.zeros((len(refinements), len(gammas)))
-    vacuous = True
+    measured = np.zeros(ratios.shape, dtype=bool)
     for i, dt in enumerate(refinements):
         n_max = int(round(t_end / dt))
         g = g_gen(scheme, dt, n_max, rng) if g_gen is not None else None
@@ -606,8 +714,9 @@ def verify_strong_stability(
             F=(None if F_rows is None else (lambda n: F_rows[n])), dt=dt,
         )
         dx = dt / scheme.lam
+        sums = _level_sums(trace, scheme.p)
         for k, gamma in enumerate(gammas):
-            ns = accumulate_norms(trace, gamma, scheme.p, n_start=s + 1)
+            ns = _weighted_norms(trace, sums, gamma, scheme.p, s + 1)
             lhs = gamma / (gamma * dt + 1) * ns.interior + ns.trace
             weights = np.exp(-2 * gamma * np.arange(n_max + 1) * dt)
             rhs = 0.0
@@ -621,23 +730,10 @@ def verify_strong_stability(
                         * dt * np.exp(-2 * gamma * (n + 1) * dt)
                         * F_rows[n].norm_sq(dx)
                     )
-            if rhs > 0:
-                ratios[i, k] = lhs / rhs
-                vacuous = False
-            else:
-                ratios[i, k] = np.nan
-    per_dt = np.nanmax(ratios, axis=1) if not vacuous else np.zeros(len(refinements))
-    slope = _log_slope(1.0 / np.asarray(refinements), per_dt)
-    bounded = slope <= SLOPE_TOL
-    hypotheses_met = not issues
-    max_ratio = float(np.nanmax(ratios)) if not vacuous else 0.0
-    return EstimateReport(
-        kind="strong-stability",
-        dts=tuple(refinements), gammas=tuple(gammas), ratios=ratios,
-        max_ratio=max_ratio, slope=slope, bounded=bounded,
-        hypotheses_met=hypotheses_met, issues=issues, vacuous=vacuous,
-        verdict=_verdict("strong-stability", max_ratio, slope, bounded,
-                         hypotheses_met, issues, vacuous),
+            measured[i, k] = rhs > 0
+            ratios[i, k] = lhs / rhs if rhs > 0 else np.nan
+    return _estimate_report(
+        "strong-stability", refinements, gammas, ratios, measured, issues
     )
 
 
@@ -662,6 +758,7 @@ class SemigroupReport:
     verdict: str
 
 
+@np.errstate(all="ignore")
 def verify_semigroup(
     scheme: SchemeDef,
     f_generator=None,
@@ -710,9 +807,8 @@ def verify_semigroup(
         C2.append(ns.sup_norm / rhs if rhs > 0 else 0.0)
         if rate is not None:
             lo, hi = 1 - scheme.r, scheme.p
-            interior_mass = np.array(
-                [float(np.sum(np.abs(lay.window(1, lay.last)) ** 2))
-                 for lay in trace.layers]
+            interior_mass = np.sum(
+                np.abs(trace._levels[:, scheme.r :]) ** 2, axis=(1, 2)
             )
             scale = max(float(interior_mass.max()), 1e-30)
             worst = step_violation or 0.0
@@ -731,11 +827,17 @@ def verify_semigroup(
             chain_ok = ok if chain_ok is None else (chain_ok and ok)
 
     slope = _log_slope(1.0 / np.asarray(refinements), np.asarray(C2))
-    bounded = slope <= SLOPE_TOL
+    # a C2 that overflowed counts as growth; the fit uses the finite ones
+    blown = [dt for dt, c in zip(refinements, C2) if not np.isfinite(c)]
+    bounded = slope <= SLOPE_TOL and not blown
     consistent = bounded == uklc_plausible
+    max_c2 = max((c for c in C2 if np.isfinite(c)), default=np.nan)
+    fit = f"max C2 {max_c2:.3g}, slope {slope:+.3f}"
+    if blown:
+        fit = (f"non-finite C2 at dt {blown[0]:g}; "
+               f"max finite C2 {max_c2:.3g}, slope {slope:+.3f}")
     verdict = (
-        f"semigroup: {'bounded' if bounded else 'growth observed'} "
-        f"(max C2 {max(C2):.3g}, slope {slope:+.3f}); "
+        f"semigroup: {'bounded' if bounded else 'growth observed'} ({fit}); "
         f"determinant scan {'passes' if uklc_plausible else 'fails'}"
         f"{' — consistent' if consistent else ' — INCONSISTENT'}"
     )

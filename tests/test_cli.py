@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,17 +225,28 @@ def test_packet_experiment_transported_carrier_passes(paths, capsys):
     assert max(ratios) <= 1.0
 
 
-def test_packet_experiment_thread_env_sharding(paths, capsys, monkeypatch):
-    argv = ["packet-experiment", "--scheme", paths["upwind"], "--xi", "0.0",
-            "--Ts", "30,60", "--dts", "0.2,0.1"]
-    monkeypatch.setenv("DIBVP_THREADS", "2")
-    code, out_threaded, _ = run(argv, capsys)
-    monkeypatch.setenv("DIBVP_THREADS", "1")
-    code1, out_serial, _ = run(argv, capsys)
-    assert code == code1
-    a, b = json.loads(out_threaded), json.loads(out_serial)
-    a.pop("meta"), b.pop("meta")
-    assert a == b
+@pytest.mark.parametrize("estimate", ["thm1", "strong", "semigroup"])
+def test_verify_overflow_counts_as_growth(paths, capsys, estimate):
+    # the unstable scheme's norms overflow from dt 0.025 on
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            ["verify", "--scheme", paths["upwind_unstable"], "--estimate",
+             estimate, "--t-end", "40"],
+            capsys,
+        )
+    assert code == 1
+    assert err == ""
+    assert not caught
+    rep = json.loads(out)
+    detail = rep["verdicts"][0]["detail"]
+    if estimate == "semigroup":
+        assert "growth observed (non-finite C2 at dt 0.025; max finite C2" in detail
+    else:
+        assert "growth observed (non-finite ratio at dt 0.025, gamma 0.001;" in detail
+        max_ratio, slope, _ = rep["data"]["fit"]["rows"][0]
+        assert max_ratio > 1e100 and slope > 100
+    assert not re.search(r"\bnan\b", detail)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +294,17 @@ def test_incompatible_horizon_exits_two(paths, capsys):
     assert "n_max" in err
 
 
+def test_oversized_horizon_exits_two_before_marching(paths, capsys):
+    # the levels array would take 1.6e17 bytes; allocating it comes first
+    code, out, err = run(
+        ["simulate", "--scheme", paths["upwind"], "--n-max", "100000000"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "horizon too large: n_max 100000000" in err
+
+
 def test_bad_packet_branch_exits_two(paths, capsys):
     code, _, err = run(
         ["packet-experiment", "--scheme", paths["leapfrog"], "--xi", "0.7",
@@ -326,13 +350,14 @@ def test_python_dash_m_runs_the_cli(paths):
     env = dict(os.environ)
     src = str(Path(dibvp.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for module in ("dibvp", "dibvp.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "check-cauchy", "--scheme", paths["upwind"]],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, module
+        assert json.loads(done.stdout)["command"] == "check-cauchy"
     argv = [sys.executable, "-m", "dibvp.cli"]
-    done = subprocess.run(
-        argv + ["check-cauchy", "--scheme", paths["upwind"]],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0
-    assert json.loads(done.stdout)["command"] == "check-cauchy"
     bare = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert bare.returncode == 2
     assert "usage:" in bare.stderr

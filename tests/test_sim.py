@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dibvp import sim
 from dibvp.core import (
     GridSequence,
+    SchemeDef,
     lax_friedrichs,
     lax_wendroff,
     leap_frog,
@@ -14,6 +16,7 @@ from dibvp.core import (
     upwind,
 )
 from dibvp.sim import (
+    HalfLineState,
     IBVPTrace,
     SimError,
     accumulate_norms,
@@ -498,3 +501,221 @@ def test_decaying_data_reproducible_and_decaying():
     mags = np.abs(a[0].values[:, 0])
     idx = np.arange(32)
     assert np.all(mags <= (1.0 + idx) ** -1.0 * 6.0)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the per-step loops that the marching kernel replaced,
+# kept tap by tap over full-width windows
+
+
+def _reference_step(state, g_row=None, F_row=None):
+    scheme = state.scheme
+    r, p, q, s, N = scheme.r, scheme.p, scheme.q, scheme.s, scheme.N
+    lo = 1 - r
+    edge = state.edge
+    new_edge = edge - p
+    width = new_edge - lo + 1
+    out = np.zeros((width, N), dtype=complex)
+    i1 = 1 - lo
+    prev = [lay.window(lo, edge) for lay in state.layers]
+    for sigma in range(s + 1):
+        layer = prev[s - sigma]
+        for ell in range(-r, p + 1):
+            A = scheme.A(ell, sigma)
+            if not np.any(A):
+                continue
+            seg = layer[i1 + ell : i1 + ell + (new_edge - 1) + 1]
+            out[i1:] += seg @ A.T
+    if F_row is not None:
+        flo = max(1, F_row.offset)
+        fhi = min(new_edge, F_row.last)
+        if flo <= fhi:
+            out[flo - lo : fhi - lo + 1] += state.dt * F_row.window(flo, fhi)
+    if g_row is not None:
+        g_row = np.asarray(g_row, dtype=complex).reshape(r, N)
+    for j in range(lo, 1):
+        acc = np.zeros(N, dtype=complex)
+        for sigma in range(-1, s + 1):
+            source = out if sigma == -1 else prev[s - sigma]
+            for ell in range(q + 1):
+                B = scheme.B(ell, j, sigma)
+                if np.any(B):
+                    acc += B @ source[i1 + ell]
+        if g_row is not None:
+            acc += g_row[j - lo]
+        out[j - lo] = acc
+    keep_zero = all(lay.implicit_zero for lay in state.layers) and (
+        F_row is None or F_row.implicit_zero
+    )
+    new = GridSequence(lo, out, implicit_zero=keep_zero)
+    return HalfLineState(
+        scheme=scheme, n=state.n + 1, layers=state.layers[1:] + (new,),
+        dt=state.dt,
+    )
+
+
+def _reference_run_ibvp(scheme, f_layers, n_max, j_obs=None, g=None, F=None,
+                        dt=1.0, margin=0):
+    jf = max(f.last for f in f_layers)
+    auto_obs = j_obs is None
+    if auto_obs:
+        j_obs = max(jf, 1 + scheme.q, 1) + n_max * scheme.r
+    pad_to = j_obs + (n_max - scheme.s) * scheme.p + margin
+    state = initial_state(scheme, f_layers, pad_to, dt=dt)
+    g_of = (lambda n: None) if g is None else (lambda n: g[n])
+    F_of = F if F is not None else (lambda n: None)
+    levels = list(state.layers)
+    while state.n < n_max:
+        state = _reference_step(
+            state, g_row=g_of(state.n + 1), F_row=F_of(state.n)
+        )
+        levels.append(state.top())
+    return [
+        GridSequence(1 - scheme.r, lay.window(1 - scheme.r, j_obs),
+                     implicit_zero=auto_obs and lay.implicit_zero)
+        for lay in levels
+    ], j_obs
+
+
+def _reference_run_cauchy(scheme, f_layers, n_max, window=None):
+    jmin = min(f.offset for f in f_layers)
+    jmax = max(f.last for f in f_layers)
+    auto = window is None
+    if auto:
+        window = (jmin - n_max * scheme.p, jmax + n_max * scheme.r)
+    Lmin, Rmax = window
+    W0 = min(Lmin - n_max * scheme.r, jmin)
+    W1 = max(Rmax + n_max * scheme.p, jmax)
+    r, p, s, N = scheme.r, scheme.p, scheme.s, scheme.N
+    buf = [f.window(W0, W1) for f in f_layers]
+    levels = [np.array(b) for b in buf]
+    lo_k, hi_k = 0, W1 - W0
+    for _ in range(n_max - s):
+        lo_k += r
+        hi_k -= p
+        out = np.zeros((W1 - W0 + 1, N), dtype=complex)
+        m = hi_k - lo_k + 1
+        for sigma in range(s + 1):
+            layer = buf[s - sigma]
+            for ell in range(-r, p + 1):
+                A = scheme.A(ell, sigma)
+                if np.any(A):
+                    out[lo_k : hi_k + 1] += layer[lo_k + ell : lo_k + ell + m] @ A.T
+        buf = buf[1:] + [out]
+        levels.append(out)
+    return [
+        GridSequence(Lmin, lev[Lmin - W0 : Rmax - W0 + 1], implicit_zero=auto)
+        for lev in levels[: n_max + 1]
+    ], Rmax
+
+
+def _second_order_upwind(nu):
+    interior = np.zeros((3, 1, 1, 1))
+    interior[:, 0, 0, 0] = ((nu * nu - nu) / 2, nu * (2 - nu),
+                            1 - 1.5 * nu + nu * nu / 2)
+    return SchemeDef(N=1, r=2, p=0, q=0, s=0, lam=1.0, interior=interior,
+                     boundary=np.zeros((1, 2, 2, 1, 1)))
+
+
+def _system_upwind():
+    A = np.array([[0.5, 0.25], [0.25, 0.5]])
+    return SchemeDef(N=2, r=1, p=0, q=0, s=0, lam=1.0,
+                     interior=np.stack([A, np.eye(2) - A])[:, None],
+                     boundary=np.zeros((1, 1, 2, 2, 2)))
+
+
+def _random_scheme(seed, s):
+    # a 2x2 scheme with p = q = 1 and every boundary tap set
+    rng = np.random.default_rng(seed)
+    return SchemeDef(N=2, r=1, p=1, q=1, s=s, lam=0.7,
+                     interior=0.2 * rng.standard_normal((3, s + 1, 2, 2)),
+                     boundary=0.2 * rng.standard_normal((2, 1, s + 2, 2, 2)))
+
+
+ORACLE_SCHEMES = {
+    "upwind": upwind(0.5, 1.0),
+    "lax-wendroff-extrapolation": lax_wendroff(1.0, 0.5, boundary="extrapolation"),
+    "leap-frog": leap_frog(0.5, 1.0),
+    "second-order-upwind": _second_order_upwind(1.3),
+    "system": _system_upwind(),
+    "random": _random_scheme(7, s=0),
+    "random-three-level": _random_scheme(7, s=1),
+}
+
+
+def _assert_same_levels(trace, want, j_obs):
+    assert trace.j_obs == j_obs
+    assert len(trace.layers) == len(want)
+    for got, ref in zip(trace.layers, want):
+        assert got.offset == ref.offset
+        assert got.implicit_zero == ref.implicit_zero
+        assert got.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("case", ["data", "boundary-data", "boundary-source",
+                                  "interior-source", "explicit-window"])
+@pytest.mark.parametrize("name", list(ORACLE_SCHEMES))
+def test_run_ibvp_matches_reference_steps_bit_for_bit(name, case):
+    scheme = ORACLE_SCHEMES[name]
+    n_max, dt = 30, 0.1
+    rng = np.random.default_rng(17)
+    f = decaying_data(scheme, 9, seed=3)
+    kwargs = {}
+    if case == "boundary-data":
+        # data on j <= 0 only: the first step's support is one column wide
+        f = tuple(GridSequence(1 - scheme.r, lay.values[: scheme.r], implicit_zero=True)
+                  for lay in f)
+    elif case == "boundary-source":
+        # zero data: the solution starts at the boundary rows
+        f = tuple(GridSequence.zeros(1 - scheme.r, 1, scheme.N, implicit_zero=True)
+                  for _ in range(scheme.s + 1))
+        kwargs["g"] = rng.standard_normal((n_max + 1, scheme.r, scheme.N))
+    elif case == "interior-source":
+        # sources reaching past the data's support widen it
+        rows = [GridSequence(4 + 3 * n, rng.standard_normal((2, scheme.N)),
+                             implicit_zero=True) for n in range(n_max + 1)]
+        kwargs["F"] = lambda n: rows[n]
+    elif case == "explicit-window":
+        kwargs.update(j_obs=12, margin=5)
+    trace = run_ibvp(scheme, f, n_max, dt=dt, **kwargs)
+    want, j_obs = _reference_run_ibvp(scheme, f, n_max, dt=dt, **kwargs)
+    _assert_same_levels(trace, want, j_obs)
+
+
+@pytest.mark.parametrize("window", [None, (0, 0), (-3, 5), (20, 24)])
+@pytest.mark.parametrize("name", list(ORACLE_SCHEMES))
+def test_run_cauchy_matches_reference_loop_bit_for_bit(name, window):
+    scheme = ORACLE_SCHEMES[name]
+    f = random_layers(scheme, n_sites=7, seed=23)
+    if window == (20, 24):
+        # one site at the buffer's left edge and the window (n_max-s)*r to
+        # its right: each step's support meets the valid slice in one column
+        f = tuple(GridSequence(0, lay.values[:1], implicit_zero=True) for lay in f)
+        edge = (20 - scheme.s) * scheme.r
+        window = (edge, edge + 4)
+    trace = run_cauchy(scheme, f, 20, window=window)
+    want, j_obs = _reference_run_cauchy(scheme, f, 20, window=window)
+    _assert_same_levels(trace, want, j_obs)
+
+
+def test_step_ibvp_matches_reference_step():
+    for scheme in ORACLE_SCHEMES.values():
+        f = random_layers(scheme, n_sites=6, seed=31)
+        state = want = initial_state(scheme, f, pad_to=40, dt=0.1)
+        g = np.ones((scheme.r, scheme.N))
+        for _ in range(5):
+            state = step_ibvp(state, g_row=g)
+            want = _reference_step(want, g_row=g)
+            assert state.top().values.tobytes() == want.top().values.tobytes()
+
+
+def test_verify_thm1_takes_level_sums_once_per_dt(monkeypatch):
+    calls = []
+    level_sums = sim._level_sums
+    monkeypatch.setattr(
+        sim, "_level_sums", lambda *a: calls.append(a) or level_sums(*a)
+    )
+    rep = verify_thm1(upwind(0.5, 1.0), gammas=(1e-3, 1e-2, 0.1, 1.0),
+                      refinements=(0.1, 0.05, 0.025), t_end=2.0)
+    assert rep.ratios.shape == (3, 4)
+    assert len(calls) == 3
