@@ -344,11 +344,13 @@ def _apply_taps(out: np.ndarray, source: np.ndarray, start: int, taps) -> None:
 
     The only loop in the package that applies stencil taps.  Terms are
     added in the order given, so callers that pass the taps in sigma, then
-    ell order get the same bits as a step written out tap by tap.
+    ell order get the same bits as a step written out tap by tap.  A 1x1
+    tap is one product per entry, with the matmul's bits unless out is -0.0.
     """
     m = len(out)
     for ell, mat in taps:
-        out += source[start + ell : start + ell + m] @ mat.T
+        window = source[start + ell : start + ell + m]
+        out += window * mat[0, 0] if mat.size == 1 else window @ mat.T
 
 
 def difference_power_taps(k: int) -> dict:

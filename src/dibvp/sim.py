@@ -390,6 +390,8 @@ def reconstruct_boundary_source(
     for n in range(s + 1, n_max + 1):
         for k, rows in enumerate(boundary):
             g[n, k] = -V.layers[n].get(k + 1 - r)
+            if rows:
+                g[n, k] += 0.0  # -0.0 to +0.0, so 1x1 taps add as in a matmul
             for sigma, sigma_taps in rows:
                 jet = V.layers[n - 1 - sigma].window(1, 1 + q)
                 _apply_taps(g[n, k : k + 1], jet, 0, sigma_taps)

@@ -46,6 +46,18 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grid_sum(x0: float, dx: float, count: int, nodes, coef) -> np.ndarray:
+    """sum_n coef[n] e^{i x nodes[n]} at x = x0 + k dx, k = 0..count-1.
+
+    k = B q + m, B = ceil(sqrt(count)) splits e^{i x nu} into e^{i (x0 + B q
+    dx) nu} (Q x n) times e^{i m dx nu} (n x B): (Q + B) n exponentials.
+    """
+    B = int(np.ceil(np.sqrt(count))) or 1
+    outer = np.exp(1j * np.multiply.outer(x0 + dx * np.arange(0, count, B), nodes))
+    inner = np.exp(1j * np.multiply.outer(nodes, dx * np.arange(B)))
+    return (outer @ (inner * coef[:, None])).ravel()[:count]
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Smooth envelope with Fourier transform supported in [-d0/2, d0/2].
@@ -74,6 +86,11 @@ class Envelope:
         vals = phases @ (self.weights * self.fourier(self.nodes)) / (2 * np.pi)
         return vals if vals.shape else complex(vals)
 
+    def on_grid(self, x0: float, dx: float, count: int) -> np.ndarray:
+        """a(x0 + k dx) for k = 0..count-1, from one blocked product."""
+        coef = self.weights * self.fourier(self.nodes) / (2 * np.pi)
+        return _grid_sum(x0, dx, count, self.nodes, coef)
+
     @property
     def value_at_zero(self) -> float:
         return float(np.real(self(0.0)))
@@ -99,14 +116,12 @@ def make_envelope(
     if x_max is None:
         x_max = 160.0 / delta0
     half = delta0 / 2.0
-    grid = np.linspace(0.0, x_max, 257)
 
     def values(n: int) -> np.ndarray:
         t, w = np.polynomial.legendre.leggauss(n)
-        nodes = half * t
-        weights = half * w
-        ph = np.exp(1j * np.multiply.outer(grid, nodes))
-        return ph @ (weights * _bump(t)) / (2 * np.pi), nodes, weights
+        nodes, weights = half * t, half * w
+        coef = weights * _bump(t) / (2 * np.pi)
+        return _grid_sum(0.0, x_max / 256, 257, nodes, coef), nodes, weights
 
     prev, nodes, weights = values(16)
     n = 16
@@ -280,8 +295,10 @@ def packet_initial_data(
         j_min = -int(np.floor(spec.envelope.x_certified / dx))
     if j_max is None:
         j_max = int(np.floor(spec.envelope.x_certified / dx))
+    if j_max < j_min:
+        raise WavepacketError(f"empty index range: j_min {j_min} > j_max {j_max}")
     j = np.arange(j_min, j_max + 1)
-    env = np.asarray(spec.envelope(j * dx))
+    env = spec.envelope.on_grid(j_min * dx, dx, j.size)
     keep = np.abs(env) > tail_tol * np.max(np.abs(env))
     if not np.any(keep):
         raise WavepacketError("envelope vanishes on the requested range")
@@ -349,7 +366,8 @@ def approx_solution(
         direction = spec.projectors[k] @ spec.amplitude
         if np.max(np.abs(direction)) < 1e-15:
             continue
-        env = np.asarray(spec.envelope(j * dx - n * dt * spec.velocities[k]))
+        x0 = j_min * dx - n * dt * spec.velocities[k]
+        env = spec.envelope.on_grid(x0, dx, j.size)
         phase = np.exp(1j * n * spec.omegas[k])
         out += np.outer(phase * carrier * env, direction)
     return GridSequence(int(j_min), out)
@@ -404,6 +422,8 @@ def packet_error(
     """
     scheme = spec.scheme
     n_list = tuple(int(n) for n in n_list)
+    if not n_list:
+        raise WavepacketError("n_list is empty: no levels to measure")
     if any(n < 0 for n in n_list):
         raise WavepacketError("levels must be nonnegative")
     n_top = max(n_list) + scheme.s
@@ -467,6 +487,8 @@ def glancing_trace_experiment(
     dts = tuple(float(dt) for dt in dt_list)
     if len(Ts) < 2:
         raise WavepacketError("need at least two horizons for a linear fit")
+    if not dts:
+        raise WavepacketError("dt_list is empty: no time steps to run")
     scheme = spec.scheme
     s = scheme.s
     sums = np.zeros((len(dts), len(Ts)))
@@ -480,14 +502,8 @@ def glancing_trace_experiment(
         trace = run_cauchy(
             scheme, layers, n_max=n_top, window=(0, 0), dt=dt
         )
-        w0 = np.array(
-            [
-                np.concatenate(
-                    [trace.layers[n + s - b].get(0) for b in range(s + 1)]
-                )
-                for n in range(n_top - s + 1)
-            ]
-        )
+        col = trace._levels[:, 0]  # window (0, 0): the one column is j = 0
+        w0 = np.hstack([col[s - b : n_top + 1 - b] for b in range(s + 1)])
         level_sq = np.sum(np.abs(w0) ** 2, axis=1)
         cumulative = dt * np.cumsum(level_sq)
         for k, T in enumerate(Ts):

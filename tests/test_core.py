@@ -110,6 +110,29 @@ def test_composition_matches_sequential_application():
     assert np.allclose(lhs.values, rhs.values)
 
 
+def test_scalar_taps_match_matrix_product_bits():
+    # 1x1 taps are multiplied entry by entry; the bits must equal the sum of
+    # (L, 1) @ (1, 1) products taken tap by tap from a +0.0 start
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        size = int(rng.integers(1, 25))
+        vals = rng.standard_normal((size, 1)) + 1j * rng.standard_normal((size, 1))
+        vals[rng.random((size, 1)) < 0.25] = 0.0
+        vals.real[rng.random((size, 1)) < 0.25] = -0.0
+        vals.imag[rng.random((size, 1)) < 0.25] = -0.0
+        ells = rng.choice(np.arange(-3, 4), size=int(rng.integers(1, 4)), replace=False)
+        op = DifferenceOp({int(e): rng.standard_normal() for e in ells})
+        for implicit_zero in (True, False):
+            u = GridSequence(int(rng.integers(-4, 5)), vals, implicit_zero)
+            if not implicit_zero and size <= op.ell_max - op.ell_min:
+                continue
+            got = apply_op(op, u)
+            want = np.zeros_like(got.values)
+            for ell, m in sorted(op.taps.items()):
+                want += u.window(got.offset + ell, got.last + ell) @ m.T
+            assert got.values.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # grid sequences
 

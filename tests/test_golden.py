@@ -11,12 +11,16 @@ A change that means to alter a report regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and commits them together with the change.
+and commits them together with the change.  Regeneration rewrites only
+the files whose bytes change and prints, for each, how many floats moved
+and by how much at most, and the path of every change that is not a
+float (exit code, a verdict's ``ok`` or detail string, stderr).
 """
 
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +109,69 @@ def test_report_matches_golden(scheme_name, case):
     assert render(scheme_name, case) == expected
 
 
+def _leaves(node, path: str = "") -> dict:
+    """Map each leaf of a decoded JSON document to its path."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return {path: node}
+    return {p: leaf for k, v in items for p, leaf in _leaves(v, k).items()}
+
+
+def summarize_change(old: str, new: str) -> str:
+    """Count the floats that moved, their largest relative change, and name
+    the paths of every other change."""
+    a, b = _leaves(json.loads(old)), _leaves(json.loads(new))
+    floats, worst, other = 0, 0.0, []
+    for path in sorted(a.keys() | b.keys()):
+        x, y = a.get(path), b.get(path)
+        if (path in a) == (path in b) and repr(x) == repr(y):
+            continue
+        if type(x) is float and type(y) is float:
+            floats += 1
+            worst = max(worst, abs(y - x) / (max(abs(x), abs(y)) or 1.0))
+        else:
+            other.append(path)
+    line = f"{floats} floats changed, largest relative change {worst:.2e}"
+    return line + (f"; not a float: {', '.join(other)}" if other else "")
+
+
+def _write_if_changed(path: Path, text: str) -> None:
+    old = path.read_text() if path.exists() else None
+    if text == old:
+        return
+    path.write_text(text)
+    change = "new file" if old is None else summarize_change(old, text)
+    print(f"{path.relative_to(GOLDEN)}: {change}")
+
+
+def test_summarize_change_counts_floats_and_names_the_rest():
+    old = {"exit": 0, "stderr": "", "report": {"verdicts": [
+        {"ok": True, "detail": "slope 1.0"}], "rows": [[0.1, 2.0, -0.0]]}}
+    new = json.loads(json.dumps(old))
+    assert summarize_change(json.dumps(old), json.dumps(new)) == (
+        "0 floats changed, largest relative change 0.00e+00")
+    new["report"]["rows"][0][1:] = [3.0, 0.0]  # -0.0 to 0.0 is a change
+    assert summarize_change(json.dumps(old), json.dumps(new)) == (
+        "2 floats changed, largest relative change 3.33e-01")
+    new.update(exit=1, stderr="warning\n")
+    new["report"]["verdicts"][0].update(ok=False, detail="slope 2.0")
+    assert summarize_change(json.dumps(old), json.dumps(new)).endswith(
+        "; not a float: exit, report.verdicts[0].detail, "
+        "report.verdicts[0].ok, stderr")
+
+
 def regenerate() -> None:
     SCHEMES.mkdir(parents=True, exist_ok=True)
-    for name, make in SCHEME_SOURCES.items():
-        save_scheme(make(), SCHEMES / f"{name}.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, make in SCHEME_SOURCES.items():
+            fresh = Path(tmp) / f"{name}.json"
+            save_scheme(make(), fresh)
+            _write_if_changed(SCHEMES / fresh.name, fresh.read_text())
     for scheme_name, case in CASES:
-        golden_path(scheme_name, case).write_text(render(scheme_name, case))
+        _write_if_changed(golden_path(scheme_name, case), render(scheme_name, case))
 
 
 if __name__ == "__main__":

@@ -719,3 +719,75 @@ def test_verify_thm1_takes_level_sums_once_per_dt(monkeypatch):
                       refinements=(0.1, 0.05, 0.025), t_end=2.0)
     assert rep.ratios.shape == (3, 4)
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# 1x1 taps: entry-by-entry products against the matrix-product oracles
+
+
+def _signed_zero_layers(scheme, n_sites, offset, seed):
+    """Random complex layers with exact zeros, -0.0 parts and negatives."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for _ in range(scheme.s + 1):
+        shape = (n_sites, scheme.N)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals[rng.random(shape) < 0.25] = 0.0
+        vals.real[rng.random(shape) < 0.25] = -0.0
+        vals.imag[rng.random(shape) < 0.25] = -0.0
+        layers.append(GridSequence(offset, vals, implicit_zero=True))
+    return tuple(layers)
+
+
+def _reflecting_upwind():
+    # U_0 = -U_1: the boundary row's only tap is negative
+    scheme = upwind(0.5, 1.0)
+    boundary = np.zeros_like(scheme.boundary)
+    boundary[0, 0, 0] = -1.0
+    return SchemeDef(N=1, r=1, p=0, q=0, s=0, lam=0.5,
+                     interior=scheme.interior, boundary=boundary)
+
+
+SCALAR_SCHEMES = {
+    name: scheme for name, scheme in ORACLE_SCHEMES.items() if scheme.N == 1
+}
+SCALAR_SCHEMES["leap-frog-extrapolation"] = leap_frog(0.5, 1.0, boundary="extrapolation")
+SCALAR_SCHEMES["reflecting-upwind"] = _reflecting_upwind()
+
+
+@pytest.mark.parametrize("name", list(SCALAR_SCHEMES))
+def test_scalar_taps_run_cauchy_matches_reference_loop(name):
+    scheme = SCALAR_SCHEMES[name]
+    for window in (None, (-3, 5)):
+        f = _signed_zero_layers(scheme, 11, -2, seed=41)
+        trace = run_cauchy(scheme, f, 25, window=window)
+        want, j_obs = _reference_run_cauchy(scheme, f, 25, window=window)
+        _assert_same_levels(trace, want, j_obs)
+
+
+def _reference_boundary_source(scheme, V, n_max):
+    # g_j^n = -V_j^n + sum (B_{j,sigma} V^{n-1-sigma})_1 as (1, N) @ B.T products
+    r, q, s, N = scheme.r, scheme.q, scheme.s, scheme.N
+    g = np.zeros((n_max + 1, r, N), dtype=complex)
+    for n in range(s + 1, n_max + 1):
+        for j in range(1 - r, 1):
+            acc = -V.layers[n].get(j).reshape(1, N)
+            for sigma in range(-1, s + 1):
+                for ell in range(q + 1):
+                    B = scheme.B(ell, j, sigma)
+                    if np.any(B):
+                        acc += V.layers[n - 1 - sigma].get(1 + ell).reshape(1, N) @ B.T
+            g[n, j - (1 - r)] = acc[0]
+    return g
+
+
+@pytest.mark.parametrize("offset", [0, 5])
+@pytest.mark.parametrize("name", list(SCALAR_SCHEMES))
+def test_scalar_taps_boundary_source_matches_reference(name, offset):
+    # data at the boundary, and data at j >= 5 so that V is +0.0 next to
+    # the boundary and g's sum starts at -V = -0.0
+    scheme = SCALAR_SCHEMES[name]
+    f = _signed_zero_layers(scheme, 9, offset, seed=43)
+    split = split_solution(scheme, f, 25, dt=0.1)
+    want = _reference_boundary_source(scheme, split.V, 25)
+    assert split.g.tobytes() == want.tobytes()

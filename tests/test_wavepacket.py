@@ -123,6 +123,32 @@ def test_envelope_norm_positive(env):
     assert env.norm_l2_sq > 0
 
 
+@pytest.mark.parametrize("delta0", [0.2, 0.5, 1.0])
+def test_envelope_on_grid_matches_pointwise(delta0):
+    envelope = make_envelope(delta0)
+    tol = 1e-13 * envelope.value_at_zero
+    dx = 0.05
+    # an origin off the dx lattice, and an ansatz shift x0 = j_min dx - n dt v
+    starts = (-123.456789, -8000 * dx - 37 * (0.5 * dx) * 0.8125)
+    for count in (0, 1, 2, 7, 257, 16001):
+        for x0 in starts:
+            got = envelope.on_grid(x0, dx, count)
+            assert got.shape == (count,)
+            want = np.asarray(envelope(x0 + dx * np.arange(count)))
+            assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("delta0", [0.4, 0.5, 1.0])
+def test_envelope_quadrature_nodes_are_128_gauss_legendre(delta0):
+    # the certification grid sum runs through the blocked evaluator; the
+    # node count it settles on, hence every value a(x), is unchanged
+    envelope = make_envelope(delta0)
+    t, w = np.polynomial.legendre.leggauss(128)
+    assert np.array_equal(envelope.nodes, delta0 / 2.0 * t)
+    assert np.array_equal(envelope.weights, delta0 / 2.0 * w)
+    assert envelope.quad_error <= envelope.tol
+
+
 # ---------------------------------------------------------------------------
 # packet construction
 
@@ -258,6 +284,11 @@ def test_tail_trim_shrinks_support(transport_spec):
 def test_initial_data_rejects_bad_dx(transport_spec):
     with pytest.raises(WavepacketError):
         packet_initial_data(transport_spec, 0.0)
+
+
+def test_initial_data_rejects_empty_range(transport_spec):
+    with pytest.raises(WavepacketError, match="j_min 5 > j_max 2"):
+        packet_initial_data(transport_spec, 0.1, j_min=5, j_max=2)
 
 
 def test_spectral_concentration_in_band():
@@ -407,6 +438,11 @@ def test_packet_error_rejects_negative_level(transport_spec):
         packet_error(transport_spec, [-1], 0.1)
 
 
+def test_packet_error_rejects_empty_levels(transport_spec):
+    with pytest.raises(WavepacketError, match="n_list is empty"):
+        packet_error(transport_spec, [], 0.1)
+
+
 # ---------------------------------------------------------------------------
 # trace growth
 
@@ -457,6 +493,40 @@ def test_zero_amplitude_zero_trace(env):
 def test_trace_experiment_needs_two_horizons(glancing_spec):
     with pytest.raises(WavepacketError):
         glancing_trace_experiment(glancing_spec, T_list=(4.0,), dt_list=(0.1,))
+
+
+def test_trace_experiment_rejects_empty_dts(glancing_spec):
+    with pytest.raises(WavepacketError, match="dt_list is empty"):
+        glancing_trace_experiment(glancing_spec, T_list=(1.0, 2.0), dt_list=())
+
+
+@pytest.mark.parametrize("which", ["glancing", "transport", "coupled"])
+def test_trace_sums_match_level_by_level_reads(which, glancing_spec,
+                                               transport_spec, env):
+    # oracle: read W_0^n from each level's j = 0 entry, one level at a time
+    spec = {
+        "glancing": glancing_spec,
+        "transport": transport_spec,
+        "coupled": make_packet(coupled_scheme(), np.pi / 2, env),
+    }[which]
+    Ts, dts = (1.0, 2.5, 4.0), (0.1, 0.05)
+    rep = glancing_trace_experiment(spec, T_list=Ts, dt_list=dts)
+    s = spec.scheme.s
+    for i, dt in enumerate(dts):
+        layers = packet_initial_data(spec, dt / spec.scheme.lam)
+        mass = sum(lay.norm_sq(dt / spec.scheme.lam) for lay in layers)
+        n_top = int(np.floor(max(Ts) / dt)) + s
+        trace = run_cauchy(spec.scheme, layers, n_max=n_top, window=(0, 0), dt=dt)
+        w0 = np.array([
+            np.concatenate([trace.layers[n + s - b].get(0) for b in range(s + 1)])
+            for n in range(n_top - s + 1)
+        ])
+        cumulative = dt * np.cumsum(np.sum(np.abs(w0) ** 2, axis=1))
+        sums = np.array([cumulative[int(np.floor(T / dt))] for T in Ts])
+        assert rep.trace_sums[i].tobytes() == sums.tobytes()
+        assert rep.mass_ratios[i].tobytes() == (sums / mass).tobytes()
+        slope, intercept = np.polyfit(Ts, sums, 1)
+        assert (rep.slopes[i], rep.intercepts[i]) == (slope, intercept)
 
 
 # ---------------------------------------------------------------------------
