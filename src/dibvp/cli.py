@@ -23,7 +23,13 @@ import time
 import numpy as np
 
 from .core import SchemeError, load_scheme
-from .resolvent import DEFAULT_RADII, KL_TOL, classify_boundary_blocks, uklc_scan
+from .resolvent import (
+    DEFAULT_RADII,
+    KL_TOL,
+    SplitCountError,
+    classify_boundary_blocks,
+    uklc_scan,
+)
 from .sbp import DecompositionError, boundary_energy_rate, energy_decomposition
 from .sim import (
     accumulate_norms,
@@ -243,12 +249,17 @@ def _cmd_check_glancing(scheme, args):
 
 
 def _cmd_check_uklc(scheme, args):
-    scan = uklc_scan(
-        scheme,
-        radii=tuple(args.grid_radii),
-        n_theta=args.grid_ntheta,
-        tol_kl=args.tol_delta,
-    )
+    extras = {"radii": list(args.grid_radii), "n_theta": args.grid_ntheta,
+              "tol_delta": args.tol_delta}
+    try:
+        scan = uklc_scan(
+            scheme,
+            radii=tuple(args.grid_radii),
+            n_theta=args.grid_ntheta,
+            tol_kl=args.tol_delta,
+        )
+    except SplitCountError as exc:
+        return [verdict("determinant-lower-bound", False, str(exc))], {}, extras
     rows = [
         (float(delta), float(th), float(scan.values[i, k]))
         for i, delta in enumerate(scan.radii)
@@ -268,8 +279,6 @@ def _cmd_check_uklc(scheme, args):
             list(zip(scan.radii, scan.per_radius_min)),
         ),
     }
-    extras = {"radii": list(scan.radii), "n_theta": args.grid_ntheta,
-              "tol_delta": scan.tol}
     return verdicts, tables, extras
 
 

@@ -45,6 +45,16 @@ class ResolventError(ValueError):
     """Raised when a resolvent-side computation is ill-posed at this z."""
 
 
+class SplitCountError(ResolventError):
+    """M(z) has not N r stable and N p unstable eigenvalues at some |z| > 1.
+
+    Either the counts differ or an eigenvalue kappa sits on the unit
+    circle, which makes z an eigenvalue of the symbol at a unimodular
+    kappa.  The scheme breaks the analysis' hypotheses (for instance it is
+    von Neumann unstable), so no determinant exists there.
+    """
+
+
 # ---------------------------------------------------------------------------
 # coefficients and companion matrix
 
@@ -150,10 +160,10 @@ def spectral_split(
     """Split the spectrum of M(z) across the unit circle.
 
     Requires |z| > 1 + margin.  An eigenvalue within ``unit_tol`` of the
-    unit circle cannot be assigned a side and raises; a count different
-    from (N r, N p) is reported in ``counts_ok``/``message`` rather than
-    raised, since it indicates an assumption violation of the scheme, not
-    a numerical failure.
+    unit circle cannot be assigned a side and raises SplitCountError; a
+    count different from (N r, N p) is reported in ``counts_ok``/``message``
+    rather than raised, since it indicates an assumption violation of the
+    scheme, not a numerical failure.
     """
     z, M = companion.z, companion.M
     if abs(z) <= 1 + margin:
@@ -163,7 +173,7 @@ def spectral_split(
     eigs = np.linalg.eigvals(M)
     unit_gap = float(np.min(np.abs(np.abs(eigs) - 1)))
     if unit_gap < unit_tol:
-        raise ResolventError(
+        raise SplitCountError(
             f"eigenvalue within {unit_tol:g} of the unit circle at |z| = "
             f"{abs(z):.12f}; splitting is not numerically resolved"
         )
@@ -262,7 +272,7 @@ def _determinant(scheme: SchemeDef, z: complex, RA, RB, b_eff) -> float:
     companion = _companion(scheme, z, RA)
     split = spectral_split(companion, scheme)
     if not split.counts_ok:
-        raise ResolventError(split.message)
+        raise SplitCountError(split.message)
     B = _boundary_rows(scheme, RB, companion.M) if b_eff is None else np.asarray(b_eff)
     if B.shape != (split.n_stable, scheme.N * (scheme.p + scheme.r)):
         raise ResolventError(

@@ -581,17 +581,17 @@ def cauchy_criterion_3pt(
 
     The scheme is stable iff max(d1, d1 + 4 d2) <= 0 where d1, d2 come from
     the canonical energy identity; boundary cases within 1e-10 count as
-    stable.  Requires consistency a_- + a_0 + a_+ = 1.
+    stable.  Requires consistency a_- + a_0 + a_+ = 1.  Summed over the
+    line the identity reads |Qhat|^2 - 1 = d1 |kappa - 1|^2 + d2 |kappa - 1|^4,
+    whose solution in closed form is d1 = (a_+ - a_-)^2 - a_- - a_+ and
+    d2 = a_- a_+; ``lam`` does not enter.
     """
     if abs(a_minus + a_zero + a_plus - 1.0) > 1e-12:
         raise DecompositionError("three-point coefficients must sum to 1")
-    from .core import three_point
-
-    dec = energy_decomposition(three_point(a_minus, a_zero, a_plus, lam=lam))
-    margin = max(dec.d1, dec.d1 + 4 * dec.d2)
-    return CauchyCriterion(
-        d1=dec.d1, d2=dec.d2, stable=margin <= CRITERION_TOL, margin=margin
-    )
+    d1 = float((a_plus - a_minus) ** 2 - a_minus - a_plus)
+    d2 = float(a_minus * a_plus)
+    margin = max(d1, d1 + 4 * d2)
+    return CauchyCriterion(d1=d1, d2=d2, stable=margin <= CRITERION_TOL, margin=margin)
 
 
 # ---------------------------------------------------------------------------

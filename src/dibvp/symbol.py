@@ -11,12 +11,15 @@ of size N(s+1), where Qhat_sigma(kappa) = sum_l kappa^l A[l, sigma] and
 kappa = e^{i theta} runs over the unit circle.  This module provides
 
 * the von Neumann spectral radius check and a matrix power bound probe,
-* continuous-in-theta tracking of the N(s+1) eigenvalue branches, with
-  assignment-ambiguity resolution by interval bisection,
-* numerical branch derivatives (Richardson-extrapolated) and the group
-  velocity of a unimodular branch,
+* continuous-in-theta tracking of the N(s+1) eigenvalue branches from one
+  stacked eigen-solve, with assignment-ambiguity resolution by interval
+  bisection,
+* exact branch derivatives from the simple-eigenvalue formula
+  d zeta / d theta = y^H (d amp / d theta) x / y^H x (Wilkinson 1965),
+  with d amp / d theta = sum_l i l kappa^l A[l, .] in the top block row,
+  and the group velocity of a unimodular branch,
 * detection of glancing modes: unimodular branch points where the branch
-  derivative vanishes, so the group velocity is zero.
+  derivative vanishes, so the group velocity is zero (Trefethen 1984).
 
 Conventions: a branch value zeta on the unit circle is written
 zeta = e^{i omega}; a wave mode zeta^n kappa^j then carries the phase
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from .core import SchemeDef, _laurent
 
@@ -40,22 +42,40 @@ GLANCING_UNIT_TOL = 1e-6
 GLANCING_DERIV_TOL = 1e-6
 #: imaginary part allowed when reading off a real frequency derivative
 OMEGA_IMAG_TOL = 1e-8
+#: eigenvalue condition number ||x|| ||y|| / |y^H x| above which a branch
+#: derivative is not trusted: colliding branches (a rounded 2x2 Jordan
+#: block has cond about eps^-1/2 = 7e7)
+BRANCH_COND_MAX = 1e6
 
 
 class SymbolError(ValueError):
     """Raised when a symbol-side computation is ill-posed."""
 
 
-def _amplification_stack(scheme: SchemeDef, kappas) -> np.ndarray:
-    """amp(kappa) for each kappa in ``kappas``, stacked on the first axis."""
+def _amplification_stack(scheme: SchemeDef, kappas, derivative: bool = False):
+    """amp(kappa) for each kappa in ``kappas``, stacked on the first axis.
+
+    With ``derivative`` the pair (amp, d amp / d theta) is returned, where
+    kappa = e^{i theta}: the derivative's top block row is
+    sum_ell i ell kappa^ell [A[ell, 0] ... A[ell, s]] and the rest is zero.
+    Both rows come from one Laurent evaluation.
+    """
     N, s = scheme.N, scheme.s
+    ells = range(-scheme.r, scheme.p + 1)
     # row block of each A[ell, .]: [A[ell, 0] A[ell, 1] ... A[ell, s]]
     rows = scheme.interior.transpose(0, 2, 1, 3).reshape(-1, N, N * (s + 1))
+    if derivative:
+        rows = np.stack([rows, 1j * np.array(ells)[:, None, None] * rows], axis=1)
+    top = _laurent(rows, ells, kappas)
     amp = np.zeros((len(kappas), N * (s + 1), N * (s + 1)), dtype=complex)
-    amp[:, :N, :] = _laurent(rows, range(-scheme.r, scheme.p + 1), kappas)
+    amp[:, :N, :] = top[:, 0] if derivative else top
     if s:
         amp[:, N:, :-N] = np.eye(N * s)
-    return amp
+    if not derivative:
+        return amp
+    damp = np.zeros_like(amp)
+    damp[:, :N, :] = top[:, 1]
+    return amp, damp
 
 
 def amplification_matrix(scheme: SchemeDef, kappa: complex) -> np.ndarray:
@@ -146,6 +166,94 @@ def power_bound_estimate(
 
 
 # ---------------------------------------------------------------------------
+# exact branch derivatives
+
+
+def _left_rows(X: np.ndarray) -> np.ndarray:
+    """X^{-1} for each matrix of the stack; NaN where X is singular."""
+    try:
+        return np.linalg.inv(X)
+    except np.linalg.LinAlgError:
+        if len(X) == 1:
+            return np.full_like(X, np.nan)
+        return np.concatenate([_left_rows(x[None]) for x in X])
+
+
+def _eig_derivs(amp: np.ndarray, damp: np.ndarray):
+    """Eigenvalues of each amp with their theta-derivatives and conditions.
+
+    The rows of X^{-1} are left eigenvectors y scaled to y^H x = 1, so the
+    simple-eigenvalue derivatives y^H damp x / y^H x are the diagonal of
+    X^{-1} damp X and cond = ||x|| ||y|| / |y^H x| = ||x|| ||y||.  Near a
+    collision the eigenvectors themselves are sensitive (and at a repeated
+    semisimple eigenvalue, such as zeta = 1 of a consistent system at
+    theta = 0, eig picks an arbitrary basis), so cond is raised to at least
+    max(1, spectral radius) / gap, the gap being the distance to the
+    nearest other eigenvalue.  A singular X gives NaN derivatives and
+    conditions.
+    """
+    vals, X = np.linalg.eig(amp)
+    Y = _left_rows(X)
+    derivs = np.einsum("kij,kjl,kli->ki", Y, damp, X)
+    conds = np.linalg.norm(Y, axis=2) * np.linalg.norm(X, axis=1)
+    if vals.shape[1] > 1:
+        dist = np.abs(vals[:, :, None] - vals[:, None, :])
+        dist[:, np.arange(vals.shape[1]), np.arange(vals.shape[1])] = np.inf
+        scale = np.maximum(1.0, np.abs(vals).max(axis=1, keepdims=True))
+        with np.errstate(divide="ignore", over="ignore"):
+            conds = np.maximum(conds, scale / dist.min(axis=2))
+    return vals, derivs, conds
+
+
+def _branch_point(scheme: SchemeDef, theta: float, ref: complex):
+    """(zeta, d zeta / d theta, cond, rounding bound) of the eigenvalue nearest ref.
+
+    The bound is the first-order perturbation estimate
+    eps cond(zeta) ||d amp / d theta||_2 of the derivative's rounding error.
+    """
+    amp, damp = _amplification_stack(scheme, [np.exp(1j * theta)], derivative=True)
+    vals, derivs, conds = _eig_derivs(amp, damp)
+    i = int(np.argmin(np.abs(vals[0] - ref)))
+    err = np.finfo(float).eps * conds[0, i] * np.linalg.norm(damp[0], 2)
+    return complex(vals[0, i]), complex(derivs[0, i]), float(conds[0, i]), float(err)
+
+
+def branch_derivative(scheme: SchemeDef, theta: float, zeta: complex):
+    """d zeta / d theta of the branch through (theta, zeta), exactly.
+
+    Returns (derivative, error_bound): the simple-eigenvalue formula at
+    this theta, and the rounding bound eps cond(zeta) ||d amp/d theta||_2,
+    which is large where ``zeta`` collides with another branch.  ``zeta``
+    must be the branch value at theta.
+    """
+    z0, deriv, _, err = _branch_point(scheme, theta, zeta)
+    if abs(z0 - zeta) > 1e-6:
+        raise SymbolError(
+            f"zeta {zeta} is not an eigenvalue at theta {theta} (nearest {z0})"
+        )
+    return deriv, err
+
+
+def frequency_derivative(scheme: SchemeDef, theta: float, zeta: complex) -> float:
+    """omega'(theta) for a unimodular branch zeta = e^{i omega}."""
+    if abs(abs(zeta) - 1) > GLANCING_UNIT_TOL:
+        raise SymbolError(f"|zeta| = {abs(zeta):.8f}; branch is not unimodular")
+    deriv, _ = branch_derivative(scheme, theta, zeta)
+    val = deriv / (1j * zeta)
+    if abs(val.imag) > OMEGA_IMAG_TOL:
+        raise SymbolError(
+            f"frequency derivative has imaginary part {val.imag:.3e}; "
+            "the branch leaves the unit circle"
+        )
+    return float(val.real)
+
+
+def group_velocity(scheme: SchemeDef, theta: float, zeta: complex) -> float:
+    """Group velocity -omega'(theta)/lam of a unimodular branch."""
+    return -frequency_derivative(scheme, theta, zeta) / scheme.lam
+
+
+# ---------------------------------------------------------------------------
 # branch tracking
 
 
@@ -153,7 +261,10 @@ def power_bound_estimate(
 class BranchTracks:
     """Eigenvalue branches of amp(e^{i theta}) ordered continuously.
 
-    ``values[k, b]`` is branch b at ``thetas[k]``.  Branch order at the
+    ``values[k, b]`` is branch b at ``thetas[k]``, ``derivs[k, b]`` its
+    exact theta-derivative and ``conds[k, b]`` the derivative's condition
+    number (see ``_eig_derivs``; NaN where the eigenvectors are singular
+    and large at branch collisions).  Branch order at the
     first theta is by descending real part, then descending imaginary
     part.  ``ambiguous`` lists thetas where continuation remained
     ambiguous at maximal bisection depth (true branch crossings).
@@ -162,32 +273,74 @@ class BranchTracks:
     thetas: np.ndarray
     values: np.ndarray
     ambiguous: tuple
+    derivs: np.ndarray = field(repr=False, compare=False)
+    conds: np.ndarray = field(repr=False, compare=False)
 
 
 def _eigs(scheme: SchemeDef, theta: float) -> np.ndarray:
     return np.linalg.eigvals(amplification_matrix(scheme, np.exp(1j * theta)))
 
 
-def _assign(prev: np.ndarray, new: np.ndarray):
-    """Match new eigenvalues to previous branch order.
+def _min_cost_matching(cost: np.ndarray) -> np.ndarray:
+    """Row matched to each column of a square cost matrix, at least total cost.
 
-    Returns (ordered_new, ambiguous): ambiguous is True when some
-    transposition of genuinely distinct values changes the total
-    matching cost by less than 1e-10.
+    Hungarian method with row and column potentials u, v (shortest
+    augmenting paths).  ``match[col]`` is the row of a column, 1-based,
+    with column 0 a sentinel; plain lists, as the matrices are N(s+1)
+    square.
     """
-    B = len(prev)
+    c = cost.tolist()
+    n = len(c)
+    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
+    match, way = [0] * (n + 1), [0] * (n + 1)
+    for row in range(1, n + 1):
+        match[0], col = row, 0
+        minv, used = [np.inf] * (n + 1), [False] * (n + 1)
+        while match[col]:
+            used[col] = True
+            i, step, nxt = match[col], np.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = c[i - 1][j - 1] - u[i] - v[j]
+                    if reduced < minv[j]:
+                        minv[j], way[j] = reduced, col
+                    if minv[j] < step:
+                        step, nxt = minv[j], j
+            if not nxt:
+                raise SymbolError("branch distances are not finite")
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += step
+                    v[j] -= step
+                else:
+                    minv[j] -= step
+            col = nxt
+        while col:
+            match[col] = match[way[col]]
+            col = way[col]
+    return np.array(match[1:]) - 1
+
+
+def _swap_ambiguous(P: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Whether a matching is ambiguous, for each matching in a stack.
+
+    ``P[..., j, b]`` is the distance from the new value matched to branch
+    j, ``vals[..., j]``, to the previous value of branch b.  A matching is
+    ambiguous when some transposition of genuinely distinct values changes
+    its total cost by less than 1e-10.
+    """
+    d = np.diagonal(P, axis1=-2, axis2=-1)
+    # symmetric in (j1, j2) bit for bit; the diagonal is never distinct
+    delta = (P + np.swapaxes(P, -1, -2)) - (d[..., :, None] + d[..., None, :])
+    distinct = np.abs(vals[..., :, None] - vals[..., None, :]) > 1e-12
+    return ((delta < 1e-10) & distinct).any(axis=(-2, -1))
+
+
+def _assign(prev: np.ndarray, new: np.ndarray):
+    """(order, ambiguous): new[order] continues the branch order of prev."""
     cost = np.abs(new[:, None] - prev[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    order = np.empty(B, dtype=int)
-    order[cols] = rows
-    ambiguous = False
-    for j1 in range(B):
-        for j2 in range(j1 + 1, B):
-            i1, i2 = order[j1], order[j2]
-            delta = cost[i1, j2] + cost[i2, j1] - cost[i1, j1] - cost[i2, j2]
-            if delta < 1e-10 and abs(new[i1] - new[i2]) > 1e-12:
-                ambiguous = True
-    return new[order], ambiguous
+    order = _min_cost_matching(cost)
+    return order, bool(_swap_ambiguous(cost[order], new[order]))
 
 
 def _continue_branches(
@@ -195,22 +348,27 @@ def _continue_branches(
     theta_a: float,
     vals_a: np.ndarray,
     theta_b: float,
+    eigs_b: np.ndarray,
     depth: int,
     max_depth: int,
     records: list,
 ) -> np.ndarray:
-    vals_b, ambiguous = _assign(vals_a, _eigs(scheme, theta_b))
+    """Order of ``eigs_b`` continuing the branches ``vals_a`` from theta_a."""
+    order, ambiguous = _assign(vals_a, eigs_b)
     if not ambiguous:
-        return vals_b
+        return order
     if depth >= max_depth:
         records.append(theta_b)
-        return vals_b
+        return order
     theta_m = 0.5 * (theta_a + theta_b)
-    vals_m = _continue_branches(
-        scheme, theta_a, vals_a, theta_m, depth + 1, max_depth, records
-    )
+    eigs_m = _eigs(scheme, theta_m)
+    vals_m = eigs_m[
+        _continue_branches(
+            scheme, theta_a, vals_a, theta_m, eigs_m, depth + 1, max_depth, records
+        )
+    ]
     return _continue_branches(
-        scheme, theta_m, vals_m, theta_b, depth + 1, max_depth, records
+        scheme, theta_m, vals_m, theta_b, eigs_b, depth + 1, max_depth, records
     )
 
 
@@ -221,84 +379,58 @@ def track_branches(
     theta_max: float = 2 * np.pi,
     max_depth: int = 20,
 ) -> BranchTracks:
-    """Track all eigenvalue branches over [theta_min, theta_max]."""
+    """Track all eigenvalue branches over [theta_min, theta_max].
+
+    One stacked eigen-solve covers the grid.  Between neighbouring thetas
+    each previous value takes its nearest new value; where that is a
+    permutation it is the least-cost matching, and where it is not a
+    permutation or is ambiguous the step goes to the exact matcher and
+    interval bisection.
+    """
     if n_theta < 2:
         raise SymbolError("need at least two sample points")
     thetas = np.linspace(theta_min, theta_max, n_theta)
-    first = _eigs(scheme, thetas[0])
-    first = first[np.lexsort((-first.imag, -first.real))]
-    values = np.empty((n_theta, len(first)), dtype=complex)
-    values[0] = first
+    amp, damp = _amplification_stack(scheme, np.exp(1j * thetas), derivative=True)
+    eigs, derivs, conds = _eig_derivs(amp, damp)
+    n_branches = eigs.shape[1]
+    cost = np.abs(eigs[1:, :, None] - eigs[:-1, None, :])  # [step, new, prev]
+    nearest = np.argmin(cost, axis=1)  # [step, prev] -> new
+    is_perm = (np.sort(nearest, axis=1) == np.arange(n_branches)).all(axis=1)
+    clear = is_perm & ~_swap_ambiguous(
+        np.take_along_axis(cost, nearest[:, :, None], axis=1),
+        np.take_along_axis(eigs[1:], nearest, axis=1),
+    )
+    order = np.empty(eigs.shape, dtype=int)
+    order[0] = np.lexsort((-eigs[0].imag, -eigs[0].real))
     records: list = []
     for k in range(1, n_theta):
-        values[k] = _continue_branches(
-            scheme, thetas[k - 1], values[k - 1], thetas[k], 0, max_depth, records
-        )
-    return BranchTracks(thetas=thetas, values=values, ambiguous=tuple(records))
+        if clear[k - 1]:
+            order[k] = nearest[k - 1, order[k - 1]]
+        else:
+            order[k] = _continue_branches(
+                scheme, thetas[k - 1], eigs[k - 1, order[k - 1]], thetas[k],
+                eigs[k], 0, max_depth, records,
+            )
 
+    def ordered(a):
+        return np.take_along_axis(a, order, axis=1)
 
-# ---------------------------------------------------------------------------
-# branch derivatives and group velocity
-
-
-def _nearest_eig(scheme: SchemeDef, theta: float, ref: complex) -> complex:
-    e = _eigs(scheme, theta)
-    return complex(e[np.argmin(np.abs(e - ref))])
-
-
-def branch_derivative(
-    scheme: SchemeDef, theta: float, zeta: complex, h: float = 1e-4
-):
-    """d zeta / d theta of the branch through (theta, zeta).
-
-    Centered differences at steps h and h/2 with Richardson extrapolation;
-    returns (derivative, error_estimate).  ``zeta`` must be the branch
-    value at theta (used to select the branch at the sample points), and
-    must be separated from the other branches by more than a few |h| times
-    the local branch speed.
-    """
-    z0 = _nearest_eig(scheme, theta, zeta)
-    if abs(z0 - zeta) > 1e-6:
-        raise SymbolError(
-            f"zeta {zeta} is not an eigenvalue at theta {theta} (nearest {z0})"
-        )
-
-    def fd(step: float) -> complex:
-        zp = _nearest_eig(scheme, theta + step, z0)
-        zm = _nearest_eig(scheme, theta - step, z0)
-        return (zp - zm) / (2 * step)
-
-    d1 = fd(h)
-    d2 = fd(h / 2)
-    deriv = (4 * d2 - d1) / 3
-    return deriv, abs(d2 - d1) / 3
-
-
-def frequency_derivative(
-    scheme: SchemeDef, theta: float, zeta: complex, h: float = 1e-4
-) -> float:
-    """omega'(theta) for a unimodular branch zeta = e^{i omega}."""
-    if abs(abs(zeta) - 1) > GLANCING_UNIT_TOL:
-        raise SymbolError(f"|zeta| = {abs(zeta):.8f}; branch is not unimodular")
-    deriv, _ = branch_derivative(scheme, theta, zeta, h)
-    val = deriv / (1j * zeta)
-    if abs(val.imag) > OMEGA_IMAG_TOL:
-        raise SymbolError(
-            f"frequency derivative has imaginary part {val.imag:.3e}; "
-            "the branch leaves the unit circle"
-        )
-    return float(val.real)
-
-
-def group_velocity(
-    scheme: SchemeDef, theta: float, zeta: complex, h: float = 1e-4
-) -> float:
-    """Group velocity -omega'(theta)/lam of a unimodular branch."""
-    return -frequency_derivative(scheme, theta, zeta, h) / scheme.lam
+    return BranchTracks(
+        thetas=thetas,
+        values=ordered(eigs),
+        ambiguous=tuple(records),
+        derivs=ordered(derivs),
+        conds=ordered(conds),
+    )
 
 
 # ---------------------------------------------------------------------------
 # glancing points
+
+#: a grid minimum of |d zeta/d theta| must undercut both neighbours by this
+#: relative margin, so a constant speed (upwind) starts no search on noise
+_MIN_DIP = 1e-9
+_GOLDEN = (np.sqrt(5.0) - 1) / 2
 
 
 @dataclass(frozen=True)
@@ -318,8 +450,10 @@ class GlancingReport:
     ``points`` holds refined locations where a unimodular branch has
     vanishing derivative (zero group velocity).  ``min_abs_deriv`` is the
     smallest |d zeta/d theta| seen anywhere on the unimodular part of the
-    spectrum (refined values where refinement ran, coarse grid values
-    otherwise), so a clean margin shows up as a large value.
+    spectrum (refined values where refinement ran, exact grid values
+    otherwise, leaving out ill-conditioned branch collisions), so a clean
+    margin shows up as a large value.  ``deriv_err`` of a point bounds the
+    rounding error of its exact derivative.
     """
 
     points: tuple
@@ -329,6 +463,45 @@ class GlancingReport:
     unit_tol: float
     deriv_tol: float
     ambiguous_thetas: tuple = field(default_factory=tuple)
+
+
+def _sign_change_root(f, a: float, b: float, xatol: float = 1e-14) -> None:
+    """Drive f to zero inside [a, b] where f(a) f(b) <= 0 (Illinois secant).
+
+    A secant step that leaves the bracket is replaced by bisection; one
+    that lands within xatol of an end stops the search, since that end is
+    then the zero to within xatol (the zero can sit on a grid node).
+    """
+    fa, fb = f(a), f(b)
+    for _ in range(60):
+        if fa == 0 or fb == 0 or abs(b - a) <= xatol:
+            return
+        t = b - fb * (b - a) / (fb - fa)
+        if min(abs(t - a), abs(t - b)) <= xatol:
+            return
+        if not min(a, b) < t < max(a, b):
+            t = 0.5 * (a + b)
+        ft = f(t)
+        if (ft < 0) != (fb < 0):
+            a, fa = b, fb
+        else:
+            fa /= 2
+        b, fb = t, ft
+
+
+def _golden_min(f, a: float, b: float, xatol: float = 1e-12) -> None:
+    """Golden-section search for a minimum of f >= 0 on [a, b]."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol and min(fc, fd) > 0:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
 
 
 def find_glancing(
@@ -341,12 +514,16 @@ def find_glancing(
 ) -> GlancingReport:
     """Locate unimodular branch points with zero branch derivative.
 
-    Coarse pass: track branches on a grid extended slightly past one full
-    period, flag grid points with 1 - |zeta| <= candidate_unit and a
-    centered-difference |d zeta/d theta| < candidate_deriv.  Each flagged
-    point is refined by minimizing |d zeta/d theta| over the surrounding
-    grid cell; it is reported as glancing when the minimiser is unimodular
-    within unit_tol and its derivative magnitude is below deriv_tol.
+    Coarse pass: track branches with their exact derivatives on a grid
+    extended slightly past one full period and keep the grid points with
+    1 - |zeta| <= candidate_unit and a well-conditioned derivative.  A
+    cell where omega' = zeta'/(i zeta) changes sign is refined by a
+    bracketed secant on omega'; a grid local minimum of |d zeta/d theta|
+    below candidate_deriv without such a sign change is refined by
+    golden-section search over its two cells.  Each evaluation is one
+    exact derivative at one theta, and the best one is kept; it is
+    reported as glancing when it is unimodular within unit_tol and its
+    derivative magnitude is below deriv_tol.
     """
     dtheta = 2 * np.pi / n_theta
     track = track_branches(
@@ -355,54 +532,63 @@ def find_glancing(
         theta_min=-2 * dtheta,
         theta_max=2 * np.pi + 2 * dtheta,
     )
-    thetas, vals = track.thetas, track.values
-    n_branches = vals.shape[1]
+    thetas, vals, derivs = track.thetas, track.values, track.derivs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        usable = (
+            (1 - np.abs(vals) <= candidate_unit)
+            & np.isfinite(derivs)
+            & (track.conds <= BRANCH_COND_MAX)
+        )
+        speed = np.where(usable, np.abs(derivs), np.inf)
+        omega = np.where(usable, (derivs / (1j * vals)).real, np.nan)
+    inside = np.flatnonzero((thetas >= 0.0) & (thetas < 2 * np.pi))
+    min_abs = float(speed[inside].min(initial=np.inf))
+    # omega' changes sign on [thetas[k], thetas[k+1]]; NaN compares False
+    crossing = omega[:-1] * omega[1:] <= 0
+    dip = speed * (1 + _MIN_DIP)
+    local_min = (
+        (speed[1:-1] < candidate_deriv)
+        & (dip[1:-1] < speed[:-2])
+        & (dip[1:-1] < speed[2:])
+        & ~crossing[:-1]
+    )
 
-    min_abs = np.inf
     points = []
-    for b in range(n_branches):
-        branch = vals[:, b]
-        deriv = np.empty_like(branch)
-        deriv[1:-1] = (branch[2:] - branch[:-2]) / (2 * dtheta)
-        deriv[0] = deriv[1]
-        deriv[-1] = deriv[-2]
-        for k in range(1, len(thetas) - 1):
-            th = thetas[k]
-            if not (0.0 <= th < 2 * np.pi):
-                continue
-            if 1 - abs(branch[k]) > candidate_unit:
-                continue
-            min_abs = min(min_abs, abs(deriv[k]))
-            if abs(deriv[k]) >= candidate_deriv:
-                continue
-            # refine within the surrounding cell
-            ref = complex(branch[k])
+    for k, b in zip(*np.nonzero(crossing[inside] | local_min[inside - 1])):
+        k = inside[k]
+        evals: list = []
 
-            def obj(t: float) -> float:
-                d, _ = branch_derivative(scheme, t, _nearest_eig(scheme, t, ref))
-                return abs(d)
-
-            res = minimize_scalar(
-                obj,
-                bounds=(th - dtheta, th + dtheta),
-                method="bounded",
-                options={"xatol": 1e-12},
+        def branch_at(t: float):
+            ref = np.interp(t, thetas, vals[:, b].real) + 1j * np.interp(
+                t, thetas, vals[:, b].imag
             )
-            t_star = float(res.x)
-            z_star = _nearest_eig(scheme, t_star, ref)
-            d_star, d_err = branch_derivative(scheme, t_star, z_star)
-            min_abs = min(min_abs, abs(d_star))
-            if abs(abs(z_star) - 1) <= unit_tol and abs(d_star) <= deriv_tol:
-                points.append(
-                    GlancingPoint(
-                        branch=b,
-                        theta=t_star % (2 * np.pi),
-                        kappa=complex(np.exp(1j * t_star)),
-                        zeta=z_star,
-                        abs_deriv=float(abs(d_star)),
-                        deriv_err=float(d_err),
-                    )
+            evals.append((t,) + _branch_point(scheme, t, ref))
+            return evals[-1][1:3]
+
+        def omega_at(t: float) -> float:
+            z, d = branch_at(t)
+            return (d / (1j * z)).real
+
+        if crossing[k, b]:
+            _sign_change_root(omega_at, thetas[k], thetas[k + 1])
+        else:
+            _golden_min(lambda t: abs(branch_at(t)[1]), thetas[k - 1], thetas[k + 1])
+        trusted = [e for e in evals if e[3] <= BRANCH_COND_MAX]
+        if not trusted:
+            continue
+        t_star, z_star, d_star, _, d_err = min(trusted, key=lambda e: abs(e[2]))
+        min_abs = min(min_abs, abs(d_star))
+        if abs(abs(z_star) - 1) <= unit_tol and abs(d_star) <= deriv_tol:
+            points.append(
+                GlancingPoint(
+                    branch=int(b),
+                    theta=t_star % (2 * np.pi),
+                    kappa=complex(np.exp(1j * t_star)),
+                    zeta=z_star,
+                    abs_deriv=float(abs(d_star)),
+                    deriv_err=d_err,
                 )
+            )
 
     # merge refinements of the same point from adjacent cells
     merged: list = []

@@ -13,7 +13,7 @@ import pytest
 
 import dibvp
 from dibvp.cli import emit_report, run_command
-from dibvp.core import lax_wendroff, leap_frog, save_scheme, upwind
+from dibvp.core import SchemeDef, lax_wendroff, leap_frog, save_scheme, upwind
 
 
 @pytest.fixture
@@ -104,6 +104,34 @@ def test_check_uklc_marginal_closure_fails(paths, capsys):
     assert rep["verdicts"][0]["ok"] is False
     mins = [row[1] for row in rep["data"]["per_radius_min"]["rows"]]
     assert mins == sorted(mins, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "scheme, reason",
+    [(upwind(0.5, 2.4), "expected (1 stable, 0 unstable), got (0, 1)"),
+     (leap_frog(1.0, 1.2), "within 1e-10 of the unit circle at |z| = 1.1")],
+    ids=["count-mismatch", "unimodular-eigenvalue"],
+)
+def test_check_uklc_unstable_scheme_fails_with_reason(tmp_path, capsys, scheme, reason):
+    path = tmp_path / "unstable.json"
+    save_scheme(scheme, path)
+    code, out, err = run(["check-uklc", "--scheme", str(path)], capsys)
+    assert (code, err) == (1, "")
+    (v,) = json.loads(out)["verdicts"]
+    assert v["name"] == "determinant-lower-bound" and v["ok"] is False
+    assert reason in v["detail"]
+
+
+def test_check_uklc_singular_leading_block_exits_two(tmp_path, capsys):
+    # p = 1 with A[+1] = 0: RA_p(z) is singular, a configuration error
+    scheme = upwind(0.5, 1.0)
+    interior = np.concatenate([scheme.interior, np.zeros((1, 1, 1, 1))])
+    path = tmp_path / "characteristic.json"
+    save_scheme(SchemeDef(N=1, r=1, p=1, q=0, s=0, lam=0.5, interior=interior,
+                          boundary=scheme.boundary), path)
+    code, out, err = run(["check-uklc", "--scheme", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "numerically singular" in err
 
 
 def test_classify_blocks_is_informational(paths, capsys):

@@ -367,6 +367,16 @@ def test_criterion_agrees_with_symbol_modulus():
         checked += 1
 
 
+def test_criterion_closed_form_matches_energy_decomposition():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        am, ap = rng.uniform(-2.0, 2.0, size=2)
+        crit = cauchy_criterion_3pt(am, 1 - am - ap, ap, lam=rng.uniform(0.1, 2))
+        dec = energy_decomposition(three_point(am, 1 - am - ap, ap))
+        assert crit.d1 == pytest.approx(dec.d1, rel=1e-13, abs=1e-13)
+        assert crit.d2 == pytest.approx(dec.d2, rel=1e-13, abs=1e-13)
+
+
 def test_criterion_requires_consistency():
     with pytest.raises(DecompositionError):
         cauchy_criterion_3pt(0.5, 0.5, 0.5)

@@ -1,11 +1,22 @@
 """Tests for the Fourier symbol analysis."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dibvp
 from dibvp.core import SchemeDef, lax_friedrichs, lax_wendroff, leap_frog, upwind
 from dibvp.symbol import (
+    BRANCH_COND_MAX,
     SymbolError,
+    _branch_point,
     amplification_matrix,
     branch_derivative,
     find_glancing,
@@ -248,3 +259,181 @@ def test_no_glancing_for_dissipative_fixtures(scheme):
     assert not rep.has_glancing
     assert rep.points == ()
     assert rep.min_abs_deriv > 0.1
+
+
+def test_find_glancing_leap_frog_points_sit_on_the_quarter_circle():
+    # pi/2 is a grid node when 4 divides n_theta (64, 512) and falls inside
+    # a cell otherwise (510, 513); the refined zeros agree either way
+    scheme = leap_frog(1.0, 0.7)
+    for n_theta in (64, 510, 512, 513):
+        rep = find_glancing(scheme, n_theta=n_theta)
+        assert len(rep.points) == 4
+        for pt in rep.points:
+            target = np.pi / 2 if pt.theta < np.pi else 3 * np.pi / 2
+            assert abs(pt.theta - target) <= 1e-12
+            assert pt.abs_deriv < 1e-15
+            assert pt.deriv_err < 1e-15
+
+
+def test_find_glancing_refines_touching_and_crossing_zeros():
+    # zeta^2 = 1 - 2 i nu g(theta) zeta with g' = (cos - 1/2)^2 (2/3 + cos):
+    # omega' touches zero at theta = +/-pi/3 (golden-section search on
+    # |zeta'|, as no grid cell changes sign) and crosses it where
+    # cos theta = -2/3 (secant); both branches glance at all four
+    nu = 0.5
+    interior = np.zeros((7, 2, 1, 1))
+    interior[3, 1] = 1.0
+    for m, b in ((1, 1 / 3), (2, -1 / 12), (3, 1 / 12)):
+        interior[3 + m, 0], interior[3 - m, 0] = -nu * b, nu * b
+    scheme = SchemeDef(N=1, r=3, p=3, q=0, s=1, lam=1.0, interior=interior,
+                       boundary=np.zeros((1, 3, 3, 1, 1)))
+    rep = find_glancing(scheme)
+    touch, cross = np.pi / 3, np.arccos(-2 / 3)
+    expect = [touch, cross, 2 * np.pi - cross, 2 * np.pi - touch]
+    for b in (0, 1):
+        thetas = [pt.theta for pt in rep.points if pt.branch == b]
+        assert np.allclose(thetas, expect, rtol=0, atol=1e-7)
+    assert all(pt.abs_deriv < 1e-12 for pt in rep.points)
+
+
+def test_find_glancing_leaves_out_branch_collisions():
+    # at the CFL edge the branches e^{-i theta} and -e^{i theta} cross at
+    # theta = pi/2 through a Jordan block, where d amp / d theta = 0; the
+    # ill-conditioned samples there are not glancing points, and every
+    # trusted sample has |d zeta / d theta| = 1; pi/2 is a grid node at
+    # n_theta = 512 and is reached by refinement otherwise
+    for n_theta in (512, 510, 513):
+        rep = find_glancing(leap_frog(1.0, 1.0), n_theta=n_theta)
+        assert not rep.has_glancing
+        assert rep.min_abs_deriv == pytest.approx(1.0, abs=1e-9)
+    _, _, cond, _ = _branch_point(leap_frog(1.0, 1.0), np.pi / 2, -1j)
+    assert cond > BRANCH_COND_MAX
+
+
+def test_find_glancing_leaves_out_repeated_eigenvalue_at_theta_zero():
+    # Lax-Friedrichs for u_t + A u_x = 0 with A = [[0, 1], [1, 0]]: amp(1) = I,
+    # so eig's basis at theta = 0 is arbitrary and the diagonal formula
+    # there reads 0 in place of the branch speeds -i nu (+/-1)
+    nu, A = 0.5, np.array([[0.0, 1.0], [1.0, 0.0]])
+    interior = np.stack([(np.eye(2) + nu * A) / 2, np.zeros((2, 2)),
+                         (np.eye(2) - nu * A) / 2])[:, None]
+    scheme = SchemeDef(N=2, r=1, p=1, q=0, s=0, lam=1.0, interior=interior,
+                       boundary=np.zeros((1, 1, 2, 2, 2)))
+    track = track_branches(scheme, n_theta=64)
+    assert np.all(track.conds[0] > BRANCH_COND_MAX)
+    rep = find_glancing(scheme)
+    assert not rep.has_glancing
+    assert rep.min_abs_deriv == pytest.approx(nu, rel=1e-3)
+
+
+def test_find_glancing_leap_frog_makes_few_eigensolves(monkeypatch):
+    calls = []
+    for name in ("eig", "eigvals"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k),
+        )
+    rep = find_glancing(leap_frog(1.0, 0.7))
+    assert len(rep.points) == 4
+    assert len(calls) <= 100
+
+
+def test_import_leaves_scipy_optimize_out():
+    src = str(Path(dibvp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dibvp; print([m for m in sys.modules "
+         "if m.startswith('scipy.optimize')])"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# properties over random consistent stencils (N <= 2, r, p <= 2, s <= 1)
+
+
+@st.composite
+def consistent_schemes(draw):
+    N = draw(st.integers(1, 2))
+    r, p, s = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    interior = rng.normal(scale=0.4, size=(p + r + 1, s + 1, N, N))
+    interior[r, 0] += np.eye(N) - interior.sum(axis=(0, 1))
+    return SchemeDef(
+        N=N, r=r, p=p, q=0, s=s, lam=1.0, interior=interior,
+        boundary=np.zeros((1, r, s + 2, N, N)),
+    )
+
+
+def _nearest_eig(scheme, theta, ref):
+    e = np.linalg.eigvals(amplification_matrix(scheme, np.exp(1j * theta)))
+    return e[np.argmin(np.abs(e - ref))]
+
+
+def _richardson_derivative(scheme, theta, zeta, h_max):
+    """Centered differences at steps h and h/2, Richardson-extrapolated.
+
+    The step is the one of h_max, h_max/10, ... whose estimate agrees best
+    with the next smaller step's; h_max must keep the branch nearest to
+    its own value, and too small a step drowns in rounding.
+    """
+
+    def fd(step):
+        zp = _nearest_eig(scheme, theta + step, zeta)
+        zm = _nearest_eig(scheme, theta - step, zeta)
+        return (zp - zm) / (2 * step)
+
+    est = [(4 * fd(h / 2) - fd(h)) / 3 for h in h_max * 10.0 ** -np.arange(6)]
+    k = int(np.argmin(np.abs(np.diff(est))))
+    return est[k + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(consistent_schemes(), st.floats(0.0, 2 * np.pi))
+def test_exact_derivative_matches_richardson_oracle(scheme, theta):
+    zetas = np.linalg.eig(amplification_matrix(scheme, np.exp(1j * theta)))[0]
+    points = [_branch_point(scheme, theta, zeta) for zeta in zetas]
+    speed = max(1.0, max(abs(d) for _, d, _, _ in points))
+    for i, (z, exact, cond, err) in enumerate(points):
+        zeta = zetas[i]
+        assert z == zeta
+        gap = np.delete(np.abs(zetas - zeta), i).min(initial=1.0)
+        if not (cond < 1e6 and gap >= 1e-3 * speed):
+            continue  # a collision; a double-precision oracle cannot resolve it
+        oracle = _richardson_derivative(
+            scheme, theta, zeta, min(1e-3, 0.1 * gap / speed)
+        )
+        assert abs(exact - oracle) <= 1e-7 * max(abs(exact), 1.0)
+        assert branch_derivative(scheme, theta, zeta) == (exact, err)
+
+
+def _per_theta_track(scheme, thetas):
+    """One eigen-solve per theta; least-cost matching by trying every order."""
+    vals = [np.linalg.eig(amplification_matrix(scheme, np.exp(1j * t)))[0]
+            for t in thetas]
+    out = [vals[0][np.lexsort((-vals[0].imag, -vals[0].real))]]
+    orders = [list(o) for o in itertools.permutations(range(len(vals[0])))]
+    cols = np.arange(len(vals[0]))
+    for v in vals[1:]:
+        cost = np.abs(v[:, None] - out[-1][None, :])
+        out.append(v[min(orders, key=lambda o: cost[o, cols].sum())])
+    return np.array(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(consistent_schemes())
+def test_stacked_tracking_matches_per_theta_tracking(scheme):
+    track = track_branches(scheme, n_theta=48)
+    if track.ambiguous:
+        return  # a true crossing: the bisection continues past the grid
+    ref = _per_theta_track(scheme, track.thetas)
+    assert np.abs(track.values - ref).max() <= 1e-13
+    for k, theta in enumerate(track.thetas):
+        for b, zeta in enumerate(track.values[k]):
+            _, deriv, cond, _ = _branch_point(scheme, theta, zeta)
+            if cond < BRANCH_COND_MAX:
+                assert abs(track.derivs[k, b] - deriv) <= 1e-13 * max(abs(deriv), 1.0)
