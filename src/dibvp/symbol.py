@@ -184,24 +184,20 @@ def _eig_derivs(amp: np.ndarray, damp: np.ndarray):
 
     The rows of X^{-1} are left eigenvectors y scaled to y^H x = 1, so the
     simple-eigenvalue derivatives y^H damp x / y^H x are the diagonal of
-    X^{-1} damp X and cond = ||x|| ||y|| / |y^H x| = ||x|| ||y||.  Near a
-    collision the eigenvectors themselves are sensitive (and at a repeated
-    semisimple eigenvalue, such as zeta = 1 of a consistent system at
-    theta = 0, eig picks an arbitrary basis), so cond is raised to at least
-    max(1, spectral radius) / gap, the gap being the distance to the
-    nearest other eigenvalue.  A singular X gives NaN derivatives and
-    conditions.
+    X^{-1} damp X and cond = ||x|| ||y|| / |y^H x| = ||x|| ||y||.  An
+    eigenvalue within sqrt(eps) max(1, spectral radius) of another is
+    numerically repeated: eig's basis of its eigenspace is arbitrary (as
+    at zeta = 1 of a consistent system at theta = 0), so its cond is
+    infinite.  A singular X gives NaN derivatives and conditions.
     """
     vals, X = np.linalg.eig(amp)
     Y = _left_rows(X)
     derivs = np.einsum("kij,kjl,kli->ki", Y, damp, X)
     conds = np.linalg.norm(Y, axis=2) * np.linalg.norm(X, axis=1)
-    if vals.shape[1] > 1:
-        dist = np.abs(vals[:, :, None] - vals[:, None, :])
-        dist[:, np.arange(vals.shape[1]), np.arange(vals.shape[1])] = np.inf
-        scale = np.maximum(1.0, np.abs(vals).max(axis=1, keepdims=True))
-        with np.errstate(divide="ignore", over="ignore"):
-            conds = np.maximum(conds, scale / dist.min(axis=2))
+    n = vals.shape[1]
+    dist = np.abs(vals[:, :, None] - vals[:, None, :]) + np.diag(np.full(n, np.inf))
+    scale = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(vals).max(axis=1))
+    conds[dist.min(axis=2) < scale[:, None]] = np.inf
     return vals, derivs, conds
 
 
@@ -543,8 +539,9 @@ def find_glancing(
         omega = np.where(usable, (derivs / (1j * vals)).real, np.nan)
     inside = np.flatnonzero((thetas >= 0.0) & (thetas < 2 * np.pi))
     min_abs = float(speed[inside].min(initial=np.inf))
-    # omega' changes sign on [thetas[k], thetas[k+1]]; NaN compares False
-    crossing = omega[:-1] * omega[1:] <= 0
+    # omega' changes sign on [thetas[k], thetas[k+1]]; NaN compares False,
+    # and a zero on a node is a grid minimum of |zeta'|
+    crossing = omega[:-1] * omega[1:] < 0
     dip = speed * (1 + _MIN_DIP)
     local_min = (
         (speed[1:-1] < candidate_deriv)

@@ -310,20 +310,37 @@ def test_find_glancing_leaves_out_branch_collisions():
     assert cond > BRANCH_COND_MAX
 
 
+def _lax_friedrichs_system(A, nu=0.5):
+    interior = np.stack([(np.eye(2) + nu * A) / 2, np.zeros((2, 2)),
+                         (np.eye(2) - nu * A) / 2])[:, None]
+    return SchemeDef(N=2, r=1, p=1, q=0, s=0, lam=1.0, interior=interior,
+                     boundary=np.zeros((1, 1, 2, 2, 2)))
+
+
 def test_find_glancing_leaves_out_repeated_eigenvalue_at_theta_zero():
     # Lax-Friedrichs for u_t + A u_x = 0 with A = [[0, 1], [1, 0]]: amp(1) = I,
     # so eig's basis at theta = 0 is arbitrary and the diagonal formula
     # there reads 0 in place of the branch speeds -i nu (+/-1)
-    nu, A = 0.5, np.array([[0.0, 1.0], [1.0, 0.0]])
-    interior = np.stack([(np.eye(2) + nu * A) / 2, np.zeros((2, 2)),
-                         (np.eye(2) - nu * A) / 2])[:, None]
-    scheme = SchemeDef(N=2, r=1, p=1, q=0, s=0, lam=1.0, interior=interior,
-                       boundary=np.zeros((1, 1, 2, 2, 2)))
+    scheme = _lax_friedrichs_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     track = track_branches(scheme, n_theta=64)
     assert np.all(track.conds[0] > BRANCH_COND_MAX)
     rep = find_glancing(scheme)
     assert not rep.has_glancing
-    assert rep.min_abs_deriv == pytest.approx(nu, rel=1e-3)
+    assert rep.min_abs_deriv == pytest.approx(0.5, rel=1e-3)
+
+
+def test_find_glancing_zero_speed_through_repeated_eigenvalue():
+    # A = diag(0, 1): the zero-speed component has zeta = cos theta, which
+    # glances at theta = 0 and pi, where it meets the other component's
+    # branch; omega' is purely imaginary there, so the grid minima of
+    # |zeta'| next to the collision lead the search
+    rep = find_glancing(_lax_friedrichs_system(np.diag([0.0, 1.0])))
+    assert rep.has_glancing
+    dist = [np.abs(pt.theta - np.pi * np.arange(3)) for pt in rep.points]
+    assert all(d.min() < 1e-6 for d in dist)
+    at_pi = [d[1] < 1e-6 for d in dist]
+    assert any(at_pi) and not all(at_pi)
+    assert all(pt.abs_deriv < 1e-6 for pt in rep.points)
 
 
 def test_find_glancing_leap_frog_makes_few_eigensolves(monkeypatch):
