@@ -70,12 +70,7 @@ COMMANDS = {
                           "--dts", "0.1"],
 }
 
-# leap-frog's thm1 run repeats the 256-point glancing scan (about 1 s);
-# check-glancing and check-uklc already pin that scheme's symbol side
-CASES = [
-    (s, c) for s in SCHEME_SOURCES for c in COMMANDS
-    if (s, c) != ("leapfrog", "verify-thm1")
-]
+CASES = [(s, c) for s in SCHEME_SOURCES for c in COMMANDS]
 
 
 def render(scheme_name: str, case: str) -> str:
