@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import SchemeDef, _resolvent_stack
 from .symbol import find_glancing, von_neumann_check
@@ -39,6 +38,7 @@ DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_GAMMAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 KL_TOL = 1e-6
 SPLIT_MARGIN = 1e-8
+UNIT_TOL = 1e-10
 
 
 class ResolventError(ValueError):
@@ -81,9 +81,7 @@ class ResolventCoeffs:
 
 def resolvent_coeffs(scheme: SchemeDef, z: complex) -> ResolventCoeffs:
     """Evaluate RA_l(z) and RB_{l,j}(z)."""
-    if z == 0:
-        raise ResolventError("resolvent coefficients are singular at z = 0")
-    RA, RB = _resolvent_stack(scheme, [z])
+    RA, RB = _coefficients(scheme, [z])
     return ResolventCoeffs(z=z, r=scheme.r, A_blocks=RA[0], B_blocks=RB[0])
 
 
@@ -95,25 +93,43 @@ class CompanionMatrix:
     M: np.ndarray
 
 
-def _companion(
-    scheme: SchemeDef, z: complex, RA: np.ndarray, cond_cutoff: float = 1e12
-) -> CompanionMatrix:
-    """assemble_M from the blocks RA[l + r] = RA_l(z)."""
+def _singular_error(z) -> ResolventError:
+    return ResolventError(f"leading coefficient RA_p({z}) is numerically singular")
+
+
+def _companion(scheme: SchemeDef, RA: np.ndarray, cond_cutoff: float = 1e12):
+    """M(z) for each stacked RA[i, l + r] = RA_l(z_i), and where RA_p is singular.
+
+    Where RA_p(z_i) is numerically singular the flag is set and M is built
+    with the identity in its place, so the stack stays finite.
+    """
     r, p, N = scheme.r, scheme.p, scheme.N
-    Ap = RA[p + r]
-    if np.linalg.cond(Ap) > cond_cutoff:
-        raise ResolventError(
-            f"leading coefficient RA_p({z}) is numerically singular"
-        )
-    dim = N * (p + r)
-    M = np.zeros((dim, dim), dtype=complex)
-    ApInv = np.linalg.inv(Ap)
-    # top row blocks multiply (W_{j+p-1}, ..., W_{j-r})
-    for k, ell in enumerate(range(p - 1, -r - 1, -1)):
-        M[:N, k * N : (k + 1) * N] = -ApInv @ RA[ell + r]
+    K, dim = RA.shape[0], N * (p + r)
+    Ap = RA[:, p + r]
+    singular = np.linalg.cond(Ap) > cond_cutoff
+    ApInv = np.linalg.inv(np.where(singular[:, None, None], np.eye(N), Ap))
+    M = np.zeros((K, dim, dim), dtype=complex)
+    # top row blocks -RA_p^{-1} RA_l multiply (W_{j+p-1}, ..., W_{j-r})
+    top = -ApInv[:, None] @ RA[:, p + r - 1 :: -1]
+    M[:, :N] = top.transpose(0, 2, 1, 3).reshape(K, N, dim)
     if p + r > 1:
-        M[N:, :-N] = np.eye(N * (p + r - 1))
-    return CompanionMatrix(z=z, M=M)
+        M[:, N:, :-N] = np.eye(N * (p + r - 1))
+    return M, singular
+
+
+def _coefficients(scheme: SchemeDef, zs) -> tuple:
+    """_resolvent_stack at the points ``zs``, none of which may be 0."""
+    if any(z == 0 for z in zs):
+        raise ResolventError("resolvent coefficients are singular at z = 0")
+    return _resolvent_stack(scheme, zs)
+
+
+def _companion_at(scheme: SchemeDef, zs, cond_cutoff: float = 1e12) -> np.ndarray:
+    """M(z) for each z in ``zs``, stacked; raises at the first singular RA_p."""
+    M, singular = _companion(scheme, _coefficients(scheme, zs)[0], cond_cutoff)
+    if singular.any():
+        raise _singular_error(zs[int(np.argmax(singular))])
+    return M
 
 
 def assemble_M(
@@ -121,20 +137,26 @@ def assemble_M(
 ) -> CompanionMatrix:
     """Build M(z) of size N(p+r): top block row -RA_p^{-1}(RA_{p-1}..RA_{-r}),
     identity on the subdiagonal."""
-    return _companion(scheme, z, resolvent_coeffs(scheme, z).A_blocks, cond_cutoff)
+    return CompanionMatrix(z=z, M=_companion_at(scheme, [z], cond_cutoff)[0])
 
 
 # ---------------------------------------------------------------------------
 # spectral splitting
+
+# a stable eigenvector block whose QR factor has min|R_kk| / max|R_kk| below
+# this is too close to rank deficient to span E^s; the sign function is used
+BASIS_RCOND_MIN = 1e-8
 
 
 @dataclass(frozen=True)
 class SpectralSplit:
     """Stable/unstable invariant subspaces of M(z) for |z| > 1.
 
-    ``V_s`` and ``V_u`` have orthonormal columns (ordered Schur bases);
-    ``proj_s``/``proj_u`` are the spectral projectors built from them.
-    ``counts_ok`` records whether the dimensions match (N r, N p).
+    ``V_s`` and ``V_u`` have orthonormal columns spanning the invariant
+    subspaces (QR of the eigenvector blocks, or of the sign-function
+    projectors where those blocks are ill-conditioned); ``proj_s``/``proj_u``
+    are the spectral projectors built from them.  ``counts_ok`` records
+    whether the dimensions match (N r, N p).
     """
 
     z: complex
@@ -151,11 +173,79 @@ class SpectralSplit:
     message: str = ""
 
 
+def _split_failures(zs, eigs, expect, margin, unit_tol) -> np.ndarray:
+    """(K, 3) table of the split checks each z fails, in the order they are
+    raised: |z| too close to 1, an eigenvalue on the circle, wrong counts."""
+    mod = np.abs(eigs)
+    counts = np.stack([(mod < 1).sum(-1), (mod > 1).sum(-1)], axis=-1)
+    return np.column_stack([
+        np.abs(np.asarray(zs)) <= 1 + margin,
+        np.abs(mod - 1).min(-1) < unit_tol,
+        np.any(counts != expect, axis=-1),
+    ])
+
+
+def _split_error(z, eigs, check: int, expect, margin, unit_tol) -> ResolventError:
+    """The error of split check ``check`` (a column of _split_failures) at z."""
+    if check == 0:
+        return ResolventError(
+            f"spectral split needs |z| > 1 + {margin:g}, got |z| = {abs(z):.12f}"
+        )
+    if check == 1:
+        return SplitCountError(
+            f"eigenvalue within {unit_tol:g} of the unit circle at |z| = "
+            f"{abs(z):.12f}; splitting is not numerically resolved"
+        )
+    ns, nu = int(np.sum(np.abs(eigs) < 1)), int(np.sum(np.abs(eigs) > 1))
+    return SplitCountError(
+        f"expected ({expect[0]} stable, {expect[1]} unstable), "
+        f"got ({ns}, {nu}); scheme assumptions violated at z = {z}"
+    )
+
+
+def _sign_basis(M: np.ndarray, k: int, stable: bool) -> np.ndarray:
+    """Orthonormal bases of the k-dimensional stable (or unstable) invariant
+    subspaces of the stacked M, by the matrix sign function.
+
+    The Cayley transform (M + I)(M - I)^{-1} sends the inside of the unit
+    disk to the left half-plane; its sign S comes from the scaled Newton
+    iteration S <- (g S + (g S)^{-1}) / 2 with g = |det S|^{-1/n} (Higham,
+    Functions of Matrices, ch. 5).  (I - S)/2 projects onto E^s along E^u,
+    and its first k left singular vectors span its range.
+    """
+    n = M.shape[-1]
+    eye = np.eye(n)
+    S = np.linalg.solve(M - eye, M + eye)
+    for _ in range(100):
+        g = np.abs(np.linalg.det(S))[:, None, None] ** (-1 / n)
+        new = 0.5 * (g * S + np.linalg.inv(S) / g)
+        change = np.linalg.norm(new - S, axis=(1, 2)) / np.linalg.norm(new, axis=(1, 2))
+        S = new
+        if change.max() <= 1e-10:
+            break
+    P = (eye - S) / 2 if stable else (eye + S) / 2
+    return np.linalg.svd(P)[0][..., :k]
+
+
+def _invariant_basis(M, eigs, vecs, k: int, stable: bool = True):
+    """Orthonormal bases of the k-dimensional stable (or unstable) subspaces
+    of the stacked M from its eigen-decomposition, and where the sign
+    function had to replace an ill-conditioned eigenvector block."""
+    mod = np.abs(eigs)
+    cols = np.argsort(mod if stable else -mod, axis=-1)[:, :k]
+    Q, R = np.linalg.qr(np.take_along_axis(vecs, cols[:, None, :], axis=2))
+    rdiag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    fallback = rdiag.min(-1, initial=np.inf) < BASIS_RCOND_MIN * rdiag.max(-1, initial=0)
+    if fallback.any():
+        Q[fallback] = _sign_basis(M[fallback], k, stable)
+    return Q, fallback
+
+
 def spectral_split(
     companion: CompanionMatrix,
     scheme: SchemeDef,
     margin: float = SPLIT_MARGIN,
-    unit_tol: float = 1e-10,
+    unit_tol: float = UNIT_TOL,
 ) -> SpectralSplit:
     """Split the spectrum of M(z) across the unit circle.
 
@@ -165,54 +255,36 @@ def spectral_split(
     rather than raised, since it indicates an assumption violation of the
     scheme, not a numerical failure.
     """
-    z, M = companion.z, companion.M
-    if abs(z) <= 1 + margin:
-        raise ResolventError(
-            f"spectral split needs |z| > 1 + {margin:g}, got |z| = {abs(z):.12f}"
-        )
-    eigs = np.linalg.eigvals(M)
-    unit_gap = float(np.min(np.abs(np.abs(eigs) - 1)))
-    if unit_gap < unit_tol:
-        raise SplitCountError(
-            f"eigenvalue within {unit_tol:g} of the unit circle at |z| = "
-            f"{abs(z):.12f}; splitting is not numerically resolved"
-        )
-    _, Zs, ns = scipy.linalg.schur(
-        M, output="complex", sort=lambda mu: abs(mu) < 1
+    z, M = companion.z, companion.M[None]
+    eigs, vecs = np.linalg.eig(M)
+    expect = (scheme.N * scheme.r, scheme.N * scheme.p)
+    fails = _split_failures([z], eigs, expect, margin, unit_tol)[0]
+    for check in (0, 1):
+        if fails[check]:
+            raise _split_error(z, eigs[0], check, expect, margin, unit_tol)
+    message = "" if not fails[2] else str(
+        _split_error(z, eigs[0], 2, expect, margin, unit_tol)
     )
-    _, Zu, nu = scipy.linalg.schur(
-        M, output="complex", sort=lambda mu: abs(mu) > 1
-    )
-    V_s, V_u = Zs[:, :ns], Zu[:, :nu]
-    dim = M.shape[0]
-    expect_s, expect_u = scheme.N * scheme.r, scheme.N * scheme.p
-    counts_ok = ns == expect_s and nu == expect_u and ns + nu == dim
-    message = ""
-    if not counts_ok:
-        message = (
-            f"expected ({expect_s} stable, {expect_u} unstable), "
-            f"got ({ns}, {nu}); scheme assumptions violated at z = {z}"
-        )
-    X = np.concatenate([V_s, V_u], axis=1)
-    Xinv = np.linalg.inv(X)
-    proj_s = V_s @ Xinv[:ns]
-    proj_u = V_u @ Xinv[ns:]
+    ns = int(np.sum(np.abs(eigs) < 1))
+    V_s = _invariant_basis(M, eigs, vecs, ns)[0][0]
+    V_u = _invariant_basis(M, eigs, vecs, M.shape[-1] - ns, stable=False)[0][0]
+    Xinv = np.linalg.inv(np.concatenate([V_s, V_u], axis=1))
     res = 0.0
     for V in (V_s, V_u):
         if V.shape[1]:
-            MV = M @ V
+            MV = M[0] @ V
             res = max(res, float(np.linalg.norm(MV - V @ (V.conj().T @ MV), 2)))
     return SpectralSplit(
         z=z,
-        eigenvalues=eigs,
+        eigenvalues=eigs[0],
         V_s=V_s,
         V_u=V_u,
-        proj_s=proj_s,
-        proj_u=proj_u,
+        proj_s=V_s @ Xinv[:ns],
+        proj_u=V_u @ Xinv[ns:],
         n_stable=ns,
-        n_unstable=nu,
-        counts_ok=counts_ok,
-        unit_gap=unit_gap,
+        n_unstable=M.shape[-1] - ns,
+        counts_ok=not fails[2],
+        unit_gap=float(np.min(np.abs(np.abs(eigs) - 1))),
         invariance_residual=res,
         message=message,
     )
@@ -230,13 +302,13 @@ def kl_boundary_matrix(scheme: SchemeDef, z: complex) -> np.ndarray:
     l >= p is extracted by iterating the companion matrix:
     W_{1+l} = E_top M(z)^{l+1-p} Wvec_1.
     """
-    c = resolvent_coeffs(scheme, z)
-    M = _companion(scheme, z, c.A_blocks).M if scheme.q >= scheme.p else None
-    return _boundary_rows(scheme, c.B_blocks, M)
+    M = _companion_at(scheme, [z]) if scheme.q >= scheme.p else None
+    return _boundary_rows(scheme, _coefficients(scheme, [z])[1], M)[0]
 
 
 def _boundary_rows(scheme: SchemeDef, RB: np.ndarray, M: np.ndarray | None):
-    """kl_boundary_matrix from RB[l, j-(1-r)] = RB_{l,j}(z); M(z) is read if q >= p."""
+    """kl_boundary_matrix for each stacked RB[i, l, j-(1-r)] = RB_{l,j}(z_i);
+    the stacked M(z_i) is read if q >= p."""
     r, p, q, N = scheme.r, scheme.p, scheme.q, scheme.N
     dim = N * (p + r)
 
@@ -248,7 +320,7 @@ def _boundary_rows(scheme: SchemeDef, RB: np.ndarray, M: np.ndarray | None):
 
     powers = None
     if q >= p:
-        powers = [np.eye(dim, dtype=complex)]
+        powers = [np.broadcast_to(np.eye(dim, dtype=complex), M.shape)]
         for _ in range(q + 1 - p):
             powers.append(M @ powers[-1])
 
@@ -256,30 +328,49 @@ def _boundary_rows(scheme: SchemeDef, RB: np.ndarray, M: np.ndarray | None):
         # matrix X with W_i = X @ Wvec_1 on homogeneous interior solutions
         if i <= p:
             return selector(i)
-        return powers[i - p][:N]  # top block of M^{i-p}
+        return powers[i - p][:, :N]  # top block of M^{i-p}
 
     rows = []
     for j in range(0, -r, -1):
-        row = selector(j).copy()
+        row = np.repeat(selector(j)[None], len(RB), axis=0)
         for ell in range(q + 1):
-            row -= RB[ell, j - (1 - r)] @ extract(1 + ell)
+            row -= RB[:, ell, j - (1 - r)] @ extract(1 + ell)
         rows.append(row)
-    return np.concatenate(rows, axis=0)
+    return np.concatenate(rows, axis=1)
 
 
-def _determinant(scheme: SchemeDef, z: complex, RA, RB, b_eff) -> float:
-    """kl_determinant from the RA and RB blocks at z, with M(z) built once."""
-    companion = _companion(scheme, z, RA)
-    split = spectral_split(companion, scheme)
-    if not split.counts_ok:
-        raise SplitCountError(split.message)
-    B = _boundary_rows(scheme, RB, companion.M) if b_eff is None else np.asarray(b_eff)
-    if B.shape != (split.n_stable, scheme.N * (scheme.p + scheme.r)):
-        raise ResolventError(
-            f"boundary matrix shape {B.shape} incompatible with "
-            f"state dimension {scheme.N * (scheme.p + scheme.r)}"
-        )
-    return float(abs(np.linalg.det(B @ split.V_s)))
+def _lopatinskii(scheme: SchemeDef, zs, b_eff=None) -> tuple:
+    """|Delta(z)| for every z in ``zs`` in one stacked pass, and the number
+    of z whose stable basis came from the sign function.
+
+    Raises the error of the first z in order that fails a check, taking
+    its checks in order: RA_p singular, the split checks, the shape of
+    ``b_eff``.
+    """
+    r, p, N = scheme.r, scheme.p, scheme.N
+    expect, dim = (N * r, N * p), N * (p + r)
+    RA, RB = _coefficients(scheme, zs)
+    M, singular = _companion(scheme, RA)
+    eigs, vecs = np.linalg.eig(M)
+    split = _split_failures(zs, eigs, expect, SPLIT_MARGIN, UNIT_TOL)
+    B = None if b_eff is None else np.asarray(b_eff)
+    bad_shape = B is not None and B.shape != (expect[0], dim)
+    fails = np.column_stack([singular, split, np.full(len(zs), bad_shape)])
+    if fails.any():
+        i = int(np.argmax(fails.any(axis=1)))
+        check = int(np.argmax(fails[i]))
+        if check == 0:
+            raise _singular_error(zs[i])
+        if check == 4:
+            raise ResolventError(
+                f"boundary matrix shape {B.shape} incompatible with "
+                f"state dimension {dim}"
+            )
+        raise _split_error(zs[i], eigs[i], check - 1, expect, SPLIT_MARGIN, UNIT_TOL)
+    V_s, fallback = _invariant_basis(M, eigs, vecs, expect[0])
+    if B is None:
+        B = _boundary_rows(scheme, RB, M)
+    return np.abs(np.linalg.det(B @ V_s)), int(fallback.sum())
 
 
 def kl_determinant(
@@ -291,13 +382,16 @@ def kl_determinant(
     the assembled boundary rows (shape N r x N(p+r)); rows of zeros give
     |Delta| = 0 identically.
     """
-    c = resolvent_coeffs(scheme, z)
-    return _determinant(scheme, z, c.A_blocks, c.B_blocks, b_eff)
+    return float(_lopatinskii(scheme, [z], b_eff)[0][0])
 
 
 @dataclass(frozen=True)
 class KLScan:
-    """|Delta| sampled on circles z = (1+delta) e^{i theta}."""
+    """|Delta| sampled on circles z = (1+delta) e^{i theta}.
+
+    ``fallbacks`` counts the samples whose stable basis came from the sign
+    function because their eigenvector block was ill-conditioned.
+    """
 
     radii: tuple
     thetas: np.ndarray
@@ -308,6 +402,7 @@ class KLScan:
     tol: float
     plausible: bool
     warnings: tuple = field(default_factory=tuple)
+    fallbacks: int = 0
 
 
 def uklc_scan(
@@ -328,10 +423,8 @@ def uklc_scan(
     """
     thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     zs = [(1 + delta) * np.exp(1j * th) for delta in radii for th in thetas]
-    RA, RB = _resolvent_stack(scheme, zs)
-    values = np.array(
-        [_determinant(scheme, *zab, b_eff) for zab in zip(zs, RA, RB)]
-    ).reshape(len(radii), len(thetas))
+    values, fallbacks = _lopatinskii(scheme, zs, b_eff)
+    values = values.reshape(len(radii), len(thetas))
     flat = int(np.argmin(values))
     i0, k0 = divmod(flat, len(thetas))
     warnings = []
@@ -361,6 +454,7 @@ def uklc_scan(
         tol=tol_kl,
         plausible=bool(values.min() >= tol_kl),
         warnings=tuple(warnings),
+        fallbacks=fallbacks,
     )
 
 
@@ -442,8 +536,8 @@ def classify_boundary_blocks(
         else:
 
             def fd(step: float) -> complex:
-                zp = np.linalg.eigvals(assemble_M(scheme, z_bar * np.exp(step)).M)
-                zm = np.linalg.eigvals(assemble_M(scheme, z_bar * np.exp(-step)).M)
+                zs = [z_bar * np.exp(step), z_bar * np.exp(-step)]
+                zp, zm = np.linalg.eigvals(_companion_at(scheme, zs))
                 return (_nearest(zp, mu) - _nearest(zm, mu)) / (2 * step)
 
             d1, d4 = fd(h), fd(h / 4)
@@ -493,10 +587,8 @@ class EigenvalueBranch:
             )
 
     def _eigs_at(self, taus: np.ndarray) -> np.ndarray:
-        mats = np.stack(
-            [assemble_M(self.scheme, self.z_bar * np.exp(t)).M for t in taus]
-        )
-        return np.linalg.eigvals(mats)
+        zs = [self.z_bar * np.exp(t) for t in taus]
+        return np.linalg.eigvals(_companion_at(self.scheme, zs))
 
     def _radial_seed(self, gamma: float):
         """Track from the base point out to tau = gamma; returns (mu, logmu)."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import GridSequence, SchemeDef
 from .sim import run_cauchy
@@ -208,14 +207,13 @@ def make_packet(
     kappa = np.exp(1j * xi_bar)
     A = amplification_matrix(scheme, kappa)
     d = A.shape[0]
-    mus, left, right = scipy.linalg.eig(A, left=True, right=True)
+    mus, right = np.linalg.eig(A)
     # quantize the modulus so float noise cannot flip the ordering of
     # branches that share |mu| (ties fall to increasing argument)
     order = np.lexsort(
         (np.mod(np.angle(mus), 2 * np.pi), -np.round(np.abs(mus), 6))
     )
     mus = mus[order]
-    left = left[:, order]
     right = right[:, order]
     if np.min(np.abs(np.subtract.outer(mus, mus))
               + np.eye(d) * 10.0) < 1e-8:
@@ -224,6 +222,11 @@ def make_packet(
         )
     if not 0 <= branch < d:
         raise WavepacketError(f"branch index {branch} out of range [0, {d})")
+    # the eigenvalues are simple, so the rows of right^{-1} are the left
+    # eigenvectors; unit columns make vdot(left, right) the reciprocal
+    # eigenvalue condition number
+    left = np.linalg.inv(right).conj().T
+    left /= np.linalg.norm(left, axis=0)
 
     projectors = []
     omegas = []

@@ -329,8 +329,44 @@ def test_determinant_builds_coefficients_and_M_once_per_z(scheme, monkeypatch):
     kl_determinant(scheme, 1.3 + 0.2j)
     assert calls == {"coeffs": 1, "M": 1}
     calls.update(coeffs=0, M=0)
+    # the scan builds the coefficients and the companion stack once for
+    # its whole 2 x 8 grid
     uklc_scan(scheme, radii=(0.3, 0.6), n_theta=8, check_symbol=False)
-    assert calls == {"coeffs": 1, "M": 16}
+    assert calls == {"coeffs": 1, "M": 1}
+
+
+def _leap_frog_pair_singular_at(z_star: float) -> SchemeDef:
+    """Two decoupled leap-frog components; the second's RA_p vanishes at z_star."""
+    lf = leap_frog(1.0, 0.5).interior[..., 0, 0]
+    interior = np.zeros((3, 2, 2, 2))
+    interior[..., 0, 0] = interior[..., 1, 1] = lf
+    interior[2, 1, 1, 1] = 0.5 * z_star  # RA_p = z^-2 (0.5 z - 0.5 z_star)
+    return SchemeDef(N=2, r=1, p=1, q=0, s=1, lam=1.0, interior=interior,
+                     boundary=np.zeros((1, 1, 3, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "scheme,radii,b_eff,expect",
+    [(upwind(0.5, 2.4), (0.1, 0.001), None, "got (0, 1)"),
+     (upwind(0.5, 2.4), (0.1, 0.001), np.zeros((2, 2)), "boundary matrix shape"),
+     (_leap_frog_pair_singular_at(1.001), (0.1, 0.001), None, "got (1, 3)"),
+     (_leap_frog_pair_singular_at(1.001), (0.001,), None, "numerically singular")],
+    ids=["counts", "shape-before-counts", "counts-before-singular", "singular"],
+)
+def test_scan_raises_the_per_z_error_of_the_first_failing_z(scheme, radii, b_eff, expect):
+    # the stacked scan raises what a per-z loop in grid order raises first
+    thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    first = None
+    for z in [(1 + d) * np.exp(1j * t) for d in radii for t in thetas]:
+        try:
+            kl_determinant(scheme, z, b_eff)
+        except ResolventError as exc:
+            first = exc
+            break
+    assert expect in str(first)
+    with pytest.raises(type(first)) as caught:
+        uklc_scan(scheme, radii=radii, n_theta=16, b_eff=b_eff, check_symbol=False)
+    assert str(caught.value) == str(first)
 
 
 # ---------------------------------------------------------------------------
