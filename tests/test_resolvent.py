@@ -534,6 +534,28 @@ def test_branch_curve_continuous_at_glancing_point():
     assert np.min(np.abs(f)) < 0.05  # passes near the base point
 
 
+def test_unit_circle_sweeps_build_one_companion_stack_each(monkeypatch):
+    import dibvp.resolvent as res
+
+    sizes = []
+    real = res._companion
+
+    def counted(scheme, RA, *args):
+        sizes.append(len(RA))
+        return real(scheme, RA, *args)
+
+    monkeypatch.setattr(res, "_companion", counted)
+    z_bar = np.exp(-1j * np.pi / 6)
+    branch = branch_log_deviation(leap_frog(1.0, 0.5), z_bar, 1j)
+    branch.curve(1e-4, np.linspace(-0.1, 0.1, 257))
+    # the base point, the 13-step radial walk, the reference nodes, the grid
+    assert len(sizes) == 4 and sizes[:2] == [1, 13] and sizes[3] == 257
+    sizes.clear()
+    classify_boundary_blocks(leap_frog(1.0, 0.5), z_bar)
+    # M(z_bar), then z_bar e^{+h}, z_bar e^{-h} for each of the steps h, h/4
+    assert sizes == [1, 2, 2]
+
+
 def test_branch_rejects_bad_inputs():
     scheme = upwind(1.0, 0.5)
     with pytest.raises(ResolventError):
