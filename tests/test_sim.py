@@ -15,6 +15,7 @@ from dibvp.core import (
     three_point,
     upwind,
 )
+from dibvp.sbp import DecompositionError, boundary_energy_rate
 from dibvp.sim import (
     HalfLineState,
     IBVPTrace,
@@ -399,6 +400,39 @@ def test_strong_stability_vacuous():
     assert rep.vacuous
 
 
+def test_strong_stability_interior_forcing_only():
+    # g = None, F a decaying random source: each ratio matches the RHS
+    # summed term by term over one run per dt
+    scheme, dts, gammas = upwind(0.5, 1.0), (0.1, 0.05), (0.1, 1.0)
+
+    def F_gen(sch, dt, n_max, rng):
+        amp = np.exp(-np.arange(n_max) * dt)[:, None, None]
+        vals = amp * rng.standard_normal((n_max, 12, sch.N))
+        return [GridSequence(1, v, implicit_zero=True) for v in vals]
+
+    rep = verify_strong_stability(
+        scheme, g_gen=lambda sch, dt, n_max, rng: None, F_gen=F_gen,
+        gammas=gammas, refinements=dts, t_end=4.0, seed=3,
+    )
+    assert not rep.vacuous
+    assert rep.bounded
+    rng = np.random.default_rng(3)
+    for i, dt in enumerate(dts):
+        n_max = int(round(4.0 / dt))
+        F = F_gen(scheme, dt, n_max, rng)
+        zero = [GridSequence.zeros(0, 1, 1, implicit_zero=True)]
+        trace = run_ibvp(scheme, zero, n_max, F=lambda n: F[n], dt=dt)
+        dx = dt / scheme.lam
+        for k, gamma in enumerate(gammas):
+            ns = accumulate_norms(trace, gamma, scheme.p, n_start=1)
+            lhs = gamma / (gamma * dt + 1) * ns.interior + ns.trace
+            rhs = 0.0
+            for n in range(n_max):
+                rhs += ((gamma * dt + 1) / gamma * dt
+                        * np.exp(-2 * gamma * (n + 1) * dt) * F[n].norm_sq(dx))
+            assert rep.ratios[i, k] == lhs / rhs
+
+
 def test_strong_stability_marginal_reflection_blows_up():
     # neighbor-copy closure has a determinant zero in the z -> 1 limit;
     # the ratios grow both as gamma decreases and under refinement
@@ -719,6 +753,119 @@ def test_verify_thm1_takes_level_sums_once_per_dt(monkeypatch):
                       refinements=(0.1, 0.05, 0.025), t_end=2.0)
     assert rep.ratios.shape == (3, 4)
     assert len(calls) == 3
+
+
+def _count_marches(monkeypatch):
+    calls = []
+    run = sim.run_ibvp
+    monkeypatch.setattr(
+        sim, "run_ibvp", lambda *a, **k: calls.append(a[2]) or run(*a, **k)
+    )
+    return calls
+
+
+def test_verifiers_march_a_shared_data_ladder_once(monkeypatch):
+    calls = _count_marches(monkeypatch)
+    ladder = (0.1, 0.05, 0.025, 0.0125, 0.00625)
+    verify_thm1(upwind(0.5, 1.0), refinements=ladder, t_end=2.0)
+    assert calls == [320]
+    verify_semigroup(lax_wendroff(0.5, 1.0), refinements=ladder, t_end=2.0)
+    assert calls == [320, 320]
+
+
+def test_verifiers_march_dt_dependent_data_once_per_dt(monkeypatch):
+    calls = _count_marches(monkeypatch)
+    ladder = (0.1, 0.05, 0.025)
+    verify_thm1(leap_frog(0.5, 1.0), f_generator=_glancing_packet,
+                refinements=ladder, t_end=2.0)
+    assert calls == [20, 40, 80]
+    calls.clear()
+    verify_semigroup(leap_frog(0.5, 1.0), f_generator=_glancing_packet,
+                     refinements=ladder, t_end=2.0)
+    assert calls == [20, 40, 80]
+
+
+@pytest.mark.parametrize("verify", [verify_thm1, verify_semigroup])
+def test_verifier_raises_the_first_failing_entrys_error(verify):
+    # leap-frog at dt 0.1 has n_max 0 < s, though the dt 0.05 run exists,
+    # before or after it in the ladder
+    for ladder in [(0.1, 0.05), (0.05, 0.1)]:
+        with pytest.raises(SimError, match="n_max must be at least s = 1"):
+            verify(leap_frog(0.5, 1.0), refinements=ladder, t_end=0.05)
+    # both horizons are too large to hold; the first one is reported
+    with pytest.raises(SimError, match="horizon too large: n_max 100000000 "):
+        verify(upwind(0.5, 1.0), refinements=(1e-7, 2e-8), t_end=10.0)
+    # the dt 0.1 entry marches on its own before the dt 1e-7 one fails
+    with pytest.raises(SimError, match="horizon too large: n_max 100000000 "):
+        verify(upwind(0.5, 1.0), refinements=(0.1, 1e-7), t_end=10.0)
+
+
+def _reference_ladder(scheme, refinements, t_end, P=3, gammas=sim.DEFAULT_GAMMAS):
+    """verify_thm1's ratios and verify_semigroup's C2, step_violation and
+    chain_ok from a fresh run and a per-step energy loop at every dt."""
+    try:
+        rate = boundary_energy_rate(scheme) if scheme.s == 0 else None
+    except DecompositionError:
+        rate = None
+    ratios = np.zeros((len(refinements), len(gammas)))
+    C2, step_violation, chain_ok = [], None, None
+    for i, dt in enumerate(refinements):
+        n_max = int(round(t_end / dt))
+        f = decaying_data(scheme, n_sites=max(64, scheme.r + scheme.p + 1))
+        trace = run_ibvp(scheme, f, n_max, dt=dt)
+        dx = dt / scheme.lam
+        rhs = sum(lay.norm_sq(dx) for lay in f)
+        for k, gamma in enumerate(gammas):
+            ns = accumulate_norms(trace, gamma, P)
+            ratios[i, k] = (gamma / (gamma * dt + 1) * ns.interior + ns.trace) / rhs
+        C2.append(accumulate_norms(trace, 0.0, scheme.p).sup_norm / rhs)
+        if rate is None:
+            continue
+        interior_mass = np.sum(np.abs(trace._levels[:, scheme.r :]) ** 2, axis=(1, 2))
+        scale = max(float(interior_mass.max()), 1e-30)
+        worst, traces_sq = step_violation or 0.0, 0.0
+        for n in range(trace.n_max):
+            jet = trace.layers[n].window(1 - scheme.r, scheme.p).ravel()
+            gap = interior_mass[n + 1] - interior_mass[n] - rate.evaluate(jet)
+            worst = max(worst, gap / scale)
+            traces_sq += dt * float(np.sum(np.abs(jet) ** 2))
+        step_violation = worst
+        lhs_chain = float(interior_mass.max()) * dx
+        rhs_chain = interior_mass[0] * dx + rate.constant / scheme.lam * traces_sq
+        ok = lhs_chain <= rhs_chain * (1 + 1e-10) + 1e-12
+        chain_ok = ok if chain_ok is None else (chain_ok and ok)
+    return ratios, tuple(C2), step_violation, chain_ok
+
+
+LADDER_SCHEMES = {
+    "upwind": (upwind(0.5, 1.0), 10.0),
+    "lax-wendroff-extrapolation": (ORACLE_SCHEMES["lax-wendroff-extrapolation"], 10.0),
+    "leap-frog": (leap_frog(0.5, 1.0), 10.0),
+    "system": (ORACLE_SCHEMES["system"], 10.0),
+    # unit CFL shifts the data exactly: the step gaps are rounding, so
+    # step_violation shows every bit of the energy rates
+    "lax-wendroff-unit-cfl": (lax_wendroff(0.5, 2.0, boundary="extrapolation"), 10.0),
+    # grows by 1.4 a step: the finest ratios and C2 overflow
+    "upwind-unstable": (upwind(0.5, 2.4), 30.0),
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER_SCHEMES))
+@np.errstate(all="ignore")
+def test_shared_march_matches_per_dt_runs_bit_for_bit(name):
+    scheme, t_end = LADDER_SCHEMES[name]
+    ladder = (0.1, 0.05, 0.025)
+    ratios, C2, step_violation, chain_ok = _reference_ladder(scheme, ladder, t_end)
+    thm1 = verify_thm1(scheme, refinements=ladder, t_end=t_end)
+    semi = verify_semigroup(scheme, refinements=ladder, t_end=t_end)
+    assert thm1.ratios.tobytes() == ratios.tobytes()
+    assert np.array(semi.C2).tobytes() == np.array(C2).tobytes()
+    bits = lambda x: None if x is None else np.float64(x).tobytes()
+    assert bits(semi.step_violation) == bits(step_violation)
+    assert semi.chain_ok == chain_ok
+    if name == "upwind-unstable":
+        assert not np.isfinite(semi.C2[-1])
+        assert not np.all(np.isfinite(thm1.ratios[-1]))
 
 
 # ---------------------------------------------------------------------------
