@@ -842,8 +842,8 @@ LADDER_SCHEMES = {
     "lax-wendroff-extrapolation": (ORACLE_SCHEMES["lax-wendroff-extrapolation"], 10.0),
     "leap-frog": (leap_frog(0.5, 1.0), 10.0),
     "system": (ORACLE_SCHEMES["system"], 10.0),
-    # unit CFL shifts the data exactly: the step gaps are rounding, so
-    # step_violation shows every bit of the energy rates
+    # unit CFL shifts the data exactly: the step gaps are rounding-level,
+    # so step_violation is nonzero and moves with any bit of the gaps
     "lax-wendroff-unit-cfl": (lax_wendroff(0.5, 2.0, boundary="extrapolation"), 10.0),
     # grows by 1.4 a step: the finest ratios and C2 overflow
     "upwind-unstable": (upwind(0.5, 2.4), 30.0),
