@@ -22,27 +22,28 @@ def run_quiet(argv):
 
 
 def main():
-    work = Path(tempfile.mkdtemp(prefix="dibvp-demo-"))
-    save_scheme(upwind(0.5, 1.0), work / "upwind.json")
-    save_scheme(leap_frog(0.5, 1.0), work / "leapfrog.json")
+    with tempfile.TemporaryDirectory(prefix="dibvp-demo-") as tmp:
+        work = Path(tmp)
+        save_scheme(upwind(0.5, 1.0), work / "upwind.json")
+        save_scheme(leap_frog(0.5, 1.0), work / "leapfrog.json")
 
-    code = run_quiet([
-        "check-cauchy", "--scheme", str(work / "upwind.json"),
-        "--out", str(work / "cauchy"),
-    ])
-    report = json.loads((work / "cauchy" / "report.json").read_text())
-    verdict = report["verdicts"][0]
-    print(f"check-cauchy exit code {code}: {verdict['name']} ok={verdict['ok']}")
-    print(f"  {verdict['detail']}")
+        code = run_quiet([
+            "check-cauchy", "--scheme", str(work / "upwind.json"),
+            "--out", str(work / "cauchy"),
+        ])
+        report = json.loads((work / "cauchy" / "report.json").read_text())
+        verdict = report["verdicts"][0]
+        print(f"check-cauchy exit code {code}: {verdict['name']} ok={verdict['ok']}")
+        print(f"  {verdict['detail']}")
 
-    code = run_quiet([
-        "check-glancing", "--scheme", str(work / "leapfrog.json"),
-        "--out", str(work / "glancing"),
-    ])
-    rows = json.loads((work / "glancing" / "report.json").read_text())
-    print(f"\ncheck-glancing exit code {code} "
-          f"({len(rows['data']['glancing_points']['rows'])} flagged points)")
-    print(f"artifacts: {sorted(p.name for p in (work / 'glancing').iterdir())}")
+        code = run_quiet([
+            "check-glancing", "--scheme", str(work / "leapfrog.json"),
+            "--out", str(work / "glancing"),
+        ])
+        rows = json.loads((work / "glancing" / "report.json").read_text())
+        print(f"\ncheck-glancing exit code {code} "
+              f"({len(rows['data']['glancing_points']['rows'])} flagged points)")
+        print(f"artifacts: {sorted(p.name for p in (work / 'glancing').iterdir())}")
 
 
 if __name__ == "__main__":

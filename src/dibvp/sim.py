@@ -15,22 +15,24 @@ consumes p columns on the right, so allocating j_obs + n_steps * p
 columns makes every reported value identical to the half-line solution;
 no artificial outflow condition ever enters.
 
-On top of the solvers, the module accumulates the Laplace-weighted norms
-that appear in the trace, strong-stability, and semigroup estimates, and
-runs the corresponding empirical verifiers across (gamma, dt) grids.  A
-run reads dt only to scale F, so with F = g = 0 and the same initial
-layers at every dt of a fixed-lam ladder, the run to n levels is the first
-n + 1 levels of any longer run, cut to its own width: the trace and
-semigroup verifiers march such a ladder once.
+Each solver returns its run as an ``IBVPTrace``, one (n_max+1, L, N)
+array of levels.  The module accumulates from it the Laplace-weighted norms
+of the trace, strong-stability, and semigroup estimates, all sums of
+|U_j^n|^2, and runs the corresponding empirical verifiers across
+(gamma, dt) grids.  A run reads dt only to scale F, so with F = g = 0 and
+the same initial layers at every dt of a fixed-lam ladder, the run to n
+levels is the first n + 1 levels of any longer run, cut to its own width:
+the trace and semigroup verifiers march such a ladder once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import GridSequence, SchemeDef, SchemeError, _apply_taps
+from .core import GridSequence, RangeError, SchemeDef, SchemeError, _apply_taps
 from .resolvent import uklc_scan
 from .sbp import DecompositionError, boundary_energy_rate
 from .symbol import find_glancing, von_neumann_check
@@ -181,45 +183,40 @@ def _advance(taps, out, prev, hi, g_row, F_row, dt) -> None:
 
 @dataclass(frozen=True)
 class IBVPTrace:
-    """Levels U^0..U^{n_max} of a half-line run, cropped to [1-r, j_obs].
+    """Levels U^0..U^{n_max} of a run on the columns offset..j_obs.
 
-    In a trace from ``run_ibvp`` or ``run_cauchy``, ``layers[n]`` is row n
-    of one read-only (n_max+1, L, N) array, kept as ``_levels`` so that
-    the norm sums take all levels in one reduction; ``_sq``, where set, is
-    |_levels|^2, taken once for every sum.
+    ``levels`` is the trace, one read-only (n_max+1, L, N) array; U^n is
+    zero outside its columns where ``zero_flags[n]`` is set.  Half-line
+    runs start at offset 1-r, whole-line runs at their window's left end.
+    ``sq``, where given, is |levels|^2, shared by the traces cut from one
+    march.  ``layers``, one GridSequence per level, is built when read.
     """
 
     scheme: SchemeDef
     dt: float
-    layers: tuple
+    levels: np.ndarray
+    offset: int
+    zero_flags: tuple
     j_obs: int
-    _levels: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _sq: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    sq: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.levels.setflags(write=False)
+
+    @cached_property
+    def layers(self) -> tuple:
+        return tuple(
+            GridSequence(self.offset, lev, implicit_zero=z)
+            for lev, z in zip(self.levels, self.zero_flags)
+        )
 
     @property
     def n_max(self) -> int:
-        return len(self.layers) - 1
+        return len(self.levels) - 1
 
     @property
     def dx(self) -> float:
         return self.dt / self.scheme.lam
-
-
-def _trace_of_levels(scheme, dt, levels, offset, zero_flags, j_obs) -> IBVPTrace:
-    levels.setflags(write=False)
-    trace = IBVPTrace(
-        scheme=scheme, dt=dt, j_obs=j_obs,
-        layers=tuple(
-            GridSequence(offset, lev, implicit_zero=z)
-            for lev, z in zip(levels, zero_flags)
-        ),
-    )
-    object.__setattr__(trace, "_levels", levels)
-    return trace
 
 
 def _zeros(shape: tuple, n_max: int) -> np.ndarray:
@@ -311,8 +308,8 @@ def run_ibvp(
         zero_flags.append(
             all(zero_flags[-(s + 1):]) and (F_row is None or F_row.implicit_zero)
         )
-    return _trace_of_levels(
-        scheme, dt, levels, lo, [auto_obs and z for z in zero_flags], j_obs
+    return IBVPTrace(
+        scheme, dt, levels, lo, tuple(auto_obs and z for z in zero_flags), j_obs
     )
 
 
@@ -338,22 +335,20 @@ def _ladder_traces(scheme, f_generator, refinements, t_end, seed):
         if key not in marched and n_max >= scheme.s:
             n_long = max(n for (_, n), k in zip(ladder, keys) if k == key)
             try:
-                marched[key] = run_ibvp(scheme, f_layers, n_long)
+                run = run_ibvp(scheme, f_layers, n_long)
+                marched[key] = run, np.abs(run.levels) ** 2
             except SimError:
                 pass  # a longer run's error: this entry's own run decides
-        run = marched.get(key)
+        run, sq = marched.get(key, (None, None))
         if run is None or n_max < scheme.s:
             run = run_ibvp(scheme, f_layers, n_max)
-        if run._sq is None:
-            object.__setattr__(run, "_sq", np.abs(run._levels) ** 2)
-        # the prefix shares the march's layer objects, which run on past
-        # its j_obs with zeros; its norm sums read only the cut arrays
+            sq = np.abs(run.levels) ** 2
         j_obs = run.j_obs - (run.n_max - n_max) * scheme.r
         cut = np.s_[: n_max + 1, : j_obs + scheme.r]
-        trace = IBVPTrace(scheme, dt, run.layers[: n_max + 1], j_obs)
-        object.__setattr__(trace, "_levels", run._levels[cut])
-        object.__setattr__(trace, "_sq", run._sq[cut])
-        yield dt, f_layers, trace
+        yield dt, f_layers, IBVPTrace(
+            scheme, dt, run.levels[cut], run.offset, run.zero_flags[: n_max + 1],
+            j_obs, sq=sq[cut],
+        )
 
 
 def run_cauchy(
@@ -410,7 +405,7 @@ def run_cauchy(
         for sigma, sigma_taps in enumerate(interior):
             _apply_taps(out[c0 : c1 + 1], ring[(n - sigma) % (s + 2)], c0, sigma_taps)
         levels[n + 1] = out[crop]
-    return _trace_of_levels(scheme, dt, levels, Lmin, [auto] * (n_max + 1), Rmax)
+    return IBVPTrace(scheme, dt, levels, Lmin, (auto,) * (n_max + 1), Rmax)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +462,9 @@ def split_solution(
     ]
     W = run_ibvp(scheme, zero, n_max, j_obs=U.j_obs, g=g, dt=dt)
     mism = 0.0
-    for n in range(n_max + 1):
-        diff = U.layers[n].values - V.layers[n].values - W.layers[n].values
-        mism = max(mism, float(np.max(np.abs(diff))))
+    # level by level: a whole-trace difference would hold three more traces
+    for u, v, w in zip(U.levels, V.levels, W.levels):
+        mism = max(mism, float(np.max(np.abs(u - v - w))))
     scale = max(
         (float(np.max(np.abs(f.values))) for f in f_layers), default=1.0
     )
@@ -519,20 +514,16 @@ def _level_sums(trace: IBVPTrace, P: int) -> tuple:
     lo = 1 - trace.scheme.r
     if P < lo:
         raise SimError(f"trace width P must be at least {lo}")
-    levels = trace._levels
-    if levels is None or trace.layers[0].offset != lo:
-        # assembled by hand (its layers may differ in range), or a
-        # whole-line trace whose window does not start at 1-r
-        return (
-            np.array([np.sum(np.abs(lay.values) ** 2) for lay in trace.layers]),
-            np.array([
-                np.sum(np.abs(lay.window(lo, min(P, lay.last))) ** 2)
-                for lay in trace.layers
-            ]),
+    start = max(lo, trace.offset)
+    if start > lo and not all(trace.zero_flags):
+        raise RangeError(
+            f"window [{lo}, {min(P, trace.j_obs)}] outside stored range "
+            f"[{trace.offset}, {trace.j_obs}]"
         )
-    sq = np.abs(levels) ** 2 if trace._sq is None else trace._sq
-    hi = min(P, lo + levels.shape[1] - 1)
-    return sq.sum(axis=(1, 2)), sq[:, : hi - lo + 1].sum(axis=(1, 2))
+    sq = np.abs(trace.levels) ** 2 if trace.sq is None else trace.sq
+    # a window ending left of 1-r has no trace columns: clamp the stop
+    stop = max(min(P, trace.j_obs) - trace.offset + 1, 0)
+    return sq.sum(axis=(1, 2)), sq[:, start - trace.offset : stop].sum(axis=(1, 2))
 
 
 def _weighted_norms(trace, sums, gamma, P, n_start) -> NormSeries:
@@ -600,13 +591,12 @@ def decaying_boundary_data(
 # hypothesis checks shared by the verifiers
 
 
-def _hypothesis_report(scheme: SchemeDef, fast: bool = False) -> tuple:
+def _hypothesis_report(scheme: SchemeDef) -> tuple:
     issues = []
-    n_theta = 128 if fast else 256
-    vn = von_neumann_check(scheme, n_theta=max(n_theta, 128))
+    vn = von_neumann_check(scheme, n_theta=256)
     if not vn.ok:
         issues.append(f"power boundedness fails (radius {vn.max_radius:.4f})")
-    gl = find_glancing(scheme, n_theta=n_theta)
+    gl = find_glancing(scheme, n_theta=256)
     if gl.has_glancing:
         issues.append("glancing modes present")
     try:
@@ -842,8 +832,8 @@ def verify_semigroup(
         ns = accumulate_norms(trace, 0.0, scheme.p)
         C2.append(ns.sup_norm / rhs if rhs > 0 else 0.0)
         if rate is not None:
-            levels, w = trace._levels, scheme.r + scheme.p
-            interior_mass = trace._sq[:, scheme.r :].sum(axis=(1, 2))
+            levels, w = trace.levels, scheme.r + scheme.p
+            interior_mass = trace.sq[:, scheme.r :].sum(axis=(1, 2))
             scale = max(float(interior_mass.max()), 1e-30)
             # U^n on j = 1-r..p for n < n_max, zero past the stored window,
             # as 1 x d rows: their products keep rate.evaluate's bits

@@ -505,7 +505,7 @@ def glancing_trace_experiment(
         trace = run_cauchy(
             scheme, layers, n_max=n_top, window=(0, 0), dt=dt
         )
-        col = trace._levels[:, 0]  # window (0, 0): the one column is j = 0
+        col = trace.levels[:, 0]  # window (0, 0): the one column is j = 0
         w0 = np.hstack([col[s - b : n_top + 1 - b] for b in range(s + 1)])
         level_sq = np.sum(np.abs(w0) ** 2, axis=1)
         cumulative = dt * np.cumsum(level_sq)

@@ -8,6 +8,7 @@ import pytest
 from dibvp import sim
 from dibvp.core import (
     GridSequence,
+    RangeError,
     SchemeDef,
     lax_friedrichs,
     lax_wendroff,
@@ -260,8 +261,10 @@ def test_norms_zero_solution():
 def test_norms_single_value_one_term_sums():
     # one nonzero value at j=0, n=0 with dt = dx = 1 and gamma = 0
     scheme = upwind(1.0, 1.0)
-    lay = GridSequence(0, np.array([[1.0]]), implicit_zero=True)
-    trace = IBVPTrace(scheme=scheme, dt=1.0, layers=(lay,), j_obs=0)
+    trace = IBVPTrace(
+        scheme=scheme, dt=1.0, levels=np.array([[[1.0]]]), offset=0,
+        zero_flags=(True,), j_obs=0,
+    )
     ns = accumulate_norms(trace, 0.0, P=0)
     assert ns.interior == 1.0
     assert ns.trace == 1.0
@@ -322,6 +325,18 @@ def test_norms_rejects_bad_inputs():
         accumulate_norms(trace, -0.1, P=1)
     with pytest.raises(SimError):
         accumulate_norms(trace, 0.1, P=-5)
+
+
+def test_norms_of_whole_line_traces_read_columns_from_one_minus_r():
+    # data on j = 3..5: the default window (3, 9) starts right of 1-r = 0
+    # and is zero left of it; an explicit window doing so has no values there
+    scheme = upwind(0.5, 1.0)
+    f = (GridSequence(3, np.array([1.0, 2.0, 3.0]), implicit_zero=True),)
+    assert accumulate_norms(run_cauchy(scheme, f, 4), 0.0, P=1).trace == 0.0
+    with pytest.raises(RangeError):
+        accumulate_norms(run_cauchy(scheme, f, 4, window=(2, 9)), 0.0, P=4)
+    ns = accumulate_norms(run_cauchy(scheme, f, 4, window=(-3, 9)), 0.0, P=4)
+    assert (ns.trace, ns.interior) == (9.11328125, 102.59375)
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +836,7 @@ def _reference_ladder(scheme, refinements, t_end, P=3, gammas=sim.DEFAULT_GAMMAS
         C2.append(accumulate_norms(trace, 0.0, scheme.p).sup_norm / rhs)
         if rate is None:
             continue
-        interior_mass = np.sum(np.abs(trace._levels[:, scheme.r :]) ** 2, axis=(1, 2))
+        interior_mass = np.sum(np.abs(trace.levels[:, scheme.r :]) ** 2, axis=(1, 2))
         scale = max(float(interior_mass.max()), 1e-30)
         worst, traces_sq = step_violation or 0.0, 0.0
         for n in range(trace.n_max):
@@ -866,6 +881,28 @@ def test_shared_march_matches_per_dt_runs_bit_for_bit(name):
     if name == "upwind-unstable":
         assert not np.isfinite(semi.C2[-1])
         assert not np.all(np.isfinite(thm1.ratios[-1]))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SCHEMES))
+def test_ladder_cuts_equal_their_own_runs(name):
+    # a coarse entry's trace is its own run's window, not the long march's
+    scheme = ORACLE_SCHEMES[name]
+    for dt, f, trace in sim._ladder_traces(scheme, None, (0.1, 0.05, 0.025), 2.0, 0):
+        want = run_ibvp(scheme, f, int(round(2.0 / dt)))
+        _assert_same_levels(trace, want.layers, want.j_obs)
+
+
+@pytest.mark.parametrize("verify", [verify_thm1, verify_semigroup])
+@pytest.mark.parametrize("scheme", [upwind(0.5, 1.0), leap_frog(0.5, 1.0)],
+                         ids=["upwind", "leap-frog"])
+def test_verifiers_build_no_per_level_sequences(monkeypatch, verify, scheme):
+    # the norm sums read the levels array; only data layers are sequences
+    calls = []
+    post_init = GridSequence.__post_init__
+    monkeypatch.setattr(GridSequence, "__post_init__",
+                        lambda self: calls.append(1) or post_init(self))
+    verify(scheme)
+    assert len(calls) < 50
 
 
 # ---------------------------------------------------------------------------
