@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import os
 import sys
 import time
@@ -76,7 +78,7 @@ def _pyify(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         val = float(obj)
-        return val if np.isfinite(val) else None
+        return val if math.isfinite(val) else None
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": _pyify(obj.real), "im": _pyify(obj.imag)}
     return obj
@@ -133,6 +135,7 @@ def _floats(text: str) -> tuple:
     return vals
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dibvp", description="stability analysis for discrete IBVPs"

@@ -428,15 +428,18 @@ def reconstruct_boundary_source(
 ) -> np.ndarray:
     """g_j^n = -V_j^n + sum_{sigma=-1}^{s} (B_{j,sigma} V^{n-1-sigma})_1."""
     r, q, s, N = scheme.r, scheme.q, scheme.s, scheme.N
+    if V.offset > 1 - r or V.j_obs < 1 + q:
+        raise RangeError(f"V holds columns {V.offset}..{V.j_obs}; g reads {1 - r}..{1 + q}")
+    one = 1 - V.offset  # the column of j = 1
     boundary = _taps(scheme)[1]
     g = np.zeros((n_max + 1, r, N), dtype=complex)
     for n in range(s + 1, n_max + 1):
         for k, rows in enumerate(boundary):
-            g[n, k] = -V.layers[n].get(k + 1 - r)
+            g[n, k] = -V.levels[n, one + k - r]
             if rows:
                 g[n, k] += 0.0  # -0.0 to +0.0, so 1x1 taps add as in a matmul
             for sigma, sigma_taps in rows:
-                jet = V.layers[n - 1 - sigma].window(1, 1 + q)
+                jet = V.levels[n - 1 - sigma, one : one + q + 1]
                 _apply_taps(g[n, k : k + 1], jet, 0, sigma_taps)
     return g
 

@@ -512,8 +512,9 @@ def find_glancing(
 
     Coarse pass: track branches with their exact derivatives on a grid
     extended slightly past one full period and keep the grid points with
-    1 - |zeta| <= candidate_unit and a well-conditioned derivative.  A
-    cell where omega' = zeta'/(i zeta) changes sign is refined by a
+    |1 - |zeta|| <= candidate_unit and a well-conditioned derivative (the
+    growing branches of a von Neumann-unstable scheme are not searched).
+    A cell where omega' = zeta'/(i zeta) changes sign is refined by a
     bracketed secant on omega'; a grid local minimum of |d zeta/d theta|
     below candidate_deriv without such a sign change is refined by
     golden-section search over its two cells.  Each evaluation is one
@@ -531,7 +532,7 @@ def find_glancing(
     thetas, vals, derivs = track.thetas, track.values, track.derivs
     with np.errstate(divide="ignore", invalid="ignore"):
         usable = (
-            (1 - np.abs(vals) <= candidate_unit)
+            (np.abs(1 - np.abs(vals)) <= candidate_unit)
             & np.isfinite(derivs)
             & (track.conds <= BRANCH_COND_MAX)
         )

@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import argparse
 import json
 import os
 import re
@@ -389,6 +390,19 @@ def test_python_dash_m_runs_the_cli(paths):
     bare = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert bare.returncode == 2
     assert "usage:" in bare.stderr
+
+
+def test_parser_is_built_once(paths, capsys, monkeypatch):
+    # the second command reuses the first one's parser, and its omitted
+    # options still take their defaults
+    run(["check-cauchy", "--scheme", paths["upwind"], "--grid-ntheta", "16"], capsys)
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    code, out, _ = run(["check-cauchy", "--scheme", paths["upwind"]], capsys)
+    assert built == []
+    assert code == 0 and json.loads(out)["config"]["n_theta"] == 512
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ SCHEME_SOURCES = {
     "leapfrog": lambda: leap_frog(0.5, 1.0),
     "system": _system_upwind,
     "upwind_unstable": lambda: upwind(0.5, 2.4),
+    "leapfrog_unstable": lambda: leap_frog(1.5, 1.0),
 }
 
 # case -> command line after "--scheme <file>"; grids kept small

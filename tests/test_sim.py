@@ -244,6 +244,15 @@ def test_split_boundary_source_extrapolation_reads_new_level():
         assert split.g[n, 0, 0] == pytest.approx(want, abs=1e-14)
 
 
+def test_boundary_source_needs_the_boundary_columns():
+    scheme = lax_wendroff(1.0, 0.5, boundary="extrapolation")
+    f = random_layers(scheme, n_sites=6, seed=42)
+    for window in ((2, 12), (0, 0)):
+        V = run_cauchy(scheme, f, 5, window=window)
+        with pytest.raises(RangeError):
+            reconstruct_boundary_source(scheme, V, 5)
+
+
 # ---------------------------------------------------------------------------
 # norm accumulation
 
@@ -903,6 +912,19 @@ def test_verifiers_build_no_per_level_sequences(monkeypatch, verify, scheme):
                         lambda self: calls.append(1) or post_init(self))
     verify(scheme)
     assert len(calls) < 50
+
+
+@pytest.mark.parametrize("scheme", [upwind(0.5, 1.0), leap_frog(0.5, 1.0)],
+                         ids=["upwind", "leap-frog"])
+def test_split_builds_no_per_level_sequences(monkeypatch, scheme):
+    # the boundary source and the U = V + W check read the levels arrays
+    f = random_layers(scheme, n_sites=6, seed=7)
+    calls = []
+    post_init = GridSequence.__post_init__
+    monkeypatch.setattr(GridSequence, "__post_init__",
+                        lambda self: calls.append(1) or post_init(self))
+    split_solution(scheme, f, n_max=40)
+    assert len(calls) < 20
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,21 @@ def test_find_glancing_leaves_out_branch_collisions():
     assert cond > BRANCH_COND_MAX
 
 
+@pytest.mark.parametrize("n_theta", [64, 512])
+def test_find_glancing_skips_growing_branches(monkeypatch, n_theta):
+    # unstable leap-frog (nu = 1.5) has a purely imaginary branch pair with
+    # |zeta| up to 2.6 and omega' at rounding level; only the unimodular
+    # part is searched, where the smallest |zeta'| is lambda at theta = 0
+    calls = []
+    monkeypatch.setattr(dibvp.symbol, "_branch_point",
+                        lambda *a: calls.append(1) or _branch_point(*a))
+    rep = find_glancing(leap_frog(1.5, 1.0), n_theta=n_theta)
+    assert rep.points == ()
+    assert not rep.has_glancing
+    assert rep.min_abs_deriv == pytest.approx(1.5, rel=1e-9)
+    assert len(calls) <= 20
+
+
 def _lax_friedrichs_system(A, nu=0.5):
     interior = np.stack([(np.eye(2) + nu * A) / 2, np.zeros((2, 2)),
                          (np.eye(2) - nu * A) / 2])[:, None]
