@@ -60,7 +60,6 @@ from .symbol import (
     amplification_matrix,
     find_glancing,
     group_velocity,
-    power_bound_estimate,
     track_branches,
     von_neumann_check,
 )
@@ -71,7 +70,6 @@ from .wavepacket import (
     make_packet,
     packet_error,
     packet_initial_data,
-    spectral_concentration,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -64,24 +65,82 @@ class ConfigError(ValueError):
 # serialization
 
 
-def _pyify(obj):
-    """Recursively convert to plain JSON-safe Python (NaN/inf become null)."""
+# The report text is json.dumps(tree, indent=2, sort_keys=True,
+# allow_nan=False) of the tree made plain Python (numpy scalars and arrays
+# as floats, ints, bools and lists, complex numbers as {"im", "re"},
+# non-finite floats as null), written in one walk: with indent the
+# standard library encodes in pure Python.
+
+_FLOATS = frozenset((float, np.float64))
+_NONFINITE = frozenset(("nan", "inf", "-inf"))
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _leaf(value):
+    """JSON text of a scalar; None for a container or an unknown type."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    return None
+
+
+def _rows(rows, inner: str, nl: str):
+    """Text of a list of equal-length rows of scalars, formatted a column
+    at a time; None for any other list."""
+    width = len(rows[0])
+    if not width or not {list, tuple}.issuperset(map(type, rows)):
+        return None
+    if set(map(len, rows)) != {width}:
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    for col in range(width):
+        values = flat[col::width]
+        texts = None
+        if _FLOATS.issuperset(map(type, values)):
+            texts = list(map(float.__repr__, values))
+        if texts is None or not _NONFINITE.isdisjoint(texts):
+            texts = list(map(_leaf, values))
+            if None in texts:
+                return None
+        flat[col::width] = texts
+    row = "[" + inner + "  " + ("," + inner + "  ").join(["%s"] * width) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + nl + "]") % tuple(flat)
+
+
+def _text(obj, nl: str) -> str:
+    """JSON text of obj, whose closing bracket follows nl."""
+    leaf = _leaf(obj)
+    if leaf is not None:
+        return leaf
+    inner = nl + "  "
     if isinstance(obj, dict):
-        return {str(k): _pyify(v) for k, v in obj.items()}
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        texts = [_encode_str(k) + ": " + _text(v, inner) for k, v in items]
+        return "{" + inner + ("," + inner).join(texts) + nl + "}" if texts else "{}"
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        val = float(obj)
-        return val if math.isfinite(val) else None
+        text = _rows(obj, inner, nl) if obj and type(obj[0]) in (list, tuple) else None
+        if text is None:
+            texts = [_text(v, inner) for v in obj]
+            text = "[" + inner + ("," + inner).join(texts) + nl + "]" if texts else "[]"
+        return text
     if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": _pyify(obj.real), "im": _pyify(obj.imag)}
-    return obj
+        return _text({"re": obj.real, "im": obj.imag}, nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _report_text(report) -> str:
+    """The report as JSON indented by two spaces with sorted keys."""
+    return _text(report, "\n")
 
 
 def _cell(value) -> str:
@@ -89,7 +148,7 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, (float, np.floating)):
         val = float(value)
-        return repr(val) if np.isfinite(val) else ""
+        return repr(val) if math.isfinite(val) else ""
     return str(value)
 
 
@@ -107,8 +166,7 @@ def emit_report(report: dict, out_dir: str) -> list:
     paths = []
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        json.dump(_pyify(report), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(_report_text(report) + "\n")
     paths.append(path)
     for name, tab in report["data"].items():
         path = os.path.join(out_dir, f"{name}.csv")
@@ -515,7 +573,7 @@ def run_command(argv) -> int:
         "version": __version__,
         "meta": {"wallclock_s": round(time.perf_counter() - started, 6)},
     }
-    print(json.dumps(_pyify(report), indent=2, sort_keys=True, allow_nan=False))
+    print(_report_text(report))
     if args.out:
         emit_report(report, args.out)
     return 0 if all(v["ok"] for v in verdicts) else 1

@@ -10,7 +10,7 @@ multiplication by the block companion amplification matrix
 of size N(s+1), where Qhat_sigma(kappa) = sum_l kappa^l A[l, sigma] and
 kappa = e^{i theta} runs over the unit circle.  This module provides
 
-* the von Neumann spectral radius check and a matrix power bound probe,
+* the von Neumann spectral radius check,
 * continuous-in-theta tracking of the N(s+1) eigenvalue branches from one
   stacked eigen-solve, with assignment-ambiguity resolution by interval
   bisection,
@@ -84,7 +84,7 @@ def amplification_matrix(scheme: SchemeDef, kappa: complex) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# von Neumann condition and power bounds
+# von Neumann condition
 
 
 @dataclass(frozen=True)
@@ -118,50 +118,6 @@ def von_neumann_check(
         n_theta=n_theta,
         tol=tol,
         radii=radii,
-    )
-
-
-@dataclass(frozen=True)
-class PowerBoundReport:
-    max_norm: float
-    at_power: int
-    at_theta: float
-    diverged: bool
-    n_powers: int
-    n_theta: int
-
-
-def power_bound_estimate(
-    scheme: SchemeDef, n_powers: int = 128, n_theta: int = 96, cap: float = 1e12
-) -> PowerBoundReport:
-    """sup over sampled theta and n <= n_powers of ||amp(e^{i theta})^n||_2.
-
-    Bounded output indicates a power-bounded symbol family (strong
-    stability of the pure Cauchy evolution); hitting ``cap`` stops early
-    and flags divergence.
-    """
-    thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-    mats = _amplification_stack(scheme, np.exp(1j * thetas))
-    cur = mats.copy()
-    best, at_n, at_t = 1.0, 0, 0.0
-    diverged = False
-    for n in range(1, n_powers + 1):
-        norms = np.linalg.matrix_norm(cur, ord=2)
-        k = int(np.argmax(norms))
-        if norms[k] > best:
-            best, at_n, at_t = float(norms[k]), n, float(thetas[k])
-        if norms[k] > cap:
-            diverged = True
-            break
-        if n < n_powers:
-            cur = mats @ cur
-    return PowerBoundReport(
-        max_norm=best,
-        at_power=at_n,
-        at_theta=at_t,
-        diverged=diverged,
-        n_powers=n_powers,
-        n_theta=n_theta,
     )
 
 

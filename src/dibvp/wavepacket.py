@@ -319,31 +319,6 @@ def packet_initial_data(
     return tuple(layers)
 
 
-def spectral_concentration(spec: PacketSpec, dx: float, oversample: int = 8):
-    """Fraction of the data's discrete spectral mass inside the carrier band.
-
-    The lattice transform of the sampled packet lives within
-    |theta - xi_bar| <= delta0 dx / 2 modulo 2 pi; the returned fraction
-    is the in-band share of the total, computed from a zero-padded FFT
-    of the stacked initial data.
-    """
-    layers = packet_initial_data(spec, dx)
-    s = spec.scheme.s
-    stacked = np.hstack([layers[s - b].values for b in range(s + 1)])
-    m = 1
-    while m < oversample * stacked.shape[0]:
-        m *= 2
-    spectrum = np.fft.fft(stacked, n=m, axis=0)
-    mass = np.sum(np.abs(spectrum) ** 2, axis=1)
-    theta = 2 * np.pi * np.arange(m) / m
-    gap = np.angle(np.exp(1j * (theta - spec.xi_bar)))
-    band = np.abs(gap) <= spec.envelope.delta0 * dx / 2.0
-    total = float(np.sum(mass))
-    if total == 0.0:
-        raise WavepacketError("zero packet data")
-    return float(np.sum(mass[band])) / total
-
-
 def approx_solution(
     spec: PacketSpec, dx: float, n: int, j_min: int, j_max: int
 ) -> GridSequence:

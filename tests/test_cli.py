@@ -1,7 +1,10 @@
 """Tests for the command line front end."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,9 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dibvp
-from dibvp.cli import emit_report, run_command
+import test_golden as golden
+from dibvp.cli import _report_text, emit_report, run_command
 from dibvp.core import SchemeDef, lax_wendroff, leap_frog, save_scheme, upwind
 
 
@@ -464,3 +471,136 @@ def test_emit_report_handles_non_finite(tmp_path):
     lines = (tmp_path / "t.csv").read_text().splitlines()
     # a lone empty field is quoted so the row stays non-empty
     assert lines == ["x", '""', "1.5"]
+
+
+# ---------------------------------------------------------------------------
+# report bytes: the one-pass writer against the standard library encoder
+
+
+def _pyify(obj):
+    """Recursively convert to plain JSON-safe Python (NaN/inf become null)."""
+    if isinstance(obj, dict):
+        return {str(k): _pyify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_pyify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_pyify(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        val = float(obj)
+        return val if math.isfinite(val) else None
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": _pyify(obj.real), "im": _pyify(obj.imag)}
+    return obj
+
+
+def _reference_text(obj) -> str:
+    return json.dumps(_pyify(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
+_strings = st.sampled_from(
+    ['', '"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f", "é",
+     "\u65e5\u672c", "\u2028", "\U0001f600", "%s %d"]
+) | st.text(max_size=8)
+_floats = st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1, -2.5e-300]
+) | st.floats()
+_numbers = st.one_of(
+    _floats,
+    _floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+)
+_scalars = st.one_of(
+    _numbers,
+    _strings,
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(),
+    st.complex_numbers(max_magnitude=1e30).map(np.complex64),
+)
+_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_, np.complex128]),
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+)
+_cells = st.one_of(_numbers, st.none(), _strings)
+_rows = st.one_of(
+    # equal-length numeric rows, as a table's rows
+    st.integers(0, 4).flatmap(
+        lambda k: st.lists(st.lists(_numbers, min_size=k, max_size=k), max_size=6)
+    ),
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.tuples(*[_floats] * k), min_size=1, max_size=6)
+    ),
+    # unequal lengths, and rows mixing int, float, None and str
+    st.lists(st.lists(_cells, max_size=4), max_size=6),
+)
+_keys = st.one_of(_strings, st.integers(-3, 3), st.booleans())
+_trees = st.recursive(
+    _scalars | _arrays | _rows,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_trees)
+def test_report_text_matches_json_dumps_of_pyify(tree):
+    try:
+        want = _reference_text(tree)
+    except TypeError:
+        # a 0-d array has no items: neither writer can lay it out
+        with pytest.raises(TypeError):
+            _report_text(tree)
+    else:
+        assert _report_text(tree) == want
+
+
+def test_report_text_rejects_unknown_types():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _report_text({"data": [1.0, object()]})
+    with pytest.raises(TypeError):
+        _report_text(np.array(1.0))
+
+
+@pytest.mark.parametrize("scheme_name,case", golden.CASES,
+                         ids=[f"{s}.{c}" for s, c in golden.CASES])
+def test_golden_stdout_is_the_standard_encoding(scheme_name, case):
+    # the golden files pin the parsed report; this pins the printed bytes
+    path = golden.SCHEMES / f"{scheme_name}.json"
+    argv = [golden.COMMANDS[case][0], "--scheme", str(path),
+            *golden.COMMANDS[case][1:]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        run_command(argv)
+    text = out.getvalue()
+    assert text
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-cauchy", "--grid-ntheta", "32"],
+    ["check-uklc", "--grid-ntheta", "8", "--grid-radii", "0.1,0.01"],
+    ["simulate", "--n-max", "20", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_report_json_holds_the_stdout_bytes(paths, capsys, argv):
+    out_dir = paths["dir"] / argv[0]
+    code, out, _ = run(
+        [argv[0], "--scheme", paths["upwind_unstable"], *argv[1:],
+         "--out", str(out_dir)],
+        capsys,
+    )
+    assert code in (0, 1)
+    assert (out_dir / "report.json").read_bytes() == out.encode()

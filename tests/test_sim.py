@@ -927,6 +927,34 @@ def test_split_builds_no_per_level_sequences(monkeypatch, scheme):
     assert len(calls) < 20
 
 
+def _reference_mismatch(U_levels, V_levels, W_levels):
+    # the per-level loop split_solution ran before the blocked reduction
+    mism = 0.0
+    for u, v, w in zip(U_levels, V_levels, W_levels):
+        mism = max(mism, float(np.max(np.abs(u - v - w))))
+    return mism
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SCHEMES))
+def test_split_mismatch_matches_per_level_loop(name):
+    scheme = ORACLE_SCHEMES[name]
+    split = split_solution(scheme, random_layers(scheme, n_sites=7, seed=5), n_max=60)
+    want = _reference_mismatch(split.U.levels, split.V.levels, split.W.levels)
+    assert want > 0.0 and repr(split.max_mismatch) == repr(want)
+
+
+def test_split_mismatch_passes_over_nan_levels():
+    # 64-byte levels, 8192 to a block: these span three blocks
+    rng = np.random.default_rng(3)
+    u, v, w = (rng.standard_normal((20000, 4, 2)) for _ in range(3))
+    u[5, 1, 0] = np.nan  # a NaN level inside a block
+    u[8192:16384] = np.nan  # and a whole block of them
+    want = _reference_mismatch(u, v, w)
+    assert repr(sim._max_level_mismatch(u, v, w)) == repr(want)
+    nan = slice(8192, 16384)
+    assert sim._max_level_mismatch(u[nan], v[nan], w[nan]) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # 1x1 taps: entry-by-entry products against the matrix-product oracles
 

@@ -22,7 +22,6 @@ from dibvp.symbol import (
     find_glancing,
     frequency_derivative,
     group_velocity,
-    power_bound_estimate,
     track_branches,
     von_neumann_check,
 )
@@ -129,28 +128,6 @@ def test_von_neumann_rejects_empty_grid():
 def test_von_neumann_leap_frog_whole_circle_unimodular():
     track = track_branches(leap_frog(1.0, 0.5), n_theta=128)
     assert np.abs(np.abs(track.values) - 1).max() < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# power bounds
-
-
-def test_power_bound_strictly_stable_scheme_is_tight():
-    rep = power_bound_estimate(upwind(1.0, 0.5), n_powers=64)
-    assert rep.max_norm <= 1 + 1e-12
-    assert not rep.diverged
-
-
-def test_power_bound_leap_frog_bounded_inside_cfl():
-    rep = power_bound_estimate(leap_frog(1.0, 0.5), n_powers=200)
-    assert not rep.diverged
-    assert rep.max_norm < 5.0
-
-
-def test_power_bound_detects_weak_growth_at_cfl_edge():
-    # defective double eigenvalue at theta = pi/2 gives linear-in-n growth
-    rep = power_bound_estimate(leap_frog(1.0, 1.0), n_powers=400, n_theta=64)
-    assert rep.max_norm > 10.0
 
 
 # ---------------------------------------------------------------------------

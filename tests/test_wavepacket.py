@@ -16,7 +16,6 @@ from dibvp.wavepacket import (
     make_packet,
     packet_error,
     packet_initial_data,
-    spectral_concentration,
     stacked_state,
 )
 
@@ -289,22 +288,6 @@ def test_initial_data_rejects_bad_dx(transport_spec):
 def test_initial_data_rejects_empty_range(transport_spec):
     with pytest.raises(WavepacketError, match="j_min 5 > j_max 2"):
         packet_initial_data(transport_spec, 0.1, j_min=5, j_max=2)
-
-
-def test_spectral_concentration_in_band():
-    # >= 99% of the discrete spectral mass sits in the carrier band
-    narrow = make_envelope(0.2)
-    spec = make_packet(UP, np.pi / 2, narrow)
-    for dx in (0.2, 0.1):
-        assert spectral_concentration(spec, dx) >= 0.99
-    stacked = make_packet(LF, np.pi / 2, narrow, branch=1)
-    assert spectral_concentration(stacked, 0.1) >= 0.99
-
-
-def test_spectral_concentration_rejects_zero(env):
-    spec = make_packet(LF, np.pi / 2, env, branch=1, amplitude=[0.0, 0.0])
-    with pytest.raises(WavepacketError):
-        spectral_concentration(spec, 0.1)
 
 
 # ---------------------------------------------------------------------------
