@@ -553,7 +553,7 @@ _trees = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None,
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_trees)
 def test_report_text_matches_json_dumps_of_pyify(tree):
