@@ -33,7 +33,6 @@ from .resolvent import (
     branch_log_deviation,
     classify_boundary_blocks,
     kl_determinant,
-    resolvent_coeffs,
     spectral_split,
     uklc_scan,
 )
@@ -51,7 +50,6 @@ from .sim import (
     run_cauchy,
     run_ibvp,
     split_solution,
-    step_ibvp,
     verify_semigroup,
     verify_strong_stability,
     verify_thm1,

@@ -160,13 +160,16 @@ def verdict(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
-def emit_report(report: dict, out_dir: str) -> list:
-    """Write report.json and one CSV per data table; return the paths."""
+def emit_report(report: dict, out_dir: str, text: str | None = None) -> list:
+    """Write report.json and one CSV per data table; return the paths.
+
+    ``text``, where given, is the report already rendered by ``_report_text``.
+    """
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        fh.write(_report_text(report) + "\n")
+        fh.write((_report_text(report) if text is None else text) + "\n")
     paths.append(path)
     for name, tab in report["data"].items():
         path = os.path.join(out_dir, f"{name}.csv")
@@ -404,6 +407,7 @@ def _cmd_sbp_decompose(scheme, args):
     return verdicts, tables, {}
 
 
+@np.errstate(all="ignore")
 def _cmd_simulate(scheme, args):
     if args.n_max < scheme.s:
         raise ConfigError(f"--n-max must be at least {scheme.s}")
@@ -573,9 +577,10 @@ def run_command(argv) -> int:
         "version": __version__,
         "meta": {"wallclock_s": round(time.perf_counter() - started, 6)},
     }
-    print(_report_text(report))
+    text = _report_text(report)
+    print(text)
     if args.out:
-        emit_report(report, args.out)
+        emit_report(report, args.out, text)
     return 0 if all(v["ok"] for v in verdicts) else 1
 
 

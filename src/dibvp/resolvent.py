@@ -60,32 +60,6 @@ class SplitCountError(ResolventError):
 
 
 @dataclass(frozen=True)
-class ResolventCoeffs:
-    """Spatial-recursion coefficients at a fixed z.
-
-    ``A_blocks[l + r]`` is RA_l(z) for l in [-r, p]; ``B_blocks[l, j - (1-r)]``
-    is RB_{l,j}(z) for l in [0, q], j in [1-r, 0].
-    """
-
-    z: complex
-    r: int
-    A_blocks: np.ndarray
-    B_blocks: np.ndarray
-
-    def A(self, ell: int) -> np.ndarray:
-        return self.A_blocks[ell + self.r]
-
-    def B(self, ell: int, j: int) -> np.ndarray:
-        return self.B_blocks[ell, j - (1 - self.r)]
-
-
-def resolvent_coeffs(scheme: SchemeDef, z: complex) -> ResolventCoeffs:
-    """Evaluate RA_l(z) and RB_{l,j}(z)."""
-    RA, RB = _coefficients(scheme, [z])
-    return ResolventCoeffs(z=z, r=scheme.r, A_blocks=RA[0], B_blocks=RB[0])
-
-
-@dataclass(frozen=True)
 class CompanionMatrix:
     """Block companion matrix of the spatial recursion at z."""
 

@@ -16,7 +16,8 @@ columns makes every reported value identical to the half-line solution;
 no artificial outflow condition ever enters.
 
 Each solver returns its run as an ``IBVPTrace``, one (n_max+1, L, N)
-array of levels.  The module accumulates from it the Laplace-weighted norms
+array of levels, float64 for a real scalar problem and complex128
+otherwise.  The module accumulates from it the Laplace-weighted norms
 of the trace, strong-stability, and semigroup estimates, all sums of
 |U_j^n|^2, and runs the corresponding empirical verifiers across
 (gamma, dt) grids.  A run reads dt only to scale F, so with F = g = 0 and
@@ -46,80 +47,7 @@ class SimError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# half-line state and stepping
-
-
-@dataclass(frozen=True)
-class HalfLineState:
-    """Solution layers U^{n-s}..U^n on j >= 1-r with a shrinking right edge.
-
-    ``layers[k]`` holds U^{n-s+k}; all layers start at offset 1-r and the
-    newest layer has the narrowest window.  ``dt`` scales interior sources.
-    """
-
-    scheme: SchemeDef
-    n: int
-    layers: tuple
-    dt: float = 1.0
-
-    @property
-    def edge(self) -> int:
-        """Right edge of the newest layer."""
-        return self.layers[-1].last
-
-    def top(self) -> GridSequence:
-        """The newest layer U^n."""
-        return self.layers[-1]
-
-
-def initial_state(
-    scheme: SchemeDef, f_layers, pad_to: int, dt: float = 1.0
-) -> HalfLineState:
-    """State at n = s from initial layers f^0..f^s, zero-padded to pad_to."""
-    if len(f_layers) != scheme.s + 1:
-        raise SimError(f"need {scheme.s + 1} initial layers, got {len(f_layers)}")
-    lo = 1 - scheme.r
-    layers = []
-    for f in f_layers:
-        if f.offset < lo:
-            raise SimError(f"initial layer starts at {f.offset} < {lo}")
-        if f.last > pad_to:
-            raise SimError(f"initial layer extends past the allocation {pad_to}")
-        values = np.zeros((pad_to - lo + 1, scheme.N), dtype=complex)
-        values[f.offset - lo : f.last - lo + 1] = f.values
-        layers.append(GridSequence(lo, values, implicit_zero=f.implicit_zero))
-    return HalfLineState(scheme=scheme, n=scheme.s, layers=tuple(layers), dt=dt)
-
-
-def step_ibvp(
-    state: HalfLineState, g_row: np.ndarray | None = None,
-    F_row: GridSequence | None = None,
-) -> HalfLineState:
-    """One step of the half-line recursion; the window shrinks by p.
-
-    ``g_row`` is the boundary datum g^{n+1} for j = 1-r..0, shape (r, N);
-    ``F_row`` the interior source F^n on j >= 1 (indices outside its
-    stored range count as zero).
-    """
-    scheme = state.scheme
-    lo = 1 - scheme.r
-    edge = state.edge
-    new_edge = edge - scheme.p
-    if new_edge < max(1, 1 + scheme.q):
-        raise SimError(
-            f"window exhausted: right edge {edge} cannot support another step"
-        )
-    out = np.zeros((new_edge - lo + 1, scheme.N), dtype=complex)
-    prev = [lay.window(lo, edge) for lay in state.layers]  # U^{n-s}..U^n
-    _advance(_taps(scheme), out, prev, new_edge, g_row, F_row, state.dt)
-    keep_zero = all(lay.implicit_zero for lay in state.layers) and (
-        F_row is None or F_row.implicit_zero
-    )
-    new = GridSequence(lo, out, implicit_zero=keep_zero)
-    return HalfLineState(
-        scheme=scheme, n=state.n + 1, layers=state.layers[1:] + (new,),
-        dt=state.dt,
-    )
+# half-line stepping
 
 
 def _taps(scheme: SchemeDef) -> tuple:
@@ -168,7 +96,7 @@ def _advance(taps, out, prev, hi, g_row, F_row, dt) -> None:
 
     # boundary rows j in [1-r, 0]; sigma = -1 reads the new interior values
     if g_row is not None:
-        g_row = np.asarray(g_row, dtype=complex).reshape(r, out.shape[1])
+        g_row = np.asarray(g_row, dtype=out.dtype).reshape(r, out.shape[1])
     for k, rows in enumerate(boundary):
         acc = out[k : k + 1]
         for sigma, sigma_taps in rows:
@@ -190,6 +118,10 @@ class IBVPTrace:
     runs start at offset 1-r, whole-line runs at their window's left end.
     ``sq``, where given, is |levels|^2, shared by the traces cut from one
     march.  ``layers``, one GridSequence per level, is built when read.
+
+    ``levels`` is float64 when the run marched a real scalar problem (see
+    ``_march_dtype``) and complex128 otherwise; ``layers`` are complex
+    either way.
     """
 
     scheme: SchemeDef
@@ -205,9 +137,11 @@ class IBVPTrace:
 
     @cached_property
     def layers(self) -> tuple:
+        # a float trace is cast to complex once, not level by level
+        levels = self.levels.astype(complex, copy=False)
         return tuple(
             GridSequence(self.offset, lev, implicit_zero=z)
-            for lev, z in zip(self.levels, self.zero_flags)
+            for lev, z in zip(levels, self.zero_flags)
         )
 
     @property
@@ -219,19 +153,48 @@ class IBVPTrace:
         return self.dt / self.scheme.lam
 
 
-def _zeros(shape: tuple, n_max: int) -> np.ndarray:
+def _real(values) -> bool:
+    """Whether every imaginary part is +0.0, sign bit included."""
+    imag = np.asarray(values).imag
+    return not (imag.any() or np.signbit(imag).any())
+
+
+def _march_dtype(scheme: SchemeDef, f_layers, g=None, F=None) -> type:
+    """float for a real scalar problem, complex otherwise.
+
+    With a real 1x1 tap c the complex product (a + 0i) c has real part a c,
+    and each new row adds its products onto +0.0, so a real march gives
+    every finite value the bits of the complex one.  The data's imaginary
+    parts must be +0.0, since the initial levels are copied, not summed.
+    Past an overflow both marches hold non-finite values at the same
+    entries.  A matrix product rounds differently in real and complex
+    arithmetic, so systems (N >= 2) march in complex.
+    """
+    real = (
+        scheme.N == 1 and F is None and not callable(g)
+        and (g is None or _real(g)) and all(_real(f.values) for f in f_layers)
+    )
+    return float if real else complex
+
+
+def _as_march(values: np.ndarray, dtype: type) -> np.ndarray:
+    """``values`` as the march's dtype: a float march takes the real parts."""
+    return values.real if dtype is float else values
+
+
+def _zeros(shape: tuple, n_max: int, dtype: type) -> np.ndarray:
     """np.zeros for a run's arrays; a horizon too large to hold is a SimError."""
     try:
-        return np.zeros(shape, dtype=complex)
+        return np.zeros(shape, dtype=dtype)
     except MemoryError:
-        size = 16.0 * np.prod(shape, dtype=float)
+        size = np.dtype(dtype).itemsize * np.prod(shape, dtype=float)
         raise SimError(
             f"horizon too large: n_max {n_max} over a {shape[1]}-column "
             f"window needs {size:.3g} bytes"
         ) from None
 
 
-def _as_row_provider(data, n_max: int):
+def _as_row_provider(data, n_max: int, dtype: type):
     if data is None:
         return lambda n: None
     if callable(data):
@@ -239,6 +202,7 @@ def _as_row_provider(data, n_max: int):
     arr = np.asarray(data, dtype=complex)
     if arr.shape[0] < n_max + 1:
         raise SimError(f"need {n_max + 1} rows of boundary data, got {arr.shape[0]}")
+    arr = _as_march(arr, dtype)
     return lambda n: arr[n]
 
 
@@ -273,17 +237,22 @@ def run_ibvp(
         j_obs = max(jf, 1 + q, 1) + n_max * r
     pad_to = j_obs + (n_max - s) * p + margin
     width = j_obs - lo + 1
-    levels = _zeros((n_max + 1, width, N), n_max)
-    state = initial_state(scheme, f_layers, pad_to, dt=dt)
-    g_of = _as_row_provider(g, n_max)
+    dtype = _march_dtype(scheme, f_layers, g, F)
+    levels = _zeros((n_max + 1, width, N), n_max, dtype)
+    for f in f_layers:
+        if f.offset < lo:
+            raise SimError(f"initial layer starts at {f.offset} < {lo}")
+        if f.last > pad_to:
+            raise SimError(f"initial layer extends past the allocation {pad_to}")
+    g_of = _as_row_provider(g, n_max, dtype)
     F_of = F if F is not None else (lambda n: None)
 
     # a ring of s+2 full-width rows: level n lives in row n % (s+2)
-    ring = _zeros((s + 2, pad_to - lo + 1, N), n_max)
-    for n, lay in enumerate(state.layers):
-        ring[n] = lay.values
-        levels[n] = lay.values[:width]
-    zero_flags = [lay.implicit_zero for lay in state.layers]
+    ring = _zeros((s + 2, pad_to - lo + 1, N), n_max, dtype)
+    for n, f in enumerate(f_layers):
+        ring[n, f.offset - lo : f.last - lo + 1] = _as_march(f.values, dtype)
+        levels[n] = ring[n, :width]
+    zero_flags = [f.implicit_zero for f in f_layers]
     taps = _taps(scheme)
     edge = pad_to
     # columns past hi are zero: the data's support grows by r per step,
@@ -379,11 +348,12 @@ def run_cauchy(
     W1 = max(Rmax + n_max * scheme.p, jmax)
 
     r, p, s, N = scheme.r, scheme.p, scheme.s, scheme.N
-    levels = _zeros((n_max + 1, Rmax - Lmin + 1, N), n_max)
-    ring = _zeros((s + 2, W1 - W0 + 1, N), n_max)
+    dtype = _march_dtype(scheme, f_layers)
+    levels = _zeros((n_max + 1, Rmax - Lmin + 1, N), n_max, dtype)
+    ring = _zeros((s + 2, W1 - W0 + 1, N), n_max, dtype)
     crop = slice(Lmin - W0, Rmax - W0 + 1)
     for n, f in enumerate(f_layers):
-        ring[n] = f.window(W0, W1)
+        ring[n, f.offset - W0 : f.last - W0 + 1] = _as_march(f.values, dtype)
         if n <= n_max:
             levels[n] = ring[n][crop]
     interior = _taps(scheme)[0]

@@ -399,6 +399,26 @@ def test_python_dash_m_runs_the_cli(paths):
     assert "usage:" in bare.stderr
 
 
+def test_simulate_overflow_writes_nothing_to_stderr(paths):
+    # second-order upwind at nu = 3 overflows its norm sums
+    nu = 3.0
+    interior = np.zeros((3, 1, 1, 1))
+    interior[:, 0, 0, 0] = ((nu * nu - nu) / 2, nu * (2 - nu), 1 - 1.5 * nu + nu * nu / 2)
+    path = paths["dir"] / "upwind2_unstable.json"
+    save_scheme(SchemeDef(N=1, r=2, p=0, q=0, s=0, lam=1.0, interior=interior,
+                          boundary=np.zeros((1, 2, 2, 1, 1))), path)
+    env = dict(os.environ)
+    src = str(Path(dibvp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dibvp", "simulate", "--scheme", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert None in [row[1] for row in json.loads(done.stdout)["data"]["levels"]["rows"]]
+    assert done.stderr == ""
+
+
 def test_parser_is_built_once(paths, capsys, monkeypatch):
     # the second command reuses the first one's parser, and its omitted
     # options still take their defaults
@@ -604,3 +624,13 @@ def test_report_json_holds_the_stdout_bytes(paths, capsys, argv):
     )
     assert code in (0, 1)
     assert (out_dir / "report.json").read_bytes() == out.encode()
+
+
+def test_out_renders_the_report_once(paths, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("dibvp.cli._report_text",
+                        lambda rep: calls.append(1) or _report_text(rep))
+    code, out, _ = run(["simulate", "--scheme", paths["upwind"], "--n-max", "20",
+                        "--out", str(paths["dir"] / "once")], capsys)
+    assert code == 0 and len(calls) == 1
+    assert (paths["dir"] / "once" / "report.json").read_bytes() == out.encode()

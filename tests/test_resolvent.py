@@ -1,5 +1,7 @@
 """Tests for the resolvent-side analysis."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dibvp.core import (
     upwind,
 )
 from dibvp.resolvent import (
+    _coefficients,
     ResolventError,
     CompanionMatrix,
     arg_total_variation,
@@ -19,7 +22,6 @@ from dibvp.resolvent import (
     classify_boundary_blocks,
     kl_boundary_matrix,
     kl_determinant,
-    resolvent_coeffs,
     spectral_split,
     uklc_scan,
 )
@@ -63,14 +65,24 @@ def random_annulus_z(rng, n):
 # resolvent coefficients
 
 
+def _coeffs(scheme, z):
+    """RA_l(z) as ``A(l)`` and RB_{l,j}(z) as ``B(l, j)`` at one z."""
+    RA, RB = _coefficients(scheme, [z])
+    r = scheme.r
+    return SimpleNamespace(
+        A_blocks=RA[0], B_blocks=RB[0],
+        A=lambda ell: RA[0, ell + r], B=lambda ell, j: RB[0, ell, j - (1 - r)],
+    )
+
+
 def test_coeffs_upwind_at_two():
-    c = resolvent_coeffs(upwind(1.0, 0.5), 2.0)
+    c = _coeffs(upwind(1.0, 0.5), 2.0)
     assert c.A(0)[0, 0] == pytest.approx(0.75)
     assert c.A(-1)[0, 0] == pytest.approx(-0.25)
 
 
 def test_coeffs_leap_frog_at_two():
-    c = resolvent_coeffs(leap_frog(1.0, 0.5), 2.0)
+    c = _coeffs(leap_frog(1.0, 0.5), 2.0)
     assert c.A(1)[0, 0] == pytest.approx(0.25)
     assert c.A(0)[0, 0] == pytest.approx(0.75)
     assert c.A(-1)[0, 0] == pytest.approx(-0.25)
@@ -79,23 +91,23 @@ def test_coeffs_leap_frog_at_two():
 def test_coeffs_large_z_limit():
     # z -> infinity kills every z^{-sigma-1} term, leaving delta_{l0} I
     for scheme in [upwind(1.0, 0.5), leap_frog(1.0, 0.5), lax_wendroff(1.0, 0.8)]:
-        c = resolvent_coeffs(scheme, 1e12)
+        c = _coeffs(scheme, 1e12)
         for ell in range(-scheme.r, scheme.p + 1):
             expect = np.eye(scheme.N) if ell == 0 else np.zeros((scheme.N,) * 2)
             assert np.allclose(c.A(ell), expect, atol=1e-11)
 
 
 def test_coeffs_boundary_blocks():
-    c = resolvent_coeffs(upwind(1.0, 0.5), 1.7)
+    c = _coeffs(upwind(1.0, 0.5), 1.7)
     assert np.all(c.B(0, 0) == 0)  # dirichlet rows carry no coupling
-    c = resolvent_coeffs(lax_wendroff(1.0, 0.5, boundary="extrapolation"), 1.7)
+    c = _coeffs(lax_wendroff(1.0, 0.5, boundary="extrapolation"), 1.7)
     # U_0^{n+1} = U_1^{n+1} transforms to W_0 = W_1 independently of z
     assert np.allclose(c.B(0, 0), np.eye(1))
 
 
 def test_coeffs_reject_zero():
     with pytest.raises(ResolventError):
-        resolvent_coeffs(upwind(1.0, 0.5), 0.0)
+        _coeffs(upwind(1.0, 0.5), 0.0)
 
 
 def _random_three_level(seed, p, q):
@@ -121,7 +133,7 @@ def test_stacked_laurent_matches_pointwise_bits(scheme):
     zs = [2.0, 1.3 - 0.4j, *random_annulus_z(np.random.default_rng(5), 6)]
     RA, RB = _resolvent_stack(scheme, zs)
     for i, z in enumerate(zs):
-        c = resolvent_coeffs(scheme, z)
+        c = _coeffs(scheme, z)
         assert RA[i].tobytes() == c.A_blocks.tobytes()
         assert RB[i].tobytes() == c.B_blocks.tobytes()
         for ell in range(-scheme.r, scheme.p + 1):
@@ -164,7 +176,7 @@ def test_companion_row_identity():
     # each eigenpair gives a geometric solution W_j = mu^j x of the recursion
     for scheme in [lax_wendroff(1.0, 0.5), leap_frog(1.0, 0.5), system_upwind()]:
         for z in random_annulus_z(RNG, 4):
-            c = resolvent_coeffs(scheme, z)
+            c = _coeffs(scheme, z)
             M = assemble_M(scheme, z).M
             vals, vecs = np.linalg.eig(M)
             N = scheme.N

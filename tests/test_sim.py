@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dibvp import sim
 from dibvp.core import (
@@ -18,17 +22,14 @@ from dibvp.core import (
 )
 from dibvp.sbp import DecompositionError, boundary_energy_rate
 from dibvp.sim import (
-    HalfLineState,
     IBVPTrace,
     SimError,
     accumulate_norms,
     decaying_data,
-    initial_state,
     reconstruct_boundary_source,
     run_cauchy,
     run_ibvp,
     split_solution,
-    step_ibvp,
     verify_semigroup,
     verify_strong_stability,
     verify_thm1,
@@ -129,12 +130,12 @@ def test_interior_source_scaled_by_dt():
 
 
 def test_window_exhausted_raises():
+    # j_obs = 0 allocates columns up to 3: the edge reaches 0 on the third step
     scheme = lax_wendroff(0.5, 1.0)
     f = (GridSequence.zeros(0, 3, 1, implicit_zero=True),)
-    state = initial_state(scheme, f, pad_to=3)
-    state = step_ibvp(step_ibvp(state))
-    with pytest.raises(SimError, match="window exhausted"):
-        step_ibvp(state)
+    assert run_ibvp(scheme, f, n_max=2, j_obs=1).n_max == 2
+    with pytest.raises(SimError, match="window exhausted: right edge 1 "):
+        run_ibvp(scheme, f, n_max=3, j_obs=0)
 
 
 def test_margin_doubling_changes_nothing():
@@ -566,6 +567,48 @@ def test_decaying_data_reproducible_and_decaying():
 # kept tap by tap over full-width windows
 
 
+@dataclass(frozen=True)
+class HalfLineState:
+    """Solution layers U^{n-s}..U^n on j >= 1-r with a shrinking right edge.
+
+    ``layers[k]`` holds U^{n-s+k}; all layers start at offset 1-r and the
+    newest layer has the narrowest window.  ``dt`` scales interior sources.
+    """
+
+    scheme: SchemeDef
+    n: int
+    layers: tuple
+    dt: float = 1.0
+
+    @property
+    def edge(self) -> int:
+        """Right edge of the newest layer."""
+        return self.layers[-1].last
+
+    def top(self) -> GridSequence:
+        """The newest layer U^n."""
+        return self.layers[-1]
+
+
+def initial_state(
+    scheme: SchemeDef, f_layers, pad_to: int, dt: float = 1.0
+) -> HalfLineState:
+    """State at n = s from initial layers f^0..f^s, zero-padded to pad_to."""
+    if len(f_layers) != scheme.s + 1:
+        raise SimError(f"need {scheme.s + 1} initial layers, got {len(f_layers)}")
+    lo = 1 - scheme.r
+    layers = []
+    for f in f_layers:
+        if f.offset < lo:
+            raise SimError(f"initial layer starts at {f.offset} < {lo}")
+        if f.last > pad_to:
+            raise SimError(f"initial layer extends past the allocation {pad_to}")
+        values = np.zeros((pad_to - lo + 1, scheme.N), dtype=complex)
+        values[f.offset - lo : f.last - lo + 1] = f.values
+        layers.append(GridSequence(lo, values, implicit_zero=f.implicit_zero))
+    return HalfLineState(scheme=scheme, n=scheme.s, layers=tuple(layers), dt=dt)
+
+
 def _reference_step(state, g_row=None, F_row=None):
     scheme = state.scheme
     r, p, q, s, N = scheme.r, scheme.p, scheme.q, scheme.s, scheme.N
@@ -754,17 +797,6 @@ def test_run_cauchy_matches_reference_loop_bit_for_bit(name, window):
     trace = run_cauchy(scheme, f, 20, window=window)
     want, j_obs = _reference_run_cauchy(scheme, f, 20, window=window)
     _assert_same_levels(trace, want, j_obs)
-
-
-def test_step_ibvp_matches_reference_step():
-    for scheme in ORACLE_SCHEMES.values():
-        f = random_layers(scheme, n_sites=6, seed=31)
-        state = want = initial_state(scheme, f, pad_to=40, dt=0.1)
-        g = np.ones((scheme.r, scheme.N))
-        for _ in range(5):
-            state = step_ibvp(state, g_row=g)
-            want = _reference_step(want, g_row=g)
-            assert state.top().values.tobytes() == want.top().values.tobytes()
 
 
 def test_verify_thm1_takes_level_sums_once_per_dt(monkeypatch):
@@ -999,6 +1031,21 @@ def test_scalar_taps_run_cauchy_matches_reference_loop(name):
         _assert_same_levels(trace, want, j_obs)
 
 
+@pytest.mark.parametrize("name", list(SCALAR_SCHEMES))
+def test_scalar_taps_complex_run_ibvp_matches_reference_steps(name):
+    # complex data and boundary rows keep a scalar run in complex128
+    scheme = SCALAR_SCHEMES[name]
+    f = _signed_zero_layers(scheme, 11, 1 - scheme.r, seed=47)
+    rng = np.random.default_rng(53)
+    g = rng.standard_normal((26, scheme.r, 1)) + 1j * rng.standard_normal((26, scheme.r, 1))
+    g.imag[rng.random(g.shape) < 0.25] = -0.0
+    for kwargs in ({}, {"g": g}):
+        trace = run_ibvp(scheme, f, 25, dt=0.1, **kwargs)
+        assert trace.levels.dtype == np.complex128
+        want, j_obs = _reference_run_ibvp(scheme, f, 25, dt=0.1, **kwargs)
+        _assert_same_levels(trace, want, j_obs)
+
+
 def _reference_boundary_source(scheme, V, n_max):
     # g_j^n = -V_j^n + sum (B_{j,sigma} V^{n-1-sigma})_1 as (1, N) @ B.T products
     r, q, s, N = scheme.r, scheme.q, scheme.s, scheme.N
@@ -1025,3 +1072,108 @@ def test_scalar_taps_boundary_source_matches_reference(name, offset):
     split = split_solution(scheme, f, 25, dt=0.1)
     want = _reference_boundary_source(scheme, split.V, 25)
     assert split.g.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# real scalar problems march in float64
+
+
+def _minus_zero_imag(layers):
+    """The layers with one imaginary part set to -0.0."""
+    vals = np.array(layers[0].values)
+    vals.imag[0] = -0.0
+    return (GridSequence(layers[0].offset, vals, implicit_zero=True),) + tuple(layers[1:])
+
+
+MARCH_DTYPE_CASES = {
+    "real-data": (upwind(0.5, 1.0), "real", {}, float),
+    "real-g-array": (upwind(0.5, 1.0), "real", {"g": np.ones((9, 1, 1))}, float),
+    "complex-data": (upwind(0.5, 1.0), "complex", {}, complex),
+    "minus-zero-imag": (upwind(0.5, 1.0), "minus-zero", {}, complex),
+    "system": (_system_upwind(), "real", {}, complex),
+    "callable-g": (upwind(0.5, 1.0), "real", {"g": lambda n: np.ones((1, 1))}, complex),
+    "complex-g-array": (upwind(0.5, 1.0), "real", {"g": np.full((9, 1, 1), 1j)}, complex),
+    "minus-zero-g": (upwind(0.5, 1.0), "real", {"g": np.full((9, 1, 1), complex(1, -0.0))},
+                     complex),
+    "zero-F": (upwind(0.5, 1.0), "real",
+               {"F": lambda n: GridSequence.zeros(1, 1, 1, implicit_zero=True)}, complex),
+}
+
+
+@pytest.mark.parametrize("name", list(MARCH_DTYPE_CASES))
+def test_march_dtype_follows_the_input(name):
+    scheme, data, kwargs, dtype = MARCH_DTYPE_CASES[name]
+    f = decaying_data(scheme, 6, seed=2)
+    if data == "complex":
+        f = random_layers(scheme, n_sites=6, seed=2)
+    elif data == "minus-zero":
+        f = _minus_zero_imag(f)
+    trace = run_ibvp(scheme, f, 8, **kwargs)
+    assert trace.levels.dtype == np.dtype(dtype)
+    assert all(lay.values.dtype == np.complex128 for lay in trace.layers)
+    if not kwargs:  # the whole line takes neither g nor F
+        assert run_cauchy(scheme, f, 8).levels.dtype == np.dtype(dtype)
+
+
+@st.composite
+def real_scalar_problems(draw):
+    """A random consistent scalar scheme (r, p, q <= 2, s <= 1) with real
+    data holding zeros and -0.0: on j >= 1-r, on the boundary rows only,
+    or zero with a real boundary source."""
+    r, p, q = (draw(st.integers(lo, 2)) for lo in (1, 0, 0))
+    s = draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    interior = rng.normal(scale=0.4, size=(p + r + 1, s + 1, 1, 1))
+    interior[r, 0] += 1.0 - interior.sum()
+    scheme = SchemeDef(N=1, r=r, p=p, q=q, s=s, lam=1.0, interior=interior,
+                       boundary=rng.normal(scale=0.4, size=(q + 1, r, s + 2, 1, 1)))
+    n_max = 12
+    case = draw(st.sampled_from(["data", "boundary-data", "boundary-source"]))
+    n_sites = {"data": 7, "boundary-data": r, "boundary-source": 1}[case]
+    layers = []
+    for _ in range(s + 1):
+        vals = rng.standard_normal((n_sites, 1))
+        vals[rng.random(vals.shape) < 0.25] = 0.0
+        vals[rng.random(vals.shape) < 0.25] = -0.0
+        if case == "boundary-source":
+            vals[:] = 0.0
+        layers.append(GridSequence(1 - r, vals, implicit_zero=True))
+    g = None
+    if case == "boundary-source":
+        g = rng.standard_normal((n_max + 1, r, 1))
+        g[rng.random(g.shape) < 0.25] = -0.0
+    return scheme, tuple(layers), n_max, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_scalar_problems())
+def test_real_scalar_march_matches_complex_oracles_bit_for_bit(problem):
+    scheme, f, n_max, g = problem
+    trace = run_ibvp(scheme, f, n_max, g=g)
+    assert trace.levels.dtype == np.float64
+    want, j_obs = _reference_run_ibvp(scheme, f, n_max, g=g)
+    _assert_same_levels(trace, want, j_obs)
+    if g is None:
+        trace = run_cauchy(scheme, f, n_max)
+        assert trace.levels.dtype == np.float64
+        want, j_obs = _reference_run_cauchy(scheme, f, n_max)
+        _assert_same_levels(trace, want, j_obs)
+
+
+@np.errstate(all="ignore")
+def test_real_march_overflows_where_the_complex_oracle_does():
+    # second-order upwind at nu = 3 grows by up to 7 a step: data near
+    # 1e300 overflow within a few steps, and the rest stays finite
+    scheme = _second_order_upwind(3.0)
+    f = tuple(GridSequence(lay.offset, 1e300 * lay.values.real, implicit_zero=True)
+              for lay in decaying_data(scheme, 9, seed=5))
+    runs = [(run_ibvp(scheme, f, 30), _reference_run_ibvp(scheme, f, 30)[0]),
+            (run_cauchy(scheme, f, 30), _reference_run_cauchy(scheme, f, 30)[0])]
+    for trace, want in runs:
+        assert trace.levels.dtype == np.float64
+        got = np.array([lay.values for lay in trace.layers])
+        ref = np.array([lay.values for lay in want])
+        finite = np.isfinite(ref)
+        assert 0 < finite.sum() < finite.size
+        assert np.array_equal(np.isfinite(got), finite)
+        assert got[finite].tobytes() == ref[finite].tobytes()
