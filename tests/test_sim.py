@@ -1177,3 +1177,98 @@ def test_real_march_overflows_where_the_complex_oracle_does():
         assert 0 < finite.sum() < finite.size
         assert np.array_equal(np.isfinite(got), finite)
         assert got[finite].tobytes() == ref[finite].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# whole-line runs march only the window's backward cone
+
+
+def _layers_on(scheme, lo, hi, seed, real=False):
+    """Random layers on columns lo..hi, complex or real."""
+    layers = random_layers(scheme, n_sites=hi - lo + 1, seed=seed)
+    return tuple(GridSequence(lo, lay.values.real if real else lay.values,
+                              implicit_zero=True) for lay in layers)
+
+
+# taps reaching two columns right: a slice that wrapped round the buffer
+# would then read past its end
+CONE_SCHEMES = dict(ORACLE_SCHEMES, **{"two-right": SchemeDef(
+    N=1, r=1, p=2, q=0, s=0, lam=1.0,
+    interior=np.array([0.1, 0.5, 0.3, 0.1]).reshape(4, 1, 1, 1),
+    boundary=np.zeros((1, 1, 2, 1, 1)),
+)})
+
+
+@pytest.mark.parametrize("window", [(0, 0), (1, 1), (-3, 5), (300, 302)])
+@pytest.mark.parametrize("name", list(CONE_SCHEMES))
+def test_run_cauchy_cut_to_the_cone_matches_reference_loop(name, window):
+    # data reaching past the window's backward cone on either side or both,
+    # or lying wholly outside it, and one window far off the data; the 2x2
+    # s = 0 scheme's one-column windows end on the one-row BLAS product
+    scheme = CONE_SCHEMES[name]
+    n_max = 20
+    cone0, cone1 = window[0] - n_max * scheme.r, window[1] + n_max * scheme.p
+    placements = {
+        "left": (cone0 - 6, window[0]),
+        "right": (window[1], cone1 + 6),
+        "both": (cone0 - 6, cone1 + 6),
+        "outside-left": (cone0 - 15, cone0 - 6),
+        "outside-right": (cone1 + 2, cone1 + 15),
+        "next-to-the-cone": (cone0 - 3, cone0 - 1),
+    }
+    if window[0] > 100:
+        placements = {"far-off": (-10, 10)}
+    for seed, (lo, hi) in enumerate(placements.values()):
+        for real in (False, True):
+            f = _layers_on(scheme, lo, hi, seed, real=real)
+            trace = run_cauchy(scheme, f, n_max, window=window)
+            want, j_obs = _reference_run_cauchy(scheme, f, n_max, window=window)
+            _assert_same_levels(trace, want, j_obs)
+
+
+@pytest.mark.parametrize("name", ["upwind", "leap-frog", "random-three-level"])
+def test_run_cauchy_marches_no_more_than_the_cone(monkeypatch, name):
+    # data 4,001 columns wide against a cone at most 2 * 50 + 1 wide: each
+    # level takes s + 1 tap calls over its cone, the spare columns and the
+    # s * (r + p) columns of an allocation counted from level 0, not s
+    scheme = ORACLE_SCHEMES[name]
+    r, p, s, n_max = scheme.r, scheme.p, scheme.s, 50
+    rows = []
+    apply_taps = sim._apply_taps
+    monkeypatch.setattr(sim, "_apply_taps",
+                        lambda out, *a: rows.append(len(out)) or apply_taps(out, *a))
+    run_cauchy(scheme, _layers_on(scheme, -2000, 2000, seed=1), n_max, window=(0, 0))
+    cone = sum((n_max - m) * (r + p) + 1 for m in range(s + 1, n_max + 1))
+    assert 0 < sum(rows) <= (s + 1) * (cone + (s * (r + p) + 2) * (n_max - s))
+
+
+# ---------------------------------------------------------------------------
+# the U = V + W check is relative to each level's size
+
+
+@pytest.mark.parametrize("n_max", [20, 100])
+def test_split_accepts_rounding_of_a_growing_solution(n_max):
+    # second-order upwind at nu = 3 grows: |U| reaches 2.8e15 at n_max 20
+    # and 3.3e82 at 100, and the split's rounding grows with it
+    scheme = _second_order_upwind(3.0)
+    f = decaying_data(scheme, 20, seed=1)
+    split = split_solution(scheme, f, n_max)
+    assert split.max_mismatch > 1e-12 * max(1.0, max(np.abs(lay.values).max() for lay in f))
+    sizes = np.abs(split.U.levels).max(axis=(1, 2))
+    mism = np.abs(split.U.levels - split.V.levels - split.W.levels).max(axis=(1, 2))
+    assert np.all(mism <= 1e-12 * np.fmax(sizes, 1.0))
+
+
+@pytest.mark.parametrize("scheme", [_second_order_upwind(3.0), upwind(0.5, 1.0)],
+                         ids=["growing", "upwind"])
+def test_split_raises_on_a_perturbed_boundary_source(monkeypatch, scheme):
+    reconstruct = sim.reconstruct_boundary_source
+
+    def perturbed(scheme, V, n_max):
+        g = reconstruct(scheme, V, n_max)
+        g[10, 0] += 1e-9 * max(1.0, np.abs(V.levels[10]).max())
+        return g
+
+    monkeypatch.setattr(sim, "reconstruct_boundary_source", perturbed)
+    with pytest.raises(SimError, match="splitting identity violated.*at level 10"):
+        split_solution(scheme, decaying_data(scheme, 20, seed=1), 20)
