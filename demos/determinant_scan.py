@@ -20,8 +20,7 @@ def main():
     print(f"  verdict: plausible = {scan.plausible}\n")
 
     marginal = lax_wendroff(1.0, 0.5, boundary="extrapolation")
-    scan = uklc_scan(marginal, radii=(1e-1, 1e-3, 1e-5, 1e-7),
-                     check_symbol=False)
+    scan = uklc_scan(marginal, radii=(1e-1, 1e-3, 1e-5, 1e-7))
     print("Lax-Wendroff + neighbor-copy closure:")
     for delta, m in zip(scan.radii, scan.per_radius_min):
         print(f"  delta = {delta:7.1e}   min |Delta| = {m:.3e}")

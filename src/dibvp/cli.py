@@ -256,14 +256,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_positive(args) -> None:
-    for name in ("tol_radius", "tol_delta", "dt", "gamma", "t_end", "delta0"):
-        val = getattr(args, name, None)
-        if val is not None and not val > 0:
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive")
-    for name in ("grid_radii", "grid_gammas", "grid_refinements", "Ts", "dts"):
-        vals = getattr(args, name, None)
-        if vals is not None and any(not v > 0 for v in vals):
-            raise ConfigError(f"--{name.replace('_', '-')} must be positive")
+    """Every float option must be finite, and all but --xi and --z-angle positive."""
+    for name in ("tol_radius", "tol_delta", "dt", "gamma", "t_end", "delta0",
+                 "grid_radii", "grid_gammas", "grid_refinements", "Ts", "dts",
+                 "xi", "z_angle"):
+        vals = getattr(args, name, ())
+        vals = vals if isinstance(vals, tuple) else (vals,)
+        flag = "--" + name.replace("_", "-")
+        if name not in ("xi", "z_angle") and any(not v > 0 for v in vals):
+            raise ConfigError(f"{flag} must be positive")
+        if not all(map(math.isfinite, vals)):
+            raise ConfigError(f"{flag} must be finite")
     ntheta = getattr(args, "grid_ntheta", None)
     if ntheta is not None and ntheta < 8:
         raise ConfigError("--grid-ntheta must be at least 8")
@@ -333,8 +336,16 @@ def _cmd_check_uklc(scheme, args):
         f"min |Delta| {scan.min_abs:.6e} at delta {scan.argmin[0]:g}, "
         f"theta {scan.argmin[1]:.6f} (tol {scan.tol:g})"
     )
-    if scan.warnings:
-        detail += "; " + "; ".join(scan.warnings)
+    # glancing modes or a von Neumann violation void the equivalence of
+    # UKLC and stability, so the verdict carries them as warnings
+    vn, gl = von_neumann_check(scheme), find_glancing(scheme)
+    if not vn.ok:
+        detail += f"; von Neumann condition fails (max radius {vn.max_radius:.6f})"
+    if gl.has_glancing:
+        thetas = sorted({round(p.theta, 9) for p in gl.points})
+        locs = ", ".join(f"theta={t:.6f}" for t in thetas)
+        detail += (f"; glancing modes present ({locs}); UKLC alone does not "
+                   "imply strong stability")
     verdicts = [verdict("determinant-lower-bound", scan.plausible, detail)]
     tables = {
         "delta_samples": table(("radius", "theta", "abs_delta"), rows),

@@ -1,4 +1,4 @@
-"""Scheme data model, grid sequences and shift-operator algebra.
+"""Scheme data model, grid sequences and stencil taps.
 
 The objects here describe explicit multi-level finite difference schemes
 for a first order hyperbolic system on the half-line j >= 1-r.  One time
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,9 @@ CONSISTENCY_TOL = 1e-12
 
 #: singular values below this fail the sampled invertibility check
 NONCHARACTERISTIC_TOL = 1e-10
+#: |z| circles and points per circle of the sampled invertibility check
+NONCHARACTERISTIC_RADII = (1.0, 1.5, 2.0, 3.0, 4.0)
+NONCHARACTERISTIC_NTHETA = 32
 
 
 class SchemeError(ValueError):
@@ -218,7 +221,7 @@ class GridSequence:
 
 
 # ---------------------------------------------------------------------------
-# shift / difference operators
+# stencil taps
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,20 +249,6 @@ class DifferenceOp:
             taps[int(ell)] = m
         object.__setattr__(self, "taps", taps)
 
-    @classmethod
-    def identity(cls, N: int = 1) -> "DifferenceOp":
-        return cls({0: np.eye(N)})
-
-    @classmethod
-    def shift(cls, ell: int, N: int = 1) -> "DifferenceOp":
-        """T^ell."""
-        return cls({ell: np.eye(N)})
-
-    @classmethod
-    def diff(cls, N: int = 1) -> "DifferenceOp":
-        """Forward difference D = T - I."""
-        return cls({1: np.eye(N), 0: -np.eye(N)})
-
     @property
     def N(self) -> int:
         return next(iter(self.taps.values())).shape[0]
@@ -271,42 +260,6 @@ class DifferenceOp:
     @property
     def ell_max(self) -> int:
         return max(self.taps)
-
-    def __add__(self, other: "DifferenceOp") -> "DifferenceOp":
-        taps = {ell: m.copy() for ell, m in self.taps.items()}
-        for ell, m in other.taps.items():
-            taps[ell] = taps.get(ell, 0) + m
-        return DifferenceOp(taps)
-
-    def __sub__(self, other: "DifferenceOp") -> "DifferenceOp":
-        return self + (-1.0) * other
-
-    def __mul__(self, c: float) -> "DifferenceOp":
-        return DifferenceOp({ell: c * m for ell, m in self.taps.items()})
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "DifferenceOp") -> "DifferenceOp":
-        """Composition (self o other); taps convolve."""
-        taps = {}
-        for i, mi in self.taps.items():
-            for j, mj in other.taps.items():
-                taps[i + j] = taps.get(i + j, 0) + mi @ mj
-        return DifferenceOp(taps)
-
-    def __pow__(self, k: int) -> "DifferenceOp":
-        if k < 0:
-            raise SchemeError("negative operator powers are not defined here")
-        out = DifferenceOp.identity(self.N)
-        for _ in range(k):
-            out = out @ self
-        return out
-
-    def drop_zeros(self, tol: float = 0.0) -> "DifferenceOp":
-        taps = {ell: m for ell, m in self.taps.items() if np.abs(m).max() > tol}
-        if not taps:
-            taps = {0: np.zeros((self.N, self.N))}
-        return DifferenceOp(taps)
 
 
 def apply_op(op: DifferenceOp, u: GridSequence) -> GridSequence:
@@ -421,17 +374,14 @@ def _resolvent_stack(scheme: SchemeDef, zs) -> tuple:
     return vals[:, : p + r + 1], vals[:, p + r + 1 :].reshape(-1, q + 1, r, N, N)
 
 
-def validate_scheme(
-    scheme: SchemeDef,
-    radii=(1.0, 1.5, 2.0, 3.0, 4.0),
-    n_theta: int = 32,
-    tol: float = NONCHARACTERISTIC_TOL,
-) -> ValidationReport:
+def validate_scheme(scheme: SchemeDef) -> ValidationReport:
     """Check dimensions, consistency and sampled noncharacteristic condition.
 
     The extreme resolvent blocks at ell = -r and ell = p must be invertible
-    for |z| in [1, 4]; their minimum singular value over the sampled annulus
-    is reported.
+    for |z| in [1, 4]: their minimum singular value over the
+    NONCHARACTERISTIC_NTHETA points on each circle of
+    NONCHARACTERISTIC_RADII is reported and must exceed
+    NONCHARACTERISTIC_TOL.
     """
     messages = []
     dimensions_ok = True  # enforced by the constructor; re-verify shapes anyway
@@ -450,13 +400,16 @@ def validate_scheme(
         messages.append(f"consistency sum differs from identity by {residual:.3e}")
 
     zs = [
-        rho * np.exp(2j * np.pi * t / n_theta) for rho in radii for t in range(n_theta)
+        rho * np.exp(2j * np.pi * t / NONCHARACTERISTIC_NTHETA)
+        for rho in NONCHARACTERISTIC_RADII
+        for t in range(NONCHARACTERISTIC_NTHETA)
     ]
     RA, _ = _resolvent_stack(scheme, zs)
     sv_l = np.linalg.svd(RA[:, 0], compute_uv=False)
     sv_r = np.linalg.svd(RA[:, -1], compute_uv=False)
     min_left = float(sv_l[:, -1].min(initial=np.inf))
     min_right = float(sv_r[:, -1].min(initial=np.inf))
+    tol = NONCHARACTERISTIC_TOL
     noncharacteristic_ok = min_left > tol and min_right > tol
     if not noncharacteristic_ok:
         messages.append(

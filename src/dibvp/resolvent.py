@@ -27,18 +27,21 @@ eigenvalue branch curves z = z_bar e^{gamma + i theta}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SchemeDef, _resolvent_stack
-from .symbol import find_glancing, von_neumann_check
 
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_GAMMAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 KL_TOL = 1e-6
+#: the spectral split needs |z| > 1 + SPLIT_MARGIN
 SPLIT_MARGIN = 1e-8
+#: an eigenvalue of M(z) this close to the unit circle has no side
 UNIT_TOL = 1e-10
+#: RA_p(z) with a larger condition number counts as singular
+RA_COND_MAX = 1e12
 
 
 class ResolventError(ValueError):
@@ -71,16 +74,17 @@ def _singular_error(z) -> ResolventError:
     return ResolventError(f"leading coefficient RA_p({z}) is numerically singular")
 
 
-def _companion(scheme: SchemeDef, RA: np.ndarray, cond_cutoff: float = 1e12):
+def _companion(scheme: SchemeDef, RA: np.ndarray):
     """M(z) for each stacked RA[i, l + r] = RA_l(z_i), and where RA_p is singular.
 
-    Where RA_p(z_i) is numerically singular the flag is set and M is built
-    with the identity in its place, so the stack stays finite.
+    Where RA_p(z_i) is numerically singular (condition number above
+    RA_COND_MAX) the flag is set and M is built with the identity in its
+    place, so the stack stays finite.
     """
     r, p, N = scheme.r, scheme.p, scheme.N
     K, dim = RA.shape[0], N * (p + r)
     Ap = RA[:, p + r]
-    singular = np.linalg.cond(Ap) > cond_cutoff
+    singular = np.linalg.cond(Ap) > RA_COND_MAX
     ApInv = np.linalg.inv(np.where(singular[:, None, None], np.eye(N), Ap))
     M = np.zeros((K, dim, dim), dtype=complex)
     # top row blocks -RA_p^{-1} RA_l multiply (W_{j+p-1}, ..., W_{j-r})
@@ -98,20 +102,19 @@ def _coefficients(scheme: SchemeDef, zs) -> tuple:
     return _resolvent_stack(scheme, zs)
 
 
-def _companion_at(scheme: SchemeDef, zs, cond_cutoff: float = 1e12) -> np.ndarray:
+def _companion_at(scheme: SchemeDef, zs) -> np.ndarray:
     """M(z) for each z in ``zs``, stacked; raises at the first singular RA_p."""
-    M, singular = _companion(scheme, _coefficients(scheme, zs)[0], cond_cutoff)
+    M, singular = _companion(scheme, _coefficients(scheme, zs)[0])
     if singular.any():
         raise _singular_error(zs[int(np.argmax(singular))])
     return M
 
 
-def assemble_M(
-    scheme: SchemeDef, z: complex, cond_cutoff: float = 1e12
-) -> CompanionMatrix:
+def assemble_M(scheme: SchemeDef, z: complex) -> CompanionMatrix:
     """Build M(z) of size N(p+r): top block row -RA_p^{-1}(RA_{p-1}..RA_{-r}),
-    identity on the subdiagonal."""
-    return CompanionMatrix(z=z, M=_companion_at(scheme, [z], cond_cutoff)[0])
+    identity on the subdiagonal.  Raises ResolventError where RA_p(z) has a
+    condition number above RA_COND_MAX."""
+    return CompanionMatrix(z=z, M=_companion_at(scheme, [z])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -147,27 +150,27 @@ class SpectralSplit:
     message: str = ""
 
 
-def _split_failures(zs, eigs, expect, margin, unit_tol) -> np.ndarray:
+def _split_failures(zs, eigs, expect) -> np.ndarray:
     """(K, 3) table of the split checks each z fails, in the order they are
     raised: |z| too close to 1, an eigenvalue on the circle, wrong counts."""
     mod = np.abs(eigs)
     counts = np.stack([(mod < 1).sum(-1), (mod > 1).sum(-1)], axis=-1)
     return np.column_stack([
-        np.abs(np.asarray(zs)) <= 1 + margin,
-        np.abs(mod - 1).min(-1) < unit_tol,
+        np.abs(np.asarray(zs)) <= 1 + SPLIT_MARGIN,
+        np.abs(mod - 1).min(-1) < UNIT_TOL,
         np.any(counts != expect, axis=-1),
     ])
 
 
-def _split_error(z, eigs, check: int, expect, margin, unit_tol) -> ResolventError:
+def _split_error(z, eigs, check: int, expect) -> ResolventError:
     """The error of split check ``check`` (a column of _split_failures) at z."""
     if check == 0:
         return ResolventError(
-            f"spectral split needs |z| > 1 + {margin:g}, got |z| = {abs(z):.12f}"
+            f"spectral split needs |z| > 1 + {SPLIT_MARGIN:g}, got |z| = {abs(z):.12f}"
         )
     if check == 1:
         return SplitCountError(
-            f"eigenvalue within {unit_tol:g} of the unit circle at |z| = "
+            f"eigenvalue within {UNIT_TOL:g} of the unit circle at |z| = "
             f"{abs(z):.12f}; splitting is not numerically resolved"
         )
     ns, nu = int(np.sum(np.abs(eigs) < 1)), int(np.sum(np.abs(eigs) > 1))
@@ -215,15 +218,10 @@ def _invariant_basis(M, eigs, vecs, k: int, stable: bool = True):
     return Q, fallback
 
 
-def spectral_split(
-    companion: CompanionMatrix,
-    scheme: SchemeDef,
-    margin: float = SPLIT_MARGIN,
-    unit_tol: float = UNIT_TOL,
-) -> SpectralSplit:
+def spectral_split(companion: CompanionMatrix, scheme: SchemeDef) -> SpectralSplit:
     """Split the spectrum of M(z) across the unit circle.
 
-    Requires |z| > 1 + margin.  An eigenvalue within ``unit_tol`` of the
+    Requires |z| > 1 + SPLIT_MARGIN.  An eigenvalue within UNIT_TOL of the
     unit circle cannot be assigned a side and raises SplitCountError; a
     count different from (N r, N p) is reported in ``counts_ok``/``message``
     rather than raised, since it indicates an assumption violation of the
@@ -232,13 +230,11 @@ def spectral_split(
     z, M = companion.z, companion.M[None]
     eigs, vecs = np.linalg.eig(M)
     expect = (scheme.N * scheme.r, scheme.N * scheme.p)
-    fails = _split_failures([z], eigs, expect, margin, unit_tol)[0]
+    fails = _split_failures([z], eigs, expect)[0]
     for check in (0, 1):
         if fails[check]:
-            raise _split_error(z, eigs[0], check, expect, margin, unit_tol)
-    message = "" if not fails[2] else str(
-        _split_error(z, eigs[0], 2, expect, margin, unit_tol)
-    )
+            raise _split_error(z, eigs[0], check, expect)
+    message = "" if not fails[2] else str(_split_error(z, eigs[0], 2, expect))
     ns = int(np.sum(np.abs(eigs) < 1))
     V_s = _invariant_basis(M, eigs, vecs, ns)[0][0]
     V_u = _invariant_basis(M, eigs, vecs, M.shape[-1] - ns, stable=False)[0][0]
@@ -326,7 +322,7 @@ def _lopatinskii(scheme: SchemeDef, zs, b_eff=None) -> tuple:
     RA, RB = _coefficients(scheme, zs)
     M, singular = _companion(scheme, RA)
     eigs, vecs = np.linalg.eig(M)
-    split = _split_failures(zs, eigs, expect, SPLIT_MARGIN, UNIT_TOL)
+    split = _split_failures(zs, eigs, expect)
     B = None if b_eff is None else np.asarray(b_eff)
     bad_shape = B is not None and B.shape != (expect[0], dim)
     fails = np.column_stack([singular, split, np.full(len(zs), bad_shape)])
@@ -340,7 +336,7 @@ def _lopatinskii(scheme: SchemeDef, zs, b_eff=None) -> tuple:
                 f"boundary matrix shape {B.shape} incompatible with "
                 f"state dimension {dim}"
             )
-        raise _split_error(zs[i], eigs[i], check - 1, expect, SPLIT_MARGIN, UNIT_TOL)
+        raise _split_error(zs[i], eigs[i], check - 1, expect)
     V_s, fallback = _invariant_basis(M, eigs, vecs, expect[0])
     if B is None:
         B = _boundary_rows(scheme, RB, M)
@@ -375,7 +371,6 @@ class KLScan:
     per_radius_min: tuple
     tol: float
     plausible: bool
-    warnings: tuple = field(default_factory=tuple)
     fallbacks: int = 0
 
 
@@ -385,15 +380,13 @@ def uklc_scan(
     n_theta: int = 64,
     tol_kl: float = KL_TOL,
     b_eff: np.ndarray | None = None,
-    check_symbol: bool = True,
 ) -> KLScan:
     """Scan |Delta| toward the unit circle and issue a verdict.
 
     The verdict "plausible" means min |Delta| >= tol_kl over all samples.
-    ``per_radius_min`` exposes the trend as delta decreases.  Symbol-side
-    hypotheses are cross-checked: glancing modes or a von Neumann violation
-    are attached as warnings since they void the UKLC-implies-stability
-    equivalence.
+    ``per_radius_min`` exposes the trend as delta decreases.  The scan reads
+    the resolvent only: the symbol-side hypotheses (von Neumann, no
+    glancing modes) are separate checks.
     """
     thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     zs = [(1 + delta) * np.exp(1j * th) for delta in radii for th in thetas]
@@ -401,23 +394,6 @@ def uklc_scan(
     values = values.reshape(len(radii), len(thetas))
     flat = int(np.argmin(values))
     i0, k0 = divmod(flat, len(thetas))
-    warnings = []
-    if check_symbol:
-        vn = von_neumann_check(scheme)
-        if not vn.ok:
-            warnings.append(
-                f"von Neumann condition fails (max radius {vn.max_radius:.6f})"
-            )
-        gl = find_glancing(scheme)
-        if gl.has_glancing:
-            locs = ", ".join(
-                f"theta={t:.6f}"
-                for t in sorted({round(p.theta, 9) for p in gl.points})
-            )
-            warnings.append(
-                f"glancing modes present ({locs}); UKLC alone does not "
-                "imply strong stability"
-            )
     return KLScan(
         radii=tuple(radii),
         thetas=thetas,
@@ -427,7 +403,6 @@ def uklc_scan(
         per_radius_min=tuple(float(v) for v in values.min(axis=1)),
         tol=tol_kl,
         plausible=bool(values.min() >= tol_kl),
-        warnings=tuple(warnings),
         fallbacks=fallbacks,
     )
 
@@ -460,27 +435,29 @@ class BlockClassification:
     counts: dict
 
 
+# classify_boundary_blocks' tolerances and difference step (see its docstring)
+UNIMODULAR_BAND = 1e-6
+CLUSTER_TOL = 1e-7
+DRIFT_STEP = 1e-5
+FD_TOL = 1e-2
+DRIFT_TOL = 1e-6
+
+
 def _nearest(vals: np.ndarray, ref: complex) -> complex:
     return complex(vals[np.argmin(np.abs(vals - ref))])
 
 
-def classify_boundary_blocks(
-    scheme: SchemeDef,
-    z_bar: complex,
-    delta_prime: float = 1e-6,
-    h: float = 1e-5,
-    drift_tol: float = 1e-6,
-    fd_tol: float = 1e-2,
-    cluster_tol: float = 1e-7,
-) -> BlockClassification:
+def classify_boundary_blocks(scheme: SchemeDef, z_bar: complex) -> BlockClassification:
     """Classify eigenvalues of M(z_bar) for unit-modulus z_bar.
 
-    Unimodular eigenvalues get a radial drift estimate
+    Eigenvalues within CLUSTER_TOL of each other form one block, and a
+    block is unimodular when its mean is within UNIMODULAR_BAND of the
+    circle.  Unimodular blocks get a radial drift estimate
     Lambda = (d mu / d tau) conj(mu) along z = z_bar e^tau by centered
-    differences at steps h and h/4.  Re Lambda > 0 means the eigenvalue
-    leaves the unit disk as |z| grows.  Disagreement of the two stencils
-    (relative mismatch > fd_tol) or |Re Lambda| <= drift_tol marks the
-    block glancing: the branch is not analytic, or touches the circle
+    differences at steps h = DRIFT_STEP and h/4.  Re Lambda > 0 means the
+    eigenvalue leaves the unit disk as |z| grows.  Disagreement of the two
+    stencils (relative mismatch > FD_TOL) or |Re Lambda| <= DRIFT_TOL marks
+    the block glancing: the branch is not analytic, or touches the circle
     tangentially.
     """
     if abs(abs(z_bar) - 1) > 1e-12:
@@ -492,7 +469,7 @@ def classify_boundary_blocks(
     clusters = []
     for mu in eigs:
         for cl in clusters:
-            if abs(mu - cl[-1]) <= cluster_tol:
+            if abs(mu - cl[-1]) <= CLUSTER_TOL:
                 cl.append(mu)
                 break
         else:
@@ -503,9 +480,9 @@ def classify_boundary_blocks(
     for cl in clusters:
         mu = complex(np.mean(cl))
         mult = len(cl)
-        if abs(mu) > 1 + delta_prime:
+        if abs(mu) > 1 + UNIMODULAR_BAND:
             kind, drift, mism = "expanding", None, None
-        elif abs(mu) < 1 - delta_prime:
+        elif abs(mu) < 1 - UNIMODULAR_BAND:
             kind, drift, mism = "contracting", None, None
         else:
 
@@ -514,11 +491,11 @@ def classify_boundary_blocks(
                 zp, zm = np.linalg.eigvals(_companion_at(scheme, zs))
                 return (_nearest(zp, mu) - _nearest(zm, mu)) / (2 * step)
 
-            d1, d4 = fd(h), fd(h / 4)
+            d1, d4 = fd(DRIFT_STEP), fd(DRIFT_STEP / 4)
             mism = float(abs(d1 - d4) / max(abs(d4), 1e-12))
             lam = (16 * d4 - d1) / 15 * np.conj(mu)
             drift = float(lam.real)
-            if mism > fd_tol or abs(drift) <= drift_tol:
+            if mism > FD_TOL or abs(drift) <= DRIFT_TOL:
                 kind = "glancing"
             else:
                 kind = "crossing"
@@ -662,19 +639,23 @@ def _tv_for_curve(f: np.ndarray, w: float):
     return float(np.sum(np.abs(d))), float(np.abs(d).max()), False
 
 
+#: first theta grid of arg_total_variation, and the size it may not exceed
+TV_NTHETA0 = 257
+TV_MAX_POINTS = 2**17 + 1
+
+
 def arg_total_variation(
     branch,
     gamma_grid: tuple = DEFAULT_GAMMAS,
     w_grid: np.ndarray | None = None,
     eps: float = 0.1,
-    n_theta0: int = 257,
-    max_points: int = 2**17 + 1,
 ) -> ArgTVReport:
     """Sup over (gamma, w) of the argument variation along branch curves.
 
     ``branch`` is an EigenvalueBranch or any callable tau -> f(tau).  For
-    each gamma the theta grid over [-eps, eps] is doubled until every
-    increment of arg(f - i w) is below pi/4 (or ``max_points`` is hit).
+    each gamma a theta grid over [-eps, eps] of TV_NTHETA0 points is
+    doubled until every increment of arg(f - i w) is below pi/4 (or
+    TV_MAX_POINTS is hit).
     When ``w_grid`` is omitted it is built from the first gamma's curve:
     41 points spanning three times the curve's imaginary range.
     """
@@ -695,7 +676,7 @@ def arg_total_variation(
         return curves[key]
 
     if w_grid is None:
-        f0 = curve_at(gamma_grid[0], n_theta0)
+        f0 = curve_at(gamma_grid[0], TV_NTHETA0)
         lo, hi = float(f0.imag.min()), float(f0.imag.max())
         span = max(hi - lo, 1e-12)
         mid = 0.5 * (lo + hi)
@@ -708,7 +689,7 @@ def arg_total_variation(
     capped = False
     for i, gamma in enumerate(gamma_grid):
         for j, w in enumerate(w_grid):
-            n = n_theta0
+            n = TV_NTHETA0
             while True:
                 total, max_inc, touched = _tv_for_curve(curve_at(gamma, n), w)
                 if touched:
@@ -717,7 +698,7 @@ def arg_total_variation(
                 if max_inc < np.pi / 4:
                     tv[i, j] = total
                     break
-                if 2 * n - 1 > max_points:
+                if 2 * n - 1 > TV_MAX_POINTS:
                     tv[i, j] = total
                     capped = True
                     break

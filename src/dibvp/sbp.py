@@ -34,6 +34,8 @@ from .core import GridSequence, SchemeDef, SchemeError, _laurent, discrete_deriv
 #: absolute tolerance for the three-point stability criterion; d-values on
 #: the boundary (within tol of 0) are classified stable
 CRITERION_TOL = 1e-10
+#: unit-circle points at which boundary_energy_rate samples the symbol
+RATE_NXI = 512
 
 
 class DecompositionError(ValueError):
@@ -664,15 +666,16 @@ class BoundaryEnergyRate:
         return float(np.real(np.conj(vec) @ self.matrix @ vec))
 
 
-def boundary_energy_rate(scheme: SchemeDef, n_xi: int = 512) -> BoundaryEnergyRate:
+def boundary_energy_rate(scheme: SchemeDef) -> BoundaryEnergyRate:
     """Assemble q_flat from the canonical energy identity.
 
     q_flat collects (a) minus the telescoped boundary term q at the jet
     based at j = 1-r and (b) minus the S / S~ terms of the zero-extended
-    sequence over the strip 1-p-2r <= j <= -r.
+    sequence over the strip 1-p-2r <= j <= -r.  The symbol's norm must not
+    exceed 1 at the RATE_NXI sampled points of the unit circle.
     """
     # whole-line l2 stability of the symbol is a precondition
-    kappas = [np.exp(2j * np.pi * t / n_xi) for t in range(n_xi)]
+    kappas = [np.exp(2j * np.pi * t / RATE_NXI) for t in range(RATE_NXI)]
     sym = _laurent(scheme.interior[:, 0], range(-scheme.r, scheme.p + 1), kappas)
     worst = float(np.linalg.matrix_norm(sym, ord=2).max(initial=0.0))
     if worst > 1 + 1e-10:

@@ -40,6 +40,12 @@ VON_NEUMANN_TOL = 1e-10
 GLANCING_UNIT_TOL = 1e-6
 #: |d zeta / d theta| below this counts as a vanishing branch derivative
 GLANCING_DERIV_TOL = 1e-6
+#: find_glancing refines grid points with |1 - |zeta|| <= CANDIDATE_UNIT
+#: and grid minima of |d zeta / d theta| below CANDIDATE_DERIV
+CANDIDATE_UNIT = 1e-3
+CANDIDATE_DERIV = 0.1
+#: bisection depth at which an ambiguous branch assignment is recorded
+BRANCH_MAX_DEPTH = 20
 #: imaginary part allowed when reading off a real frequency derivative
 OMEGA_IMAG_TOL = 1e-8
 #: eigenvalue condition number ||x|| ||y|| / |y^H x| above which a branch
@@ -302,25 +308,24 @@ def _continue_branches(
     theta_b: float,
     eigs_b: np.ndarray,
     depth: int,
-    max_depth: int,
     records: list,
 ) -> np.ndarray:
     """Order of ``eigs_b`` continuing the branches ``vals_a`` from theta_a."""
     order, ambiguous = _assign(vals_a, eigs_b)
     if not ambiguous:
         return order
-    if depth >= max_depth:
+    if depth >= BRANCH_MAX_DEPTH:
         records.append(theta_b)
         return order
     theta_m = 0.5 * (theta_a + theta_b)
     eigs_m = _eigs(scheme, theta_m)
     vals_m = eigs_m[
         _continue_branches(
-            scheme, theta_a, vals_a, theta_m, eigs_m, depth + 1, max_depth, records
+            scheme, theta_a, vals_a, theta_m, eigs_m, depth + 1, records
         )
     ]
     return _continue_branches(
-        scheme, theta_m, vals_m, theta_b, eigs_b, depth + 1, max_depth, records
+        scheme, theta_m, vals_m, theta_b, eigs_b, depth + 1, records
     )
 
 
@@ -329,7 +334,6 @@ def track_branches(
     n_theta: int = 512,
     theta_min: float = 0.0,
     theta_max: float = 2 * np.pi,
-    max_depth: int = 20,
 ) -> BranchTracks:
     """Track all eigenvalue branches over [theta_min, theta_max].
 
@@ -337,7 +341,8 @@ def track_branches(
     each previous value takes its nearest new value; where that is a
     permutation it is the least-cost matching, and where it is not a
     permutation or is ambiguous the step goes to the exact matcher and
-    interval bisection.
+    interval bisection, whose unresolved steps at depth BRANCH_MAX_DEPTH
+    are recorded in ``ambiguous``.
     """
     if n_theta < 2:
         raise SymbolError("need at least two sample points")
@@ -361,7 +366,7 @@ def track_branches(
         else:
             order[k] = _continue_branches(
                 scheme, thetas[k - 1], eigs[k - 1, order[k - 1]], thetas[k],
-                eigs[k], 0, max_depth, records,
+                eigs[k], 0, records,
             )
 
     def ordered(a):
@@ -412,8 +417,6 @@ class GlancingReport:
     min_abs_deriv: float
     has_glancing: bool
     n_theta: int
-    unit_tol: float
-    deriv_tol: float
     ambiguous_thetas: tuple = field(default_factory=tuple)
 
 
@@ -456,27 +459,20 @@ def _golden_min(f, a: float, b: float, xatol: float = 1e-12) -> None:
             fd = f(d)
 
 
-def find_glancing(
-    scheme: SchemeDef,
-    n_theta: int = 512,
-    candidate_deriv: float = 0.1,
-    candidate_unit: float = 1e-3,
-    unit_tol: float = GLANCING_UNIT_TOL,
-    deriv_tol: float = GLANCING_DERIV_TOL,
-) -> GlancingReport:
+def find_glancing(scheme: SchemeDef, n_theta: int = 512) -> GlancingReport:
     """Locate unimodular branch points with zero branch derivative.
 
     Coarse pass: track branches with their exact derivatives on a grid
     extended slightly past one full period and keep the grid points with
-    |1 - |zeta|| <= candidate_unit and a well-conditioned derivative (the
+    |1 - |zeta|| <= CANDIDATE_UNIT and a well-conditioned derivative (the
     growing branches of a von Neumann-unstable scheme are not searched).
     A cell where omega' = zeta'/(i zeta) changes sign is refined by a
     bracketed secant on omega'; a grid local minimum of |d zeta/d theta|
-    below candidate_deriv without such a sign change is refined by
+    below CANDIDATE_DERIV without such a sign change is refined by
     golden-section search over its two cells.  Each evaluation is one
     exact derivative at one theta, and the best one is kept; it is
-    reported as glancing when it is unimodular within unit_tol and its
-    derivative magnitude is below deriv_tol.
+    reported as glancing when it is unimodular within GLANCING_UNIT_TOL
+    and its derivative magnitude is below GLANCING_DERIV_TOL.
     """
     dtheta = 2 * np.pi / n_theta
     track = track_branches(
@@ -488,7 +484,7 @@ def find_glancing(
     thetas, vals, derivs = track.thetas, track.values, track.derivs
     with np.errstate(divide="ignore", invalid="ignore"):
         usable = (
-            (np.abs(1 - np.abs(vals)) <= candidate_unit)
+            (np.abs(1 - np.abs(vals)) <= CANDIDATE_UNIT)
             & np.isfinite(derivs)
             & (track.conds <= BRANCH_COND_MAX)
         )
@@ -501,7 +497,7 @@ def find_glancing(
     crossing = omega[:-1] * omega[1:] < 0
     dip = speed * (1 + _MIN_DIP)
     local_min = (
-        (speed[1:-1] < candidate_deriv)
+        (speed[1:-1] < CANDIDATE_DERIV)
         & (dip[1:-1] < speed[:-2])
         & (dip[1:-1] < speed[2:])
         & ~crossing[:-1]
@@ -532,7 +528,10 @@ def find_glancing(
             continue
         t_star, z_star, d_star, _, d_err = min(trusted, key=lambda e: abs(e[2]))
         min_abs = min(min_abs, abs(d_star))
-        if abs(abs(z_star) - 1) <= unit_tol and abs(d_star) <= deriv_tol:
+        if (
+            abs(abs(z_star) - 1) <= GLANCING_UNIT_TOL
+            and abs(d_star) <= GLANCING_DERIV_TOL
+        ):
             points.append(
                 GlancingPoint(
                     branch=int(b),
@@ -563,7 +562,5 @@ def find_glancing(
         min_abs_deriv=float(min_abs),
         has_glancing=bool(merged),
         n_theta=n_theta,
-        unit_tol=unit_tol,
-        deriv_tol=deriv_tol,
         ambiguous_thetas=track.ambiguous,
     )

@@ -26,6 +26,8 @@ from .symbol import amplification_matrix, group_velocity
 
 UNIT_BRANCH_TOL = 1e-8
 ENVELOPE_TOL = 1e-10
+#: packet data is trimmed where the envelope falls below this times its peak
+TAIL_TOL = 1e-12
 
 
 class WavepacketError(ValueError):
@@ -101,13 +103,11 @@ class Envelope:
         return float(np.sum(self.weights * np.abs(f) ** 2)) / (2 * np.pi)
 
 
-def make_envelope(
-    delta0: float, x_max: float | None = None, tol: float = ENVELOPE_TOL
-) -> Envelope:
+def make_envelope(delta0: float, x_max: float | None = None) -> Envelope:
     """Build the band-limited envelope of spectral half-width delta0/2.
 
     Quadrature nodes are doubled until values on [0, x_max] change by at
-    most ``tol``; the default certification range scales like 1/delta0 so
+    most ENVELOPE_TOL; the default certification range scales like 1/delta0 so
     the envelope tail at the range edge sits below the quadrature error.
     """
     if delta0 <= 0:
@@ -128,14 +128,14 @@ def make_envelope(
         n *= 2
         cur, nodes, weights = values(n)
         err = float(np.max(np.abs(cur - prev)))
-        if err <= tol:
+        if err <= ENVELOPE_TOL:
             return Envelope(
                 delta0=float(delta0), nodes=nodes, weights=weights,
-                x_certified=float(x_max), quad_error=err, tol=tol,
+                x_certified=float(x_max), quad_error=err, tol=ENVELOPE_TOL,
             )
         prev = cur
     raise WavepacketError(
-        f"quadrature not converged to {tol} with 8192 nodes on [0, {x_max}]"
+        f"quadrature not converged to {ENVELOPE_TOL} with 8192 nodes on [0, {x_max}]"
     )
 
 
@@ -280,7 +280,7 @@ def packet_initial_data(
     dx: float,
     j_min: int | None = None,
     j_max: int | None = None,
-    tail_tol: float = 1e-12,
+    tail_tol: float = TAIL_TOL,
 ):
     """Sample the stacked packet into the s+1 initial layers.
 
@@ -388,15 +388,14 @@ class PacketErrorReport:
     fitted_constant: float
 
 
-def packet_error(
-    spec: PacketSpec, n_list, dx: float, tail_tol: float = 1e-12
-) -> PacketErrorReport:
+def packet_error(spec: PacketSpec, n_list, dx: float) -> PacketErrorReport:
     """Measure sup_j |exact - ansatz| at the requested levels.
 
     The reported errors obey the upper bound err^2 <= C dx (1 + T^2);
     for smooth band-limited data the measured rate is first order in dx,
     since the ansatz moves the envelope rigidly and misses its O(dx)
     spreading by the branch's second derivative (diffusion for upwind).
+    The packet data is trimmed at TAIL_TOL, as in ``packet_initial_data``.
     """
     scheme = spec.scheme
     n_list = tuple(int(n) for n in n_list)
@@ -405,7 +404,7 @@ def packet_error(
     if any(n < 0 for n in n_list):
         raise WavepacketError("levels must be nonnegative")
     n_top = max(n_list) + scheme.s
-    layers = packet_initial_data(spec, dx, tail_tol=tail_tol)
+    layers = packet_initial_data(spec, dx)
     trace = run_cauchy(scheme, layers, n_max=n_top, dt=scheme.lam * dx)
     dt = scheme.lam * dx
     sups = []
@@ -457,10 +456,11 @@ class TraceGrowthReport:
     velocity: float
 
 
-def glancing_trace_experiment(
-    spec: PacketSpec, T_list, dt_list, tail_tol: float = 1e-12
-) -> TraceGrowthReport:
-    """Accumulate dt |W_0^n|^2 over n <= T/dt for each (dt, T) cell."""
+def glancing_trace_experiment(spec: PacketSpec, T_list, dt_list) -> TraceGrowthReport:
+    """Accumulate dt |W_0^n|^2 over n <= T/dt for each (dt, T) cell.
+
+    The packet data is trimmed at TAIL_TOL, as in ``packet_initial_data``.
+    """
     Ts = tuple(float(T) for T in T_list)
     dts = tuple(float(dt) for dt in dt_list)
     if len(Ts) < 2:
@@ -474,7 +474,7 @@ def glancing_trace_experiment(
     slopes, intercepts, rsq = [], [], []
     for i, dt in enumerate(dts):
         dx = dt / scheme.lam
-        layers = packet_initial_data(spec, dx, tail_tol=tail_tol)
+        layers = packet_initial_data(spec, dx)
         mass = sum(lay.norm_sq(dx) for lay in layers)
         n_top = int(np.floor(max(Ts) / dt)) + s
         trace = run_cauchy(

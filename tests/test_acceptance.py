@@ -328,9 +328,7 @@ def test_criterion_05_glancing_detection():
 def test_criterion_06_determinant_scan_sanity():
     scan = uklc_scan(upwind(0.5, 1.0))
     dirichlet_dev = float(np.abs(scan.values - 1.0).max())
-    zero_scan = uklc_scan(
-        upwind(0.5, 1.0), b_eff=np.zeros((1, 1)), check_symbol=False
-    )
+    zero_scan = uklc_scan(upwind(0.5, 1.0), b_eff=np.zeros((1, 1)))
     zero_max = float(zero_scan.values.max())
     ok = dirichlet_dev <= 1e-10 and zero_max == 0.0
     _line(

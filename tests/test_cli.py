@@ -114,6 +114,24 @@ def test_check_uklc_marginal_closure_fails(paths, capsys):
     assert mins == sorted(mins, reverse=True)
 
 
+def test_check_uklc_dirichlet_gives_no_warning(paths, capsys):
+    code, out, _ = run(["check-uklc", "--scheme", paths["upwind"]], capsys)
+    (v,) = json.loads(out)["verdicts"]
+    assert code == 0 and v["ok"] is True
+    assert v["detail"].endswith("(tol 1e-06)")
+
+
+def test_check_uklc_warns_of_von_neumann_failure(tmp_path, capsys):
+    # nu = 1 + 1e-8: the determinant scan passes (max radius 1 + 4e-8 sits
+    # inside the scan's circles) while the symbol is von Neumann unstable
+    path = tmp_path / "lw.json"
+    save_scheme(lax_wendroff(1.0, 1 + 1e-8), path)
+    code, out, _ = run(["check-uklc", "--scheme", str(path)], capsys)
+    (v,) = json.loads(out)["verdicts"]
+    assert code == 0 and v["ok"] is True
+    assert v["detail"].endswith("; von Neumann condition fails (max radius 1.000000)")
+
+
 @pytest.mark.parametrize(
     "scheme, reason",
     [(upwind(0.5, 2.4), "expected (1 stable, 0 unstable), got (0, 1)"),
@@ -310,6 +328,21 @@ def test_nonpositive_tolerance_exits_two(paths, capsys):
     )
     assert code == 2
     assert "must be positive" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--estimate", "thm1", "--t-end", "inf"], "--t-end"),
+    (["packet-experiment", "--xi", "1.0", "--Ts", "2,inf"], "--Ts"),
+    (["packet-experiment", "--xi", "1.0", "--delta0", "inf"], "--delta0"),
+    (["packet-experiment", "--xi", "nan"], "--xi"),
+    (["classify-blocks", "--z-angle", "nan"], "--z-angle"),
+])
+def test_non_finite_option_exits_two(paths, capsys, argv, option):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv + ["--scheme", paths["leapfrog"]], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"dibvp: {option} must be finite\n"
 
 
 def test_bad_float_list_exits_two(paths, capsys):

@@ -1,5 +1,6 @@
 """Tests for the resolvent-side analysis."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +11,10 @@ from dibvp.core import (
     lax_friedrichs,
     lax_wendroff,
     leap_frog,
+    save_scheme,
     upwind,
 )
+from dibvp.cli import run_command
 from dibvp.resolvent import (
     _coefficients,
     ResolventError,
@@ -343,7 +346,7 @@ def test_determinant_builds_coefficients_and_M_once_per_z(scheme, monkeypatch):
     calls.update(coeffs=0, M=0)
     # the scan builds the coefficients and the companion stack once for
     # its whole 2 x 8 grid
-    uklc_scan(scheme, radii=(0.3, 0.6), n_theta=8, check_symbol=False)
+    uklc_scan(scheme, radii=(0.3, 0.6), n_theta=8)
     assert calls == {"coeffs": 1, "M": 1}
 
 
@@ -377,7 +380,7 @@ def test_scan_raises_the_per_z_error_of_the_first_failing_z(scheme, radii, b_eff
             break
     assert expect in str(first)
     with pytest.raises(type(first)) as caught:
-        uklc_scan(scheme, radii=radii, n_theta=16, b_eff=b_eff, check_symbol=False)
+        uklc_scan(scheme, radii=radii, n_theta=16, b_eff=b_eff)
     assert str(caught.value) == str(first)
 
 
@@ -389,14 +392,15 @@ def test_uklc_upwind_dirichlet():
     scan = uklc_scan(upwind(1.0, 0.5), n_theta=32)
     assert scan.plausible
     assert scan.min_abs == pytest.approx(1.0, abs=1e-10)
-    assert scan.warnings == ()
+    # the scan reads the resolvent only; check-uklc adds the symbol's warnings
+    assert not hasattr(scan, "warnings")
     assert np.allclose(scan.per_radius_min, 1.0, atol=1e-10)
 
 
 def test_uklc_zero_rows_fails():
     scan = uklc_scan(
         upwind(1.0, 0.5), radii=(1e-1, 1e-3), n_theta=8,
-        b_eff=np.zeros((1, 1)), check_symbol=False,
+        b_eff=np.zeros((1, 1)),
     )
     assert not scan.plausible
     assert scan.values.max() == 0.0
@@ -406,8 +410,7 @@ def test_uklc_extrapolation_degenerates_toward_circle():
     # |Delta| ~ |1 - mu_s(z)| vanishes as z -> 1: verdict flips once the
     # scan radii go deep enough
     scheme = lax_wendroff(1.0, 0.5, boundary="extrapolation")
-    scan = uklc_scan(scheme, radii=(1e-1, 1e-3, 1e-5, 1e-7), n_theta=32,
-                     check_symbol=False)
+    scan = uklc_scan(scheme, radii=(1e-1, 1e-3, 1e-5, 1e-7), n_theta=32)
     assert not scan.plausible
     mins = np.asarray(scan.per_radius_min)
     assert np.all(np.diff(mins) < 0)
@@ -415,10 +418,18 @@ def test_uklc_extrapolation_degenerates_toward_circle():
     assert mins[-1] == pytest.approx(1e-2 * mins[-2], rel=0.05)
 
 
-def test_uklc_glancing_warning_propagates():
-    scan = uklc_scan(leap_frog(1.0, 0.5), radii=(1e-1, 1e-3), n_theta=16)
+def test_uklc_glancing_warning_propagates(tmp_path, capsys):
+    scheme = leap_frog(1.0, 0.5)
+    scan = uklc_scan(scheme, radii=(1e-1, 1e-3), n_theta=16)
     assert scan.plausible  # dirichlet leap-frog passes the determinant test
-    assert any("glancing" in w for w in scan.warnings)
+    # check-uklc attaches the glancing modes to that verdict as a warning
+    path = tmp_path / "leapfrog.json"
+    save_scheme(scheme, path)
+    code = run_command(["check-uklc", "--scheme", str(path),
+                        "--grid-radii", "0.1,0.001", "--grid-ntheta", "16"])
+    (v,) = json.loads(capsys.readouterr().out)["verdicts"]
+    assert code == 0 and v["ok"] is True
+    assert "; glancing modes present (theta=" in v["detail"]
 
 
 # ---------------------------------------------------------------------------

@@ -217,21 +217,22 @@ def test_consistent_decomposition_fixtures():
 
 
 def test_consistent_decomposition_reconstructs_operator():
-    from dibvp.core import DifferenceOp
-
-    scheme = lax_wendroff(0.8, 0.9)
-    tildes = consistent_decomposition(scheme)
-    D = DifferenceOp.diff(1)
-    acc = DifferenceOp.identity(1)
-    for m, At in enumerate(tildes, start=1):
-        term = DifferenceOp({0: At})
-        for _ in range(m):
-            term = term @ D
-        acc = acc + (DifferenceOp.shift(-scheme.r, 1) @ term)
-    Q = scheme.interior_op(0)
-    for ell in range(-scheme.r, scheme.p + 1):
-        got = acc.taps.get(ell, np.zeros((1, 1)))
-        assert np.allclose(got, Q.taps.get(ell, np.zeros((1, 1))), atol=1e-14)
+    # (Q u)_j = u_j + sum_m A~_m (D^m u)_{j-r} on finitely supported u
+    rng = np.random.default_rng(5)
+    for scheme in (lax_wendroff(0.8, 0.9), lax_friedrichs(0.8, 0.9), upwind(0.8, 0.9)):
+        tildes = consistent_decomposition(scheme)
+        Q, r = scheme.interior_op(0), scheme.r
+        for _ in range(4):
+            size = int(rng.integers(1, 12))
+            u = GridSequence(int(rng.integers(-5, 5)), rng.standard_normal(size),
+                             implicit_zero=True)
+            lo, hi = u.offset - scheme.p - 1, u.last + r + 1
+            expected = u.window(lo, hi)
+            for m, At in enumerate(tildes, start=1):
+                Dm = discrete_derivative(u, m)
+                expected = expected + Dm.window(lo - r, hi - r) @ At.T
+            got = apply_op(Q, u).window(lo, hi)
+            assert np.allclose(got, expected, atol=1e-14)
 
 
 def test_consistent_decomposition_rejects():

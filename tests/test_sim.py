@@ -20,6 +20,7 @@ from dibvp.core import (
     three_point,
     upwind,
 )
+from dibvp.resolvent import SplitCountError
 from dibvp.sbp import DecompositionError, boundary_energy_rate
 from dibvp.sim import (
     IBVPTrace,
@@ -1272,3 +1273,37 @@ def test_split_raises_on_a_perturbed_boundary_source(monkeypatch, scheme):
     monkeypatch.setattr(sim, "reconstruct_boundary_source", perturbed)
     with pytest.raises(SimError, match="splitting identity violated.*at level 10"):
         split_solution(scheme, decaying_data(scheme, 20, seed=1), 20)
+
+
+def _raising_scan(exc):
+    def scan(*args, **kwargs):
+        raise exc
+    return scan
+
+
+_SHORT = dict(refinements=(0.1, 0.05), t_end=1.0)
+
+
+@pytest.mark.parametrize("verify", [verify_thm1, verify_strong_stability,
+                                    verify_semigroup])
+def test_programming_error_in_the_scan_propagates(monkeypatch, verify):
+    monkeypatch.setattr(sim, "uklc_scan", _raising_scan(TypeError("bad call")))
+    with pytest.raises(TypeError, match="bad call"):
+        verify(upwind(0.5, 1.0), **_SHORT)
+
+
+@pytest.mark.parametrize("verify", [verify_thm1, verify_strong_stability])
+def test_split_count_error_is_a_failed_hypothesis(monkeypatch, verify):
+    monkeypatch.setattr(sim, "uklc_scan",
+                        _raising_scan(SplitCountError("wrong counts")))
+    rep = verify(upwind(0.5, 1.0), **_SHORT)
+    assert not rep.hypotheses_met
+    assert rep.issues == ("determinant scan failed: wrong counts",)
+
+
+def test_split_count_error_makes_uklc_implausible(monkeypatch):
+    monkeypatch.setattr(sim, "uklc_scan",
+                        _raising_scan(SplitCountError("wrong counts")))
+    assert not verify_semigroup(upwind(0.5, 1.0), **_SHORT).uklc_plausible
+    monkeypatch.undo()
+    assert verify_semigroup(upwind(0.5, 1.0), **_SHORT).uklc_plausible

@@ -85,8 +85,7 @@ def _radii_outside_symbol(scheme: SchemeDef) -> tuple:
 @given(consistent_schemes())
 def test_stacked_determinant_matches_schur_oracle(scheme):
     try:
-        scan = uklc_scan(scheme, radii=_radii_outside_symbol(scheme),
-                         n_theta=12, check_symbol=False)
+        scan = uklc_scan(scheme, radii=_radii_outside_symbol(scheme), n_theta=12)
     except ResolventError:
         assume(False)  # RA_p singular on the grid, or an unsampled symbol peak
     ref, scale = _oracle(scheme, scan)
@@ -99,7 +98,7 @@ def test_stacked_determinant_matches_schur_oracle(scheme):
     assert np.all(got[~big] <= 1e-8 * (1 + tol[~big]))
     # the sign-function split agrees with the eigenvector split
     with mock.patch.object(res, "BASIS_RCOND_MIN", np.inf):
-        forced = uklc_scan(scheme, radii=scan.radii, n_theta=12, check_symbol=False)
+        forced = uklc_scan(scheme, radii=scan.radii, n_theta=12)
     assert forced.fallbacks == got.size
     assert np.all(np.abs(forced.values.ravel() - got) <= tol * np.maximum(got, 1e-8))
 
@@ -108,7 +107,7 @@ def test_jordan_block_takes_the_sign_function_split():
     # A = [[1, 1], [0, 1]] gives M(z) a double stable eigenvalue with one
     # eigenvector: the eigenvector block is rank deficient at every z
     scheme = lax_wendroff_system(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    scan = uklc_scan(scheme, check_symbol=False)
+    scan = uklc_scan(scheme)
     assert scan.fallbacks > 0
     ref, _ = _oracle(scheme, scan)
     assert np.all(np.abs(scan.values.ravel() - ref) <= 1e-8 * ref)
@@ -116,7 +115,7 @@ def test_jordan_block_takes_the_sign_function_split():
 
 def test_diagonalizable_system_needs_no_fallback():
     scheme = lax_wendroff_system(np.array([[1.0, 0.5], [0.5, -0.5]]))
-    scan = uklc_scan(scheme, radii=(1e-1, 1e-3), n_theta=16, check_symbol=False)
+    scan = uklc_scan(scheme, radii=(1e-1, 1e-3), n_theta=16)
     assert scan.fallbacks == 0
     ref, _ = _oracle(scheme, scan)
     assert np.all(np.abs(scan.values.ravel() - ref) <= 1e-12 * np.maximum(ref, 1))
