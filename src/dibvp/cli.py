@@ -380,40 +380,30 @@ def _cmd_sbp_decompose(scheme, args):
         rate = boundary_energy_rate(scheme)
     except DecompositionError as exc:
         return [verdict("energy-decomposition", False, str(exc))], {}, {}
-    coeff_rows = [
-        (ell + 1, i, j, dec.A_tilde[ell][i, j])
-        for ell in range(len(dec.A_tilde))
-        for i in range(scheme.N)
-        for j in range(scheme.N)
-    ]
-    quad_rows = [
-        (ell + 1, i, j, dec.S[ell][i, j])
-        for ell in range(len(dec.S))
-        for i in range(dec.S[ell].shape[0])
-        for j in range(dec.S[ell].shape[1])
-    ]
-    cross_rows = [
-        (ell + 1, i, j, dec.S_tilde[ell][i, j])
-        for ell in range(len(dec.S_tilde))
-        for i in range(dec.S_tilde[ell].shape[0])
-        for j in range(dec.S_tilde[ell].shape[1])
-    ]
-    rate_rows = [
-        (i, j, rate.matrix[i, j])
-        for i in range(rate.matrix.shape[0])
-        for j in range(rate.matrix.shape[1])
-    ]
+
+    def rows(mats):
+        """(ell, row, col, value) for every entry of mats[ell - 1]."""
+        return [
+            (ell, i, j, M[i, j])
+            for ell, M in enumerate(mats, start=1)
+            for i in range(M.shape[0])
+            for j in range(M.shape[1])
+        ]
+
     detail = f"boundary rate constant {rate.constant:.12e}"
     if dec.d1 is not None:
         detail += f"; d1 {dec.d1:.12e}"
     if dec.d2 is not None:
         detail += f"; d2 {dec.d2:.12e}"
     verdicts = [verdict("energy-decomposition", True, detail)]
+    cols = ("ell", "row", "col", "value")
     tables = {
-        "difference_coefficients": table(("ell", "row", "col", "value"), coeff_rows),
-        "quadratic_terms": table(("ell", "row", "col", "value"), quad_rows),
-        "cross_terms": table(("ell", "row", "col", "value"), cross_rows),
-        "boundary_rate_matrix": table(("row", "col", "value"), rate_rows),
+        "difference_coefficients": table(cols, rows(dec.A_tilde)),
+        "quadratic_terms": table(cols, rows(dec.S)),
+        "cross_terms": table(cols, rows(dec.S_tilde)),
+        "boundary_rate_matrix": table(
+            cols[1:], [row[1:] for row in rows([rate.matrix])]
+        ),
     }
     return verdicts, tables, {}
 

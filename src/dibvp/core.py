@@ -327,7 +327,6 @@ def discrete_derivative(u: GridSequence, k: int) -> GridSequence:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    dimensions_ok: bool
     consistent: bool
     consistency_residual: float
     noncharacteristic_ok: bool
@@ -337,7 +336,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return self.dimensions_ok and self.noncharacteristic_ok
+        return self.noncharacteristic_ok
 
 
 def _laurent(coeffs: np.ndarray, exponents, points) -> np.ndarray:
@@ -375,7 +374,7 @@ def _resolvent_stack(scheme: SchemeDef, zs) -> tuple:
 
 
 def validate_scheme(scheme: SchemeDef) -> ValidationReport:
-    """Check dimensions, consistency and sampled noncharacteristic condition.
+    """Check consistency and the sampled noncharacteristic condition.
 
     The extreme resolvent blocks at ell = -r and ell = p must be invertible
     for |z| in [1, 4]: their minimum singular value over the
@@ -384,14 +383,6 @@ def validate_scheme(scheme: SchemeDef) -> ValidationReport:
     NONCHARACTERISTIC_TOL.
     """
     messages = []
-    dimensions_ok = True  # enforced by the constructor; re-verify shapes anyway
-    if scheme.interior.shape != (scheme.p + scheme.r + 1, scheme.s + 1, scheme.N, scheme.N):
-        dimensions_ok = False
-        messages.append("interior coefficient array has wrong shape")
-    if scheme.boundary.shape != (scheme.q + 1, scheme.r, scheme.s + 2, scheme.N, scheme.N):
-        dimensions_ok = False
-        messages.append("boundary coefficient array has wrong shape")
-
     residual = float(
         np.abs(scheme.consistency_sum() - np.eye(scheme.N)).max()
     )
@@ -417,7 +408,6 @@ def validate_scheme(scheme: SchemeDef) -> ValidationReport:
             f"min sv left {min_left:.3e}, right {min_right:.3e}"
         )
     return ValidationReport(
-        dimensions_ok=dimensions_ok,
         consistent=consistent,
         consistency_residual=residual,
         noncharacteristic_ok=noncharacteristic_ok,

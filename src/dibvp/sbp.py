@@ -29,7 +29,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GridSequence, SchemeDef, SchemeError, _laurent, discrete_derivative
+from .core import (
+    CONSISTENCY_TOL,
+    GridSequence,
+    SchemeDef,
+    SchemeError,
+    _laurent,
+    apply_op,
+    difference_power_taps,
+    discrete_derivative,
+)
 
 #: absolute tolerance for the three-point stability criterion; d-values on
 #: the boundary (within tol of 0) are classified stable
@@ -75,38 +84,27 @@ def leibniz_table(k: int) -> LeibnizTable:
 
 
 def leibniz_check(k: int, u: GridSequence, v: GridSequence, A: np.ndarray) -> float:
-    """Max residual of the Leibniz rule on concrete sequences (test hook)."""
-    prod_vals = np.einsum("ji,ik,jk->j", np.conj(u.values), A, v.values)
-    prod = GridSequence(u.offset, prod_vals[:, None])
-    lhs = discrete_derivative(prod, k)
-    table = leibniz_table(k)
-    rhs_off, rhs_arr = None, None
-    for (j1, j2), c in table.coeffs.items():
-        du = discrete_derivative(u, j1)
-        dv = discrete_derivative(v, j2)
-        lo = max(du.offset, dv.offset)
-        hi = min(du.last, dv.last)
-        term = c * np.einsum(
-            "ji,ik,jk->j",
-            np.conj(du.values[lo - du.offset : hi - du.offset + 1]),
-            A,
-            dv.values[lo - dv.offset : hi - dv.offset + 1],
+    """Max residual of the Leibniz rule on concrete sequences (test hook).
+
+    Both sides are evaluated on [max offset, min last - k], where every
+    difference of u, v and u* A v up to order k is defined.
+    """
+    lo, hi = max(u.offset, v.offset), min(u.last, v.last) - k
+
+    def form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.einsum("ji,ik,jk->j", np.conj(x), A, y)
+
+    prod = GridSequence(lo, form(u.window(lo, hi + k), v.window(lo, hi + k)))
+    lhs = discrete_derivative(prod, k).window(lo, hi)[:, 0]
+    rhs = sum(
+        c
+        * form(
+            discrete_derivative(u, j1).window(lo, hi),
+            discrete_derivative(v, j2).window(lo, hi),
         )
-        if rhs_arr is None:
-            rhs_off, rhs_arr = lo, term
-        else:
-            lo2 = max(rhs_off, lo)
-            hi2 = lo2 + min(len(rhs_arr) - (lo2 - rhs_off), len(term) - (lo2 - lo)) - 1
-            rhs_arr = rhs_arr[lo2 - rhs_off : hi2 - rhs_off + 1] + term[
-                lo2 - lo : hi2 - lo + 1
-            ]
-            rhs_off = lo2
-    lo = max(lhs.offset, rhs_off)
-    hi = min(lhs.last, rhs_off + len(rhs_arr) - 1)
-    res = lhs.values[lo - lhs.offset : hi - lhs.offset + 1, 0] - rhs_arr[
-        lo - rhs_off : hi - rhs_off + 1
-    ]
-    return float(np.abs(res).max())
+        for (j1, j2), c in leibniz_table(k).coeffs.items()
+    )
+    return float(np.abs(lhs - rhs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -251,47 +249,27 @@ def _materialize_skew(A: np.ndarray, k: int) -> IBPDecomposition:
 
 
 def _ibp_residual(dec: IBPDecomposition, rng: np.random.Generator, trials: int = 8) -> float:
-    """Largest pointwise residual of the decomposition on random real sequences."""
-    N = dec.A.shape[0]
-    k = dec.k
+    """Largest pointwise residual of the decomposition on random real sequences.
+
+    The right-hand side is the canonical form with S_l = alpha_l A and no
+    cross terms (hermitian) or S = 0 and S~_l = beta_l A (skew).
+    """
+    N, k = dec.A.shape[0], dec.k
+    scaled = [c * dec.A for c in dec.coefficients]
+    if dec.kind == "hermitian":
+        S, S_tilde = scaled, []
+    else:
+        S, S_tilde = [np.zeros((N, N))] * k, scaled
     worst = 0.0
     for _ in range(trials):
         u = GridSequence(0, rng.standard_normal((k + 6, N)))
-        ds = [discrete_derivative(u, j) for j in range(k + 1)]
-        # common index range where everything below is defined
-        lo, hi = 0, ds[k].last - 1  # one extra point for D(q)
-        jets = np.stack(
-            [ds[j].window(lo, hi + 1) for j in range(k)], axis=1
-        )  # (L+1, k, N)
-        qvals = np.einsum(
-            "lim,imjn,ljn->l",
-            np.conj(jets),
-            dec.Q_form.reshape(k, N, k, N),
-            jets,
-        )
-        dq = qvals[1:] - qvals[:-1]
-        u0 = ds[0].window(lo, hi)
-        dk = ds[k].window(lo, hi)
+        lo, rhs = _canonical_form(u, dec.Q_form, S, S_tilde)
+        hi = lo + len(rhs) - 1
+        dk = discrete_derivative(u, k).window(lo, hi)
+        lhs = np.einsum("ji,ik,jk->j", np.conj(u.window(lo, hi)), dec.A, dk)
         if dec.kind == "hermitian":
-            lhs = np.real(np.einsum("ji,ik,jk->j", np.conj(u0), dec.A, dk))
-            rhs = dq.real.copy()
-            for j in range(1, k + 1):
-                dj = ds[j].window(lo, hi)
-                rhs += dec.coefficients[j - 1] * np.real(
-                    np.einsum("ji,ik,jk->j", np.conj(dj), dec.A, dj)
-                )
-            res = np.abs(lhs - rhs).max()
-        else:
-            lhs = np.einsum("ji,ik,jk->j", np.conj(u0), dec.A, dk)
-            rhs = dq.astype(complex)
-            for j in range(1, k):
-                dj = ds[j].window(lo, hi)
-                dj1 = ds[j + 1].window(lo, hi)
-                rhs += dec.coefficients[j - 1] * np.einsum(
-                    "ji,ik,jk->j", np.conj(dj), dec.A, dj1
-                )
-            res = np.abs(lhs - rhs).max()
-        worst = max(worst, float(res))
+            lhs, rhs = lhs.real, rhs.real
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 
@@ -351,17 +329,14 @@ def consistent_decomposition(scheme: SchemeDef) -> list:
     if scheme.s != 0:
         raise DecompositionError("consistent decomposition requires a one-step scheme")
     res = np.abs(scheme.consistency_sum() - np.eye(scheme.N)).max()
-    if res > 1e-12:
+    if res > CONSISTENCY_TOL:
         raise DecompositionError(f"scheme is not consistent (residual {res:.3e})")
-    m_max = scheme.p + scheme.r
-    tildes = []
-    for m in range(1, m_max + 1):
-        acc = np.zeros((scheme.N, scheme.N))
-        for ell in range(-scheme.r, scheme.p + 1):
-            acc = acc + math.comb(scheme.r + ell, m) * scheme.A(ell, 0)
-        acc = acc - math.comb(scheme.r, m) * np.eye(scheme.N)
-        tildes.append(acc)
-    return tildes
+    r, p, N = scheme.r, scheme.p, scheme.N
+    return [
+        sum((math.comb(r + ell, m) * scheme.A(ell, 0) for ell in range(-r, p + 1)),
+            np.zeros((N, N))) - math.comb(r, m) * np.eye(N)
+        for m in range(1, p + r + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +371,17 @@ class EnergyDecomposition:
         return self.scheme.p + self.scheme.r
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2
-
-
-def _skew(M: np.ndarray) -> np.ndarray:
-    return (M - M.T) / 2
-
-
 def energy_decomposition(scheme: SchemeDef) -> EnergyDecomposition:
     """Reduce the one-step energy rate to the canonical difference form.
 
     The expansion of 2U*(Q-I)U + |(Q-I)U|^2 over difference monomials
-    (D^i U)* M (D^j U) is reduced with the hermitian/skew tables.  A
-    nonsymmetric first-order coefficient A~_1 leaves an irreducible
-    monomial U*(skew)(DU) and is rejected; scalar schemes never hit this.
+    (D^i U)* M (D^j U) is reduced by placing the symmetric and skew parts'
+    IBP decompositions (``_materialize_hermitian`` / ``_materialize_skew``)
+    at jet offset i.  A nonsymmetric first-order coefficient A~_1 leaves an
+    irreducible monomial U*(skew)(DU) and is rejected; scalar schemes never
+    hit this.  The identity is checked on random sequences to within
+    1e-10 max(1, max_l max|A~_l|)^2, since rounding grows like the
+    coefficients squared.
     """
     tildes = consistent_decomposition(scheme)
     N = scheme.N
@@ -419,26 +390,18 @@ def energy_decomposition(scheme: SchemeDef) -> EnergyDecomposition:
 
     # monomial accumulator: (i, j) -> coefficient of (D^i U)* . (D^j U)
     mono = {}
-
-    def add(i: int, j: int, M: np.ndarray):
-        key = (i, j)
-        mono[key] = mono.get(key, 0) + M
-
     # 2 U*(Q-I)U = 2 T^{-r} (T^r U)* sum_l A~_l D^l U, T^r = sum_t C(r,t) D^t
     for ell in range(1, m + 1):
         for t in range(r + 1):
-            add(t, ell, 2 * math.comb(r, t) * tildes[ell - 1])
+            mono[t, ell] = mono.get((t, ell), 0) + 2 * math.comb(r, t) * tildes[ell - 1]
     # |(Q-I)U|^2 = T^{-r} sum_{l1,l2} (D^{l1}U)* A~_{l1}^T A~_{l2} (D^{l2}U)
     for l1 in range(1, m + 1):
         for l2 in range(1, m + 1):
-            add(l1, l2, tildes[l1 - 1].T @ tildes[l2 - 1])
+            mono[l1, l2] = mono.get((l1, l2), 0) + tildes[l1 - 1].T @ tildes[l2 - 1]
 
     Q_form = np.zeros((N * m, N * m))
     S = [np.zeros((N, N)) for _ in range(m)]
     S_t = [np.zeros((N, N)) for _ in range(max(m - 1, 0))]
-
-    def q_add(i: int, j: int, M: np.ndarray):
-        Q_form[i * N : (i + 1) * N, j * N : (j + 1) * N] += M
 
     for i in range(m + 1):
         for j in range(i, m + 1):
@@ -448,23 +411,23 @@ def energy_decomposition(scheme: SchemeDef) -> EnergyDecomposition:
                     continue
                 if i == 0:
                     raise AssertionError("unexpected (0,0) monomial")
-                S[i - 1] = S[i - 1] + _sym(B)  # skew part is null on real data
+                S[i - 1] = S[i - 1] + (B + B.T) / 2  # skew part is null on real data
                 continue
             B = mono.get((i, j), np.zeros((N, N))) + mono.get(
                 (j, i), np.zeros((N, N))
             ).T
             if not np.any(B):
                 continue
+            # (D^i U)* B (D^j U) is the order j-i monomial of D^i U; its
+            # boundary form fills the jet block i..j-1
             k = j - i
-            H, K = _sym(B), _skew(B)
+            block = slice(i * N, j * N)
+            H, K = (B + B.T) / 2, (B - B.T) / 2
             if np.abs(H).max() > 0:
-                C, alpha = _hermitian_tables(k)
-                for a in range(k):
-                    for b in range(k):
-                        if C[a][b]:
-                            q_add(i + a, i + b, float(C[a][b]) * H)
-                for t in range(1, k + 1):
-                    S[i + t - 1] = S[i + t - 1] + float(alpha[t - 1]) * H
+                ibp = _materialize_hermitian(H, k)
+                Q_form[block, block] += ibp.Q_form
+                for t, alpha in enumerate(ibp.coefficients):
+                    S[i + t] = S[i + t] + alpha * H
             if np.abs(K).max() > 1e-14 * max(1.0, np.abs(B).max()):
                 if k == 1:
                     if i == 0:
@@ -474,14 +437,10 @@ def energy_decomposition(scheme: SchemeDef) -> EnergyDecomposition:
                         )
                     S_t[i - 1] = S_t[i - 1] + K
                 else:
-                    G, beta = _skew_tables(k)
-                    for a in range(k):
-                        for b in range(k):
-                            if G[a][b]:
-                                q_add(i + a, i + b, float(G[a][b]) / 2 * K)
-                                q_add(i + b, i + a, -float(G[a][b]) / 2 * K)
-                    for t in range(1, k):
-                        S_t[i + t - 1] = S_t[i + t - 1] + float(beta[t - 1]) * K
+                    ibp = _materialize_skew(K, k)
+                    Q_form[block, block] += ibp.Q_form
+                    for t, beta in enumerate(ibp.coefficients):
+                        S_t[i + t] = S_t[i + t] + beta * K
 
     Q_form = (Q_form + Q_form.T) / 2
 
@@ -490,55 +449,50 @@ def energy_decomposition(scheme: SchemeDef) -> EnergyDecomposition:
         d1 = float(S[0][0, 0])
         d2 = float(S[1][0, 0]) if m == 2 else 0.0
 
-    dec = EnergyDecomposition(
-        scheme=scheme,
-        A_tilde=tuple(tildes),
-        Q_form=Q_form,
-        S=tuple(S),
-        S_tilde=tuple(S_t),
-        d1=d1,
-        d2=d2,
-    )
+    dec = EnergyDecomposition(scheme=scheme, A_tilde=tuple(tildes), Q_form=Q_form,
+                              S=tuple(S), S_tilde=tuple(S_t), d1=d1, d2=d2)
     res = _energy_identity_residual(dec, np.random.default_rng(99), trials=6)
-    if res > 1e-10:
+    if res > 1e-10 * np.abs(tildes).max(initial=1.0) ** 2:
         raise AssertionError(f"energy identity residual {res:.3e}")
     return dec
 
 
-def _canonical_rhs_pointwise(dec: EnergyDecomposition, u: GridSequence):
-    """Evaluate the bracket [...] of the canonical form on a common range.
+def _form_terms(ds: list, lo: int, hi: int, S, S_tilde) -> np.ndarray:
+    """sum_l (D^l u)* S[l-1] (D^l u) + (D^l u)* S_tilde[l-1] (D^{l+1} u) at
+    each j in [lo, hi], ``ds[l]`` being D^l u."""
+    out = np.zeros(hi - lo + 1, dtype=complex)
+    for l, S_l in enumerate(S, start=1):
+        dl = ds[l].window(lo, hi)
+        out += np.einsum("ji,ik,jk->j", np.conj(dl), S_l, dl)
+    for l, St_l in enumerate(S_tilde, start=1):
+        out += np.einsum(
+            "ji,ik,jk->j", np.conj(ds[l].window(lo, hi)), St_l, ds[l + 1].window(lo, hi)
+        )
+    return out
 
-    Returns (offset, values) where values[j] is the bracket at base index
-    offset + j: D(q)(jet_j) + sum_l (D^l U)_j* S_l (D^l U)_j + cross terms.
+
+def _canonical_form(u: GridSequence, Q_form: np.ndarray, S, S_tilde):
+    """Evaluate D(q) + sum_l (D^l u)* S_l (D^l u) + sum_l (D^l u)* S~_l (D^{l+1} u).
+
+    q(x) = x* Q_form x on the jet (u, Du, ..., D^{m-1}u) with m = len(S).
+    Returns (offset, values), values[j] being the bracket at base index
+    offset + j, over the range where D^m u is defined at j and j + 1.
     """
-    scheme = dec.scheme
-    N, m = scheme.N, dec.m
+    m, N = len(S), u.N
     ds = [discrete_derivative(u, k) for k in range(m + 1)]
-    lo = u.offset
-    hi = ds[m].last - 1  # need jet at j and j+1
-    L = hi - lo + 1
-    if L <= 0:
+    lo, hi = u.offset, ds[m].last - 1  # need the jet at j and j+1
+    if hi < lo:
         raise SchemeError("sequence too short for the energy identity")
     jets = np.stack([ds[k].window(lo, hi + 1) for k in range(m)], axis=1)
-    qv = np.einsum(
-        "lim,imjn,ljn->l", np.conj(jets), dec.Q_form.reshape(m, N, m, N), jets
-    )
-    out = (qv[1:] - qv[:-1]).astype(complex)
-    for l in range(1, m + 1):
-        dl = ds[l].window(lo, hi)
-        out += np.einsum("ji,ik,jk->j", np.conj(dl), dec.S[l - 1], dl)
-    for l in range(1, m):
-        dl = ds[l].window(lo, hi)
-        dl1 = ds[l + 1].window(lo, hi)
-        out += np.einsum("ji,ik,jk->j", np.conj(dl), dec.S_tilde[l - 1], dl1)
-    return lo, out
+    qv = np.einsum("lim,imjn,ljn->l", np.conj(jets), Q_form.reshape(m, N, m, N), jets)
+    return lo, qv[1:] - qv[:-1] + _form_terms(ds, lo, hi, S, S_tilde)
 
 
 def _energy_identity_residual(
     dec: EnergyDecomposition, rng: np.random.Generator, trials: int = 6
 ) -> float:
-    from .core import apply_op
-
+    """Largest pointwise gap between 2 U*(Q-I)U + |(Q-I)U|^2 and the
+    canonical form, shifted by T^{-r}, on random real sequences."""
     scheme = dec.scheme
     N, m, r = scheme.N, dec.m, scheme.r
     Q = scheme.interior_op(0)
@@ -546,20 +500,16 @@ def _energy_identity_residual(
     for _ in range(trials):
         u = GridSequence(0, rng.standard_normal((m + 9, N)))
         quv = apply_op(Q, u)  # zero taps may widen the valid range
-        lo_l = max(quv.offset, u.offset)
-        hi_l = min(quv.last, u.last)
-        uu = u.window(lo_l, hi_l)
-        diff = quv.window(lo_l, hi_l) - uu
+        off, bracket = _canonical_form(u, dec.Q_form, dec.S, dec.S_tilde)
+        # the canonical rhs at j is the bracket at j - r
+        lo = max(quv.offset, u.offset, off + r)
+        hi = min(quv.last, u.last, off + len(bracket) - 1 + r)
+        uu = u.window(lo, hi)
+        diff = quv.window(lo, hi) - uu
         lhs = 2 * np.real(np.einsum("ji,ji->j", np.conj(uu), diff)) + np.einsum(
             "ji,ji->j", np.conj(diff), diff
         ).real
-        off_b, bracket = _canonical_rhs_pointwise(dec, u)
-        # canonical rhs at j is bracket at j - r
-        lo = max(lo_l, off_b + r)
-        hi = min(hi_l, off_b + len(bracket) - 1 + r)
-        res = lhs[lo - lo_l : hi - lo_l + 1] - np.real(
-            bracket[lo - r - off_b : hi - r - off_b + 1]
-        )
+        res = lhs - np.real(bracket[lo - r - off : hi - r - off + 1])
         worst = max(worst, float(np.abs(res).max()))
     return worst
 
@@ -588,7 +538,7 @@ def cauchy_criterion_3pt(
     whose solution in closed form is d1 = (a_+ - a_-)^2 - a_- - a_+ and
     d2 = a_- a_+; ``lam`` does not enter.
     """
-    if abs(a_minus + a_zero + a_plus - 1.0) > 1e-12:
+    if abs(a_minus + a_zero + a_plus - 1.0) > CONSISTENCY_TOL:
         raise DecompositionError("three-point coefficients must sum to 1")
     d1 = float((a_plus - a_minus) ** 2 - a_minus - a_plus)
     d2 = float(a_minus * a_plus)
@@ -614,29 +564,12 @@ def energy_balance_step(scheme: SchemeDef, u: GridSequence) -> EnergyBalance:
     if not u.implicit_zero:
         raise SchemeError("energy balance needs a finitely supported sequence")
     dec = energy_decomposition(scheme)
-    from .core import apply_op
-
-    Q = scheme.interior_op(0)
-    new = apply_op(Q, u)
+    new = apply_op(scheme.interior_op(0), u)
     lhs = new.norm_sq() - u.norm_sq()
-
-    m = dec.m
-    N = scheme.N
-    ds = [discrete_derivative(u, k) for k in range(m + 1)]
+    ds = [discrete_derivative(u, k) for k in range(dec.m + 1)]
     lo = min(d.offset for d in ds)
     hi = max(d.last for d in ds)
-    rhs = 0.0
-    for l in range(1, m + 1):
-        dl = ds[l].window(lo, hi)
-        rhs += float(
-            np.real(np.einsum("ji,ik,jk->", np.conj(dl), dec.S[l - 1], dl))
-        )
-    for l in range(1, m):
-        dl = ds[l].window(lo, hi)
-        dl1 = ds[l + 1].window(lo, hi)
-        rhs += float(
-            np.real(np.einsum("ji,ik,jk->", np.conj(dl), dec.S_tilde[l - 1], dl1))
-        )
+    rhs = float(np.real(_form_terms(ds, lo, hi, dec.S, dec.S_tilde).sum()))
     return EnergyBalance(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 
@@ -690,7 +623,7 @@ def boundary_energy_rate(scheme: SchemeDef) -> BoundaryEnergyRate:
     def row_Dl(l: int, base_j: int) -> np.ndarray:
         """Matrix of D^l at base_j acting on the stacked trace (zero-extended)."""
         out = np.zeros((N, dim))
-        for t, c in ((t, (-1) ** (l - t) * math.comb(l, t)) for t in range(l + 1)):
+        for t, c in difference_power_taps(l).items():
             j = base_j + t
             k = j - (1 - r)
             if 0 <= k < w:
@@ -700,9 +633,7 @@ def boundary_energy_rate(scheme: SchemeDef) -> BoundaryEnergyRate:
     M = np.zeros((dim, dim))
 
     # (a) -q(jet at 1-r)
-    J = np.zeros((m * N, dim))
-    for l in range(m):
-        J[l * N : (l + 1) * N] = row_Dl(l, 1 - r)
+    J = np.vstack([row_Dl(l, 1 - r) for l in range(m)])
     M -= J.T @ dec.Q_form @ J
 
     # (b) -(S and S~ sums) over 1-p-2r <= j <= -r of the zero-extension
@@ -711,9 +642,7 @@ def boundary_energy_rate(scheme: SchemeDef) -> BoundaryEnergyRate:
             R = row_Dl(l, j)
             M -= R.T @ dec.S[l - 1] @ R
         for l in range(1, m):
-            Rl = row_Dl(l, j)
-            Rl1 = row_Dl(l + 1, j)
-            cross = Rl.T @ dec.S_tilde[l - 1] @ Rl1
+            cross = row_Dl(l, j).T @ dec.S_tilde[l - 1] @ row_Dl(l + 1, j)
             M -= (cross + cross.T) / 2
     M = (M + M.T) / 2
     return BoundaryEnergyRate(

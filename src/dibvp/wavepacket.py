@@ -65,7 +65,7 @@ class Envelope:
 
     Values come from a Gauss-Legendre quadrature of the inverse Fourier
     integral whose node count was doubled until the values on the
-    certification grid moved by less than ``tol``; ``x_certified`` is the
+    certification grid moved by at most ENVELOPE_TOL; ``x_certified`` is the
     half-width of that grid and ``quad_error`` the last observed change.
     """
 
@@ -74,7 +74,6 @@ class Envelope:
     weights: np.ndarray
     x_certified: float
     quad_error: float
-    tol: float
 
     def fourier(self, xi) -> np.ndarray:
         """The transform profile: a bump supported on |xi| <= delta0/2."""
@@ -131,7 +130,7 @@ def make_envelope(delta0: float, x_max: float | None = None) -> Envelope:
         if err <= ENVELOPE_TOL:
             return Envelope(
                 delta0=float(delta0), nodes=nodes, weights=weights,
-                x_certified=float(x_max), quad_error=err, tol=ENVELOPE_TOL,
+                x_certified=float(x_max), quad_error=err,
             )
         prev = cur
     raise WavepacketError(

@@ -199,6 +199,18 @@ def test_sbp_decompose_multi_step_fails(paths, capsys):
     assert "one-step" in rep["verdicts"][0]["detail"]
 
 
+def test_sbp_decompose_large_coefficients_fail_with_a_verdict(tmp_path, capsys):
+    # the energy identity's rounding at nu = 20 (2.3e-10) is within its
+    # coefficient-scaled bound, so the stability check gives the verdict
+    path = tmp_path / "lw20.json"
+    save_scheme(lax_wendroff(1.0, 20.0), path)
+    code, out, err = run(["sbp-decompose", "--scheme", str(path)], capsys)
+    assert code == 1
+    assert err == ""
+    detail = json.loads(out)["verdicts"][0]["detail"]
+    assert "exceeds 1; no energy bound" in detail
+
+
 def test_simulate_reports_norm_series(paths, capsys):
     code, out, _ = run(
         ["simulate", "--scheme", paths["upwind"], "--n-max", "40",

@@ -1,10 +1,13 @@
 """Tests for the summation-by-parts and energy machinery."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dibvp.core import (
     GridSequence,
@@ -31,7 +34,9 @@ from dibvp.sbp import (
     ibp_skew,
     leibniz_check,
     leibniz_table,
+    _energy_identity_residual,
     _hermitian_tables,
+    _ibp_residual,
     _skew_tables,
 )
 
@@ -429,3 +434,87 @@ def test_boundary_rate_trace_dependence_matters():
     zero = np.zeros(scheme.N * (scheme.p + scheme.r))
     assert rate.evaluate(zero) == 0.0
     assert rate.constant > 0.0
+
+
+# ---------------------------------------------------------------------------
+# large coefficients, perturbed decompositions and random schemes
+
+
+def _identity_bound(dec):
+    """The energy identity's tolerance: rounding grows like max|A~|^2."""
+    return 1e-10 * np.abs(dec.A_tilde).max(initial=1.0) ** 2
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [lax_wendroff(1.0, nu) for nu in (20.0, 50.0, 100.0, 1000.0)]
+    + [three_point(a, 1 - 2 * a, a) for a in (1e3, 1e6)],
+    ids=["lw-20", "lw-50", "lw-100", "lw-1000", "3pt-1e3", "3pt-1e6"],
+)
+def test_energy_decomposition_large_coefficients(scheme):
+    dec = energy_decomposition(scheme)  # internal identity check must pass
+    crit = cauchy_criterion_3pt(*scheme.interior[:, 0, 0, 0])
+    assert crit.d1 == pytest.approx(dec.d1, rel=1e-13, abs=1e-13)
+    assert crit.d2 == pytest.approx(dec.d2, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "skew"])
+def test_ibp_residual_detects_a_wrong_constant(kind):
+    if kind == "hermitian":
+        dec = ibp_hermitian(np.eye(2), 3)
+    else:
+        dec = ibp_skew(np.array([[0.0, 1.0], [-1.0, 0.0]]), 3)
+    coefficients = dec.coefficients.copy()
+    coefficients[1] += 1e-6
+    wrong = dataclasses.replace(dec, coefficients=coefficients)
+    rng = np.random.default_rng(3)
+    assert _ibp_residual(dec, rng) < 1e-12
+    assert _ibp_residual(wrong, rng) > 1e-8
+
+
+def _symmetric_system():
+    rng = np.random.default_rng(5)
+    taps = [rng.standard_normal((2, 2)) * 0.2 for _ in range(2)]
+    Am, Ap = (T + T.T for T in taps)
+    interior = np.stack([Am, np.eye(2) - Am - Ap, Ap])[:, None]
+    return SchemeDef(N=2, r=1, p=1, q=0, s=0, lam=1.0, interior=interior,
+                     boundary=np.zeros((1, 1, 2, 2, 2)))
+
+
+@pytest.mark.parametrize("field", ["S", "S_tilde"])
+def test_energy_identity_residual_detects_a_wrong_term(field):
+    scheme = lax_wendroff(1.0, 0.5) if field == "S" else _symmetric_system()
+    dec = energy_decomposition(scheme)
+    terms = list(getattr(dec, field))
+    terms[0] = terms[0] + 1e-6
+    wrong = dataclasses.replace(dec, **{field: tuple(terms)})
+    rng = np.random.default_rng(3)
+    assert _energy_identity_residual(dec, rng) < 1e-12
+    assert _energy_identity_residual(wrong, rng) > 1e-8
+
+
+@st.composite
+def symmetric_one_step_schemes(draw):
+    """Consistent one-step schemes with symmetric taps, N <= 2, r, p <= 2."""
+    N, r, p = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10 ** draw(st.floats(-1.0, 3.0))
+    taps = rng.standard_normal((p + r + 1, N, N)) * scale
+    taps = (taps + taps.transpose(0, 2, 1)) / 2
+    taps[r] = np.eye(N) - (taps.sum(axis=0) - taps[r])
+    return SchemeDef(N=N, r=r, p=p, q=0, s=0, lam=1.0, interior=taps[:, None],
+                     boundary=np.zeros((1, r, 2, N, N)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_one_step_schemes())
+def test_energy_identity_holds_on_random_schemes(scheme):
+    dec = energy_decomposition(scheme)
+    rng = np.random.default_rng(0)
+    assert _energy_identity_residual(dec, rng, trials=20) <= _identity_bound(dec)
+    if scheme.N == 1 and dec.m <= 2:
+        # |Qhat|^2 does not see a shift, so the taps may sit on T^-2, T^-1, 1
+        taps = list(scheme.interior[:, 0, 0, 0]) + [0.0] * (3 - len(scheme.interior))
+        crit = cauchy_criterion_3pt(*taps)
+        assert crit.d1 == pytest.approx(dec.d1, rel=1e-13, abs=_identity_bound(dec))
+        assert crit.d2 == pytest.approx(dec.d2, rel=1e-13, abs=_identity_bound(dec))

@@ -9,6 +9,7 @@ from dibvp.core import SchemeDef, leap_frog, upwind
 from dibvp.sim import run_cauchy
 from dibvp.symbol import amplification_matrix
 from dibvp.wavepacket import (
+    ENVELOPE_TOL,
     WavepacketError,
     approx_solution,
     glancing_trace_experiment,
@@ -145,7 +146,7 @@ def test_envelope_quadrature_nodes_are_128_gauss_legendre(delta0):
     t, w = np.polynomial.legendre.leggauss(128)
     assert np.array_equal(envelope.nodes, delta0 / 2.0 * t)
     assert np.array_equal(envelope.weights, delta0 / 2.0 * w)
-    assert envelope.quad_error <= envelope.tol
+    assert envelope.quad_error <= ENVELOPE_TOL
 
 
 # ---------------------------------------------------------------------------
