@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``core``       scheme data model, grid sequences, stencil taps
+- ``core``       scheme data model, grid sequences, stencil taps, branch continuation
 - ``symbol``     Fourier symbol, von Neumann analysis, eigenvalue branches
 - ``resolvent``  spatial companion matrix, Kreiss-Lopatinskii determinant
 - ``sbp``        discrete summation-by-parts and energy decompositions

@@ -33,7 +33,7 @@ from .resolvent import (
     classify_boundary_blocks,
     uklc_scan,
 )
-from .sbp import DecompositionError, boundary_energy_rate, energy_decomposition
+from .sbp import DecompositionError, _boundary_rate, energy_decomposition
 from .sim import (
     accumulate_norms,
     decaying_data,
@@ -376,8 +376,9 @@ def _cmd_classify_blocks(scheme, args):
 
 def _cmd_sbp_decompose(scheme, args):
     try:
+        # a failed decomposition is reported ahead of the norm check
         dec = energy_decomposition(scheme)
-        rate = boundary_energy_rate(scheme)
+        rate = _boundary_rate(scheme, dec)
     except DecompositionError as exc:
         return [verdict("energy-decomposition", False, str(exc))], {}, {}
 

@@ -373,6 +373,128 @@ def _resolvent_stack(scheme: SchemeDef, zs) -> tuple:
     return vals[:, : p + r + 1], vals[:, p + r + 1 :].reshape(-1, q + 1, r, N, N)
 
 
+# ---------------------------------------------------------------------------
+# eigenvalue branch continuation (Kato, Perturbation Theory for Linear
+# Operators, ch. II): theta over amp(e^{i theta}) on the symbol side, tau
+# over M(z_bar e^tau) on the resolvent side
+
+#: bisection depth at which an ambiguous continuation step is recorded
+BRANCH_MAX_DEPTH = 20
+
+
+def _min_cost_matching(cost: np.ndarray) -> np.ndarray:
+    """Row matched to each column of a square cost matrix, at least total cost.
+
+    Hungarian method with row and column potentials u, v (shortest
+    augmenting paths).  ``match[col]`` is the row of a column, 1-based,
+    with column 0 a sentinel; plain lists, as the matrices are small.
+    """
+    c = cost.tolist()
+    n = len(c)
+    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
+    match, way = [0] * (n + 1), [0] * (n + 1)
+    for row in range(1, n + 1):
+        match[0], col = row, 0
+        minv, used = [np.inf] * (n + 1), [False] * (n + 1)
+        while match[col]:
+            used[col] = True
+            i, step, nxt = match[col], np.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = c[i - 1][j - 1] - u[i] - v[j]
+                    if reduced < minv[j]:
+                        minv[j], way[j] = reduced, col
+                    if minv[j] < step:
+                        step, nxt = minv[j], j
+            if not nxt:
+                raise ValueError("branch distances are not finite")
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += step
+                    v[j] -= step
+                else:
+                    minv[j] -= step
+            col = nxt
+        while col:
+            match[col] = match[way[col]]
+            col = way[col]
+    return np.array(match[1:]) - 1
+
+
+def _swap_ambiguous(P: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Whether a matching is ambiguous, for each matching in a stack.
+
+    ``P[..., j, b]`` is the distance from the new value matched to branch
+    j, ``vals[..., j]``, to the previous value of branch b.  A matching is
+    ambiguous when some transposition of genuinely distinct values changes
+    its total cost by less than 1e-10.
+    """
+    d = np.diagonal(P, axis1=-2, axis2=-1)
+    # symmetric in (j1, j2) bit for bit; the diagonal is never distinct
+    delta = (P + np.swapaxes(P, -1, -2)) - (d[..., :, None] + d[..., None, :])
+    distinct = np.abs(vals[..., :, None] - vals[..., None, :]) > 1e-12
+    return ((delta < 1e-10) & distinct).any(axis=(-2, -1))
+
+
+def _continue_step(eigs_at, t_a, vals_a, t_b, eigs_b, records: list, depth=0):
+    """Order of ``eigs_b`` continuing the branch values ``vals_a`` from t_a to t_b.
+
+    The least-cost matching decides; an ambiguous step is halved, down to
+    BRANCH_MAX_DEPTH, where t_b goes to ``records`` and the matching stays.
+    """
+    cost = np.abs(eigs_b[:, None] - vals_a[None, :])
+    order = _min_cost_matching(cost)
+    if not _swap_ambiguous(cost[order], eigs_b[order]):
+        return order
+    if depth >= BRANCH_MAX_DEPTH:
+        records.append(t_b)
+        return order
+    t_m = 0.5 * (t_a + t_b)
+    eigs_m = eigs_at(t_m)
+    vals_m = eigs_m[_continue_step(eigs_at, t_a, vals_a, t_m, eigs_m, records, depth + 1)]
+    return _continue_step(eigs_at, t_m, vals_m, t_b, eigs_b, records, depth + 1)
+
+
+def _continue_path(ts, eigs: np.ndarray, first, eigs_at, parent=None):
+    """(order, ambiguous): eigs[k, order[k]] continues eigs[0, first] along ts.
+
+    Row k continues row parent[k] < k: by default row k - 1, so the rows
+    form one path, and in general a tree of paths from row 0.  A previous
+    value takes its nearest new value where that is a clear step; the
+    other steps go to the exact matcher and interval bisection, whose
+    unresolved steps are listed in ``ambiguous``.  Clear steps to rows no
+    other row continues are taken together at the end.
+    """
+    parent = np.arange(-1, len(ts) - 1) if parent is None else parent
+    # nearest[k - 1, i] indexes the value of row k nearest value i of its
+    # parent row; a clear step is a permutation that no transposition makes
+    # ambiguous, so it is the step's least-cost matching
+    cost = np.abs(eigs[1:, :, None] - eigs[parent[1:], None, :])  # [step, new, prev]
+    nearest = np.argmin(cost, axis=1)
+    is_perm = (np.sort(nearest, axis=1) == np.arange(eigs.shape[1])).all(axis=1)
+    clear = is_perm & ~_swap_ambiguous(
+        np.take_along_axis(cost, nearest[:, :, None], axis=1),
+        np.take_along_axis(eigs[1:], nearest, axis=1),
+    )
+    clear = np.append(False, clear)  # by row; row 0 takes no step
+    leaf = clear.copy()
+    leaf[parent[1:]] = False
+    order = np.empty(eigs.shape, dtype=int)
+    order[0] = first
+    records: list = []
+    for k in np.flatnonzero(~leaf)[1:]:
+        j = parent[k]
+        if clear[k]:
+            order[k] = nearest[k - 1, order[j]]
+        else:
+            order[k] = _continue_step(
+                eigs_at, ts[j], eigs[j, order[j]], ts[k], eigs[k], records
+            )
+    leaf = np.flatnonzero(leaf)
+    order[leaf] = np.take_along_axis(nearest[leaf - 1], order[parent[leaf]], axis=1)
+    return order, tuple(records)
+
+
 def validate_scheme(scheme: SchemeDef) -> ValidationReport:
     """Check consistency and the sampled noncharacteristic condition.
 

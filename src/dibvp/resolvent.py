@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SchemeDef, _resolvent_stack
+from .core import SchemeDef, _continue_path, _resolvent_stack
 
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_GAMMAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -516,13 +516,14 @@ class EigenvalueBranch:
     """Continuously tracked eigenvalue branch mu(z) of M(z) near z_bar.
 
     ``curve(gamma, thetas)`` returns f(gamma + i theta) = log(mu / mu_bar)
-    along z = z_bar e^{gamma + i theta}, tracked by continuity: first a
-    radial walk from z_bar to z_bar e^gamma with geometrically growing
-    steps, then an angular sweep through reference nodes spaced finely
-    enough (relative to the distance from the branch point) that nearest-
-    eigenvalue continuation cannot hop branches.  The logarithm's
-    imaginary part is accumulated along the path, so f is continuous even
-    across the cut of the principal branch.
+    along z = z_bar e^{gamma + i theta}, with mu the branch through the
+    eigenvalue of M(z_bar) nearest mu_bar.  ``core._continue_path`` carries
+    all eigenvalues of M along a radial walk from z_bar to z_bar e^gamma
+    with geometrically growing steps, then both ways through reference
+    nodes spaced finely enough (relative to the distance from the branch
+    point) that continuation cannot hop branches, and from its nearest
+    node to each grid point.  The logarithm's imaginary part is
+    accumulated along the path, so f is continuous across the cut.
     """
 
     def __init__(self, scheme: SchemeDef, z_bar: complex, mu_bar: complex):
@@ -531,27 +532,16 @@ class EigenvalueBranch:
         self.scheme = scheme
         self.z_bar = z_bar
         self.mu_bar = complex(mu_bar)
-        eigs = np.linalg.eigvals(assemble_M(scheme, z_bar).M)
-        if np.min(np.abs(eigs - self.mu_bar)) > 1e-6:
+        self.base_eigs = np.linalg.eigvals(assemble_M(scheme, z_bar).M)
+        self.index = int(np.argmin(np.abs(self.base_eigs - self.mu_bar)))
+        if abs(self.base_eigs[self.index] - self.mu_bar) > 1e-6:
             raise ResolventError(
                 f"mu_bar {mu_bar} is not an eigenvalue of M(z_bar)"
             )
 
-    def _eigs_at(self, taus: np.ndarray) -> np.ndarray:
+    def _eigs_at(self, taus) -> np.ndarray:
         zs = [self.z_bar * np.exp(t) for t in taus]
         return np.linalg.eigvals(_companion_at(self.scheme, zs))
-
-    def _radial_seed(self, gamma: float):
-        """Track from the base point out to tau = gamma; returns (mu, logmu)."""
-        steps = [gamma / 2**k for k in range(12, -1, -1)]
-        eigs = self._eigs_at(np.asarray(steps, dtype=complex))
-        mu = self.mu_bar
-        log_acc = 0.0j
-        for row in eigs:
-            nxt = complex(row[np.argmin(np.abs(row - mu))])
-            log_acc += np.log(nxt / mu)
-            mu = nxt
-        return mu, np.log(self.mu_bar) + log_acc
 
     def curve(self, gamma: float, thetas: np.ndarray) -> np.ndarray:
         """f(gamma + i theta) on the given theta grid (must include range 0)."""
@@ -559,46 +549,40 @@ class EigenvalueBranch:
             raise ResolventError("gamma must be positive")
         thetas = np.asarray(thetas, dtype=float)
         t_max = float(np.abs(thetas).max())
-        mu0, log0 = self._radial_seed(gamma)
-
         # reference nodes: geometric spacing away from theta = 0
-        nodes = [0.0]
+        nodes = []
         t = gamma / 4
         while t < t_max:
             nodes.append(t)
             t *= 1.25
         nodes.append(t_max)
-        node_th = np.array(nodes)
-        node_th = np.concatenate([-node_th[:0:-1], node_th])
-
-        k0 = len(nodes) - 1  # index of theta = 0 in node_th
-        node_eigs = self._eigs_at(gamma + 1j * node_th)
-        node_mu = np.empty(len(node_th), dtype=complex)
-        node_log = np.empty(len(node_th), dtype=complex)
-        node_mu[k0], node_log[k0] = mu0, log0
-        for k in range(k0 + 1, len(node_th)):
-            row = node_eigs[k]
-            nxt = complex(row[np.argmin(np.abs(row - node_mu[k - 1]))])
-            node_mu[k] = nxt
-            node_log[k] = node_log[k - 1] + np.log(nxt / node_mu[k - 1])
-        for k in range(k0 - 1, -1, -1):
-            row = node_eigs[k]
-            nxt = complex(row[np.argmin(np.abs(row - node_mu[k + 1]))])
-            node_mu[k] = nxt
-            node_log[k] = node_log[k + 1] + np.log(nxt / node_mu[k + 1])
-
-        # evaluate the grid against the nearest reference node
-        grid_eigs = self._eigs_at(gamma + 1j * thetas)
-        ref = np.searchsorted(node_th, thetas)
-        ref = np.clip(ref, 1, len(node_th) - 1)
-        left_closer = np.abs(thetas - node_th[ref - 1]) <= np.abs(
-            node_th[ref] - thetas
+        pos = np.array(nodes)
+        # path points, one companion stack per sweep: z_bar, the radial walk,
+        # the nodes on either side of theta = 0 (each side starting at the
+        # walk's end), and the grid (each point from its nearest node)
+        radial = [gamma / 2**k for k in range(12, -1, -1)]
+        sweeps = (radial, gamma + 1j * np.concatenate([pos, -pos]), gamma + 1j * thetas)
+        taus = np.concatenate([[0.0], *sweeps])
+        eigs = np.concatenate([[self.base_eigs], *map(self._eigs_at, sweeps)])
+        R, P = len(radial), len(pos)
+        parent = np.arange(-1, len(taus) - 1)
+        parent[[R + 1, R + 1 + P]] = R
+        node_th = np.concatenate([-pos[::-1], [0.0], pos])
+        node_row = np.r_[R + 2 * P : R + P : -1, R, R + 1 : R + 1 + P]
+        ref = np.clip(np.searchsorted(node_th, thetas), 1, len(node_th) - 1)
+        ref -= np.abs(thetas - node_th[ref - 1]) <= np.abs(node_th[ref] - thetas)
+        parent[R + 1 + 2 * P :] = node_row[ref]
+        first = np.arange(len(self.base_eigs))
+        order, _ = _continue_path(
+            taus, eigs, first, lambda t: self._eigs_at([t])[0], parent
         )
-        ref = np.where(left_closer, ref - 1, ref)
-        pick = np.argmin(np.abs(grid_eigs - node_mu[ref][:, None]), axis=1)
-        mu = grid_eigs[np.arange(len(thetas)), pick]
-        f = node_log[ref] + np.log(mu / node_mu[ref]) - np.log(self.mu_bar)
-        return f
+        mu = eigs[np.arange(len(taus)), order[:, self.index]]
+        mu[0] = self.mu_bar  # the walk's first step starts from mu_bar
+        steps = np.log(mu[1:] / mu[parent[1:]])
+        logs = np.zeros(R + 1 + 2 * P, dtype=complex)  # the walk and the nodes
+        for k in range(1, len(logs)):
+            logs[k] = logs[parent[k]] + steps[k - 1]
+        return logs[parent[len(logs) :]] + steps[len(logs) - 1 :]
 
 
 def branch_log_deviation(

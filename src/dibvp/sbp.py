@@ -605,8 +605,14 @@ def boundary_energy_rate(scheme: SchemeDef) -> BoundaryEnergyRate:
     q_flat collects (a) minus the telescoped boundary term q at the jet
     based at j = 1-r and (b) minus the S / S~ terms of the zero-extended
     sequence over the strip 1-p-2r <= j <= -r.  The symbol's norm must not
-    exceed 1 at the RATE_NXI sampled points of the unit circle.
+    exceed 1 at the RATE_NXI sampled points of the unit circle; that is
+    checked before the decomposition is built.
     """
+    return _boundary_rate(scheme, None)
+
+
+def _boundary_rate(scheme: SchemeDef, dec) -> BoundaryEnergyRate:
+    """``boundary_energy_rate`` from the decomposition ``dec``, or None to build it."""
     # whole-line l2 stability of the symbol is a precondition
     kappas = [np.exp(2j * np.pi * t / RATE_NXI) for t in range(RATE_NXI)]
     sym = _laurent(scheme.interior[:, 0], range(-scheme.r, scheme.p + 1), kappas)
@@ -615,7 +621,8 @@ def boundary_energy_rate(scheme: SchemeDef) -> BoundaryEnergyRate:
         raise DecompositionError(
             f"whole-line operator norm {worst:.6f} exceeds 1; no energy bound"
         )
-    dec = energy_decomposition(scheme)
+    if dec is None:
+        dec = energy_decomposition(scheme)
     N, m, r, p = scheme.N, dec.m, scheme.r, scheme.p
     w = p + r  # number of trace points 1-r .. p
     dim = N * w

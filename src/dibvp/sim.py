@@ -216,7 +216,6 @@ def run_ibvp(
     g=None,
     F=None,
     dt: float = 1.0,
-    margin: int = 0,
 ) -> IBVPTrace:
     """Run the half-line problem up to level n_max.
 
@@ -237,7 +236,7 @@ def run_ibvp(
     auto_obs = j_obs is None
     if auto_obs:
         j_obs = max(jf, 1 + q, 1) + n_max * r
-    pad_to = j_obs + (n_max - s) * p + margin
+    pad_to = j_obs + (n_max - s) * p
     width = j_obs - lo + 1
     dtype = _march_dtype(scheme, f_layers, g, F)
     levels = _zeros((n_max + 1, width, N), n_max, dtype)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SchemeDef, _laurent
+from .core import SchemeDef, _continue_path, _laurent
 
 #: spectral radius may exceed 1 by at most this much (rounding slack)
 VON_NEUMANN_TOL = 1e-10
@@ -44,8 +44,6 @@ GLANCING_DERIV_TOL = 1e-6
 #: and grid minima of |d zeta / d theta| below CANDIDATE_DERIV
 CANDIDATE_UNIT = 1e-3
 CANDIDATE_DERIV = 0.1
-#: bisection depth at which an ambiguous branch assignment is recorded
-BRANCH_MAX_DEPTH = 20
 #: imaginary part allowed when reading off a real frequency derivative
 OMEGA_IMAG_TOL = 1e-8
 #: eigenvalue condition number ||x|| ||y|| / |y^H x| above which a branch
@@ -142,7 +140,8 @@ def _left_rows(X: np.ndarray) -> np.ndarray:
 
 
 def _eig_derivs(amp: np.ndarray, damp: np.ndarray):
-    """Eigenvalues of each amp with their theta-derivatives and conditions.
+    """(vals, derivs, conds, X): each amp's eigenvalues, their theta-derivatives
+    and conditions, and the right eigenvectors in X's columns.
 
     The rows of X^{-1} are left eigenvectors y scaled to y^H x = 1, so the
     simple-eigenvalue derivatives y^H damp x / y^H x are the diagonal of
@@ -150,17 +149,19 @@ def _eig_derivs(amp: np.ndarray, damp: np.ndarray):
     eigenvalue within sqrt(eps) max(1, spectral radius) of another is
     numerically repeated: eig's basis of its eigenspace is arbitrary (as
     at zeta = 1 of a consistent system at theta = 0), so its cond is
-    infinite.  A singular X gives NaN derivatives and conditions.
+    infinite.  A singular X gives NaN derivatives and conditions, and a
+    nearly singular one (a Jordan block) may overflow cond to infinity.
     """
     vals, X = np.linalg.eig(amp)
     Y = _left_rows(X)
     derivs = np.einsum("kij,kjl,kli->ki", Y, damp, X)
-    conds = np.linalg.norm(Y, axis=2) * np.linalg.norm(X, axis=1)
+    with np.errstate(over="ignore"):
+        conds = np.linalg.norm(Y, axis=2) * np.linalg.norm(X, axis=1)
     n = vals.shape[1]
     dist = np.abs(vals[:, :, None] - vals[:, None, :]) + np.diag(np.full(n, np.inf))
     scale = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(vals).max(axis=1))
     conds[dist.min(axis=2) < scale[:, None]] = np.inf
-    return vals, derivs, conds
+    return vals, derivs, conds, X
 
 
 def _branch_point(scheme: SchemeDef, theta: float, ref: complex):
@@ -170,45 +171,37 @@ def _branch_point(scheme: SchemeDef, theta: float, ref: complex):
     eps cond(zeta) ||d amp / d theta||_2 of the derivative's rounding error.
     """
     amp, damp = _amplification_stack(scheme, [np.exp(1j * theta)], derivative=True)
-    vals, derivs, conds = _eig_derivs(amp, damp)
+    vals, derivs, conds, _ = _eig_derivs(amp, damp)
     i = int(np.argmin(np.abs(vals[0] - ref)))
     err = np.finfo(float).eps * conds[0, i] * np.linalg.norm(damp[0], 2)
     return complex(vals[0, i]), complex(derivs[0, i]), float(conds[0, i]), float(err)
 
 
-def branch_derivative(scheme: SchemeDef, theta: float, zeta: complex):
-    """d zeta / d theta of the branch through (theta, zeta), exactly.
-
-    Returns (derivative, error_bound): the simple-eigenvalue formula at
-    this theta, and the rounding bound eps cond(zeta) ||d amp/d theta||_2,
-    which is large where ``zeta`` collides with another branch.  ``zeta``
-    must be the branch value at theta.
-    """
-    z0, deriv, _, err = _branch_point(scheme, theta, zeta)
-    if abs(z0 - zeta) > 1e-6:
-        raise SymbolError(
-            f"zeta {zeta} is not an eigenvalue at theta {theta} (nearest {z0})"
-        )
-    return deriv, err
-
-
-def frequency_derivative(scheme: SchemeDef, theta: float, zeta: complex) -> float:
-    """omega'(theta) for a unimodular branch zeta = e^{i omega}."""
-    if abs(abs(zeta) - 1) > GLANCING_UNIT_TOL:
-        raise SymbolError(f"|zeta| = {abs(zeta):.8f}; branch is not unimodular")
-    deriv, _ = branch_derivative(scheme, theta, zeta)
-    val = deriv / (1j * zeta)
+def _velocity(scheme: SchemeDef, zeta: complex, deriv: complex) -> float:
+    """-omega'(theta)/lam of a unimodular branch, with omega' = zeta' / (i zeta)."""
+    val = complex(deriv) / (1j * zeta)
     if abs(val.imag) > OMEGA_IMAG_TOL:
         raise SymbolError(
             f"frequency derivative has imaginary part {val.imag:.3e}; "
             "the branch leaves the unit circle"
         )
-    return float(val.real)
+    return -float(val.real) / scheme.lam
 
 
 def group_velocity(scheme: SchemeDef, theta: float, zeta: complex) -> float:
-    """Group velocity -omega'(theta)/lam of a unimodular branch."""
-    return -frequency_derivative(scheme, theta, zeta) / scheme.lam
+    """Group velocity -omega'(theta)/lam of a unimodular branch zeta = e^{i omega}.
+
+    ``zeta`` must be the branch value at theta; omega' comes from the
+    exact branch derivative (see ``_eig_derivs``).
+    """
+    if abs(abs(zeta) - 1) > GLANCING_UNIT_TOL:
+        raise SymbolError(f"|zeta| = {abs(zeta):.8f}; branch is not unimodular")
+    z0, deriv, _, _ = _branch_point(scheme, theta, zeta)
+    if abs(z0 - zeta) > 1e-6:
+        raise SymbolError(
+            f"zeta {zeta} is not an eigenvalue at theta {theta} (nearest {z0})"
+        )
+    return _velocity(scheme, zeta, deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -235,100 +228,6 @@ class BranchTracks:
     conds: np.ndarray = field(repr=False, compare=False)
 
 
-def _eigs(scheme: SchemeDef, theta: float) -> np.ndarray:
-    return np.linalg.eigvals(amplification_matrix(scheme, np.exp(1j * theta)))
-
-
-def _min_cost_matching(cost: np.ndarray) -> np.ndarray:
-    """Row matched to each column of a square cost matrix, at least total cost.
-
-    Hungarian method with row and column potentials u, v (shortest
-    augmenting paths).  ``match[col]`` is the row of a column, 1-based,
-    with column 0 a sentinel; plain lists, as the matrices are N(s+1)
-    square.
-    """
-    c = cost.tolist()
-    n = len(c)
-    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
-    match, way = [0] * (n + 1), [0] * (n + 1)
-    for row in range(1, n + 1):
-        match[0], col = row, 0
-        minv, used = [np.inf] * (n + 1), [False] * (n + 1)
-        while match[col]:
-            used[col] = True
-            i, step, nxt = match[col], np.inf, 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    reduced = c[i - 1][j - 1] - u[i] - v[j]
-                    if reduced < minv[j]:
-                        minv[j], way[j] = reduced, col
-                    if minv[j] < step:
-                        step, nxt = minv[j], j
-            if not nxt:
-                raise SymbolError("branch distances are not finite")
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += step
-                    v[j] -= step
-                else:
-                    minv[j] -= step
-            col = nxt
-        while col:
-            match[col] = match[way[col]]
-            col = way[col]
-    return np.array(match[1:]) - 1
-
-
-def _swap_ambiguous(P: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Whether a matching is ambiguous, for each matching in a stack.
-
-    ``P[..., j, b]`` is the distance from the new value matched to branch
-    j, ``vals[..., j]``, to the previous value of branch b.  A matching is
-    ambiguous when some transposition of genuinely distinct values changes
-    its total cost by less than 1e-10.
-    """
-    d = np.diagonal(P, axis1=-2, axis2=-1)
-    # symmetric in (j1, j2) bit for bit; the diagonal is never distinct
-    delta = (P + np.swapaxes(P, -1, -2)) - (d[..., :, None] + d[..., None, :])
-    distinct = np.abs(vals[..., :, None] - vals[..., None, :]) > 1e-12
-    return ((delta < 1e-10) & distinct).any(axis=(-2, -1))
-
-
-def _assign(prev: np.ndarray, new: np.ndarray):
-    """(order, ambiguous): new[order] continues the branch order of prev."""
-    cost = np.abs(new[:, None] - prev[None, :])
-    order = _min_cost_matching(cost)
-    return order, bool(_swap_ambiguous(cost[order], new[order]))
-
-
-def _continue_branches(
-    scheme: SchemeDef,
-    theta_a: float,
-    vals_a: np.ndarray,
-    theta_b: float,
-    eigs_b: np.ndarray,
-    depth: int,
-    records: list,
-) -> np.ndarray:
-    """Order of ``eigs_b`` continuing the branches ``vals_a`` from theta_a."""
-    order, ambiguous = _assign(vals_a, eigs_b)
-    if not ambiguous:
-        return order
-    if depth >= BRANCH_MAX_DEPTH:
-        records.append(theta_b)
-        return order
-    theta_m = 0.5 * (theta_a + theta_b)
-    eigs_m = _eigs(scheme, theta_m)
-    vals_m = eigs_m[
-        _continue_branches(
-            scheme, theta_a, vals_a, theta_m, eigs_m, depth + 1, records
-        )
-    ]
-    return _continue_branches(
-        scheme, theta_m, vals_m, theta_b, eigs_b, depth + 1, records
-    )
-
-
 def track_branches(
     scheme: SchemeDef,
     n_theta: int = 512,
@@ -337,37 +236,24 @@ def track_branches(
 ) -> BranchTracks:
     """Track all eigenvalue branches over [theta_min, theta_max].
 
-    One stacked eigen-solve covers the grid.  Between neighbouring thetas
-    each previous value takes its nearest new value; where that is a
-    permutation it is the least-cost matching, and where it is not a
-    permutation or is ambiguous the step goes to the exact matcher and
-    interval bisection, whose unresolved steps at depth BRANCH_MAX_DEPTH
-    are recorded in ``ambiguous``.
+    One stacked eigen-solve covers the grid, and ``core._continue_path``
+    orders it into branches: between neighbouring thetas each previous
+    value takes its nearest new value where that is a clear permutation,
+    and the other steps go to the exact matcher and interval bisection,
+    whose unresolved steps at depth ``core.BRANCH_MAX_DEPTH`` are recorded
+    in ``ambiguous``.
     """
     if n_theta < 2:
         raise SymbolError("need at least two sample points")
     thetas = np.linspace(theta_min, theta_max, n_theta)
     amp, damp = _amplification_stack(scheme, np.exp(1j * thetas), derivative=True)
-    eigs, derivs, conds = _eig_derivs(amp, damp)
-    n_branches = eigs.shape[1]
-    cost = np.abs(eigs[1:, :, None] - eigs[:-1, None, :])  # [step, new, prev]
-    nearest = np.argmin(cost, axis=1)  # [step, prev] -> new
-    is_perm = (np.sort(nearest, axis=1) == np.arange(n_branches)).all(axis=1)
-    clear = is_perm & ~_swap_ambiguous(
-        np.take_along_axis(cost, nearest[:, :, None], axis=1),
-        np.take_along_axis(eigs[1:], nearest, axis=1),
+    eigs, derivs, conds, _ = _eig_derivs(amp, damp)
+    order, ambiguous = _continue_path(
+        thetas,
+        eigs,
+        np.lexsort((-eigs[0].imag, -eigs[0].real)),
+        lambda t: np.linalg.eigvals(amplification_matrix(scheme, np.exp(1j * t))),
     )
-    order = np.empty(eigs.shape, dtype=int)
-    order[0] = np.lexsort((-eigs[0].imag, -eigs[0].real))
-    records: list = []
-    for k in range(1, n_theta):
-        if clear[k - 1]:
-            order[k] = nearest[k - 1, order[k - 1]]
-        else:
-            order[k] = _continue_branches(
-                scheme, thetas[k - 1], eigs[k - 1, order[k - 1]], thetas[k],
-                eigs[k], 0, records,
-            )
 
     def ordered(a):
         return np.take_along_axis(a, order, axis=1)
@@ -375,7 +261,7 @@ def track_branches(
     return BranchTracks(
         thetas=thetas,
         values=ordered(eigs),
-        ambiguous=tuple(records),
+        ambiguous=ambiguous,
         derivs=ordered(derivs),
         conds=ordered(conds),
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import GridSequence, SchemeDef
 from .sim import run_cauchy
-from .symbol import amplification_matrix, group_velocity
+from .symbol import _amplification_stack, _eig_derivs, _velocity
 
 UNIT_BRANCH_TOL = 1e-8
 ENVELOPE_TOL = 1e-10
@@ -203,16 +203,17 @@ def make_packet(
     polarization conditions; an explicit amplitude is accepted as long as
     the branch eigenvalues are simple.
     """
-    kappa = np.exp(1j * xi_bar)
-    A = amplification_matrix(scheme, kappa)
-    d = A.shape[0]
-    mus, right = np.linalg.eig(A)
+    # one eigen-solve: the branches, their vectors and exact theta-derivatives
+    amp, damp = _amplification_stack(scheme, [np.exp(1j * xi_bar)], derivative=True)
+    (mus,), (derivs,), _, (right,) = _eig_derivs(amp, damp)
+    d = len(mus)
     # quantize the modulus so float noise cannot flip the ordering of
     # branches that share |mu| (ties fall to increasing argument)
     order = np.lexsort(
         (np.mod(np.angle(mus), 2 * np.pi), -np.round(np.abs(mus), 6))
     )
     mus = mus[order]
+    derivs = derivs[order]
     right = right[:, order]
     if np.min(np.abs(np.subtract.outer(mus, mus))
               + np.eye(d) * 10.0) < 1e-8:
@@ -239,7 +240,7 @@ def make_packet(
         omega = complex(np.angle(mus[k]) - 1j * np.log(abs(mus[k])))
         omegas.append(complex(omega.real) if unimod else omega)
         velocities.append(
-            group_velocity(scheme, xi_bar, complex(mus[k])) if unimod
+            _velocity(scheme, complex(mus[k]), derivs[k]) if unimod
             else float("nan")
         )
 
@@ -358,10 +359,9 @@ def stacked_state(trace, n: int, j_min: int, j_max: int) -> np.ndarray:
             f"stacked state at level {n} needs levels up to {n + s}, "
             f"trace has {trace.n_max}"
         )
-    blocks = [
-        trace.layers[n + s - b].window(j_min, j_max) for b in range(s + 1)
-    ]
-    return np.hstack(blocks)
+    # only the s+1 levels read become GridSequences, not the whole trace
+    level = lambda m: GridSequence(trace.offset, trace.levels[m], trace.zero_flags[m])
+    return np.hstack([level(n + s - b).window(j_min, j_max) for b in range(s + 1)])
 
 
 # ---------------------------------------------------------------------------

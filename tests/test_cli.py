@@ -464,6 +464,35 @@ def test_simulate_overflow_writes_nothing_to_stderr(paths):
     assert done.stderr == ""
 
 
+@pytest.mark.parametrize("command", ["check-glancing", "check-uklc"])
+def test_four_level_jordan_block_writes_nothing_to_stderr(capsys, command):
+    # AB3 on upwind (s = 2): at theta = 0 the double parasitic root zeta = 0
+    # is a Jordan block, whose eigenvector condition number overflows; a
+    # warning turned into an error would leave the exit code or stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            [command, "--scheme", str(golden.SCHEMES / "ab3_upwind.json")], capsys
+        )
+    assert (code, err) == (0, "")
+    assert all(v["ok"] for v in json.loads(out)["verdicts"])
+
+
+def test_sbp_decompose_builds_the_decomposition_once(capsys, monkeypatch):
+    import dibvp.cli
+    import dibvp.sbp
+
+    calls = []
+    build = dibvp.sbp.energy_decomposition
+    counted = lambda scheme: calls.append(1) or build(scheme)  # noqa: E731
+    monkeypatch.setattr(dibvp.sbp, "energy_decomposition", counted)
+    monkeypatch.setattr(dibvp.cli, "energy_decomposition", counted)
+    code, _, _ = run(
+        ["sbp-decompose", "--scheme", str(golden.SCHEMES / "upwind.json")], capsys
+    )
+    assert (code, len(calls)) == (0, 1)
+
+
 def test_parser_is_built_once(paths, capsys, monkeypatch):
     # the second command reuses the first one's parser, and its omitted
     # options still take their defaults

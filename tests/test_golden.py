@@ -44,6 +44,24 @@ def _system_upwind() -> SchemeDef:
     )
 
 
+def _ab3_upwind() -> SchemeDef:
+    """Third-order Adams-Bashforth in time on first-order upwind (s = 2).
+
+    U^{n+1} = U^n - nu (23 D U^n - 16 D U^{n-1} + 5 D U^{n-2}) / 12 with
+    (D U)_j = U_j - U_{j-1}, nu = 0.2, lam = 0.5 and a zero Dirichlet row.
+    """
+    nu = 0.2
+    interior = np.zeros((2, 3, 1, 1))
+    for sigma, c in enumerate((23, -16, 5)):
+        interior[0, sigma] = c * nu / 12  # ell = -1
+        interior[1, sigma] = -c * nu / 12  # ell = 0
+    interior[1, 0] += 1.0
+    return SchemeDef(
+        N=1, r=1, p=0, q=0, s=2, lam=0.5, interior=interior,
+        boundary=np.zeros((1, 1, 4, 1, 1)), label="ab3-upwind",
+    )
+
+
 # name -> scheme that regenerate() writes to schemes/<name>.json
 SCHEME_SOURCES = {
     "upwind": lambda: upwind(0.5, 1.0),
@@ -52,6 +70,7 @@ SCHEME_SOURCES = {
     "system": _system_upwind,
     "upwind_unstable": lambda: upwind(0.5, 2.4),
     "leapfrog_unstable": lambda: leap_frog(1.5, 1.0),
+    "ab3_upwind": _ab3_upwind,
 }
 
 # case -> command line after "--scheme <file>"; grids kept small

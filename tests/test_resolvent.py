@@ -1,10 +1,13 @@
 """Tests for the resolvent-side analysis."""
 
+import itertools
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dibvp.core import (
     SchemeDef,
@@ -555,6 +558,87 @@ def test_branch_curve_continuous_at_glancing_point():
     steps = np.abs(np.diff(f))
     assert steps.max() < 0.2
     assert np.min(np.abs(f)) < 0.05  # passes near the base point
+
+
+def _per_node_branch(branch, gamma, thetas):
+    """mu along z_bar e^{gamma + i theta} by brute force, or None at a near tie.
+
+    One eigen-solve per path point and least-cost matching by trying every
+    order: the radial walk, the reference-node sweeps both ways from
+    theta = 0, then each grid point from its nearest node.  A step whose
+    nearest values are no permutation, or whose two best orders cost
+    nearly the same, is one the continuation may bisect: None.
+    """
+    def eigs(tau):
+        return np.linalg.eigvals(assemble_M(branch.scheme, branch.z_bar * np.exp(tau)).M)
+
+    base = eigs(0.0)
+    b = int(np.argmin(np.abs(base - branch.mu_bar)))
+    n = len(base)
+    orders = [list(o) for o in itertools.permutations(range(n))]
+    cols = np.arange(n)
+
+    def step(prev, tau):
+        vals = eigs(tau)
+        cost = np.abs(vals[:, None] - prev[None, :])
+        totals = sorted((cost[o, cols].sum(), k) for k, o in enumerate(orders))
+        if len(set(np.argmin(cost, axis=0))) < n or totals[1][0] - totals[0][0] < 1e-9:
+            raise LookupError
+        return vals[orders[totals[0][1]]]
+
+    t_max = float(np.abs(thetas).max())
+    pos = [gamma / 4]
+    while pos[-1] < t_max:
+        pos.append(pos[-1] * 1.25)
+    pos[-1] = t_max
+    try:
+        walk = base
+        for k in range(12, -1, -1):
+            walk = step(walk, gamma / 2**k)
+        nodes = {0.0: walk}
+        for side in (1, -1):
+            vals = walk
+            for t in pos:
+                vals = nodes[side * t] = step(vals, gamma + 1j * side * t)
+        node_th = np.array(sorted(nodes))
+        return np.array([
+            step(nodes[node_th[np.argmin(np.abs(node_th - t))]], gamma + 1j * t)[b]
+            for t in thetas
+        ])
+    except LookupError:
+        return None
+
+
+@st.composite
+def small_companions(draw):
+    """Random schemes whose M(z) is at most 4 x 4, with a point z_bar on the
+    circle and an eigenvalue mu_bar of M(z_bar)."""
+    N = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 3 if N == 1 else 2))
+    p = draw(st.integers(0, 4 // N - r))
+    s = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scheme = SchemeDef(
+        N=N, r=r, p=p, q=0, s=s, lam=1.0,
+        interior=rng.normal(scale=0.4, size=(p + r + 1, s + 1, N, N)),
+        boundary=np.zeros((1, r, s + 2, N, N)),
+    )
+    z_bar = np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    mus = np.linalg.eigvals(assemble_M(scheme, z_bar).M)
+    return scheme, z_bar, mus[draw(st.integers(0, len(mus) - 1))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_companions(), st.sampled_from([1e-2, 1e-3]))
+def test_branch_curve_matches_per_node_least_cost_oracle(case, gamma):
+    scheme, z_bar, mu_bar = case
+    branch = branch_log_deviation(scheme, z_bar, mu_bar)
+    thetas = np.linspace(-0.1, 0.1, 33)
+    ref = _per_node_branch(branch, gamma, thetas)
+    if ref is None:
+        return  # a near tie: the continuation bisects past the oracle's step
+    mu = branch.mu_bar * np.exp(branch.curve(gamma, thetas))
+    assert np.abs(mu - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
 
 def test_unit_circle_sweeps_build_one_companion_stack_each(monkeypatch):

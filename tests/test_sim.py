@@ -139,15 +139,6 @@ def test_window_exhausted_raises():
         run_ibvp(scheme, f, n_max=3, j_obs=0)
 
 
-def test_margin_doubling_changes_nothing():
-    for scheme in FIXTURES:
-        f = random_layers(scheme, n_sites=6, seed=11)
-        a = run_ibvp(scheme, f, n_max=8, margin=0)
-        b = run_ibvp(scheme, f, n_max=8, margin=16)
-        for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.values, lb.values)
-
-
 # ---------------------------------------------------------------------------
 # whole-line runs
 
@@ -657,12 +648,12 @@ def _reference_step(state, g_row=None, F_row=None):
 
 
 def _reference_run_ibvp(scheme, f_layers, n_max, j_obs=None, g=None, F=None,
-                        dt=1.0, margin=0):
+                        dt=1.0):
     jf = max(f.last for f in f_layers)
     auto_obs = j_obs is None
     if auto_obs:
         j_obs = max(jf, 1 + scheme.q, 1) + n_max * scheme.r
-    pad_to = j_obs + (n_max - scheme.s) * scheme.p + margin
+    pad_to = j_obs + (n_max - scheme.s) * scheme.p
     state = initial_state(scheme, f_layers, pad_to, dt=dt)
     g_of = (lambda n: None) if g is None else (lambda n: g[n])
     F_of = F if F is not None else (lambda n: None)
@@ -726,6 +717,16 @@ def _system_upwind():
                      boundary=np.zeros((1, 1, 2, 2, 2)))
 
 
+def _ab3_upwind(nu):
+    # third-order Adams-Bashforth in time on first-order upwind: s = 2
+    interior = np.zeros((2, 3, 1, 1))
+    for sigma, c in enumerate((23, -16, 5)):
+        interior[:, sigma, 0, 0] = (c * nu / 12, -c * nu / 12)
+    interior[1, 0, 0, 0] += 1.0
+    return SchemeDef(N=1, r=1, p=0, q=0, s=2, lam=0.5, interior=interior,
+                     boundary=np.zeros((1, 1, 4, 1, 1)))
+
+
 def _random_scheme(seed, s):
     # a 2x2 scheme with p = q = 1 and every boundary tap set
     rng = np.random.default_rng(seed)
@@ -742,6 +743,8 @@ ORACLE_SCHEMES = {
     "system": _system_upwind(),
     "random": _random_scheme(7, s=0),
     "random-three-level": _random_scheme(7, s=1),
+    "random-four-level": _random_scheme(7, s=2),
+    "ab3-upwind": _ab3_upwind(0.2),
 }
 
 
@@ -778,7 +781,7 @@ def test_run_ibvp_matches_reference_steps_bit_for_bit(name, case):
                              implicit_zero=True) for n in range(n_max + 1)]
         kwargs["F"] = lambda n: rows[n]
     elif case == "explicit-window":
-        kwargs.update(j_obs=12, margin=5)
+        kwargs.update(j_obs=12)
     trace = run_ibvp(scheme, f, n_max, dt=dt, **kwargs)
     want, j_obs = _reference_run_ibvp(scheme, f, n_max, dt=dt, **kwargs)
     _assert_same_levels(trace, want, j_obs)
@@ -904,6 +907,7 @@ LADDER_SCHEMES = {
     "lax-wendroff-unit-cfl": (lax_wendroff(0.5, 2.0, boundary="extrapolation"), 10.0),
     # grows by 1.4 a step: the finest ratios and C2 overflow
     "upwind-unstable": (upwind(0.5, 2.4), 30.0),
+    "ab3-upwind": (ORACLE_SCHEMES["ab3-upwind"], 10.0),
 }
 
 

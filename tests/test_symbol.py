@@ -18,9 +18,7 @@ from dibvp.symbol import (
     SymbolError,
     _branch_point,
     amplification_matrix,
-    branch_derivative,
     find_glancing,
-    frequency_derivative,
     group_velocity,
     track_branches,
     von_neumann_check,
@@ -175,14 +173,16 @@ def test_branch_derivative_upwind_closed_form():
     scheme = upwind(1.0, nu)
     for theta in [0.0, 0.7, 2.0]:
         zeta = 1 - nu + nu * np.exp(-1j * theta)
-        d, err = branch_derivative(scheme, theta, zeta)
+        z, d, _, err = _branch_point(scheme, theta, zeta)
+        assert abs(z - zeta) < 1e-12
         assert abs(d - (-1j * nu * np.exp(-1j * theta))) < 1e-9
         assert err < 1e-8
 
 
 def test_branch_derivative_rejects_off_branch_value():
-    with pytest.raises(SymbolError):
-        branch_derivative(upwind(1.0, 0.4), 0.5, 0.2 + 0.9j)
+    # unimodular, but not an eigenvalue of amp(e^{0.5 i})
+    with pytest.raises(SymbolError, match="not an eigenvalue"):
+        group_velocity(upwind(1.0, 0.4), 0.5, np.exp(2j))
 
 
 def test_group_velocity_recovers_transport_speed():
@@ -202,8 +202,8 @@ def test_frequency_derivative_needs_unimodular_branch():
     nu = 0.4
     theta = 2.0
     zeta = 1 - nu + nu * np.exp(-1j * theta)  # strictly inside the circle
-    with pytest.raises(SymbolError):
-        frequency_derivative(upwind(1.0, nu), theta, zeta)
+    with pytest.raises(SymbolError, match="not unimodular"):
+        group_velocity(upwind(1.0, nu), theta, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +407,7 @@ def test_exact_derivative_matches_richardson_oracle(scheme, theta):
     zetas = np.linalg.eig(amplification_matrix(scheme, np.exp(1j * theta)))[0]
     points = [_branch_point(scheme, theta, zeta) for zeta in zetas]
     speed = max(1.0, max(abs(d) for _, d, _, _ in points))
-    for i, (z, exact, cond, err) in enumerate(points):
+    for i, (z, exact, cond, _) in enumerate(points):
         zeta = zetas[i]
         assert z == zeta
         gap = np.delete(np.abs(zetas - zeta), i).min(initial=1.0)
@@ -417,7 +417,6 @@ def test_exact_derivative_matches_richardson_oracle(scheme, theta):
             scheme, theta, zeta, min(1e-3, 0.1 * gap / speed)
         )
         assert abs(exact - oracle) <= 1e-7 * max(abs(exact), 1.0)
-        assert branch_derivative(scheme, theta, zeta) == (exact, err)
 
 
 def _per_theta_track(scheme, thetas):

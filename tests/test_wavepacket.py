@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dibvp.core import SchemeDef, leap_frog, upwind
+from dibvp.core import GridSequence, SchemeDef, leap_frog, upwind
 from dibvp.sim import run_cauchy
-from dibvp.symbol import amplification_matrix
+from dibvp.symbol import amplification_matrix, group_velocity
 from dibvp.wavepacket import (
     ENVELOPE_TOL,
     WavepacketError,
@@ -206,6 +206,21 @@ def test_branch_out_of_range(env):
         make_packet(LF, np.pi / 2, env, branch=5)
 
 
+def test_make_packet_solves_one_eigenproblem(monkeypatch, env):
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(len(a)) or eig(a))
+    spec = make_packet(LF, np.pi / 2, env, branch=1)
+    monkeypatch.undo()
+    assert calls == [1]  # one stack holding the carrier's matrix
+    # the velocities read off that solve are group_velocity's, bit for bit
+    assert len(spec.unimodular) == 2
+    for k in spec.unimodular:
+        assert spec.velocities[k] == group_velocity(
+            LF, np.pi / 2, complex(spec.eigenvalues[k])
+        )
+
+
 def test_repeated_eigenvalue_raises(env):
     # two-component averaging scheme whose stacked matrix at kappa = 1
     # is the identity: the branch eigenvalue 1 is double
@@ -374,6 +389,19 @@ def test_stacked_state_needs_enough_levels(glancing_spec):
 
 # ---------------------------------------------------------------------------
 # error measurement
+
+
+def test_packet_error_builds_sequences_for_the_stacked_levels_only(
+    monkeypatch, glancing_spec
+):
+    calls = []
+    post_init = GridSequence.__post_init__
+    monkeypatch.setattr(GridSequence, "__post_init__",
+                        lambda self: calls.append(1) or post_init(self))
+    packet_error(glancing_spec, [40], 0.1)
+    # the data layers, the s + 1 stacked levels and the ansatz, not one
+    # sequence per level of the 42-level run
+    assert len(calls) == 2 * (LF.s + 1) + 1
 
 
 def test_packet_error_zero_at_level_zero(glancing_spec):
