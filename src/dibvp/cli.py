@@ -361,12 +361,12 @@ def _cmd_classify_blocks(scheme, args):
     cls = classify_boundary_blocks(scheme, np.exp(1j * args.z_angle))
     rows = [
         (blk.mu.real, blk.mu.imag, blk.multiplicity, blk.kind,
-         blk.drift, blk.fd_mismatch)
+         blk.drift, blk.cond)
         for blk in cls.blocks
     ]
     tables = {
         "blocks": table(
-            ("mu_re", "mu_im", "multiplicity", "kind", "drift", "fd_mismatch"),
+            ("mu_re", "mu_im", "multiplicity", "kind", "drift", "cond"),
             rows,
         ),
         "counts": table(("kind", "count"), sorted(cls.counts.items())),

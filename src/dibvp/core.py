@@ -354,29 +354,78 @@ def _laurent(coeffs: np.ndarray, exponents, points) -> np.ndarray:
     return out
 
 
-def _resolvent_stack(scheme: SchemeDef, zs) -> tuple:
+def _resolvent_stack(scheme: SchemeDef, zs, derivative: bool = False) -> tuple:
     """RA_l(z) and RB_{l,j}(z) for each z in ``zs``, stacked on the first axis.
 
     RA_l(z) = delta_{l0} I - sum_sigma z^{-sigma-1} A[l, sigma] at
     ``RA[i, l + r]``; RB_{l,j}(z) = sum_sigma z^{-sigma-1} B[l, j, sigma] at
     ``RB[i, l, j - (1-r)]``.  Both are Laurent polynomials in the powers
-    z^0 .. z^{-s-1}, so one evaluation covers them.
+    z^0 .. z^{-s-1}, so one evaluation covers them.  With ``derivative``
+    z dRA_l/dz (d/dtau along z = z_bar e^tau) comes third, from the same
+    evaluation with the exponents as weights.
     """
     r, p, q, s, N = scheme.r, scheme.p, scheme.q, scheme.s, scheme.N
+    exponents = range(0, -s - 2, -1)
     # I is the z^0 term and -A[l, sigma] the others, so RA_l is built by the
     # same additions as I - z^-1 A[l, 0] - z^-2 A[l, 1] - ... in sequence
     ra = np.zeros((s + 2, p + r + 1, N, N))
     ra[0, r] = np.eye(N)
     ra[1:] = -scheme.interior.transpose(1, 0, 2, 3)
     rb = scheme.boundary.transpose(2, 0, 1, 3, 4).reshape(s + 2, -1, N, N)
-    vals = _laurent(np.concatenate([ra, rb], axis=1), range(0, -s - 2, -1), zs)
-    return vals[:, : p + r + 1], vals[:, p + r + 1 :].reshape(-1, q + 1, r, N, N)
+    dra = [np.reshape(exponents, (-1, 1, 1, 1)) * ra] if derivative else []
+    vals = _laurent(np.concatenate([ra, rb, *dra], axis=1), exponents, zs)
+    RA, RB, dRA = np.split(vals, [p + r + 1, p + r + 1 + (q + 1) * r], axis=1)
+    RB = RB.reshape(-1, q + 1, r, N, N)
+    return (RA, RB, dRA) if derivative else (RA, RB)
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue branch continuation (Kato, Perturbation Theory for Linear
-# Operators, ch. II): theta over amp(e^{i theta}) on the symbol side, tau
-# over M(z_bar e^tau) on the resolvent side
+# eigenvalue branches: exact derivatives (Wilkinson, The Algebraic Eigenvalue
+# Problem, 1965) and continuation along a path (Kato, Perturbation Theory for
+# Linear Operators, ch. II); theta over amp(e^{i theta}) on the symbol side,
+# tau over M(z_bar e^tau) on the resolvent side
+
+#: eigenvalue condition number ||x|| ||y|| / |y^H x| above which a branch
+#: derivative is not trusted: colliding branches (a rounded 2x2 Jordan
+#: block has cond about eps^-1/2 = 7e7)
+BRANCH_COND_MAX = 1e6
+
+
+def _left_rows(X: np.ndarray) -> np.ndarray:
+    """X^{-1} for each matrix of the stack; NaN where X is singular."""
+    try:
+        return np.linalg.inv(X)
+    except np.linalg.LinAlgError:
+        if len(X) == 1:
+            return np.full_like(X, np.nan)
+        return np.concatenate([_left_rows(x[None]) for x in X])
+
+
+def _eig_derivs(amp: np.ndarray, damp: np.ndarray):
+    """(vals, derivs, conds, X, Y): each amp's eigenvalues, their derivatives
+    along the family (damp = d amp / d theta or d M / d tau) and conditions,
+    the right eigenvectors in X's columns and Y = X^{-1}.
+
+    The rows of Y are left eigenvectors y scaled to y^H x = 1, so the
+    simple-eigenvalue derivatives y^H damp x / y^H x are the diagonal of
+    X^{-1} damp X and cond = ||x|| ||y|| / |y^H x| = ||x|| ||y||.  An
+    eigenvalue within sqrt(eps) max(1, spectral radius) of another is
+    numerically repeated: eig's basis of its eigenspace is arbitrary (as
+    at zeta = 1 of a consistent system at theta = 0), so its cond is
+    infinite.  A singular X gives NaN derivatives and conditions, and a
+    nearly singular one (a Jordan block) may overflow cond to infinity.
+    """
+    vals, X = np.linalg.eig(amp)
+    Y = _left_rows(X)
+    derivs = np.einsum("kij,kjl,kli->ki", Y, damp, X)
+    with np.errstate(over="ignore"):
+        conds = np.linalg.norm(Y, axis=2) * np.linalg.norm(X, axis=1)
+    n = vals.shape[1]
+    dist = np.abs(vals[:, :, None] - vals[:, None, :]) + np.diag(np.full(n, np.inf))
+    scale = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(vals).max(axis=1))
+    conds[dist.min(axis=2) < scale[:, None]] = np.inf
+    return vals, derivs, conds, X, Y
+
 
 #: bisection depth at which an ambiguous continuation step is recorded
 BRANCH_MAX_DEPTH = 20
@@ -627,14 +676,6 @@ def leap_frog(lam: float, a: float, boundary: str = "dirichlet") -> SchemeDef:
         boundary=_boundary_array(1, 0, 1, 1, boundary),
         label="leap-frog",
     )
-
-
-FIXTURES = {
-    "upwind": upwind,
-    "lax-friedrichs": lax_friedrichs,
-    "lax-wendroff": lax_wendroff,
-    "leap-frog": leap_frog,
-}
 
 
 # ---------------------------------------------------------------------------

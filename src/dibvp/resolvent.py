@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SchemeDef, _continue_path, _resolvent_stack
+from .core import BRANCH_COND_MAX, SchemeDef, _continue_path, _eig_derivs, _resolvent_stack
 
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_GAMMAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -74,12 +74,14 @@ def _singular_error(z) -> ResolventError:
     return ResolventError(f"leading coefficient RA_p({z}) is numerically singular")
 
 
-def _companion(scheme: SchemeDef, RA: np.ndarray):
+def _companion(scheme: SchemeDef, RA: np.ndarray, dRA: np.ndarray | None = None):
     """M(z) for each stacked RA[i, l + r] = RA_l(z_i), and where RA_p is singular.
 
     Where RA_p(z_i) is numerically singular (condition number above
     RA_COND_MAX) the flag is set and M is built with the identity in its
-    place, so the stack stays finite.
+    place, so the stack stays finite.  Given dRA = z dRA_l/dz, dM/dtau
+    along z = z_bar e^tau comes third: its top row blocks are
+    -RA_p^{-1} (dRA_l + dRA_p top_l), with top_l = -RA_p^{-1} RA_l.
     """
     r, p, N = scheme.r, scheme.p, scheme.N
     K, dim = RA.shape[0], N * (p + r)
@@ -92,7 +94,12 @@ def _companion(scheme: SchemeDef, RA: np.ndarray):
     M[:, :N] = top.transpose(0, 2, 1, 3).reshape(K, N, dim)
     if p + r > 1:
         M[:, N:, :-N] = np.eye(N * (p + r - 1))
-    return M, singular
+    if dRA is None:
+        return M, singular
+    dM = np.zeros_like(M)
+    dtop = -ApInv[:, None] @ (dRA[:, p + r - 1 :: -1] + dRA[:, p + r, None] @ top)
+    dM[:, :N] = dtop.transpose(0, 2, 1, 3).reshape(K, N, dim)
+    return M, singular, dM
 
 
 def _coefficients(scheme: SchemeDef, zs) -> tuple:
@@ -418,14 +425,15 @@ class BoundaryBlock:
     kind: "expanding" (|mu| > 1), "contracting" (|mu| < 1), "crossing"
     (unimodular, moving radially as |z| grows; ``drift`` > 0 means
     outward), or "glancing" (unimodular with no resolved radial motion:
-    branch-point behavior or vanishing drift).
+    a defective block, whose ``drift`` is None, or vanishing drift).
+    ``cond`` is the unimodular block's eigenvector condition number.
     """
 
     mu: complex
     multiplicity: int
     kind: str
     drift: float | None
-    fd_mismatch: float | None
+    cond: float | None
 
 
 @dataclass(frozen=True)
@@ -435,76 +443,64 @@ class BlockClassification:
     counts: dict
 
 
-# classify_boundary_blocks' tolerances and difference step (see its docstring)
+# classify_boundary_blocks' tolerances (see its docstring)
 UNIMODULAR_BAND = 1e-6
 CLUSTER_TOL = 1e-7
-DRIFT_STEP = 1e-5
-FD_TOL = 1e-2
 DRIFT_TOL = 1e-6
-
-
-def _nearest(vals: np.ndarray, ref: complex) -> complex:
-    return complex(vals[np.argmin(np.abs(vals - ref))])
 
 
 def classify_boundary_blocks(scheme: SchemeDef, z_bar: complex) -> BlockClassification:
     """Classify eigenvalues of M(z_bar) for unit-modulus z_bar.
 
-    Eigenvalues within CLUSTER_TOL of each other form one block, and a
-    block is unimodular when its mean is within UNIMODULAR_BAND of the
-    circle.  Unimodular blocks get a radial drift estimate
-    Lambda = (d mu / d tau) conj(mu) along z = z_bar e^tau by centered
-    differences at steps h = DRIFT_STEP and h/4.  Re Lambda > 0 means the
-    eigenvalue leaves the unit disk as |z| grows.  Disagreement of the two
-    stencils (relative mismatch > FD_TOL) or |Re Lambda| <= DRIFT_TOL marks
-    the block glancing: the branch is not analytic, or touches the circle
-    tangentially.
+    Eigenvalues within CLUSTER_TOL of each other form one block, unimodular
+    when its mean mu is within UNIMODULAR_BAND of the circle.  On its right
+    eigenvectors X_c and rows Y_c of X^{-1}, the radial drifts along
+    z = z_bar e^tau are Lambda = (d kappa / d tau) conj(mu), with the
+    d kappa / d tau the eigenvalues of Y_c (dM/dtau) X_c (Kato, ch. II);
+    Re Lambda > 0 means leaving the unit disk as |z| grows.  The block is
+    glancing when ||Y_c||_2 ||X_c||_2 is not at most BRANCH_COND_MAX (a
+    defective block, a branch point: no drift) or its drift of least
+    |Re Lambda| has |Re Lambda| <= DRIFT_TOL (tangent to the circle).
     """
     if abs(abs(z_bar) - 1) > 1e-12:
         raise ResolventError("classification point must be on the unit circle")
-    eigs = np.linalg.eigvals(assemble_M(scheme, z_bar).M)
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
+    RA, _, dRA = _resolvent_stack(scheme, [z_bar], derivative=True)
+    M, singular, dM = _companion(scheme, RA, dRA)
+    if singular[0]:
+        raise _singular_error(z_bar)
+    (eigs,), _, _, (X,), (Y,) = _eig_derivs(M, dM)
 
     clusters = []
-    for mu in eigs:
+    for i in np.lexsort((eigs.imag, eigs.real)):
         for cl in clusters:
-            if abs(mu - cl[-1]) <= CLUSTER_TOL:
-                cl.append(mu)
+            if abs(eigs[i] - eigs[cl[-1]]) <= CLUSTER_TOL:
+                cl.append(i)
                 break
         else:
-            clusters.append([mu])
+            clusters.append([i])
 
     blocks = []
     counts = {"expanding": 0, "contracting": 0, "crossing": 0, "glancing": 0}
     for cl in clusters:
-        mu = complex(np.mean(cl))
-        mult = len(cl)
+        mu = complex(np.mean(eigs[cl]))
+        drift = cond = None
         if abs(mu) > 1 + UNIMODULAR_BAND:
-            kind, drift, mism = "expanding", None, None
+            kind = "expanding"
         elif abs(mu) < 1 - UNIMODULAR_BAND:
-            kind, drift, mism = "contracting", None, None
+            kind = "contracting"
         else:
-
-            def fd(step: float) -> complex:
-                zs = [z_bar * np.exp(step), z_bar * np.exp(-step)]
-                zp, zm = np.linalg.eigvals(_companion_at(scheme, zs))
-                return (_nearest(zp, mu) - _nearest(zm, mu)) / (2 * step)
-
-            d1, d4 = fd(DRIFT_STEP), fd(DRIFT_STEP / 4)
-            mism = float(abs(d1 - d4) / max(abs(d4), 1e-12))
-            lam = (16 * d4 - d1) / 15 * np.conj(mu)
-            drift = float(lam.real)
-            if mism > FD_TOL or abs(drift) <= DRIFT_TOL:
-                kind = "glancing"
-            else:
-                kind = "crossing"
-        counts[kind] += mult
-        blocks.append(
-            BoundaryBlock(
-                mu=mu, multiplicity=mult, kind=kind, drift=drift, fd_mismatch=mism
-            )
-        )
+            Xc, Yc = X[:, cl], Y[cl]
+            # a singular X leaves Y NaN, where the 2-norm's SVD would fail
+            cond = np.nan
+            if np.isfinite(Yc).all():
+                cond = float(np.linalg.norm(Yc, 2) * np.linalg.norm(Xc, 2))
+            kind = "glancing"
+            if cond <= BRANCH_COND_MAX:
+                lams = np.linalg.eigvals(Yc @ dM[0] @ Xc) * np.conj(mu)
+                drift = float(lams.real[np.argmin(np.abs(lams.real))])
+                kind = "crossing" if abs(drift) > DRIFT_TOL else kind
+        counts[kind] += len(cl)
+        blocks.append(BoundaryBlock(mu, len(cl), kind, drift, cond))
     return BlockClassification(z_bar=z_bar, blocks=tuple(blocks), counts=counts)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SchemeDef, _continue_path, _laurent
+from .core import BRANCH_COND_MAX, SchemeDef, _continue_path, _eig_derivs, _laurent
 
 #: spectral radius may exceed 1 by at most this much (rounding slack)
 VON_NEUMANN_TOL = 1e-10
@@ -46,10 +46,6 @@ CANDIDATE_UNIT = 1e-3
 CANDIDATE_DERIV = 0.1
 #: imaginary part allowed when reading off a real frequency derivative
 OMEGA_IMAG_TOL = 1e-8
-#: eigenvalue condition number ||x|| ||y|| / |y^H x| above which a branch
-#: derivative is not trusted: colliding branches (a rounded 2x2 Jordan
-#: block has cond about eps^-1/2 = 7e7)
-BRANCH_COND_MAX = 1e6
 
 
 class SymbolError(ValueError):
@@ -129,41 +125,6 @@ def von_neumann_check(
 # exact branch derivatives
 
 
-def _left_rows(X: np.ndarray) -> np.ndarray:
-    """X^{-1} for each matrix of the stack; NaN where X is singular."""
-    try:
-        return np.linalg.inv(X)
-    except np.linalg.LinAlgError:
-        if len(X) == 1:
-            return np.full_like(X, np.nan)
-        return np.concatenate([_left_rows(x[None]) for x in X])
-
-
-def _eig_derivs(amp: np.ndarray, damp: np.ndarray):
-    """(vals, derivs, conds, X): each amp's eigenvalues, their theta-derivatives
-    and conditions, and the right eigenvectors in X's columns.
-
-    The rows of X^{-1} are left eigenvectors y scaled to y^H x = 1, so the
-    simple-eigenvalue derivatives y^H damp x / y^H x are the diagonal of
-    X^{-1} damp X and cond = ||x|| ||y|| / |y^H x| = ||x|| ||y||.  An
-    eigenvalue within sqrt(eps) max(1, spectral radius) of another is
-    numerically repeated: eig's basis of its eigenspace is arbitrary (as
-    at zeta = 1 of a consistent system at theta = 0), so its cond is
-    infinite.  A singular X gives NaN derivatives and conditions, and a
-    nearly singular one (a Jordan block) may overflow cond to infinity.
-    """
-    vals, X = np.linalg.eig(amp)
-    Y = _left_rows(X)
-    derivs = np.einsum("kij,kjl,kli->ki", Y, damp, X)
-    with np.errstate(over="ignore"):
-        conds = np.linalg.norm(Y, axis=2) * np.linalg.norm(X, axis=1)
-    n = vals.shape[1]
-    dist = np.abs(vals[:, :, None] - vals[:, None, :]) + np.diag(np.full(n, np.inf))
-    scale = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(vals).max(axis=1))
-    conds[dist.min(axis=2) < scale[:, None]] = np.inf
-    return vals, derivs, conds, X
-
-
 def _branch_point(scheme: SchemeDef, theta: float, ref: complex):
     """(zeta, d zeta / d theta, cond, rounding bound) of the eigenvalue nearest ref.
 
@@ -171,7 +132,7 @@ def _branch_point(scheme: SchemeDef, theta: float, ref: complex):
     eps cond(zeta) ||d amp / d theta||_2 of the derivative's rounding error.
     """
     amp, damp = _amplification_stack(scheme, [np.exp(1j * theta)], derivative=True)
-    vals, derivs, conds, _ = _eig_derivs(amp, damp)
+    vals, derivs, conds, _, _ = _eig_derivs(amp, damp)
     i = int(np.argmin(np.abs(vals[0] - ref)))
     err = np.finfo(float).eps * conds[0, i] * np.linalg.norm(damp[0], 2)
     return complex(vals[0, i]), complex(derivs[0, i]), float(conds[0, i]), float(err)
@@ -192,7 +153,7 @@ def group_velocity(scheme: SchemeDef, theta: float, zeta: complex) -> float:
     """Group velocity -omega'(theta)/lam of a unimodular branch zeta = e^{i omega}.
 
     ``zeta`` must be the branch value at theta; omega' comes from the
-    exact branch derivative (see ``_eig_derivs``).
+    exact branch derivative (see ``core._eig_derivs``).
     """
     if abs(abs(zeta) - 1) > GLANCING_UNIT_TOL:
         raise SymbolError(f"|zeta| = {abs(zeta):.8f}; branch is not unimodular")
@@ -214,7 +175,7 @@ class BranchTracks:
 
     ``values[k, b]`` is branch b at ``thetas[k]``, ``derivs[k, b]`` its
     exact theta-derivative and ``conds[k, b]`` the derivative's condition
-    number (see ``_eig_derivs``; NaN where the eigenvectors are singular
+    number (see ``core._eig_derivs``; NaN where the eigenvectors are singular
     and large at branch collisions).  Branch order at the
     first theta is by descending real part, then descending imaginary
     part.  ``ambiguous`` lists thetas where continuation remained
@@ -247,7 +208,7 @@ def track_branches(
         raise SymbolError("need at least two sample points")
     thetas = np.linspace(theta_min, theta_max, n_theta)
     amp, damp = _amplification_stack(scheme, np.exp(1j * thetas), derivative=True)
-    eigs, derivs, conds, _ = _eig_derivs(amp, damp)
+    eigs, derivs, conds, _, _ = _eig_derivs(amp, damp)
     order, ambiguous = _continue_path(
         thetas,
         eigs,

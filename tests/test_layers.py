@@ -42,3 +42,34 @@ def test_internal_import_graph_is_pinned():
     graph = {p.stem: _internal_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert graph["resolvent"] == {"core"}  # no call into the symbol side
     assert graph == LAYERS
+
+
+def _module_constants(tree: ast.Module) -> set:
+    """UPPER_CASE names bound by the module's top-level assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper())
+    return names
+
+
+def test_every_module_constant_has_a_reader():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _module_constants(tree) - read
+    )
+    assert unread == []

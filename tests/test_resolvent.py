@@ -6,20 +6,24 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dibvp.core import (
+    BRANCH_COND_MAX,
     SchemeDef,
     lax_friedrichs,
     lax_wendroff,
     leap_frog,
     save_scheme,
     upwind,
+    validate_scheme,
 )
 from dibvp.cli import run_command
 from dibvp.resolvent import (
     _coefficients,
+    _companion_at,
+    _split_failures,
     ResolventError,
     CompanionMatrix,
     arg_total_variation,
@@ -31,6 +35,7 @@ from dibvp.resolvent import (
     spectral_split,
     uklc_scan,
 )
+from dibvp.symbol import von_neumann_check
 
 RNG = np.random.default_rng(20240811)
 
@@ -469,14 +474,76 @@ def test_classify_lax_friedrichs_at_one():
 
 def test_classify_leap_frog_glancing_point():
     # double spatial root mu = i at z = e^{-i pi/6}: branch-point behavior,
-    # detected through the two-scale stencil mismatch
+    # detected through the defective block's eigenvector condition number
     z_bar = np.exp(-1j * np.pi / 6)
     cl = classify_boundary_blocks(leap_frog(1.0, 0.5), z_bar)
     (block,) = cl.blocks
     assert block.multiplicity == 2
     assert abs(block.mu - 1j) < 1e-6
     assert block.kind == "glancing"
-    assert block.fd_mismatch > 1e-2
+    assert not block.cond <= BRANCH_COND_MAX
+    assert block.drift is None
+
+
+@st.composite
+def nonnegative_schemes(draw):
+    """Random consistent schemes whose weights are nonnegative and sum to 1,
+    N <= 2 (a rotated pair of such scalar schemes), r, p <= 2, s <= 2."""
+    N = draw(st.integers(1, 2))
+    r, p, s = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(size=(N, p + r + 1, s + 1))
+    weights /= weights.sum(axis=(1, 2), keepdims=True)
+    phi = rng.uniform(0, np.pi) if N == 2 else 0.0
+    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])[:N, :N]
+    return SchemeDef(
+        N=N, r=r, p=p, q=0, s=s, lam=1.0,
+        interior=np.einsum("ik,kls,jk->lsij", rot, weights, rot),
+        boundary=np.zeros((1, r, s + 2, N, N)),
+    )
+
+
+def _richardson_drift(scheme, z_bar, mu, gap):
+    """Lambda = (d kappa / d tau) conj(mu) by centred differences at h and
+    h/2 combined by Richardson extrapolation, following kappa by nearest
+    value; h keeps kappa's move within 1e-3 of its gap to the others."""
+    def slope(step):
+        zs = [z_bar * np.exp(step), z_bar * np.exp(-step)]
+        plus, minus = (v[np.argmin(np.abs(v - mu))]
+                       for v in np.linalg.eigvals(_companion_at(scheme, zs)))
+        return (plus - minus) / (2 * step)
+
+    h = 1e-3 * min(1.0, gap / abs(slope(1e-7)))
+    return (4 * slope(h / 2) - slope(h)) / 3 * np.conj(mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonnegative_schemes(), st.sampled_from([1.0, -1.0]))
+def test_exact_drifts_match_richardson_oracle(scheme, z_bar):
+    assume(validate_scheme(scheme).ok)
+    cl = classify_boundary_blocks(scheme, z_bar)
+    eigs = np.linalg.eigvals(assemble_M(scheme, z_bar).M)
+    for block in cl.blocks:
+        if block.cond is None or block.multiplicity > 1 or not block.cond <= 1e3:
+            continue
+        # a simple, well separated unimodular eigenvalue
+        gap = np.sort(np.append(np.abs(eigs - block.mu), np.inf))[1]
+        if gap < 1e-2:
+            continue
+        lam = _richardson_drift(scheme, z_bar, block.mu, gap)
+        assert abs(block.drift - lam.real) <= 1e-6 * abs(lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonnegative_schemes(), st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=4))
+def test_split_counts_hold_outside_the_unit_circle(scheme, angles):
+    # for a von Neumann stable, noncharacteristic scheme M(z) has N r
+    # eigenvalues inside the unit disk and N p outside at every |z| > 1
+    assume(validate_scheme(scheme).ok and von_neumann_check(scheme).ok)
+    zs = [rho * np.exp(1j * a) for rho in (1.5, 2.0, 3.0) for a in angles]
+    eigs = np.linalg.eigvals(_companion_at(scheme, zs))
+    expect = (scheme.N * scheme.r, scheme.N * scheme.p)
+    assert not _split_failures(zs, eigs, expect).any()
 
 
 def test_classify_rejects_off_circle():
@@ -659,8 +726,8 @@ def test_unit_circle_sweeps_build_one_companion_stack_each(monkeypatch):
     assert len(sizes) == 4 and sizes[:2] == [1, 13] and sizes[3] == 257
     sizes.clear()
     classify_boundary_blocks(leap_frog(1.0, 0.5), z_bar)
-    # M(z_bar), then z_bar e^{+h}, z_bar e^{-h} for each of the steps h, h/4
-    assert sizes == [1, 2, 2]
+    # M(z_bar) and its exact tau-derivative, together
+    assert sizes == [1]
 
 
 def test_branch_rejects_bad_inputs():

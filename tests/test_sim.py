@@ -1264,6 +1264,31 @@ def test_split_accepts_rounding_of_a_growing_solution(n_max):
     assert np.all(mism <= 1e-12 * np.fmax(sizes, 1.0))
 
 
+@st.composite
+def random_half_line_schemes(draw):
+    """Random schemes with every interior and boundary tap set: N <= 2,
+    r, p, q <= 2, s <= 2."""
+    N, s = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    r, p, q = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SchemeDef(
+        N=N, r=r, p=p, q=q, s=s, lam=1.0,
+        interior=rng.normal(scale=0.4, size=(p + r + 1, s + 1, N, N)),
+        boundary=rng.normal(scale=0.4, size=(q + 1, r, s + 2, N, N)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_half_line_schemes(), st.integers(0, 2**32 - 1))
+def test_split_is_exact_on_random_schemes(scheme, seed):
+    f = random_layers(scheme, n_sites=6, seed=seed)
+    split = split_solution(scheme, f, n_max=25)
+    floor = max([1.0] + [float(np.abs(lay.values).max()) for lay in f])
+    sizes = np.fmax(np.abs(split.U.levels).max(axis=(1, 2)), floor)
+    mism = np.abs(split.U.levels - split.V.levels - split.W.levels).max(axis=(1, 2))
+    assert np.all(mism <= 1e-12 * sizes)
+
+
 @pytest.mark.parametrize("scheme", [_second_order_upwind(3.0), upwind(0.5, 1.0)],
                          ids=["growing", "upwind"])
 def test_split_raises_on_a_perturbed_boundary_source(monkeypatch, scheme):

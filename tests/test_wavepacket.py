@@ -541,6 +541,20 @@ def test_trace_sums_match_level_by_level_reads(which, glancing_spec,
         assert (rep.slopes[i], rep.intercepts[i]) == (slope, intercept)
 
 
+def test_trace_sum_counts_a_horizon_rounded_below_an_integer(glancing_spec):
+    # 0.3 / 0.1 = 2.9999999999999996 and 0.6 / 0.1 = 5.999999999999999 in
+    # floating point; the horizons still hold the stacked levels 0..3 and 0..6
+    dt = 0.1
+    rep = glancing_trace_experiment(glancing_spec, T_list=(0.3, 0.6), dt_list=(dt,))
+    layers = packet_initial_data(glancing_spec, dt / glancing_spec.scheme.lam)
+    trace = run_cauchy(glancing_spec.scheme, layers, n_max=7, window=(0, 0), dt=dt)
+    level_sq = np.abs(trace.levels[:, 0, 0]) ** 2
+    # leap-frog's stacked state at level n is (W_0^{n+1}, W_0^n)
+    want = [dt * sum(level_sq[n + 1] + level_sq[n] for n in range(top + 1))
+            for top in (3, 6)]
+    assert rep.trace_sums[0] == pytest.approx(want, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # polarization persistence and power boundedness
 
