@@ -385,10 +385,28 @@ def _resolvent_stack(scheme: SchemeDef, zs, derivative: bool = False) -> tuple:
 # Linear Operators, ch. II); theta over amp(e^{i theta}) on the symbol side,
 # tau over M(z_bar e^tau) on the resolvent side
 
-#: eigenvalue condition number ||x|| ||y|| / |y^H x| above which a branch
-#: derivative is not trusted: colliding branches (a rounded 2x2 Jordan
-#: block has cond about eps^-1/2 = 7e7)
+#: eigenvalue condition number ||x|| ||y|| / |y^H x|, or a cluster's, above
+#: which a branch derivative is not trusted: a defective cluster (a rounded
+#: 2x2 Jordan block has cond about eps^-1/2 = 7e7)
 BRANCH_COND_MAX = 1e6
+#: eigenvalues within CLUSTER_TOL max(1, spectral radius) of each other
+#: form one cluster (a rounded 2x2 Jordan block splits by about 3e-8)
+CLUSTER_TOL = 1e-7
+
+
+def _clusters(vals: np.ndarray) -> list:
+    """Index lists of the clusters of ``vals``: in (real, imaginary) order, a value
+    joins the first cluster whose last member is within CLUSTER_TOL max(1, max |vals|)."""
+    tol = CLUSTER_TOL * max(1.0, np.abs(vals).max())
+    clusters: list = []
+    for i in np.lexsort((vals.imag, vals.real)):
+        for cl in clusters:
+            if abs(vals[i] - vals[cl[-1]]) <= tol:
+                cl.append(i)
+                break
+        else:
+            clusters.append([i])
+    return clusters
 
 
 def _left_rows(X: np.ndarray) -> np.ndarray:
@@ -408,12 +426,13 @@ def _eig_derivs(amp: np.ndarray, damp: np.ndarray):
 
     The rows of Y are left eigenvectors y scaled to y^H x = 1, so the
     simple-eigenvalue derivatives y^H damp x / y^H x are the diagonal of
-    X^{-1} damp X and cond = ||x|| ||y|| / |y^H x| = ||x|| ||y||.  An
-    eigenvalue within sqrt(eps) max(1, spectral radius) of another is
-    numerically repeated: eig's basis of its eigenspace is arbitrary (as
-    at zeta = 1 of a consistent system at theta = 0), so its cond is
-    infinite.  A singular X gives NaN derivatives and conditions, and a
-    nearly singular one (a Jordan block) may overflow cond to infinity.
+    X^{-1} damp X and cond = ||x|| ||y|| / |y^H x| = ||x|| ||y||.  A cluster
+    of two or more (``_clusters``) on columns X_c and rows Y_c has one cond,
+    ||Y_c||_2 ||X_c||_2; at most BRANCH_COND_MAX it is semisimple, and its
+    derivatives are the eigenvalues of Y_c damp X_c in any basis (Kato,
+    ch. II), while a defective one keeps its untrusted diagonal entries.
+    A singular X gives NaN derivatives and conditions, and a nearly
+    singular one (a Jordan block) may overflow cond to infinity.
     """
     vals, X = np.linalg.eig(amp)
     Y = _left_rows(X)
@@ -422,8 +441,16 @@ def _eig_derivs(amp: np.ndarray, damp: np.ndarray):
         conds = np.linalg.norm(Y, axis=2) * np.linalg.norm(X, axis=1)
     n = vals.shape[1]
     dist = np.abs(vals[:, :, None] - vals[:, None, :]) + np.diag(np.full(n, np.inf))
-    scale = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(vals).max(axis=1))
-    conds[dist.min(axis=2) < scale[:, None]] = np.inf
+    tol = CLUSTER_TOL * np.maximum(1.0, np.abs(vals).max(axis=1))
+    for k in np.flatnonzero((dist.min(axis=2) <= tol[:, None]).any(axis=1)):
+        for cl in _clusters(vals[k]):
+            Xc, Yc = X[k][:, cl], Y[k][cl]
+            # a singular X leaves Y NaN, where the 2-norm's SVD would fail
+            if len(cl) > 1 and np.isfinite(Yc).all():
+                with np.errstate(over="ignore"):
+                    conds[k, cl] = np.linalg.norm(Yc, 2) * np.linalg.norm(Xc, 2)
+                if conds[k, cl[0]] <= BRANCH_COND_MAX:
+                    derivs[k, cl] = np.linalg.eigvals(Yc @ damp[k] @ Xc)
     return vals, derivs, conds, X, Y
 
 

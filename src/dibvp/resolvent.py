@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BRANCH_COND_MAX, SchemeDef, _continue_path, _eig_derivs, _resolvent_stack
+from .core import (BRANCH_COND_MAX, SchemeDef, _clusters, _continue_path, _eig_derivs,
+                   _resolvent_stack)
 
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_GAMMAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -445,20 +446,17 @@ class BlockClassification:
 
 # classify_boundary_blocks' tolerances (see its docstring)
 UNIMODULAR_BAND = 1e-6
-CLUSTER_TOL = 1e-7
 DRIFT_TOL = 1e-6
 
 
 def classify_boundary_blocks(scheme: SchemeDef, z_bar: complex) -> BlockClassification:
     """Classify eigenvalues of M(z_bar) for unit-modulus z_bar.
 
-    Eigenvalues within CLUSTER_TOL of each other form one block, unimodular
-    when its mean mu is within UNIMODULAR_BAND of the circle.  On its right
-    eigenvectors X_c and rows Y_c of X^{-1}, the radial drifts along
-    z = z_bar e^tau are Lambda = (d kappa / d tau) conj(mu), with the
-    d kappa / d tau the eigenvalues of Y_c (dM/dtau) X_c (Kato, ch. II);
-    Re Lambda > 0 means leaving the unit disk as |z| grows.  The block is
-    glancing when ||Y_c||_2 ||X_c||_2 is not at most BRANCH_COND_MAX (a
+    Each cluster of ``core._eig_derivs`` (M, dM/dtau) is one block,
+    unimodular when its mean mu is within UNIMODULAR_BAND of the circle.
+    Its radial drifts along z = z_bar e^tau are Lambda = (d kappa / d tau)
+    conj(mu); Re Lambda > 0 means leaving the unit disk as |z| grows.  The
+    block is glancing when its cond is not at most BRANCH_COND_MAX (a
     defective block, a branch point: no drift) or its drift of least
     |Re Lambda| has |Re Lambda| <= DRIFT_TOL (tangent to the circle).
     """
@@ -468,20 +466,11 @@ def classify_boundary_blocks(scheme: SchemeDef, z_bar: complex) -> BlockClassifi
     M, singular, dM = _companion(scheme, RA, dRA)
     if singular[0]:
         raise _singular_error(z_bar)
-    (eigs,), _, _, (X,), (Y,) = _eig_derivs(M, dM)
-
-    clusters = []
-    for i in np.lexsort((eigs.imag, eigs.real)):
-        for cl in clusters:
-            if abs(eigs[i] - eigs[cl[-1]]) <= CLUSTER_TOL:
-                cl.append(i)
-                break
-        else:
-            clusters.append([i])
+    (eigs,), (derivs,), (conds,), _, _ = _eig_derivs(M, dM)
 
     blocks = []
     counts = {"expanding": 0, "contracting": 0, "crossing": 0, "glancing": 0}
-    for cl in clusters:
+    for cl in _clusters(eigs):
         mu = complex(np.mean(eigs[cl]))
         drift = cond = None
         if abs(mu) > 1 + UNIMODULAR_BAND:
@@ -489,14 +478,9 @@ def classify_boundary_blocks(scheme: SchemeDef, z_bar: complex) -> BlockClassifi
         elif abs(mu) < 1 - UNIMODULAR_BAND:
             kind = "contracting"
         else:
-            Xc, Yc = X[:, cl], Y[cl]
-            # a singular X leaves Y NaN, where the 2-norm's SVD would fail
-            cond = np.nan
-            if np.isfinite(Yc).all():
-                cond = float(np.linalg.norm(Yc, 2) * np.linalg.norm(Xc, 2))
-            kind = "glancing"
+            cond, kind = float(conds[cl[0]]), "glancing"
             if cond <= BRANCH_COND_MAX:
-                lams = np.linalg.eigvals(Yc @ dM[0] @ Xc) * np.conj(mu)
+                lams = derivs[cl] * np.conj(mu)
                 drift = float(lams.real[np.argmin(np.abs(lams.real))])
                 kind = "crossing" if abs(drift) > DRIFT_TOL else kind
         counts[kind] += len(cl)

@@ -172,10 +172,8 @@ def _march_dtype(scheme: SchemeDef, f_layers, g=None, F=None) -> type:
     entries.  A matrix product rounds differently in real and complex
     arithmetic, so systems (N >= 2) march in complex.
     """
-    real = (
-        scheme.N == 1 and F is None and not callable(g)
-        and (g is None or _real(g)) and all(_real(f.values) for f in f_layers)
-    )
+    real = (scheme.N == 1 and F is None and (g is None or _real(g))
+            and all(_real(f.values) for f in f_layers))
     return float if real else complex
 
 
@@ -199,8 +197,6 @@ def _zeros(shape: tuple, n_max: int, dtype: type) -> np.ndarray:
 def _as_row_provider(data, n_max: int, dtype: type):
     if data is None:
         return lambda n: None
-    if callable(data):
-        return data
     arr = np.asarray(data, dtype=complex)
     if arr.shape[0] < n_max + 1:
         raise SimError(f"need {n_max + 1} rows of boundary data, got {arr.shape[0]}")
@@ -219,8 +215,8 @@ def run_ibvp(
 ) -> IBVPTrace:
     """Run the half-line problem up to level n_max.
 
-    ``g`` maps a level n >= s+1 to the boundary rows g^n (or is an array
-    indexed by level, or None); ``F`` maps a level n >= s to the interior
+    ``g`` holds the boundary rows g^n by level n, read for n >= s+1 (or
+    is None); ``F`` maps a level n >= s to the interior
     source F^n as a GridSequence (or None).  When ``j_obs`` is omitted it
     is sized so the reported window contains the full support of the
     solution (data influence spreads at most r columns per step), and the

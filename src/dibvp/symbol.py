@@ -14,10 +14,10 @@ kappa = e^{i theta} runs over the unit circle.  This module provides
 * continuous-in-theta tracking of the N(s+1) eigenvalue branches from one
   stacked eigen-solve, with assignment-ambiguity resolution by interval
   bisection,
-* exact branch derivatives from the simple-eigenvalue formula
-  d zeta / d theta = y^H (d amp / d theta) x / y^H x (Wilkinson 1965),
-  with d amp / d theta = sum_l i l kappa^l A[l, .] in the top block row,
-  and the group velocity of a unimodular branch,
+* exact branch derivatives, y^H (d amp / d theta) x / y^H x at a simple
+  eigenvalue (Wilkinson 1965) and a cluster block at a repeated one
+  (core._eig_derivs), with d amp / d theta = sum_l i l kappa^l A[l, .] in
+  the top block row, and the group velocity of a unimodular branch,
 * detection of glancing modes: unimodular branch points where the branch
   derivative vanishes, so the group velocity is zero (Trefethen 1984).
 
@@ -176,7 +176,7 @@ class BranchTracks:
     ``values[k, b]`` is branch b at ``thetas[k]``, ``derivs[k, b]`` its
     exact theta-derivative and ``conds[k, b]`` the derivative's condition
     number (see ``core._eig_derivs``; NaN where the eigenvectors are singular
-    and large at branch collisions).  Branch order at the
+    and large at defective collisions).  Branch order at the
     first theta is by descending real part, then descending imaginary
     part.  ``ambiguous`` lists thetas where continuation remained
     ambiguous at maximal bisection depth (true branch crossings).
@@ -255,7 +255,7 @@ class GlancingReport:
     vanishing derivative (zero group velocity).  ``min_abs_deriv`` is the
     smallest |d zeta/d theta| seen anywhere on the unimodular part of the
     spectrum (refined values where refinement ran, exact grid values
-    otherwise, leaving out ill-conditioned branch collisions), so a clean
+    otherwise, leaving out defective branch collisions), so a clean
     margin shows up as a large value.  ``deriv_err`` of a point bounds the
     rounding error of its exact derivative.
     """
@@ -390,11 +390,12 @@ def find_glancing(scheme: SchemeDef, n_theta: int = 512) -> GlancingReport:
                 )
             )
 
-    # merge refinements of the same point from adjacent cells
+    # merge refinements of the same point from adjacent cells, or under
+    # both labels of branches that meet there
     merged: list = []
     for pt in sorted(points, key=lambda p: p.abs_deriv):
         dup = any(
-            q.branch == pt.branch
+            (q.branch == pt.branch or abs(q.zeta - pt.zeta) <= GLANCING_UNIT_TOL)
             and (
                 abs(q.theta - pt.theta) < 10 * dtheta
                 or abs(abs(q.theta - pt.theta) - 2 * np.pi) < 10 * dtheta

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSequence, SchemeDef, _eig_derivs
+from .core import BRANCH_COND_MAX, GridSequence, SchemeDef, _clusters, _eig_derivs
 from .sim import run_cauchy
 from .symbol import _amplification_stack, _velocity
 
@@ -205,37 +205,29 @@ def make_packet(
     """
     # one eigen-solve: the branches, their vectors and exact theta-derivatives
     amp, damp = _amplification_stack(scheme, [np.exp(1j * xi_bar)], derivative=True)
-    (mus,), (derivs,), _, (right,), (right_inv,) = _eig_derivs(amp, damp)
+    (mus,), (derivs,), (conds,), (right,), (right_inv,) = _eig_derivs(amp, damp)
     d = len(mus)
+    if len(_clusters(mus)) < d:
+        raise WavepacketError(
+            "repeated branch eigenvalue; spectral projectors are not defined"
+        )
+    if not np.all(conds <= BRANCH_COND_MAX):
+        raise WavepacketError("nearly defective branch eigenvalue")
+    if not 0 <= branch < d:
+        raise WavepacketError(f"branch index {branch} out of range [0, {d})")
     # quantize the modulus so float noise cannot flip the ordering of
     # branches that share |mu| (ties fall to increasing argument)
     order = np.lexsort(
         (np.mod(np.angle(mus), 2 * np.pi), -np.round(np.abs(mus), 6))
     )
-    mus = mus[order]
-    derivs = derivs[order]
-    right = right[:, order]
-    if np.min(np.abs(np.subtract.outer(mus, mus))
-              + np.eye(d) * 10.0) < 1e-8:
-        raise WavepacketError(
-            "repeated branch eigenvalue; spectral projectors are not defined"
-        )
-    if not 0 <= branch < d:
-        raise WavepacketError(f"branch index {branch} out of range [0, {d})")
-    # the eigenvalues are simple, so the rows of right^{-1} are the left
-    # eigenvectors; unit columns make vdot(left, right) the reciprocal
-    # eigenvalue condition number
-    left = right_inv[order].conj().T
-    left /= np.linalg.norm(left, axis=0)
+    mus, derivs, right, left = mus[order], derivs[order], right[:, order], right_inv[order]
 
     projectors = []
     omegas = []
     velocities = []
     for k in range(d):
-        denom = np.vdot(left[:, k], right[:, k])
-        if abs(denom) < 1e-12:
-            raise WavepacketError("nearly defective branch eigenvalue")
-        projectors.append(np.outer(right[:, k], np.conj(left[:, k])) / denom)
+        # the rows of right^{-1} are left eigenvectors with y^H x = 1
+        projectors.append(np.outer(right[:, k], left[k]))
         unimod = abs(abs(mus[k]) - 1.0) <= UNIT_BRANCH_TOL
         omega = complex(np.angle(mus[k]) - 1j * np.log(abs(mus[k])))
         omegas.append(complex(omega.real) if unimod else omega)

@@ -1096,7 +1096,6 @@ MARCH_DTYPE_CASES = {
     "complex-data": (upwind(0.5, 1.0), "complex", {}, complex),
     "minus-zero-imag": (upwind(0.5, 1.0), "minus-zero", {}, complex),
     "system": (_system_upwind(), "real", {}, complex),
-    "callable-g": (upwind(0.5, 1.0), "real", {"g": lambda n: np.ones((1, 1))}, complex),
     "complex-g-array": (upwind(0.5, 1.0), "real", {"g": np.full((9, 1, 1), 1j)}, complex),
     "minus-zero-g": (upwind(0.5, 1.0), "real", {"g": np.full((9, 1, 1), complex(1, -0.0))},
                      complex),

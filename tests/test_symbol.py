@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dibvp
-from dibvp.core import SchemeDef, lax_friedrichs, lax_wendroff, leap_frog, upwind
+from dibvp.core import SchemeDef, _eig_derivs, lax_friedrichs, lax_wendroff, leap_frog, upwind
 from dibvp.symbol import (
     BRANCH_COND_MAX,
     SymbolError,
+    _amplification_stack,
     _branch_point,
     amplification_matrix,
     find_glancing,
@@ -311,11 +312,13 @@ def _lax_friedrichs_system(A, nu=0.5):
 
 def test_find_glancing_leaves_out_repeated_eigenvalue_at_theta_zero():
     # Lax-Friedrichs for u_t + A u_x = 0 with A = [[0, 1], [1, 0]]: amp(1) = I,
-    # so eig's basis at theta = 0 is arbitrary and the diagonal formula
-    # there reads 0 in place of the branch speeds -i nu (+/-1)
+    # so eig's basis at theta = 0 is arbitrary; the repeated eigenvalue's
+    # cluster block gives the branch speeds -i nu (+/-1) whatever the basis
     scheme = _lax_friedrichs_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     track = track_branches(scheme, n_theta=64)
-    assert np.all(track.conds[0] > BRANCH_COND_MAX)
+    assert np.all(track.conds[0] <= BRANCH_COND_MAX)
+    speeds = track.derivs[0][np.argsort(track.derivs[0].imag)]
+    assert np.abs(speeds - [-0.5j, 0.5j]).max() < 1e-15
     rep = find_glancing(scheme)
     assert not rep.has_glancing
     assert rep.min_abs_deriv == pytest.approx(0.5, rel=1e-3)
@@ -324,15 +327,15 @@ def test_find_glancing_leaves_out_repeated_eigenvalue_at_theta_zero():
 def test_find_glancing_zero_speed_through_repeated_eigenvalue():
     # A = diag(0, 1): the zero-speed component has zeta = cos theta, which
     # glances at theta = 0 and pi, where it meets the other component's
-    # branch; omega' is purely imaginary there, so the grid minima of
-    # |zeta'| next to the collision lead the search
+    # branch; each point is reported once, whichever label reaches it
     rep = find_glancing(_lax_friedrichs_system(np.diag([0.0, 1.0])))
     assert rep.has_glancing
-    dist = [np.abs(pt.theta - np.pi * np.arange(3)) for pt in rep.points]
-    assert all(d.min() < 1e-6 for d in dist)
-    at_pi = [d[1] < 1e-6 for d in dist]
-    assert any(at_pi) and not all(at_pi)
-    assert all(pt.abs_deriv < 1e-6 for pt in rep.points)
+    near = [
+        [abs((pt.theta - t + np.pi) % (2 * np.pi) - np.pi) < 1e-12 for t in (0.0, np.pi)]
+        for pt in rep.points
+    ]
+    assert sorted(near) == [[False, True], [True, False]]
+    assert all(pt.abs_deriv < 1e-12 for pt in rep.points)
 
 
 def test_find_glancing_leap_frog_makes_few_eigensolves(monkeypatch):
@@ -445,3 +448,40 @@ def test_stacked_tracking_matches_per_theta_tracking(scheme):
             _, deriv, cond, _ = _branch_point(scheme, theta, zeta)
             if cond < BRANCH_COND_MAX:
                 assert abs(track.derivs[k, b] - deriv) <= 1e-13 * max(abs(deriv), 1.0)
+
+
+@st.composite
+def rotated_pairs(draw):
+    """(pair, (a, b)): two random consistent scalar schemes with nonnegative
+    weights (r, p, s <= 2) and the 2x2 system P diag(Q_a, Q_b) P^T."""
+    r, p, s = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(size=(2, p + r + 1, s + 1))
+    weights /= weights.sum(axis=(1, 2), keepdims=True)
+    phi = rng.uniform(0, np.pi)
+    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+
+    def scheme(N, interior):
+        return SchemeDef(N=N, r=r, p=p, q=0, s=s, lam=1.0, interior=interior,
+                         boundary=np.zeros((1, r, s + 2, N, N)))
+
+    pair = scheme(2, np.einsum("ik,kls,jk->lsij", rot, weights, rot))
+    return pair, tuple(scheme(1, w[:, :, None, None]) for w in weights)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotated_pairs())
+def test_repeated_eigenvalue_derivatives_are_the_components(case):
+    # at theta = 0 both components' principal roots equal 1 (consistency),
+    # so the pair has a double semisimple eigenvalue 1 there; its cluster
+    # derivatives are the components' own, in whatever basis eig returns
+    pair, parts = case
+    vals, derivs, conds, _, _ = _eig_derivs(*_amplification_stack(pair, [1.0], derivative=True))
+    at_one = np.flatnonzero(np.abs(vals[0] - 1) <= 1e-7)
+    assert len(at_one) == 2
+    assert np.all(conds[0, at_one] <= BRANCH_COND_MAX)
+    got = derivs[0, at_one]
+    want = np.array([_branch_point(part, 0.0, 1.0)[1] for part in parts])
+    # unordered: the real parts are at rounding level, so no sort pairs them
+    tol = 1e-12 * np.maximum(1.0, np.abs(want))
+    assert any(np.all(np.abs(g - want) <= tol) for g in (got, got[::-1]))

@@ -236,6 +236,13 @@ def test_repeated_eigenvalue_raises(env):
         make_packet(scheme, 0.0, env)
 
 
+def test_jordan_pair_at_the_cfl_edge_raises(env):
+    # leap-frog at nu = 1 has a 2x2 Jordan block at kappa = i; eig splits
+    # it by about 3e-8, which is one cluster, not two simple branches
+    with pytest.raises(WavepacketError, match="repeated"):
+        make_packet(leap_frog(1.0, 1.0), np.pi / 2, env)
+
+
 def test_custom_amplitude_off_branch_detected(env):
     scheme = coupled_scheme()
     spec = make_packet(scheme, np.pi / 2, env, branch=0)
