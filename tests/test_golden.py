@@ -84,6 +84,8 @@ COMMANDS = {
     "simulate": ["simulate", "--n-max", "40", "--sites", "16", "--seed", "3"],
     "verify-thm1": ["verify", "--estimate", "thm1", "--t-end", "1",
                     "--grid-refinements", "0.1,0.05", "--grid-gammas", "0.1,1"],
+    "verify-strong": ["verify", "--estimate", "strong", "--t-end", "1",
+                      "--grid-refinements", "0.1,0.05", "--grid-gammas", "0.1,1"],
     "verify-semigroup": ["verify", "--estimate", "semigroup", "--t-end", "1",
                          "--grid-refinements", "0.1,0.05"],
     "packet-experiment": ["packet-experiment", "--xi", "0.5", "--Ts", "1,2",
