@@ -23,11 +23,16 @@ of the trace, strong-stability, and semigroup estimates, all sums of
 (gamma, dt) grids.  A run reads dt only to scale F, so with F = g = 0 and
 the same initial layers at every dt of a fixed-lam ladder, the run to n
 levels is the first n + 1 levels of any longer run, cut to its own width:
-the trace and semigroup verifiers march such a ladder once.
+the trace and semigroup verifiers march such a ladder once.  Scalar runs of
+one scheme (the strong-stability ladder, a split's U and W) march as the
+components of one vector: a 1x1 tap multiplies each entry alone, columns
+marched for another run are zeros or exact half-line values, and a run
+without g adds -0.0, so every level keeps its bits.  Systems march alone.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,35 +81,6 @@ def _taps(scheme: SchemeDef) -> tuple:
         ]
         boundary.append([(sigma, taps) for sigma, taps in rows if taps])
     return interior, boundary
-
-
-def _advance(taps, out, prev, hi, g_row, F_row, dt) -> None:
-    """Write U^{n+1} into ``out`` on columns 1-r..hi from prev = U^{n-s}..U^n.
-
-    Every row starts at column 1-r.  Columns past ``hi`` are left as they
-    are; the boundary rows read ``out`` up to column 1+q, so any of those
-    past ``hi`` must already hold zeros.
-    """
-    interior, boundary = taps
-    r, s = len(boundary), len(prev) - 1
-    out[: r + hi] = 0
-    for sigma, sigma_taps in enumerate(interior):
-        _apply_taps(out[r : r + hi], prev[s - sigma], r, sigma_taps)
-    if F_row is not None:
-        flo = max(1, F_row.offset)
-        fhi = min(hi, F_row.last)
-        if flo <= fhi:
-            out[flo - 1 + r : fhi + r] += dt * F_row.window(flo, fhi)
-
-    # boundary rows j in [1-r, 0]; sigma = -1 reads the new interior values
-    if g_row is not None:
-        g_row = np.asarray(g_row, dtype=out.dtype).reshape(r, out.shape[1])
-    for k, rows in enumerate(boundary):
-        acc = out[k : k + 1]
-        for sigma, sigma_taps in rows:
-            _apply_taps(acc, out if sigma == -1 else prev[s - sigma], r, sigma_taps)
-        if g_row is not None:
-            acc += g_row[k]
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +158,22 @@ def _as_march(values: np.ndarray, dtype: type) -> np.ndarray:
     return values.real if dtype is float else values
 
 
-def _zeros(shape: tuple, n_max: int, dtype: type) -> np.ndarray:
-    """np.zeros for a run's arrays; a horizon too large to hold is a SimError."""
+def _zeros(shapes, n_max: int, dtype: type) -> list:
+    """np.zeros of each shape; too large to hold, a SimError naming n_max."""
     try:
-        return np.zeros(shape, dtype=dtype)
+        return [np.zeros(shape, dtype=dtype) for shape in shapes]
     except MemoryError:
-        size = np.dtype(dtype).itemsize * np.prod(shape, dtype=float)
+        size = np.dtype(dtype).itemsize * sum(np.prod(sh, dtype=float) for sh in shapes)
         raise SimError(
-            f"horizon too large: n_max {n_max} over a {shape[1]}-column "
+            f"horizon too large: n_max {n_max} over a {shapes[0][1]}-column "
             f"window needs {size:.3g} bytes"
         ) from None
 
 
-def _as_row_provider(data, n_max: int, dtype: type):
-    if data is None:
-        return lambda n: None
-    arr = np.asarray(data, dtype=complex)
-    if arr.shape[0] < n_max + 1:
-        raise SimError(f"need {n_max + 1} rows of boundary data, got {arr.shape[0]}")
-    arr = _as_march(arr, dtype)
-    return lambda n: arr[n]
+def _auto_obs(scheme: SchemeDef, f_layers, n_max: int) -> int:
+    """The j_obs holding a run's support, which spreads r columns a step."""
+    jf = max((f.last for f in f_layers), default=0)
+    return max(jf, 1 + scheme.q, 1) + n_max * scheme.r
 
 
 def run_ibvp(
@@ -222,61 +194,125 @@ def run_ibvp(
     solution (data influence spreads at most r columns per step), and the
     output layers are marked finitely supported.
     """
-    if n_max < scheme.s:
-        raise SimError(f"n_max must be at least s = {scheme.s}")
-    if len(f_layers) != scheme.s + 1:
-        raise SimError(f"need {scheme.s + 1} initial layers, got {len(f_layers)}")
-    r, p, q, s, N = scheme.r, scheme.p, scheme.q, scheme.s, scheme.N
-    lo = 1 - r
-    jf = max(f.last for f in f_layers)
-    auto_obs = j_obs is None
-    if auto_obs:
-        j_obs = max(jf, 1 + q, 1) + n_max * r
-    pad_to = j_obs + (n_max - s) * p
-    width = j_obs - lo + 1
-    dtype = _march_dtype(scheme, f_layers, g, F)
-    levels = _zeros((n_max + 1, width, N), n_max, dtype)
-    for f in f_layers:
-        if f.offset < lo:
-            raise SimError(f"initial layer starts at {f.offset} < {lo}")
-        if f.last > pad_to:
-            raise SimError(f"initial layer extends past the allocation {pad_to}")
-    g_of = _as_row_provider(g, n_max, dtype)
-    F_of = F if F is not None else (lambda n: None)
+    return _march(scheme, [(f_layers, n_max, j_obs, g, F, dt)])[0]
 
-    # a ring of s+2 full-width rows: level n lives in row n % (s+2)
-    ring = _zeros((s + 2, pad_to - lo + 1, N), n_max, dtype)
-    for n, f in enumerate(f_layers):
-        ring[n, f.offset - lo : f.last - lo + 1] = _as_march(f.values, dtype)
-        levels[n] = ring[n, :width]
-    zero_flags = [f.implicit_zero for f in f_layers]
-    taps = _taps(scheme)
-    edge = pad_to
+
+_Run = namedtuple("_Run", "f_layers n_max j_obs g F dt auto pad_to dtype")
+
+
+def _march(scheme: SchemeDef, runs) -> list:
+    """``run_ibvp`` of each (f_layers, n_max, j_obs, g, F, dt) in ``runs``.
+
+    Scalar runs of one march dtype march together, as the components of
+    one run (see the module docstring); a system marches alone.  Inputs
+    are checked in run order, so the first bad run raises what its own
+    march would; arrays too large to hold raise for the longest horizon.
+    """
+    r, p, q, s = scheme.r, scheme.p, scheme.q, scheme.s
+    lo, checked = 1 - r, []
+    for f_layers, n_max, j_obs, g, F, dt in runs:
+        if n_max < s:
+            raise SimError(f"n_max must be at least s = {s}")
+        if len(f_layers) != s + 1:
+            raise SimError(f"need {s + 1} initial layers, got {len(f_layers)}")
+        auto = j_obs is None
+        if auto:
+            j_obs = _auto_obs(scheme, f_layers, n_max)
+        pad_to = j_obs + (n_max - s) * p
+        for f in f_layers:
+            if f.offset < lo:
+                raise SimError(f"initial layer starts at {f.offset} < {lo}")
+            if f.last > pad_to:
+                raise SimError(f"initial layer extends past the allocation {pad_to}")
+        if g is not None and len(g) < n_max + 1:
+            raise SimError(f"need {n_max + 1} rows of boundary data, got {len(g)}")
+        # the edge shrinks by p a step, down to j_obs after the last one
+        if n_max > s and j_obs <= q:
+            edge = pad_to - max(0, (pad_to - 1 - q) // p) * p if p else pad_to
+            raise SimError(f"window exhausted: right edge {edge} cannot support "
+                           "another step")
+        dtype = _march_dtype(scheme, f_layers, g, F)
+        checked.append(_Run(f_layers, n_max, j_obs, g, F, dt, auto, pad_to, dtype))
+    # longest first: the runs still marching are the leading components
+    order = sorted(range(len(checked)), key=lambda i: -checked[i].n_max)
+    traces = {}
+    for dtype in (float, complex):
+        batch = [i for i in order if checked[i].dtype is dtype]
+        for part in ([[i] for i in batch] if scheme.N > 1 else [batch] * bool(batch)):
+            traces.update(zip(part, _march_batch(scheme, [checked[i] for i in part])))
+    return [traces[i] for i in range(len(checked))]
+
+
+def _march_batch(scheme: SchemeDef, batch) -> list:
+    """The traces of checked runs of one dtype, longest first, marched together."""
+    r, p, s, N = scheme.r, scheme.p, scheme.s, scheme.N
+    lo, n_top, dtype = 1 - r, batch[0].n_max, batch[0].dtype
+    comps = [slice(b * N, (b + 1) * N) for b in range(len(batch))]
+    edge = max(run.pad_to for run in batch)
+    *levels, ring, g_all = _zeros(
+        [(run.n_max + 1, run.j_obs - lo + 1, N) for run in batch]
+        # a ring of s+2 full-width rows: level n lives in row n % (s+2)
+        + [(s + 2, edge - lo + 1, len(batch) * N), (n_top + 1, r, len(batch) * N)],
+        n_top, dtype,
+    )
+    has_g = any(run.g is not None for run in batch)
+    np.negative(g_all, out=g_all)  # -0.0 in every part
+    flags = []
+    for run, lev, c in zip(batch, levels, comps):
+        if run.g is not None:
+            rows = _as_march(np.asarray(run.g), dtype)[: run.n_max + 1]
+            g_all[: run.n_max + 1, :, c] = rows.reshape(run.n_max + 1, r, N)
+        for n, f in enumerate(run.f_layers):
+            ring[n, f.offset - lo : f.last - lo + 1, c] = _as_march(f.values, dtype)
+            lev[n] = ring[n, : len(lev[n]), c]
+        flags.append([f.implicit_zero for f in run.f_layers])
+    interior, boundary = _taps(scheme)
+    sources = [(b, run.F) for b, run in enumerate(batch) if run.F is not None]
     # columns past hi are zero: the data's support grows by r per step,
-    # and F adds its own range
-    hi = max(jf, 0)
-    for n in range(s, n_max):
-        edge -= p
-        if edge < max(1, 1 + q):
-            raise SimError(
-                f"window exhausted: right edge {edge + p} cannot support "
-                "another step"
-            )
-        g_row = g_of(n + 1)
-        F_row = F_of(n)
-        hi = min(edge, hi + r if F_row is None else max(hi + r, F_row.last))
-        out = ring[(n + 1) % (s + 2)]
-        prev = [ring[k % (s + 2)] for k in range(n - s, n + 1)]
+    # and F adds its own range; one hi serves every run
+    hi = max(0, *(f.last for run in batch for f in run.f_layers))
+    k, F_rows = len(batch), []
+    for n in range(s, n_top):
+        if batch[k - 1].n_max <= n:  # drop the runs that are done
+            k = sum(run.n_max > n for run in batch)
+            ring, g_all = ring[..., : k * N].copy(), g_all[..., : k * N]
+        edge, hi = edge - p, hi + r
+        if sources:
+            F_rows = [(b, F(n)) for b, F in sources if b < k]
+            hi = max([hi] + [row.last for _, row in F_rows if row is not None])
+        hi = min(edge, hi)
         # numpy multiplies one row by a different BLAS routine than a block
         # of rows; two rows keep every value bit-identical to a full step
-        _advance(taps, out, prev, max(hi, min(2, edge)), g_row, F_row, dt)
-        levels[n + 1] = out[:width]
-        zero_flags.append(
-            all(zero_flags[-(s + 1):]) and (F_row is None or F_row.implicit_zero)
-        )
-    return IBVPTrace(
-        scheme, dt, levels, lo, tuple(auto_obs and z for z in zero_flags), j_obs
-    )
+        top = max(hi, min(2, edge))
+        out = ring[(n + 1) % (s + 2)]
+        prev = [ring[m % (s + 2)] for m in range(n - s, n + 1)]
+        out[: r + top] = 0
+        for sigma, sigma_taps in enumerate(interior):
+            _apply_taps(out[r : r + top], prev[s - sigma], r, sigma_taps)
+        for b, row in F_rows:
+            if row is not None and max(1, row.offset) <= min(top, row.last):
+                flo, fhi = max(1, row.offset), min(top, row.last)
+                out[flo - 1 + r : fhi + r, comps[b]] += batch[b].dt * row.window(flo, fhi)
+            flags[b].append(all(flags[b][-(s + 1):])
+                            and (row is None or row.implicit_zero))
+        # boundary rows j in [1-r, 0]; sigma = -1 reads the new interior values
+        for j, rows in enumerate(boundary):
+            acc = out[j : j + 1]
+            for sigma, sigma_taps in rows:
+                _apply_taps(acc, out if sigma == -1 else prev[s - sigma], r, sigma_taps)
+            if has_g:
+                acc += g_all[n + 1, j : j + 1]
+        # columns past top hold zeros, as levels does, or lie past j_obs
+        for lev, c in zip(levels[:k], comps):
+            cols = min(lev.shape[1], r + top)
+            lev[n + 1, :cols] = out[:cols, c]
+    for run, fl in zip(batch, flags):
+        if run.F is None:  # a run without F keeps its data's support flag
+            fl += [all(fl)] * (run.n_max - s)
+    return [
+        IBVPTrace(scheme, run.dt, lev, lo, tuple(run.auto and z for z in fl), run.j_obs)
+        for run, lev, fl in zip(batch, levels, flags)
+    ]
 
 
 def _ladder_traces(scheme, f_generator, refinements, t_end, seed):
@@ -302,13 +338,13 @@ def _ladder_traces(scheme, f_generator, refinements, t_end, seed):
             n_long = max(n for (_, n), k in zip(ladder, keys) if k == key)
             try:
                 run = run_ibvp(scheme, f_layers, n_long)
-                marched[key] = run, np.abs(run.levels) ** 2
+                marched[key] = run, _abs_sq(run.levels)
             except SimError:
                 pass  # a longer run's error: this entry's own run decides
         run, sq = marched.get(key, (None, None))
         if run is None or n_max < scheme.s:
             run = run_ibvp(scheme, f_layers, n_max)
-            sq = np.abs(run.levels) ** 2
+            sq = _abs_sq(run.levels)
         j_obs = run.j_obs - (run.n_max - n_max) * scheme.r
         cut = np.s_[: n_max + 1, : j_obs + scheme.r]
         yield dt, f_layers, IBVPTrace(
@@ -350,8 +386,9 @@ def run_cauchy(
 
     r, p, s, N = scheme.r, scheme.p, scheme.s, scheme.N
     dtype = _march_dtype(scheme, f_layers)
-    levels = _zeros((n_max + 1, Rmax - Lmin + 1, N), n_max, dtype)
-    ring = _zeros((s + 2, W1 - W0 + 1, N), n_max, dtype)
+    levels, ring = _zeros(
+        [(n_max + 1, Rmax - Lmin + 1, N), (s + 2, W1 - W0 + 1, N)], n_max, dtype
+    )
     crop = slice(Lmin - W0, Rmax - W0 + 1)
     for n, f in enumerate(f_layers):
         ring[n] = _as_march(f.window(W0, W1), dtype)  # the data in the buffer
@@ -405,14 +442,17 @@ def reconstruct_boundary_source(
     one = 1 - V.offset  # the column of j = 1
     boundary = _taps(scheme)[1]
     g = np.zeros((n_max + 1, r, N), dtype=complex)
-    for n in range(s + 1, n_max + 1):
-        for k, rows in enumerate(boundary):
-            g[n, k] = -V.levels[n, one + k - r]
-            if rows:
-                g[n, k] += 0.0  # -0.0 to +0.0, so 1x1 taps add as in a matmul
-            for sigma, sigma_taps in rows:
-                jet = V.levels[n - 1 - sigma, one : one + q + 1]
-                _apply_taps(g[n, k : k + 1], jet, 0, sigma_taps)
+    if n_max <= s:
+        return g
+    # levels n > s in one product per tap, each a (1, N) row of its own
+    for k, rows in enumerate(boundary):
+        acc = g[None, s + 1 :, k : k + 1]
+        acc[0, :, 0] = -V.levels[s + 1 : n_max + 1, one + k - r]
+        if rows:
+            acc += 0.0  # -0.0 to +0.0, so 1x1 taps add as in a matmul
+        for sigma, sigma_taps in rows:
+            jets = V.levels[s - sigma : n_max - sigma, one : one + q + 1]
+            _apply_taps(acc, jets.swapaxes(0, 1)[:, :, None], 0, sigma_taps)
     return g
 
 
@@ -449,16 +489,14 @@ def split_solution(
     against a direct half-line run, to 1e-12 of each level's max |U| (or
     of max |f| and 1, when larger).
     """
-    U = run_ibvp(scheme, f_layers, n_max, dt=dt)
-    V = run_cauchy(
-        scheme, f_layers, n_max, window=(1 - scheme.r, U.j_obs), dt=dt
-    )
+    j_obs = _auto_obs(scheme, f_layers, n_max)
+    V = run_cauchy(scheme, f_layers, n_max, window=(1 - scheme.r, j_obs), dt=dt)
     g = reconstruct_boundary_source(scheme, V, n_max)
-    zero = [
-        GridSequence.zeros(1 - scheme.r, 1, scheme.N, implicit_zero=True)
-        for _ in range(scheme.s + 1)
-    ]
-    W = run_ibvp(scheme, zero, n_max, j_obs=U.j_obs, g=g, dt=dt)
+    zero = [GridSequence.zeros(1 - scheme.r, 1, scheme.N, implicit_zero=True)
+            for _ in range(scheme.s + 1)]
+    # U and W march together after V
+    U, W = _march(scheme, [(f_layers, n_max, None, None, None, dt),
+                           (zero, n_max, j_obs, g, None, dt)])
     floor = max([1.0] + [float(np.max(np.abs(f.values))) for f in f_layers])
     mism = _max_level_mismatch(U.levels, V.levels, W.levels, floor)
     return SplitSolution(U=U, V=V, W=W, g=g, max_mismatch=mism)
@@ -511,10 +549,15 @@ def _level_sums(trace: IBVPTrace, P: int) -> tuple:
             f"window [{lo}, {min(P, trace.j_obs)}] outside stored range "
             f"[{trace.offset}, {trace.j_obs}]"
         )
-    sq = np.abs(trace.levels) ** 2 if trace.sq is None else trace.sq
+    sq = _abs_sq(trace.levels) if trace.sq is None else trace.sq
     # a window ending left of 1-r has no trace columns: clamp the stop
     stop = max(min(P, trace.j_obs) - trace.offset + 1, 0)
     return sq.sum(axis=(1, 2)), sq[:, start - trace.offset : stop].sum(axis=(1, 2))
+
+
+def _abs_sq(levels: np.ndarray) -> np.ndarray:
+    """|levels|^2, in one pass for a float trace, with abs() ** 2's bits."""
+    return np.square(levels) if levels.dtype == np.float64 else np.abs(levels) ** 2
 
 
 def _weighted_norms(trace, sums, gamma, P, n_start) -> NormSeries:
@@ -720,23 +763,20 @@ def verify_strong_stability(
     s = scheme.s
     ratios = np.zeros((len(refinements), len(gammas)))
     measured = np.zeros(ratios.shape, dtype=bool)
-    for i, dt in enumerate(refinements):
+    zero = [GridSequence.zeros(1 - scheme.r, 1, scheme.N, implicit_zero=True)
+            for _ in range(s + 1)]
+    runs = []
+    for dt in refinements:
         n_max = int(round(t_end / dt))
         g = g_gen(scheme, dt, n_max, rng) if g_gen is not None else None
-        F_rows = F_gen(scheme, dt, n_max, rng) if F_gen is not None else None
-        zero = [
-            GridSequence.zeros(1 - scheme.r, 1, scheme.N, implicit_zero=True)
-            for _ in range(s + 1)
-        ]
-        trace = run_ibvp(
-            scheme, zero, n_max, g=g,
-            F=(None if F_rows is None else (lambda n: F_rows[n])), dt=dt,
-        )
+        F = F_gen(scheme, dt, n_max, rng).__getitem__ if F_gen is not None else None
+        runs.append((zero, n_max, None, g, F, dt))
+    # the whole ladder marches together
+    for i, ((_, n_max, _, g, F, dt), trace) in enumerate(zip(runs, _march(scheme, runs))):
         dx = dt / scheme.lam
         sums = _level_sums(trace, scheme.p)
         gmass = None if g is None else np.sum(np.abs(g) ** 2, axis=(1, 2))
-        Fmass = [] if F_rows is None else [
-            F_rows[n].norm_sq(dx) for n in range(s, n_max)]
+        Fmass = [] if F is None else [F(n).norm_sq(dx) for n in range(s, n_max)]
         for k, gamma in enumerate(gammas):
             ns = _weighted_norms(trace, sums, gamma, scheme.p, s + 1)
             lhs = gamma / (gamma * dt + 1) * ns.interior + ns.trace

@@ -845,19 +845,114 @@ def test_verifiers_march_dt_dependent_data_once_per_dt(monkeypatch):
     assert calls == [20, 40, 80]
 
 
-@pytest.mark.parametrize("verify", [verify_thm1, verify_semigroup])
+@pytest.mark.parametrize("verify", [verify_thm1, verify_semigroup,
+                                    verify_strong_stability])
 def test_verifier_raises_the_first_failing_entrys_error(verify):
     # leap-frog at dt 0.1 has n_max 0 < s, though the dt 0.05 run exists,
     # before or after it in the ladder
     for ladder in [(0.1, 0.05), (0.05, 0.1)]:
         with pytest.raises(SimError, match="n_max must be at least s = 1"):
             verify(leap_frog(0.5, 1.0), refinements=ladder, t_end=0.05)
+    if verify is verify_strong_stability:
+        return  # one batch: test_strong_stability_names_the_longest_horizon
     # both horizons are too large to hold; the first one is reported
     with pytest.raises(SimError, match="horizon too large: n_max 100000000 "):
         verify(upwind(0.5, 1.0), refinements=(1e-7, 2e-8), t_end=10.0)
     # the dt 0.1 entry marches on its own before the dt 1e-7 one fails
     with pytest.raises(SimError, match="horizon too large: n_max 100000000 "):
         verify(upwind(0.5, 1.0), refinements=(0.1, 1e-7), t_end=10.0)
+
+
+def test_strong_stability_names_the_longest_horizon():
+    # the ladder marches as one batch, so its arrays are allocated together:
+    # dt 1e-6 at t_end 10 has a boundary source of 80 MB but a levels array
+    # of 8e14 bytes, and the error names it whatever the ladder's order
+    for ladder in [(0.1, 1e-6), (1e-6, 0.1)]:
+        with pytest.raises(SimError, match="horizon too large: n_max 10000000 over "
+                                           "a 10000002-column window needs "):
+            verify_strong_stability(upwind(0.5, 1.0), refinements=ladder,
+                                    t_end=10.0, gammas=(1.0,))
+
+
+def test_march_raises_the_first_bad_runs_error():
+    # leap-frog (s = 1, p = 1): j_obs = 0 exhausts the window on the fifth
+    # step, and n_max = 0 is below s; whichever comes first in run order
+    # raises what its own run_ibvp does
+    scheme = leap_frog(0.5, 1.0)
+    f = decaying_data(scheme, 4, seed=1)
+    good, short, narrow = (f, 12, None, None, None, 0.1), (f, 0, None, None, None, 0.1), (
+        f, 6, 0, None, None, 0.1)
+    for bad in (short, narrow):
+        with pytest.raises(SimError) as alone:
+            run_ibvp(scheme, *bad[:5], dt=0.1)
+        others = [short, narrow]
+        others.remove(bad)
+        with pytest.raises(SimError) as batched:
+            sim._march(scheme, [good, bad] + others)
+        assert str(batched.value) == str(alone.value)
+    assert str(alone.value).startswith("window exhausted: right edge 1 ")
+
+
+def _mixed_batch(scheme):
+    """Runs of one scheme that differ in everything a run can: n_max (s
+    included), data (real with -0.0 entries, complex, on the boundary rows
+    only, zero), g (real with -0.0 entries, complex, none), F and j_obs."""
+    rng = np.random.default_rng(29)
+    s, r, N = scheme.s, scheme.r, scheme.N
+    real = []
+    for lay in decaying_data(scheme, 9, seed=4):
+        vals = np.array(lay.values)
+        vals[rng.random(vals.shape) < 0.3] = -0.0
+        real.append(GridSequence(lay.offset, vals, implicit_zero=True))
+    real = tuple(real)
+    complex_ = random_layers(scheme, n_sites=7, seed=5)
+    edge = tuple(GridSequence(1 - r, lay.values[:r], implicit_zero=True) for lay in real)
+    zero = tuple(GridSequence.zeros(1 - r, 1, N, implicit_zero=True) for _ in range(s + 1))
+    g_real = rng.standard_normal((41, r, N))
+    g_real[rng.random(g_real.shape) < 0.3] = -0.0
+    g_complex = g_real + 1j * rng.standard_normal(g_real.shape)
+    # sources reaching past every run's support widen the batch's columns
+    sources = [GridSequence(4 + 3 * n, rng.standard_normal((2, N)),
+                            implicit_zero=n % 2 == 0) for n in range(41)]
+    return [
+        (real, 30, None, None, None, 0.1),
+        (real, s, None, None, None, 0.1),
+        (edge, 40, None, None, None, 0.05),
+        (zero, 25, 14, g_real, None, 0.1),
+        (complex_, 17, None, None, None, 0.2),
+        (zero, 12, None, g_complex, None, 0.1),
+        (real, 22, None, g_real, sources.__getitem__, 0.1),
+        (edge, 33, 6, None, None, 0.1),
+    ]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SCHEMES))
+def test_batched_march_matches_single_runs_bit_for_bit(name):
+    scheme = ORACLE_SCHEMES[name]
+    runs = _mixed_batch(scheme)
+    traces = sim._march(scheme, runs)
+    dtypes = {trace.levels.dtype for trace in traces}
+    assert dtypes == ({np.dtype(float), np.dtype(complex)} if scheme.N == 1
+                      else {np.dtype(complex)})
+    for (f, n_max, j_obs, g, F, dt), trace in zip(runs, traces):
+        want = run_ibvp(scheme, f, n_max, j_obs=j_obs, g=g, F=F, dt=dt)
+        assert trace.levels.dtype == want.levels.dtype
+        assert trace.levels.tobytes() == want.levels.tobytes()
+        assert (trace.offset, trace.j_obs, trace.zero_flags, trace.dt) == (
+            want.offset, want.j_obs, want.zero_flags, want.dt)
+
+
+def test_strong_stability_ladder_and_split_march_once(monkeypatch):
+    # the whole dt ladder is one batch, and U and W are one after V
+    batches = []
+    march_batch = sim._march_batch
+    monkeypatch.setattr(sim, "_march_batch", lambda scheme, batch: batches.append(
+        [run.n_max for run in batch]) or march_batch(scheme, batch))
+    scheme = upwind(0.5, 1.0)
+    verify_strong_stability(scheme, refinements=(0.1, 0.025, 0.05), t_end=2.0)
+    assert batches == [[80, 40, 20]]
+    split_solution(scheme, decaying_data(scheme, 8, seed=1), 30)
+    assert batches[1:] == [[30, 30]]
 
 
 def _reference_ladder(scheme, refinements, t_end, P=3, gammas=sim.DEFAULT_GAMMAS):
