@@ -233,13 +233,13 @@ def _march(scheme: SchemeDef, runs) -> list:
                            "another step")
         dtype = _march_dtype(scheme, f_layers, g, F)
         checked.append(_Run(f_layers, n_max, j_obs, g, F, dt, auto, pad_to, dtype))
-    # longest first: the runs still marching are the leading components
-    order = sorted(range(len(checked)), key=lambda i: -checked[i].n_max)
+    # longest first, so the runs still marching are the leading components
+    batches = {}
+    for i in sorted(range(len(checked)), key=lambda i: -checked[i].n_max):
+        batches.setdefault((checked[i].dtype, i if scheme.N > 1 else None), []).append(i)
     traces = {}
-    for dtype in (float, complex):
-        batch = [i for i in order if checked[i].dtype is dtype]
-        for part in ([[i] for i in batch] if scheme.N > 1 else [batch] * bool(batch)):
-            traces.update(zip(part, _march_batch(scheme, [checked[i] for i in part])))
+    for part in batches.values():
+        traces.update(zip(part, _march_batch(scheme, [checked[i] for i in part])))
     return [traces[i] for i in range(len(checked))]
 
 
@@ -256,7 +256,7 @@ def _march_batch(scheme: SchemeDef, batch) -> list:
         n_top, dtype,
     )
     has_g = any(run.g is not None for run in batch)
-    np.negative(g_all, out=g_all)  # -0.0 in every part
+    np.negative(g_all, out=g_all)  # -0.0, what a run without g adds
     flags = []
     for run, lev, c in zip(batch, levels, comps):
         if run.g is not None:
@@ -556,7 +556,7 @@ def _level_sums(trace: IBVPTrace, P: int) -> tuple:
 
 
 def _abs_sq(levels: np.ndarray) -> np.ndarray:
-    """|levels|^2, in one pass for a float trace, with abs() ** 2's bits."""
+    """|levels|^2, one pass for a float trace: abs() ** 2's bits, NaN sign aside."""
     return np.square(levels) if levels.dtype == np.float64 else np.abs(levels) ** 2
 
 
