@@ -880,8 +880,9 @@ def test_march_raises_the_first_bad_runs_error():
     # raises what its own run_ibvp does
     scheme = leap_frog(0.5, 1.0)
     f = decaying_data(scheme, 4, seed=1)
-    good, short, narrow = (f, 12, None, None, None, 0.1), (f, 0, None, None, None, 0.1), (
-        f, 6, 0, None, None, 0.1)
+    good = (f, 12, None, None, None, 0.1)
+    short = (f, 0, None, None, None, 0.1)
+    narrow = (f, 6, 0, None, None, 0.1)
     for bad in (short, narrow):
         with pytest.raises(SimError) as alone:
             run_ibvp(scheme, *bad[:5], dt=0.1)
