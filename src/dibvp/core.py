@@ -342,12 +342,26 @@ class ValidationReport:
 def _laurent(coeffs: np.ndarray, exponents, points) -> np.ndarray:
     """sum_k x**exponents[k] * coeffs[k] for each x in ``points``, stacked.
 
-    x**e is taken on each scalar and the terms are added in the order
-    given, so a value is the same bit for bit alone or in a stack.
+    Every power is x**e on the scalar x: one ``np.power`` table covers a
+    complex128 array and the np.complex128 entries of a list, as numpy
+    rounds both alike, and any other entry (a Python complex or float,
+    whose 1/x**n CPython rounds unlike numpy) takes its own x**e.  The
+    terms are added in the order given, so with real or imaginary
+    coefficients, all that callers pass, a value is the same bit for bit
+    alone or in a stack (numpy's array loop may fuse a general complex
+    product's multiply-add).
     """
-    powers = np.array([[x**e for e in exponents] for x in points]).reshape(
-        (len(points), len(exponents)) + (1,) * (coeffs.ndim - 1)
-    )
+    if isinstance(points, np.ndarray) and points.dtype == complex:
+        own = []
+    else:
+        own = [i for i, x in enumerate(points) if type(x) is not np.complex128]
+    if len(own) == len(points):
+        powers = np.array([[x**e for e in exponents] for x in points])
+    else:
+        powers = np.power(np.asarray(points, dtype=complex)[:, None], exponents)
+        if own:
+            powers[own] = [[points[i] ** e for e in exponents] for i in own]
+    powers = powers.reshape((len(points), len(exponents)) + (1,) * (coeffs.ndim - 1))
     out = np.zeros((len(points),) + coeffs.shape[1:], dtype=complex)
     for k, c in enumerate(coeffs):
         out += powers[:, k] * c
@@ -536,10 +550,12 @@ def _continue_path(ts, eigs: np.ndarray, first, eigs_at, parent=None):
 
     Row k continues row parent[k] < k: by default row k - 1, so the rows
     form one path, and in general a tree of paths from row 0.  A previous
-    value takes its nearest new value where that is a clear step; the
-    other steps go to the exact matcher and interval bisection, whose
-    unresolved steps are listed in ``ambiguous``.  Clear steps to rows no
-    other row continues are taken together at the end.
+    value takes its nearest new value where that is a clear step.  Clear
+    steps are composed by pointer doubling, about log2(rows) rounds of
+    integer indexing that leave each row the permutation back to its
+    nearest ancestor that is row 0 or a step that is not clear.  Only
+    those steps go, in increasing row order, to the exact matcher and
+    interval bisection, whose unresolved steps are listed in ``ambiguous``.
     """
     parent = np.arange(-1, len(ts) - 1) if parent is None else parent
     # nearest[k - 1, i] indexes the value of row k nearest value i of its
@@ -553,22 +569,22 @@ def _continue_path(ts, eigs: np.ndarray, first, eigs_at, parent=None):
         np.take_along_axis(eigs[1:], nearest, axis=1),
     )
     clear = np.append(False, clear)  # by row; row 0 takes no step
-    leaf = clear.copy()
-    leaf[parent[1:]] = False
+    # order[k] = perm[k, order[anchor[k]]] holds throughout; an anchor that
+    # is not clear is its own, with the identity
+    anchor = np.where(clear, parent, np.arange(len(ts)))
+    perm = np.tile(np.arange(eigs.shape[1]), (len(ts), 1))
+    perm[clear] = nearest[clear[1:]]
+    while (anchor[anchor] != anchor).any():
+        perm = np.take_along_axis(perm, perm[anchor], axis=1)
+        anchor = anchor[anchor]
     order = np.empty(eigs.shape, dtype=int)
     order[0] = first
     records: list = []
-    for k in np.flatnonzero(~leaf)[1:]:
+    for k in np.flatnonzero(~clear)[1:]:
         j = parent[k]
-        if clear[k]:
-            order[k] = nearest[k - 1, order[j]]
-        else:
-            order[k] = _continue_step(
-                eigs_at, ts[j], eigs[j, order[j]], ts[k], eigs[k], records
-            )
-    leaf = np.flatnonzero(leaf)
-    order[leaf] = np.take_along_axis(nearest[leaf - 1], order[parent[leaf]], axis=1)
-    return order, tuple(records)
+        prev = eigs[j, perm[j, order[anchor[j]]]]
+        order[k] = _continue_step(eigs_at, ts[j], prev, ts[k], eigs[k], records)
+    return np.take_along_axis(perm, order[anchor], axis=1), tuple(records)
 
 
 def validate_scheme(scheme: SchemeDef) -> ValidationReport:
@@ -588,11 +604,8 @@ def validate_scheme(scheme: SchemeDef) -> ValidationReport:
     if not consistent:
         messages.append(f"consistency sum differs from identity by {residual:.3e}")
 
-    zs = [
-        rho * np.exp(2j * np.pi * t / NONCHARACTERISTIC_NTHETA)
-        for rho in NONCHARACTERISTIC_RADII
-        for t in range(NONCHARACTERISTIC_NTHETA)
-    ]
+    thetas = 2 * np.pi * np.arange(NONCHARACTERISTIC_NTHETA) / NONCHARACTERISTIC_NTHETA
+    zs = (np.array(NONCHARACTERISTIC_RADII)[:, None] * np.exp(1j * thetas)).ravel()
     RA, _ = _resolvent_stack(scheme, zs)
     sv_l = np.linalg.svd(RA[:, 0], compute_uv=False)
     sv_r = np.linalg.svd(RA[:, -1], compute_uv=False)

@@ -105,7 +105,7 @@ def _companion(scheme: SchemeDef, RA: np.ndarray, dRA: np.ndarray | None = None)
 
 def _coefficients(scheme: SchemeDef, zs) -> tuple:
     """_resolvent_stack at the points ``zs``, none of which may be 0."""
-    if any(z == 0 for z in zs):
+    if (np.asarray(zs) == 0).any():
         raise ResolventError("resolvent coefficients are singular at z = 0")
     return _resolvent_stack(scheme, zs)
 
@@ -397,7 +397,7 @@ def uklc_scan(
     glancing modes) are separate checks.
     """
     thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-    zs = [(1 + delta) * np.exp(1j * th) for delta in radii for th in thetas]
+    zs = ((1 + np.asarray(radii, dtype=float))[:, None] * np.exp(1j * thetas)).ravel()
     values, fallbacks = _lopatinskii(scheme, zs, b_eff)
     values = values.reshape(len(radii), len(thetas))
     flat = int(np.argmin(values))
@@ -520,7 +520,7 @@ class EigenvalueBranch:
             )
 
     def _eigs_at(self, taus) -> np.ndarray:
-        zs = [self.z_bar * np.exp(t) for t in taus]
+        zs = self.z_bar * np.exp(np.asarray(taus))
         return np.linalg.eigvals(_companion_at(self.scheme, zs))
 
     def curve(self, gamma: float, thetas: np.ndarray) -> np.ndarray:

@@ -614,7 +614,7 @@ def boundary_energy_rate(scheme: SchemeDef) -> BoundaryEnergyRate:
 def _boundary_rate(scheme: SchemeDef, dec) -> BoundaryEnergyRate:
     """``boundary_energy_rate`` from the decomposition ``dec``, or None to build it."""
     # whole-line l2 stability of the symbol is a precondition
-    kappas = [np.exp(2j * np.pi * t / RATE_NXI) for t in range(RATE_NXI)]
+    kappas = np.exp(1j * (2 * np.pi * np.arange(RATE_NXI) / RATE_NXI))
     sym = _laurent(scheme.interior[:, 0], range(-scheme.r, scheme.p + 1), kappas)
     worst = float(np.linalg.matrix_norm(sym, ord=2).max(initial=0.0))
     if worst > 1 + 1e-10:

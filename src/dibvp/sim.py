@@ -319,8 +319,9 @@ def _ladder_traces(scheme, f_generator, refinements, t_end, seed):
     """(dt, f_layers, trace) of the F = g = 0 run at each dt, in ladder order.
 
     Data are built first (the seeded rng is drawn as in a loop over dt);
-    entries with identical data read prefixes of one march to their largest
-    n_max, and each raises the SimError its own run would, in ladder order.
+    entries with identical data read prefixes of one run to their largest
+    n_max, the distinct data sets march together in one call, and each
+    entry raises the SimError its own run would, in ladder order.
     """
     if f_generator is None:
         # same data at every refinement so the slope is not fit noise
@@ -332,15 +333,20 @@ def _ladder_traces(scheme, f_generator, refinements, t_end, seed):
     data = [f_generator(scheme, dt, n, rng) for dt, n in ladder]
     keys = [tuple((f.offset, f.implicit_zero, f.values.shape, f.values.tobytes())
                   for f in layers) for layers in data]
-    marched = {}
-    for (dt, n_max), f_layers, key in zip(ladder, data, keys):
-        if key not in marched and n_max >= scheme.s:
+    runs = {}
+    for (_, n_max), f_layers, key in zip(ladder, data, keys):
+        if key not in runs and n_max >= scheme.s:
             n_long = max(n for (_, n), k in zip(ladder, keys) if k == key)
-            try:
-                run = run_ibvp(scheme, f_layers, n_long)
-                marched[key] = run, _abs_sq(run.levels)
-            except SimError:
-                pass  # a longer run's error: this entry's own run decides
+            runs[key] = (f_layers, n_long, None, None, None, 1.0)
+    try:
+        # one data set is one run_ibvp, as the default data always are;
+        # distinct data sets march together
+        jobs = list(runs.values())
+        traces = [run_ibvp(scheme, *jobs[0][:2])] if len(jobs) == 1 else _march(scheme, jobs)
+        marched = {key: (run, _abs_sq(run.levels)) for key, run in zip(runs, traces)}
+    except SimError:
+        marched = {}  # a longer run's error: each entry's own run decides
+    for (dt, n_max), f_layers, key in zip(ladder, data, keys):
         run, sq = marched.get(key, (None, None))
         if run is None or n_max < scheme.s:
             run = run_ibvp(scheme, f_layers, n_max)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dibvp.core import (
     DifferenceOp,
@@ -211,3 +213,152 @@ def test_scheme_file_io(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemeError):
         load_scheme(bad)
+
+
+# ---------------------------------------------------------------------------
+# Laurent evaluation: every power is x**e on its own scalar
+
+
+def _reference_laurent(coeffs, exponents, points):
+    # the per-point form: x**e on each scalar, terms added in the order given
+    powers = np.array([[x**e for e in exponents] for x in points]).reshape(
+        (len(points), len(exponents)) + (1,) * (coeffs.ndim - 1)
+    )
+    out = np.zeros((len(points),) + coeffs.shape[1:], dtype=complex)
+    for k, c in enumerate(coeffs):
+        out += powers[:, k] * c
+    return out
+
+
+#: how a sample point is handed over: numpy's pow covers np.complex128,
+#: CPython's a Python complex or float
+_POINT_KINDS = {
+    "np.complex128": np.complex128,
+    "complex": complex,
+    "float": lambda z: float(z.real),
+    "np.float64": lambda z: np.float64(z.real),
+}
+
+
+@st.composite
+def _laurent_cases(draw):
+    r, p, s = (draw(st.integers(0, 3)) for _ in range(3))
+    # the callers' exponents: symbol rows -r..p, resolvent powers 0..-s-1
+    exponents = draw(st.sampled_from([range(-r, p + 1), range(0, -s - 2, -1)]))
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):  # the sbp kappas: n roots of unity
+        zs = np.exp(1j * (2 * np.pi * np.arange(n) / max(n, 1)))
+    else:
+        rho = st.one_of(st.just(1.0), st.floats(0.25, 4.0))
+        zs = np.array([draw(rho) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+                       for _ in range(n)], dtype=complex)
+    container = draw(st.sampled_from(["ndarray", "list", *_POINT_KINDS]))
+    if container == "ndarray":
+        points = zs
+    elif container == "list":  # mixed
+        kinds = draw(st.lists(st.sampled_from(list(_POINT_KINDS)), min_size=n, max_size=n))
+        points = [_POINT_KINDS[k](z) for k, z in zip(kinds, zs)]
+    else:
+        points = [_POINT_KINDS[container](z) for z in zs]
+    return exponents, points, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent_cases())
+def test_laurent_powers_are_each_scalars_own_pow(case):
+    from dibvp.core import _laurent
+
+    exponents, points, seed = case
+    E = len(exponents)
+    # one-hot coefficients read the power table back: value k of point i
+    table = _laurent(np.eye(E), exponents, points)
+    for i, x in enumerate(points):
+        for k, e in enumerate(exponents):
+            assert table[i, k] == x**e
+    # and any coefficients give the per-point form's bits
+    rng = np.random.default_rng(seed)
+    for shape in [(E, 2, 2), (E, 3), (E, 2, 1, 2)]:
+        coeffs = rng.standard_normal(shape) + (rng.random() < 0.5) * 1j * rng.standard_normal(shape)
+        got = _laurent(coeffs, exponents, points)
+        assert got.tobytes() == _reference_laurent(coeffs, exponents, points).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue continuation along a path or a tree
+
+
+def _reference_continue_path(ts, eigs, first, eigs_at, parent=None):
+    # row by row: a clear step takes its nearest values, any other the matcher
+    from dibvp.core import _continue_step, _swap_ambiguous
+
+    parent = np.arange(-1, len(ts) - 1) if parent is None else parent
+    cost = np.abs(eigs[1:, :, None] - eigs[parent[1:], None, :])
+    nearest = np.argmin(cost, axis=1)
+    is_perm = (np.sort(nearest, axis=1) == np.arange(eigs.shape[1])).all(axis=1)
+    clear = np.append(False, is_perm & ~_swap_ambiguous(
+        np.take_along_axis(cost, nearest[:, :, None], axis=1),
+        np.take_along_axis(eigs[1:], nearest, axis=1),
+    ))
+    order = np.empty(eigs.shape, dtype=int)
+    order[0] = first
+    records: list = []
+    for k in range(1, len(ts)):
+        j = parent[k]
+        if clear[k]:
+            order[k] = nearest[k - 1, order[j]]
+        else:
+            order[k] = _continue_step(
+                eigs_at, ts[j], eigs[j, order[j]], ts[k], eigs[k], records
+            )
+    return order, tuple(records)
+
+
+def _continuation_case(seed, tree):
+    """Rows near a permutation of the hub values 0..n-1 (clear steps), with
+    forced steps that are not clear: a pair replaced by an exact tie
+    i + 1/2 +- i (the matcher bisects through the hub to the depth limit and
+    records the step) or a repeated value (the nearest map is no permutation)."""
+    rng = np.random.default_rng(seed)
+    n, rows = int(rng.integers(2, 5)), int(rng.integers(2, 80))
+    hub = np.arange(n, dtype=complex)
+    parent = np.array([-1] + [int(rng.integers(0, k)) if tree else k - 1
+                              for k in range(1, rows)])
+    eigs = np.empty((rows, n), dtype=complex)
+    eigs[0] = hub[rng.permutation(n)]
+    for k in range(1, rows):
+        kind = rng.choice(["near", "hub", "tie", "repeat"], p=[0.6, 0.2, 0.1, 0.1])
+        if kind == "near":
+            noise = rng.normal(scale=0.02, size=n) + 1j * rng.normal(scale=0.02, size=n)
+            eigs[k] = eigs[parent[k]][rng.permutation(n)] + noise
+        else:
+            eigs[k] = hub[rng.permutation(n)] + rng.normal(scale=0.02, size=n)
+        if kind == "tie":
+            i = int(rng.integers(0, n - 1))
+            eigs[k, :2] = i + 0.5 + 1j, i + 0.5 - 1j
+        elif kind == "repeat":
+            eigs[k, 1] = eigs[k, 0]
+    ts = np.cumsum(rng.random(rows)) if not tree else rng.random(rows)
+    first = rng.permutation(n)
+    return ts, eigs, first, lambda t: hub.copy(), (parent if tree else None)
+
+
+@pytest.mark.parametrize("tree", [False, True], ids=["chain", "tree"])
+@pytest.mark.parametrize("seed", range(40))
+def test_continue_path_matches_row_by_row_reference(seed, tree):
+    from dibvp.core import _continue_path
+
+    ts, eigs, first, eigs_at, parent = _continuation_case(seed, tree)
+    order, ambiguous = _continue_path(ts, eigs, first, eigs_at, parent)
+    want, want_ambiguous = _reference_continue_path(ts, eigs, first, eigs_at, parent)
+    assert order.tobytes() == want.tobytes()
+    assert ambiguous == want_ambiguous
+
+
+def test_continuation_cases_force_steps_that_are_not_clear():
+    # the oracle cases above exercise the matcher and its records
+    recorded = 0
+    for seed in range(40):
+        for tree in (False, True):
+            ts, eigs, first, eigs_at, parent = _continuation_case(seed, tree)
+            recorded += len(_reference_continue_path(ts, eigs, first, eigs_at, parent)[1])
+    assert recorded >= 40

@@ -834,15 +834,21 @@ def test_verifiers_march_a_shared_data_ladder_once(monkeypatch):
 
 
 def test_verifiers_march_dt_dependent_data_once_per_dt(monkeypatch):
-    calls = _count_marches(monkeypatch)
+    # a packet per dt: each dt's run is marched once, all in one _march call
+    calls, batches = _count_marches(monkeypatch), []
+    march = sim._march
+    monkeypatch.setattr(
+        sim, "_march", lambda sch, runs: batches.append([run[1] for run in runs])
+        or march(sch, runs)
+    )
     ladder = (0.1, 0.05, 0.025)
     verify_thm1(leap_frog(0.5, 1.0), f_generator=_glancing_packet,
                 refinements=ladder, t_end=2.0)
-    assert calls == [20, 40, 80]
-    calls.clear()
+    assert calls == [] and batches == [[20, 40, 80]]
+    batches.clear()
     verify_semigroup(leap_frog(0.5, 1.0), f_generator=_glancing_packet,
                      refinements=ladder, t_end=2.0)
-    assert calls == [20, 40, 80]
+    assert calls == [] and batches == [[20, 40, 80]]
 
 
 @pytest.mark.parametrize("verify", [verify_thm1, verify_semigroup,
