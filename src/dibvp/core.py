@@ -406,6 +406,37 @@ BRANCH_COND_MAX = 1e6
 #: eigenvalues within CLUSTER_TOL max(1, spectral radius) of each other
 #: form one cluster (a rounded 2x2 Jordan block splits by about 3e-8)
 CLUSTER_TOL = 1e-7
+#: xGEEV's unscaled range [sqrt(tiny)/eps, eps/sqrt(tiny)] = [2^-459, 2^459]
+#: (LAPACK Users' Guide): a matrix whose largest |entry| lies outside it is
+#: scaled first, which can move the last bits of its eigenvalues
+_GEEV_UNSCALED = (2.0**-459, 2.0**459)
+
+
+def _scalar_stack(a: np.ndarray) -> bool:
+    """Whether ``a`` is a stack of 1x1 float64 or complex128 matrices whose
+    entries LAPACK would return as eigenvalues bit for bit: each entry
+    finite and of modulus 0 or in xGEEV's unscaled range."""
+    if a.shape[-2:] != (1, 1) or a.dtype not in (np.float64, np.complex128):
+        return False
+    lo, hi = _GEEV_UNSCALED
+    m = np.abs(a)
+    return bool(((m == 0) | ((lo <= m) & (m <= hi))).all())
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals of a stack; a 1x1 stack (``_scalar_stack``) is
+    read off its entries without calling LAPACK."""
+    if _scalar_stack(a):
+        return a[..., 0].copy()
+    return np.linalg.eigvals(a)
+
+
+def _eig(a: np.ndarray) -> tuple:
+    """np.linalg.eig of a stack; a 1x1 stack (``_scalar_stack``) is read
+    off its entries, with unit eigenvectors, without calling LAPACK."""
+    if _scalar_stack(a):
+        return a[..., 0].copy(), np.ones_like(a)
+    return np.linalg.eig(a)
 
 
 def _clusters(vals: np.ndarray) -> list:
@@ -446,11 +477,17 @@ def _eig_derivs(amp: np.ndarray, damp: np.ndarray):
     derivatives are the eigenvalues of Y_c damp X_c in any basis (Kato,
     ch. II), while a defective one keeps its untrusted diagonal entries.
     A singular X gives NaN derivatives and conditions, and a nearly
-    singular one (a Jordan block) may overflow cond to infinity.
+    singular one (a Jordan block) may overflow cond to infinity.  A 1x1
+    stack has Y = X = 1 and cond 1, so it takes no inverse and no cluster
+    scan, and ``_eig`` reads its eigenvalues off its entries wherever each
+    is 0 or in xGEEV's unscaled range, without calling LAPACK.
     """
-    vals, X = np.linalg.eig(amp)
-    Y = _left_rows(X)
+    vals, X = _eig(amp)
+    scalar = vals.shape[1] == 1
+    Y = X if scalar else _left_rows(X)
     derivs = np.einsum("kij,kjl,kli->ki", Y, damp, X)
+    if scalar:
+        return vals, derivs, np.ones(vals.shape), X, Y
     with np.errstate(over="ignore"):
         conds = np.linalg.norm(Y, axis=2) * np.linalg.norm(X, axis=1)
     n = vals.shape[1]
@@ -464,7 +501,7 @@ def _eig_derivs(amp: np.ndarray, damp: np.ndarray):
                 with np.errstate(over="ignore"):
                     conds[k, cl] = np.linalg.norm(Yc, 2) * np.linalg.norm(Xc, 2)
                 if conds[k, cl[0]] <= BRANCH_COND_MAX:
-                    derivs[k, cl] = np.linalg.eigvals(Yc @ damp[k] @ Xc)
+                    derivs[k, cl] = _eigvals(Yc @ damp[k] @ Xc)
     return vals, derivs, conds, X, Y
 
 
@@ -556,7 +593,10 @@ def _continue_path(ts, eigs: np.ndarray, first, eigs_at, parent=None):
     nearest ancestor that is row 0 or a step that is not clear.  Only
     those steps go, in increasing row order, to the exact matcher and
     interval bisection, whose unresolved steps are listed in ``ambiguous``.
+    A single branch has the zero order and no ambiguous steps.
     """
+    if eigs.shape[1] == 1:
+        return np.zeros(eigs.shape, dtype=int), ()
     parent = np.arange(-1, len(ts) - 1) if parent is None else parent
     # nearest[k - 1, i] indexes the value of row k nearest value i of its
     # parent row; a clear step is a permutation that no transposition makes

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BRANCH_COND_MAX, SchemeDef, _clusters, _continue_path, _eig_derivs,
-                   _resolvent_stack)
+from .core import (BRANCH_COND_MAX, SchemeDef, _clusters, _continue_path, _eig, _eig_derivs,
+                   _eigvals, _resolvent_stack)
 
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_GAMMAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -236,7 +236,7 @@ def spectral_split(companion: CompanionMatrix, scheme: SchemeDef) -> SpectralSpl
     scheme, not a numerical failure.
     """
     z, M = companion.z, companion.M[None]
-    eigs, vecs = np.linalg.eig(M)
+    eigs, vecs = _eig(M)
     expect = (scheme.N * scheme.r, scheme.N * scheme.p)
     fails = _split_failures([z], eigs, expect)[0]
     for check in (0, 1):
@@ -329,7 +329,7 @@ def _lopatinskii(scheme: SchemeDef, zs, b_eff=None) -> tuple:
     expect, dim = (N * r, N * p), N * (p + r)
     RA, RB = _coefficients(scheme, zs)
     M, singular = _companion(scheme, RA)
-    eigs, vecs = np.linalg.eig(M)
+    eigs, vecs = _eig(M)
     split = _split_failures(zs, eigs, expect)
     B = None if b_eff is None else np.asarray(b_eff)
     bad_shape = B is not None and B.shape != (expect[0], dim)
@@ -512,7 +512,7 @@ class EigenvalueBranch:
         self.scheme = scheme
         self.z_bar = z_bar
         self.mu_bar = complex(mu_bar)
-        self.base_eigs = np.linalg.eigvals(assemble_M(scheme, z_bar).M)
+        self.base_eigs = _eigvals(assemble_M(scheme, z_bar).M)
         self.index = int(np.argmin(np.abs(self.base_eigs - self.mu_bar)))
         if abs(self.base_eigs[self.index] - self.mu_bar) > 1e-6:
             raise ResolventError(
@@ -521,7 +521,7 @@ class EigenvalueBranch:
 
     def _eigs_at(self, taus) -> np.ndarray:
         zs = self.z_bar * np.exp(np.asarray(taus))
-        return np.linalg.eigvals(_companion_at(self.scheme, zs))
+        return _eigvals(_companion_at(self.scheme, zs))
 
     def curve(self, gamma: float, thetas: np.ndarray) -> np.ndarray:
         """f(gamma + i theta) on the given theta grid (must include range 0)."""

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BRANCH_COND_MAX, SchemeDef, _continue_path, _eig_derivs, _laurent
+from .core import (BRANCH_COND_MAX, SchemeDef, _continue_path, _eig_derivs, _eigvals,
+                   _laurent)
 
 #: spectral radius may exceed 1 by at most this much (rounding slack)
 VON_NEUMANN_TOL = 1e-10
@@ -103,13 +104,16 @@ def von_neumann_check(
     """Sample the spectral radius of amp(e^{i theta}) over the circle.
 
     All n_theta amplification matrices go to one stacked eigenvalue
-    call; ``radii`` holds the sampled spectral radius at each theta.
+    call, which for a scalar one-step scheme reads the 1x1 symbols off
+    their entries without LAPACK (``core._eigvals``: each entry 0 or in
+    xGEEV's unscaled range, so the bits are LAPACK's); ``radii`` holds the
+    sampled spectral radius at each theta.
     """
     if n_theta < 1:
         raise SymbolError(f"need at least one theta sample, got {n_theta}")
     thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     amp = _amplification_stack(scheme, np.exp(1j * thetas))
-    radii = np.abs(np.linalg.eigvals(amp)).max(axis=1)
+    radii = np.abs(_eigvals(amp)).max(axis=1)
     worst = int(np.argmax(radii))
     return VonNeumannReport(
         ok=bool(radii[worst] <= 1 + tol),
@@ -202,7 +206,10 @@ def track_branches(
     value takes its nearest new value where that is a clear permutation,
     and the other steps go to the exact matcher and interval bisection,
     whose unresolved steps at depth ``core.BRANCH_MAX_DEPTH`` are recorded
-    in ``ambiguous``.
+    in ``ambiguous``.  A scalar one-step scheme has one branch: its 1x1
+    symbols are read off their entries where LAPACK would return those
+    bits (``core._eig``), with derivative d amp / d theta and cond 1, and
+    it needs no continuation.
     """
     if n_theta < 2:
         raise SymbolError("need at least two sample points")
@@ -213,7 +220,7 @@ def track_branches(
         thetas,
         eigs,
         np.lexsort((-eigs[0].imag, -eigs[0].real)),
-        lambda t: np.linalg.eigvals(amplification_matrix(scheme, np.exp(1j * t))),
+        lambda t: _eigvals(amplification_matrix(scheme, np.exp(1j * t))),
     )
 
     def ordered(a):

@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 import dibvp
 import test_golden as golden
 from dibvp.cli import _report_text, emit_report, run_command
-from dibvp.core import SchemeDef, lax_wendroff, leap_frog, save_scheme, upwind
+from dibvp.core import SchemeDef, lax_wendroff, leap_frog, save_scheme, three_point, upwind
 
 
 @pytest.fixture
@@ -491,6 +491,36 @@ def test_sbp_decompose_builds_the_decomposition_once(capsys, monkeypatch):
         ["sbp-decompose", "--scheme", str(golden.SCHEMES / "upwind.json")], capsys
     )
     assert (code, len(calls)) == (0, 1)
+
+
+EIGEN_FIXTURES = {
+    "upwind": lambda: upwind(0.5, 1.0),
+    "lax_wendroff": lambda: lax_wendroff(1.0, 0.5, boundary="extrapolation"),
+    "three_point": lambda: three_point(0.4, 0.3, 0.3, lam=0.5),
+    "leapfrog": lambda: leap_frog(0.5, 1.0),
+    "system": golden._system_upwind,
+}
+
+
+@pytest.mark.parametrize("name", EIGEN_FIXTURES)
+def test_scalar_one_step_symbols_skip_lapack(name, tmp_path, capsys, monkeypatch):
+    # a 1x1 eigenproblem is read off its entry (core._eig, core._eigvals):
+    # a scalar one-step scheme's symbol checks send no 1x1 stack to LAPACK,
+    # while leap-frog (s = 1) and the 2x2 system still reach it
+    shapes = []
+    for solver in ("eig", "eigvals"):
+        solve = getattr(np.linalg, solver)
+        monkeypatch.setattr(np.linalg, solver,
+                            lambda a, solve=solve: shapes.append(np.shape(a)[-2:]) or solve(a))
+    path = tmp_path / f"{name}.json"
+    save_scheme(EIGEN_FIXTURES[name](), path)
+    for command in ("check-cauchy", "check-glancing", "check-uklc"):
+        code, _, err = run([command, "--scheme", str(path)], capsys)
+        assert code in (0, 1) and err == "", command
+    if name in ("leapfrog", "system"):
+        assert (2, 2) in shapes
+    else:
+        assert (1, 1) not in shapes
 
 
 def test_parser_is_built_once(paths, capsys, monkeypatch):

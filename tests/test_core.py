@@ -313,13 +313,16 @@ def _reference_continue_path(ts, eigs, first, eigs_at, parent=None):
     return order, tuple(records)
 
 
-def _continuation_case(seed, tree):
+def _continuation_case(seed, tree, n=None):
     """Rows near a permutation of the hub values 0..n-1 (clear steps), with
     forced steps that are not clear: a pair replaced by an exact tie
     i + 1/2 +- i (the matcher bisects through the hub to the depth limit and
-    records the step) or a repeated value (the nearest map is no permutation)."""
+    records the step) or a repeated value (the nearest map is no permutation).
+    By default n is drawn from 2..4; a single branch (n = 1) has no pair to
+    tie or repeat, so those rows stay plain hub rows."""
     rng = np.random.default_rng(seed)
-    n, rows = int(rng.integers(2, 5)), int(rng.integers(2, 80))
+    drawn, rows = int(rng.integers(2, 5)), int(rng.integers(2, 80))
+    n = drawn if n is None else n
     hub = np.arange(n, dtype=complex)
     parent = np.array([-1] + [int(rng.integers(0, k)) if tree else k - 1
                               for k in range(1, rows)])
@@ -332,10 +335,10 @@ def _continuation_case(seed, tree):
             eigs[k] = eigs[parent[k]][rng.permutation(n)] + noise
         else:
             eigs[k] = hub[rng.permutation(n)] + rng.normal(scale=0.02, size=n)
-        if kind == "tie":
+        if n > 1 and kind == "tie":
             i = int(rng.integers(0, n - 1))
             eigs[k, :2] = i + 0.5 + 1j, i + 0.5 - 1j
-        elif kind == "repeat":
+        elif n > 1 and kind == "repeat":
             eigs[k, 1] = eigs[k, 0]
     ts = np.cumsum(rng.random(rows)) if not tree else rng.random(rows)
     first = rng.permutation(n)
@@ -343,11 +346,15 @@ def _continuation_case(seed, tree):
 
 
 @pytest.mark.parametrize("tree", [False, True], ids=["chain", "tree"])
-@pytest.mark.parametrize("seed", range(40))
-def test_continue_path_matches_row_by_row_reference(seed, tree):
+@pytest.mark.parametrize(
+    "seed, n",
+    [pytest.param(seed, None, id=str(seed)) for seed in range(40)]
+    + [pytest.param(seed, 1, id=f"{seed}-one-branch") for seed in range(4)],
+)
+def test_continue_path_matches_row_by_row_reference(seed, n, tree):
     from dibvp.core import _continue_path
 
-    ts, eigs, first, eigs_at, parent = _continuation_case(seed, tree)
+    ts, eigs, first, eigs_at, parent = _continuation_case(seed, tree, n)
     order, ambiguous = _continue_path(ts, eigs, first, eigs_at, parent)
     want, want_ambiguous = _reference_continue_path(ts, eigs, first, eigs_at, parent)
     assert order.tobytes() == want.tobytes()
@@ -362,3 +369,82 @@ def test_continuation_cases_force_steps_that_are_not_clear():
             ts, eigs, first, eigs_at, parent = _continuation_case(seed, tree)
             recorded += len(_reference_continue_path(ts, eigs, first, eigs_at, parent)[1])
     assert recorded >= 40
+
+
+# ---------------------------------------------------------------------------
+# 1x1 eigenproblems: read off their entries where LAPACK returns those bits
+
+#: xGEEV's unscaled range, and the first value past each end
+_LO, _HI = 2.0**-459, 2.0**459
+_EDGES = [_LO, _HI, np.nextafter(_LO, 0.0), np.nextafter(_HI, np.inf)]
+
+
+def _assert_eigen_bits_match_numpy(a):
+    from dibvp.core import _eig, _eigvals
+
+    for mine, numpys in ((_eigvals, np.linalg.eigvals), (_eig, np.linalg.eig)):
+        try:
+            want = numpys(a)
+        except np.linalg.LinAlgError as err:  # NaN or inf
+            with pytest.raises(np.linalg.LinAlgError, match=str(err)):
+                mine(a)
+            continue
+        got = mine(a)
+        if mine is _eigvals:
+            got, want = (got,), (want,)
+        for g, w in zip(got, want, strict=True):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def _part_values(rng):
+    """Signed zeros, the range edges and one ulp past them, NaN, infinities
+    and random magnitudes across and beyond the unscaled range."""
+    edges = [v * sign for v in _EDGES for sign in (1.0, -1.0)]
+    scales = 2.0 ** rng.uniform(-520, 520, 12)
+    return [0.0, -0.0, 1.0, *edges, np.nan, np.inf, -np.inf,
+            *(rng.standard_normal(12) * scales)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_by_one_eigen_helpers_give_lapacks_bits(seed):
+    from dibvp.core import _scalar_stack
+
+    rng = np.random.default_rng(seed)
+    parts = _part_values(rng)
+    real = np.array(parts)
+    cplx = np.array([complex(re, im) for re in parts for im in parts])
+    for entries in (real, cplx):
+        for x in entries:
+            _assert_eigen_bits_match_numpy(np.full((1, 1, 1), x))
+            _assert_eigen_bits_match_numpy(np.full((1, 1), x))
+        # whole stacks: every entry in range, and one entry out of range
+        m = np.abs(entries)
+        inside = entries[(m == 0) | ((m >= _LO) & (m <= _HI))]
+        stack = rng.permutation(inside).reshape(-1, 1, 1)
+        assert _scalar_stack(stack)
+        _assert_eigen_bits_match_numpy(stack)
+        _assert_eigen_bits_match_numpy(stack[None])
+        for x in (np.nextafter(_LO, 0.0), np.nextafter(_HI, np.inf), np.nan):
+            mixed = np.append(stack, x).reshape(-1, 1, 1)
+            assert not _scalar_stack(mixed)
+            _assert_eigen_bits_match_numpy(mixed)
+    # random entries with +0.0 and -0.0 in either part
+    z = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+    for part in (z.real, z.imag):
+        part[rng.random(400) < 0.2] = 0.0
+        part[rng.random(400) < 0.2] = -0.0
+    for stack in (z.reshape(-1, 1, 1), z.real.copy().reshape(-1, 1, 1)):
+        assert _scalar_stack(stack)
+        _assert_eigen_bits_match_numpy(stack)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigen_helpers_pass_larger_stacks_to_numpy(n):
+    from dibvp.core import _scalar_stack
+
+    rng = np.random.default_rng(n)
+    for a in (rng.standard_normal((20, n, n)),
+              rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n)),
+              np.zeros((4, n, n)), rng.standard_normal((n, n))):
+        assert not _scalar_stack(a)
+        _assert_eigen_bits_match_numpy(a)
