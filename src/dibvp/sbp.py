@@ -18,6 +18,9 @@ Everything here is exact algebra on the forward difference D = T - I:
 
 Rational coefficient tables are built once with ``fractions.Fraction``
 and cached, so the alpha/beta constants are bit-identical across calls.
+Each table is checked exactly, in ``Fraction``s, once per order, and an
+energy decomposition is checked by comparing the coefficient (Gram)
+matrices of both sides of its identity; no check samples sequences.
 """
 
 from __future__ import annotations
@@ -108,6 +111,38 @@ def leibniz_check(k: int, u: GridSequence, v: GridSequence, A: np.ndarray) -> fl
 
 
 # ---------------------------------------------------------------------------
+# jet rows and Gram matrices
+
+
+def _jet_rows(l: int, base: int, lo: int, width: int, eye: np.ndarray) -> np.ndarray:
+    """Matrix of D^l at grid point ``base`` on the stacked window u_lo, ...,
+    u_{lo+width-1} (zero outside it), with entries of ``eye``'s type: the
+    N x N identity as floats, or as an object array of Fractions."""
+    N = len(eye)
+    out = np.zeros((N, N * width), eye.dtype)
+    for t, c in difference_power_taps(l).items():
+        k = base + t - lo
+        if 0 <= k < width:
+            out[:, k * N : (k + 1) * N] += int(c) * eye  # int keeps Fractions exact
+    return out
+
+
+def _canonical_gram(Q_form, S, S_tilde, eye: np.ndarray) -> np.ndarray:
+    """Gram matrix G, u* G u on the stacked window u = (u_0, ..., u_m), of the
+    bracket D(q) + sum_l (D^l u)* S_l (D^l u) + sum_l (D^l u)* S~_l (D^{l+1} u)
+    at base 0, with m = len(S) and q(x) = x* Q_form x on (u, ..., D^{m-1}u)."""
+    m = len(S)
+    rows = [[_jet_rows(l, base, 0, m + 1, eye) for l in range(m + 1)] for base in (0, 1)]
+    jet0, jet1 = (np.vstack(r[:m]) for r in rows)
+    G = jet1.T @ Q_form @ jet1 - jet0.T @ Q_form @ jet0
+    for l, S_l in enumerate(S, start=1):
+        G = G + rows[0][l].T @ S_l @ rows[0][l]
+    for l, St_l in enumerate(S_tilde, start=1):
+        G = G + rows[0][l].T @ St_l @ rows[0][l + 1]
+    return G
+
+
+# ---------------------------------------------------------------------------
 # rational IBP tables
 #
 # Hermitian case (A symmetric / hermitian):
@@ -119,14 +154,30 @@ def leibniz_check(k: int, u: GridSequence, v: GridSequence, A: np.ndarray) -> fl
 # with q = sum_{i<j} G[i,j] x_i* A x_j (G upper triangular rational).
 
 
+def _check_table(kind: str, Q, coefficients):
+    """Return the order-k table (Q, coefficients), k = len(Q), once checked.
+
+    With A = 1 both sides are forms u* M u on u_0, ..., u_k, in Fractions.
+    The hermitian identity holds for every hermitian A exactly when the
+    symmetric part of M_lhs - M_rhs is zero, the skew one for every real
+    skew A on real sequences exactly when its antisymmetric part is zero.
+    """
+    k = len(Q)
+    one = np.array([[Fraction(1)]], dtype=object)
+    coef = [c * one for c in coefficients]
+    S, S_tilde = (coef, []) if kind == "hermitian" else ([0 * one] * k, coef)
+    gap = _jet_rows(0, 0, 0, k + 1, one).T @ _jet_rows(k, 0, 0, k + 1, one)
+    gap = gap - _canonical_gram(np.array(Q, dtype=object), S, S_tilde, one)
+    if np.any(gap + gap.T if kind == "hermitian" else gap - gap.T):
+        raise AssertionError(f"{kind} table of order {k} fails its identity")
+    return Q, coefficients
+
+
 @lru_cache(maxsize=None)
 def _hermitian_tables(k: int):
     """Return (C, alpha) as nested tuples of Fractions for order k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return ((Fraction(1, 2),),), (Fraction(-1, 2),)
-
     C = [[Fraction(0)] * k for _ in range(k)]
     alpha = [Fraction(0)] * (k + 1)  # alpha[1..k]
 
@@ -154,7 +205,7 @@ def _hermitian_tables(k: int):
         for t in range(1, m + 1):
             alpha[j1 + t] -= c * asub[t - 1]
 
-    return tuple(tuple(row) for row in C), tuple(alpha[1:])
+    return _check_table("hermitian", tuple(tuple(row) for row in C), tuple(alpha[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -162,11 +213,6 @@ def _skew_tables(k: int):
     """Return (G, beta) as nested tuples of Fractions for order k >= 2."""
     if k < 2:
         raise ValueError("skew decomposition needs k >= 2")
-    if k == 2:
-        G = [[Fraction(0)] * 2 for _ in range(2)]
-        G[0][1] = Fraction(1)
-        return tuple(tuple(row) for row in G), (Fraction(-1),)
-
     G = [[Fraction(0)] * k for _ in range(k)]
     beta = [Fraction(0)] * k  # beta[1..k-1]
 
@@ -190,7 +236,7 @@ def _skew_tables(k: int):
     absorb(1, k - 2, Fraction(-1))  # -(Du)* A D^{k-1} u
     absorb(1, k - 1, Fraction(-1))  # -(Du)* A D^{k} u
 
-    return tuple(tuple(row) for row in G), tuple(beta[1:])
+    return _check_table("skew", tuple(tuple(row) for row in G), tuple(beta[1:]))
 
 
 @dataclass(frozen=True)
@@ -221,77 +267,36 @@ class IBPDecomposition:
 
 
 def _materialize_hermitian(A: np.ndarray, k: int) -> IBPDecomposition:
-    N = A.shape[0]
-    C, alpha = _hermitian_tables(k)
-    Q = np.zeros((N * k, N * k))
-    for i in range(k):
-        for j in range(k):
-            c = C[i][j]
-            if c:
-                Q[i * N : (i + 1) * N, j * N : (j + 1) * N] += float(c) * A
-    Q = (Q + Q.T) / 2  # C is symmetric; this only cleans rounding
-    return IBPDecomposition(
-        "hermitian", k, A, Q, np.array([float(a) for a in alpha])
-    )
+    C, alpha = (np.array(t, dtype=float) for t in _hermitian_tables(k))
+    Q = np.kron(C, A) + 0.0  # + 0.0 clears the product's signed zeros
+    Q = (Q + Q.conj().T) / 2  # C is symmetric, A hermitian; this only cleans rounding
+    return IBPDecomposition("hermitian", k, A, Q, alpha)
 
 
 def _materialize_skew(A: np.ndarray, k: int) -> IBPDecomposition:
-    N = A.shape[0]
-    G, beta = _skew_tables(k)
-    Q = np.zeros((N * k, N * k))
-    for i in range(k):
-        for j in range(k):
-            g = G[i][j]
-            if g:
-                Q[i * N : (i + 1) * N, j * N : (j + 1) * N] += float(g) / 2 * A
-                Q[j * N : (j + 1) * N, i * N : (i + 1) * N] -= float(g) / 2 * A
-    return IBPDecomposition("skew", k, A, Q, np.array([float(b) for b in beta]))
+    G, beta = (np.array(t, dtype=float) for t in _skew_tables(k))
+    return IBPDecomposition("skew", k, A, np.kron((G - G.T) / 2, A) + 0.0, beta)
 
 
-def _ibp_residual(dec: IBPDecomposition, rng: np.random.Generator, trials: int = 8) -> float:
-    """Largest pointwise residual of the decomposition on random real sequences.
-
-    The right-hand side is the canonical form with S_l = alpha_l A and no
-    cross terms (hermitian) or S = 0 and S~_l = beta_l A (skew).
-    """
-    N, k = dec.A.shape[0], dec.k
-    scaled = [c * dec.A for c in dec.coefficients]
-    if dec.kind == "hermitian":
-        S, S_tilde = scaled, []
-    else:
-        S, S_tilde = [np.zeros((N, N))] * k, scaled
-    worst = 0.0
-    for _ in range(trials):
-        u = GridSequence(0, rng.standard_normal((k + 6, N)))
-        lo, rhs = _canonical_form(u, dec.Q_form, S, S_tilde)
-        hi = lo + len(rhs) - 1
-        dk = discrete_derivative(u, k).window(lo, hi)
-        lhs = np.einsum("ji,ik,jk->j", np.conj(u.window(lo, hi)), dec.A, dk)
-        if dec.kind == "hermitian":
-            lhs, rhs = lhs.real, rhs.real
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+def _ibp_matrix(A) -> np.ndarray:
+    """A as a finite square float64 or complex128 matrix."""
+    A = np.atleast_2d(np.asarray(A))
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
+        raise ValueError("A must be a finite square matrix")
+    return A.astype(np.result_type(A, np.float64))
 
 
 def ibp_hermitian(A: np.ndarray, k: int) -> IBPDecomposition:
     """Decompose Re(u* A D^k u) for symmetric/hermitian A.
 
     Returns q and the universal constants alpha[1..k]; the constants do
-    not depend on A (alpha[1] = -1/2 for k = 1).  The identity is checked
-    internally on a handful of random sequences before returning.
+    not depend on A (alpha[1] = -1/2 for k = 1).  A complex hermitian A
+    gives a complex hermitian ``Q_form``.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if np.abs(A - A.T).max() > 1e-12 * max(1.0, np.abs(A).max()):
-        raise ValueError("A must be symmetric for the hermitian decomposition")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    dec = _materialize_hermitian(A, k)
-    res = _ibp_residual(dec, np.random.default_rng(1234))
-    if res > 1e-10 * max(1.0, np.abs(A).max()):
-        raise AssertionError(f"internal identity check failed (residual {res:.3e})")
-    return dec
+    A = _ibp_matrix(A)
+    if np.abs(A - A.conj().T).max() > 1e-12 * max(1.0, np.abs(A).max()):
+        raise ValueError("A must be hermitian for the hermitian decomposition")
+    return _materialize_hermitian(A, k)  # k < 1 raises ValueError
 
 
 def ibp_skew(A: np.ndarray, k: int) -> IBPDecomposition:
@@ -300,20 +305,17 @@ def ibp_skew(A: np.ndarray, k: int) -> IBPDecomposition:
     beta[1] = -1 for k = 2.  Order k = 1 is genuinely irreducible and
     rejected.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
+    A = _ibp_matrix(A)
+    if np.any(np.imag(A)):
+        raise ValueError("A must be real for the skew decomposition")
+    A = np.real(A)
     if np.abs(A + A.T).max() > 1e-12 * max(1.0, np.abs(A).max()):
         raise ValueError("A must be skew-symmetric")
     if k < 2:
         raise DecompositionError(
             "u* A D u has no exact-difference decomposition for skew A; k >= 2 required"
         )
-    dec = _materialize_skew(A, k)
-    res = _ibp_residual(dec, np.random.default_rng(4321))
-    if res > 1e-10 * max(1.0, np.abs(A).max()):
-        raise AssertionError(f"internal identity check failed (residual {res:.3e})")
-    return dec
+    return _materialize_skew(A, k)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +329,8 @@ def consistent_decomposition(scheme: SchemeDef) -> list:
     C(r, m)) (X-1)^m.  Requires a consistent one-step scheme (s = 0).
     """
     if scheme.s != 0:
-        raise DecompositionError("consistent decomposition requires a one-step scheme")
+        raise DecompositionError("not applicable: the energy method covers one-step "
+                                 f"schemes only (s = {scheme.s})")
     res = np.abs(scheme.consistency_sum() - np.eye(scheme.N)).max()
     if res > CONSISTENCY_TOL:
         raise DecompositionError(f"scheme is not consistent (residual {res:.3e})")
@@ -379,14 +382,13 @@ def energy_decomposition(scheme: SchemeDef) -> EnergyDecomposition:
     IBP decompositions (``_materialize_hermitian`` / ``_materialize_skew``)
     at jet offset i.  A nonsymmetric first-order coefficient A~_1 leaves an
     irreducible monomial U*(skew)(DU) and is rejected; scalar schemes never
-    hit this.  The identity is checked on random sequences to within
+    hit this.  The identity is checked on its Gram matrices over the window
+    U_{j-r}, ..., U_{j+p}, whose symmetric parts must agree to within
     1e-10 max(1, max_l max|A~_l|)^2, since rounding grows like the
     coefficients squared.
     """
     tildes = consistent_decomposition(scheme)
-    N = scheme.N
-    m = scheme.p + scheme.r
-    r = scheme.r
+    N, r, m = scheme.N, scheme.r, scheme.p + scheme.r
 
     # monomial accumulator: (i, j) -> coefficient of (D^i U)* . (D^j U)
     mono = {}
@@ -409,8 +411,6 @@ def energy_decomposition(scheme: SchemeDef) -> EnergyDecomposition:
                 B = mono.get((i, i))
                 if B is None:
                     continue
-                if i == 0:
-                    raise AssertionError("unexpected (0,0) monomial")
                 S[i - 1] = S[i - 1] + (B + B.T) / 2  # skew part is null on real data
                 continue
             B = mono.get((i, j), np.zeros((N, N))) + mono.get(
@@ -451,10 +451,21 @@ def energy_decomposition(scheme: SchemeDef) -> EnergyDecomposition:
 
     dec = EnergyDecomposition(scheme=scheme, A_tilde=tuple(tildes), Q_form=Q_form,
                               S=tuple(S), S_tilde=tuple(S_t), d1=d1, d2=d2)
-    res = _energy_identity_residual(dec, np.random.default_rng(99), trials=6)
-    if res > 1e-10 * np.abs(tildes).max(initial=1.0) ** 2:
-        raise AssertionError(f"energy identity residual {res:.3e}")
+    gap = _gram_gap(dec)
+    if not gap <= 1e-10 * np.abs(tildes).max(initial=1.0) ** 2:
+        raise AssertionError(f"energy identity Gram gap {gap:.3e}")
     return dec
+
+
+def _gram_gap(dec: EnergyDecomposition) -> float:
+    """Largest entry of the gap between the Gram matrices of 2 U*(Q-I)U +
+    |(Q-I)U|^2 at j and of the canonical bracket at j - r, both on the
+    window U_{j-r}, ..., U_{j+p}; U is real, so only symmetric parts count."""
+    eye = np.eye(dec.scheme.N)
+    E = _jet_rows(0, dec.scheme.r, 0, dec.m + 1, eye)
+    P = np.hstack(dec.scheme.interior[:, 0]) - E
+    gap = 2 * E.T @ P + P.T @ P - _canonical_gram(dec.Q_form, dec.S, dec.S_tilde, eye)
+    return float(np.abs(gap + gap.T).max()) / 2
 
 
 def _form_terms(ds: list, lo: int, hi: int, S, S_tilde) -> np.ndarray:
@@ -488,11 +499,10 @@ def _canonical_form(u: GridSequence, Q_form: np.ndarray, S, S_tilde):
     return lo, qv[1:] - qv[:-1] + _form_terms(ds, lo, hi, S, S_tilde)
 
 
-def _energy_identity_residual(
-    dec: EnergyDecomposition, rng: np.random.Generator, trials: int = 6
-) -> float:
+def _energy_identity_residual(dec: EnergyDecomposition, rng, trials: int = 6) -> float:
     """Largest pointwise gap between 2 U*(Q-I)U + |(Q-I)U|^2 and the
-    canonical form, shifted by T^{-r}, on random real sequences."""
+    canonical form, shifted by T^{-r}, on random real sequences (the tests'
+    pointwise oracle for the Gram check in ``energy_decomposition``)."""
     scheme = dec.scheme
     N, m, r = scheme.N, dec.m, scheme.r
     Q = scheme.interior_op(0)
@@ -625,31 +635,20 @@ def _boundary_rate(scheme: SchemeDef, dec) -> BoundaryEnergyRate:
         dec = energy_decomposition(scheme)
     N, m, r, p = scheme.N, dec.m, scheme.r, scheme.p
     w = p + r  # number of trace points 1-r .. p
-    dim = N * w
-
-    def row_Dl(l: int, base_j: int) -> np.ndarray:
-        """Matrix of D^l at base_j acting on the stacked trace (zero-extended)."""
-        out = np.zeros((N, dim))
-        for t, c in difference_power_taps(l).items():
-            j = base_j + t
-            k = j - (1 - r)
-            if 0 <= k < w:
-                out[:, k * N : (k + 1) * N] += c * np.eye(N)
-        return out
-
-    M = np.zeros((dim, dim))
+    eye = np.eye(N)
+    M = np.zeros((N * w, N * w))
 
     # (a) -q(jet at 1-r)
-    J = np.vstack([row_Dl(l, 1 - r) for l in range(m)])
+    J = np.vstack([_jet_rows(l, 1 - r, 1 - r, w, eye) for l in range(m)])
     M -= J.T @ dec.Q_form @ J
 
     # (b) -(S and S~ sums) over 1-p-2r <= j <= -r of the zero-extension
     for j in range(1 - p - 2 * r, -r + 1):
+        R = [_jet_rows(l, j, 1 - r, w, eye) for l in range(m + 1)]
         for l in range(1, m + 1):
-            R = row_Dl(l, j)
-            M -= R.T @ dec.S[l - 1] @ R
+            M -= R[l].T @ dec.S[l - 1] @ R[l]
         for l in range(1, m):
-            cross = row_Dl(l, j).T @ dec.S_tilde[l - 1] @ row_Dl(l + 1, j)
+            cross = R[l].T @ dec.S_tilde[l - 1] @ R[l + 1]
             M -= (cross + cross.T) / 2
     M = (M + M.T) / 2
     return BoundaryEnergyRate(

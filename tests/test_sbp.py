@@ -34,9 +34,10 @@ from dibvp.sbp import (
     ibp_skew,
     leibniz_check,
     leibniz_table,
+    _check_table,
     _energy_identity_residual,
+    _gram_gap,
     _hermitian_tables,
-    _ibp_residual,
     _skew_tables,
 )
 
@@ -200,6 +201,33 @@ def test_ibp_input_validation():
         ibp_skew(np.eye(2), 2)  # not skew
     with pytest.raises(ValueError):
         ibp_hermitian(np.eye(2), 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ibp_hermitian_keeps_a_complex_hermitian_matrix(k):
+    A = np.array([[1.0, 1j], [-1j, 2.0]])
+    dec = ibp_hermitian(A, k)
+    assert np.array_equal(dec.A, A)
+    assert np.array_equal(dec.Q_form, dec.Q_form.conj().T)
+    assert np.abs(dec.Q_form.imag).max() > 0
+    u = GridSequence(
+        -1, RNG.standard_normal((k + 8, 2)) + 1j * RNG.standard_normal((k + 8, 2))
+    )
+    assert _eval_hermitian(dec, u) < 1e-12 * max(1.0, np.abs(A).max())
+
+
+@pytest.mark.parametrize("fn", [ibp_hermitian, ibp_skew], ids=["hermitian", "skew"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ibp_rejects_a_non_finite_matrix(fn, value):
+    with pytest.raises(ValueError, match="finite"):
+        fn([[value]], 2)
+    with pytest.raises(ValueError, match="finite"):
+        fn(np.array([[0.0, value], [-value, 0.0]]), 2)
+
+
+def test_ibp_skew_rejects_a_non_real_matrix():
+    with pytest.raises(ValueError, match="real"):
+        ibp_skew(np.array([[0.0, 1j], [-1j, 0.0]]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +487,24 @@ def test_energy_decomposition_large_coefficients(scheme):
 
 
 @pytest.mark.parametrize("kind", ["hermitian", "skew"])
-def test_ibp_residual_detects_a_wrong_constant(kind):
-    if kind == "hermitian":
-        dec = ibp_hermitian(np.eye(2), 3)
-    else:
-        dec = ibp_skew(np.array([[0.0, 1.0], [-1.0, 0.0]]), 3)
-    coefficients = dec.coefficients.copy()
-    coefficients[1] += 1e-6
-    wrong = dataclasses.replace(dec, coefficients=coefficients)
-    rng = np.random.default_rng(3)
-    assert _ibp_residual(dec, rng) < 1e-12
-    assert _ibp_residual(wrong, rng) > 1e-8
+def test_exact_table_check_detects_a_wrong_constant(kind):
+    # every alpha_l (or beta_l) moved by 1/1000, and every entry of C (or
+    # G) moved likewise, fails the exact check at every order k <= 6
+    tables = _hermitian_tables if kind == "hermitian" else _skew_tables
+    for k in range(1 if kind == "hermitian" else 2, 7):
+        Q, coefficients = tables(k)
+        assert _check_table(kind, Q, coefficients) == (Q, coefficients)
+        for l in range(len(coefficients)):
+            wrong = list(coefficients)
+            wrong[l] += Fraction(1, 1000)
+            with pytest.raises(AssertionError, match=f"order {k}"):
+                _check_table(kind, Q, tuple(wrong))
+        for i in range(k):
+            for j in range(i if kind == "hermitian" else i + 1, k):
+                wrong = [list(row) for row in Q]
+                wrong[i][j] += Fraction(1, 1000)
+                with pytest.raises(AssertionError, match=f"order {k}"):
+                    _check_table(kind, wrong, coefficients)
 
 
 def _symmetric_system():
@@ -483,6 +518,7 @@ def _symmetric_system():
 
 @pytest.mark.parametrize("field", ["S", "S_tilde"])
 def test_energy_identity_residual_detects_a_wrong_term(field):
+    # the same mutant fails the pointwise oracle and the Gram check
     scheme = lax_wendroff(1.0, 0.5) if field == "S" else _symmetric_system()
     dec = energy_decomposition(scheme)
     terms = list(getattr(dec, field))
@@ -491,6 +527,8 @@ def test_energy_identity_residual_detects_a_wrong_term(field):
     rng = np.random.default_rng(3)
     assert _energy_identity_residual(dec, rng) < 1e-12
     assert _energy_identity_residual(wrong, rng) > 1e-8
+    assert _gram_gap(dec) < 1e-12
+    assert _gram_gap(wrong) > 1e-8
 
 
 @st.composite
@@ -518,3 +556,28 @@ def test_energy_identity_holds_on_random_schemes(scheme):
         crit = cauchy_criterion_3pt(*taps)
         assert crit.d1 == pytest.approx(dec.d1, rel=1e-13, abs=_identity_bound(dec))
         assert crit.d2 == pytest.approx(dec.d2, rel=1e-13, abs=_identity_bound(dec))
+
+
+def test_sbp_checks_draw_no_random_numbers(monkeypatch):
+    # the identities are checked exactly: with numpy's generator disabled
+    # every public entry point still runs, and repeats its bits
+    u = GridSequence(3, RNG.standard_normal((17, 1)), implicit_zero=True)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("sbp drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    _hermitian_tables.cache_clear()
+    _skew_tables.cache_clear()
+
+    def outputs():
+        herm = ibp_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]), 4)
+        skew = ibp_skew(np.array([[0.0, 1.0], [-1.0, 0.0]]), 4)
+        dec = energy_decomposition(lax_wendroff(1.0, 0.8))
+        rate = boundary_energy_rate(lax_wendroff(1.0, 0.8))
+        bal = energy_balance_step(upwind(1.0, 0.5), u)
+        arrays = [herm.Q_form, herm.coefficients, skew.Q_form, skew.coefficients,
+                  dec.Q_form, *dec.S, *dec.S_tilde, rate.matrix]
+        return [a.tobytes() for a in arrays] + [rate.constant, bal.lhs, bal.rhs]
+
+    assert outputs() == outputs()
