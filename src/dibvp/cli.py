@@ -565,6 +565,10 @@ def run_command(argv) -> int:
         # horizon shorter than the number of data levels, ...)
         print(f"dibvp: {args.command}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a grid or horizon too large to hold (numpy names the shape)
+        print(f"dibvp: {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
     from dibvp import __version__
 

@@ -386,6 +386,25 @@ def test_oversized_horizon_exits_two_before_marching(paths, capsys):
     assert "horizon too large: n_max 100000000" in err
 
 
+@pytest.mark.parametrize("command", ["check-cauchy", "check-glancing"])
+@pytest.mark.parametrize("message,want", [
+    ("Unable to allocate 1.46 TiB for an array with shape (100000000000, 1, 1)",
+     "Unable to allocate 1.46 TiB"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_grid_too_large_to_hold_exits_two(paths, capsys, monkeypatch, command, message, want):
+    # a huge --grid-ntheta fails to allocate the symbol stack; the kernel
+    # raises here instead, so no test asks for the memory
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("dibvp.symbol._amplification_stack", no_memory)
+    code, out, err = run([command, "--scheme", paths["upwind"]], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dibvp: {command}: {want}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_bad_packet_branch_exits_two(paths, capsys):
     code, _, err = run(
         ["packet-experiment", "--scheme", paths["leapfrog"], "--xi", "0.7",
@@ -677,8 +696,7 @@ _trees = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(_trees)
 def test_report_text_matches_json_dumps_of_pyify(tree):
     try:

@@ -263,7 +263,7 @@ def _laurent_cases(draw):
     return exponents, points, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_laurent_cases())
 def test_laurent_powers_are_each_scalars_own_pow(case):
     from dibvp.core import _laurent

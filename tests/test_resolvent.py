@@ -36,6 +36,7 @@ from dibvp.resolvent import (
     uklc_scan,
 )
 from dibvp.symbol import von_neumann_check
+from populations import random_scheme, schemes
 
 RNG = np.random.default_rng(20240811)
 
@@ -121,19 +122,10 @@ def test_coeffs_reject_zero():
         _coeffs(upwind(1.0, 0.5), 0.0)
 
 
-def _random_three_level(seed, p, q):
-    """2x2 three-level scheme (s = 2, r = 1) with random interior and boundary."""
-    rng = np.random.default_rng(seed)
-    return SchemeDef(
-        N=2, r=1, p=p, q=q, s=2, lam=1.0,
-        interior=rng.normal(scale=0.3, size=(p + 2, 3, 2, 2)),
-        boundary=rng.normal(scale=0.3, size=(q + 1, 1, 4, 2, 2)),
-    )
-
-
 @pytest.mark.parametrize(
     "scheme",
-    [_random_three_level(3, p=1, q=2), _random_three_level(4, p=2, q=0)],
+    [random_scheme(3, 2, 1, 1, 2, 2, scale=0.3, boundary="random"),
+     random_scheme(4, 2, 1, 2, 0, 2, scale=0.3, boundary="random")],
     ids=["q-at-least-p", "q-below-p"],
 )
 def test_stacked_laurent_matches_pointwise_bits(scheme):
@@ -330,7 +322,7 @@ def test_kl_rejects_bad_shape():
 @pytest.mark.parametrize(
     "scheme",
     [upwind(1.0, 0.5), lax_wendroff(1.0, 0.5, boundary="extrapolation"),
-     _random_three_level(3, p=1, q=2)],
+     random_scheme(3, 2, 1, 1, 2, 2, scale=0.3, boundary="random")],
     ids=["q-equals-p", "q-below-p", "q-above-p"],
 )
 def test_determinant_builds_coefficients_and_M_once_per_z(scheme, monkeypatch):
@@ -485,24 +477,6 @@ def test_classify_leap_frog_glancing_point():
     assert block.drift is None
 
 
-@st.composite
-def nonnegative_schemes(draw):
-    """Random consistent schemes whose weights are nonnegative and sum to 1,
-    N <= 2 (a rotated pair of such scalar schemes), r, p <= 2, s <= 2."""
-    N = draw(st.integers(1, 2))
-    r, p, s = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = rng.uniform(size=(N, p + r + 1, s + 1))
-    weights /= weights.sum(axis=(1, 2), keepdims=True)
-    phi = rng.uniform(0, np.pi) if N == 2 else 0.0
-    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])[:N, :N]
-    return SchemeDef(
-        N=N, r=r, p=p, q=0, s=s, lam=1.0,
-        interior=np.einsum("ik,kls,jk->lsij", rot, weights, rot),
-        boundary=np.zeros((1, r, s + 2, N, N)),
-    )
-
-
 def _richardson_drift(scheme, z_bar, mu, gap):
     """Lambda = (d kappa / d tau) conj(mu) by centred differences at h and
     h/2 combined by Richardson extrapolation, following kappa by nearest
@@ -517,8 +491,8 @@ def _richardson_drift(scheme, z_bar, mu, gap):
     return (4 * slope(h / 2) - slope(h)) / 3 * np.conj(mu)
 
 
-@settings(max_examples=60, deadline=None)
-@given(nonnegative_schemes(), st.sampled_from([1.0, -1.0]))
+@settings(max_examples=60)
+@given(schemes(taps="nonnegative"), st.sampled_from([1.0, -1.0]))
 def test_exact_drifts_match_richardson_oracle(scheme, z_bar):
     assume(validate_scheme(scheme).ok)
     cl = classify_boundary_blocks(scheme, z_bar)
@@ -534,8 +508,8 @@ def test_exact_drifts_match_richardson_oracle(scheme, z_bar):
         assert abs(block.drift - lam.real) <= 1e-6 * abs(lam)
 
 
-@settings(max_examples=100, deadline=None)
-@given(nonnegative_schemes(), st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=4))
+@settings(max_examples=100)
+@given(schemes(taps="nonnegative"), st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=4))
 def test_split_counts_hold_outside_the_unit_circle(scheme, angles):
     # for a von Neumann stable, noncharacteristic scheme M(z) has N r
     # eigenvalues inside the unit disk and N p outside at every |z| > 1
@@ -677,26 +651,17 @@ def _per_node_branch(branch, gamma, thetas):
 
 
 @st.composite
-def small_companions(draw):
-    """Random schemes whose M(z) is at most 4 x 4, with a point z_bar on the
-    circle and an eigenvalue mu_bar of M(z_bar)."""
-    N = draw(st.integers(1, 2))
-    r = draw(st.integers(1, 3 if N == 1 else 2))
-    p = draw(st.integers(0, 4 // N - r))
-    s = draw(st.integers(0, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scheme = SchemeDef(
-        N=N, r=r, p=p, q=0, s=s, lam=1.0,
-        interior=rng.normal(scale=0.4, size=(p + r + 1, s + 1, N, N)),
-        boundary=np.zeros((1, r, s + 2, N, N)),
-    )
+def _base_points(draw, population):
+    """A scheme of ``population``, a point z_bar on the circle and an
+    eigenvalue mu_bar of M(z_bar)."""
+    scheme = draw(population)
     z_bar = np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
     mus = np.linalg.eigvals(assemble_M(scheme, z_bar).M)
     return scheme, z_bar, mus[draw(st.integers(0, len(mus) - 1))]
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_companions(), st.sampled_from([1e-2, 1e-3]))
+@settings(max_examples=30)
+@given(_base_points(schemes(r=(1, 3), p=(0, 3), companion=4)), st.sampled_from([1e-2, 1e-3]))
 def test_branch_curve_matches_per_node_least_cost_oracle(case, gamma):
     scheme, z_bar, mu_bar = case
     branch = branch_log_deviation(scheme, z_bar, mu_bar)

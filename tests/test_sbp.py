@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dibvp.core import (
     GridSequence,
@@ -40,6 +39,7 @@ from dibvp.sbp import (
     _hermitian_tables,
     _skew_tables,
 )
+from populations import random_scheme, schemes
 
 RNG = np.random.default_rng(2718)
 
@@ -315,20 +315,13 @@ def test_energy_matches_fourier_symbol():
         assert np.abs(lhs - (dec.d1 * s + dec.d2 * s**2)).max() < 1e-12
 
 
+def _symmetric_system():
+    return random_scheme(5, 2, 1, 1, 0, 0, taps="symmetric", consistent=True)
+
+
 def test_energy_decomposition_system_scheme():
     # symmetric coefficient matrices keep the first-order term reducible
-    rng = np.random.default_rng(5)
-    Am = rng.standard_normal((2, 2)) * 0.2
-    Am = Am + Am.T
-    Ap = rng.standard_normal((2, 2)) * 0.2
-    Ap = Ap + Ap.T
-    A0 = np.eye(2) - Am - Ap
-    interior = np.stack([Am, A0, Ap])[:, None]
-    scheme = SchemeDef(
-        N=2, r=1, p=1, q=0, s=0, lam=1.0,
-        interior=interior,
-        boundary=np.zeros((1, 1, 2, 2, 2)),
-    )
+    scheme = _symmetric_system()
     dec = energy_decomposition(scheme)  # internal residual check must pass
     assert dec.d1 is None
     assert len(dec.S) == 2 and len(dec.S_tilde) == 1
@@ -507,15 +500,6 @@ def test_exact_table_check_detects_a_wrong_constant(kind):
                     _check_table(kind, wrong, coefficients)
 
 
-def _symmetric_system():
-    rng = np.random.default_rng(5)
-    taps = [rng.standard_normal((2, 2)) * 0.2 for _ in range(2)]
-    Am, Ap = (T + T.T for T in taps)
-    interior = np.stack([Am, np.eye(2) - Am - Ap, Ap])[:, None]
-    return SchemeDef(N=2, r=1, p=1, q=0, s=0, lam=1.0, interior=interior,
-                     boundary=np.zeros((1, 1, 2, 2, 2)))
-
-
 @pytest.mark.parametrize("field", ["S", "S_tilde"])
 def test_energy_identity_residual_detects_a_wrong_term(field):
     # the same mutant fails the pointwise oracle and the Gram check
@@ -531,21 +515,8 @@ def test_energy_identity_residual_detects_a_wrong_term(field):
     assert _gram_gap(wrong) > 1e-8
 
 
-@st.composite
-def symmetric_one_step_schemes(draw):
-    """Consistent one-step schemes with symmetric taps, N <= 2, r, p <= 2."""
-    N, r, p = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10 ** draw(st.floats(-1.0, 3.0))
-    taps = rng.standard_normal((p + r + 1, N, N)) * scale
-    taps = (taps + taps.transpose(0, 2, 1)) / 2
-    taps[r] = np.eye(N) - (taps.sum(axis=0) - taps[r])
-    return SchemeDef(N=N, r=r, p=p, q=0, s=0, lam=1.0, interior=taps[:, None],
-                     boundary=np.zeros((1, r, 2, N, N)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(symmetric_one_step_schemes())
+@settings(max_examples=60)
+@given(schemes(s=(0, 0), taps="symmetric", consistent=True))
 def test_energy_identity_holds_on_random_schemes(scheme):
     dec = energy_decomposition(scheme)
     rng = np.random.default_rng(0)

@@ -35,6 +35,7 @@ from dibvp.sim import (
     verify_strong_stability,
     verify_thm1,
 )
+from populations import random_scheme, schemes
 
 RNG = np.random.default_rng(20240812)
 
@@ -727,23 +728,15 @@ def _ab3_upwind(nu):
                      boundary=np.zeros((1, 1, 4, 1, 1)))
 
 
-def _random_scheme(seed, s):
-    # a 2x2 scheme with p = q = 1 and every boundary tap set
-    rng = np.random.default_rng(seed)
-    return SchemeDef(N=2, r=1, p=1, q=1, s=s, lam=0.7,
-                     interior=0.2 * rng.standard_normal((3, s + 1, 2, 2)),
-                     boundary=0.2 * rng.standard_normal((2, 1, s + 2, 2, 2)))
-
-
 ORACLE_SCHEMES = {
     "upwind": upwind(0.5, 1.0),
     "lax-wendroff-extrapolation": lax_wendroff(1.0, 0.5, boundary="extrapolation"),
     "leap-frog": leap_frog(0.5, 1.0),
     "second-order-upwind": _second_order_upwind(1.3),
     "system": _system_upwind(),
-    "random": _random_scheme(7, s=0),
-    "random-three-level": _random_scheme(7, s=1),
-    "random-four-level": _random_scheme(7, s=2),
+    # 2x2 schemes with p = q = 1 and every boundary tap set
+    **{name: random_scheme(7, 2, 1, 1, 1, s, scale=0.2, boundary="random", lam=0.7)
+       for s, name in enumerate(["random", "random-three-level", "random-four-level"])},
     "ab3-upwind": _ab3_upwind(0.2),
 }
 
@@ -1222,17 +1215,13 @@ def test_march_dtype_follows_the_input(name):
 
 
 @st.composite
-def real_scalar_problems(draw):
-    """A random consistent scalar scheme (r, p, q <= 2, s <= 1) with real
-    data holding zeros and -0.0: on j >= 1-r, on the boundary rows only,
-    or zero with a real boundary source."""
-    r, p, q = (draw(st.integers(lo, 2)) for lo in (1, 0, 0))
-    s = draw(st.integers(0, 1))
+def _real_data(draw, population):
+    """A scalar scheme of ``population`` with real data holding zeros and
+    -0.0: on j >= 1-r, on the boundary rows only, or zero with a real
+    boundary source."""
+    scheme = draw(population)
+    r, s = scheme.r, scheme.s
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    interior = rng.normal(scale=0.4, size=(p + r + 1, s + 1, 1, 1))
-    interior[r, 0] += 1.0 - interior.sum()
-    scheme = SchemeDef(N=1, r=r, p=p, q=q, s=s, lam=1.0, interior=interior,
-                       boundary=rng.normal(scale=0.4, size=(q + 1, r, s + 2, 1, 1)))
     n_max = 12
     case = draw(st.sampled_from(["data", "boundary-data", "boundary-source"]))
     n_sites = {"data": 7, "boundary-data": r, "boundary-source": 1}[case]
@@ -1251,8 +1240,8 @@ def real_scalar_problems(draw):
     return scheme, tuple(layers), n_max, g
 
 
-@settings(max_examples=60, deadline=None)
-@given(real_scalar_problems())
+@settings(max_examples=60)
+@given(_real_data(schemes(N=(1, 1), q=(0, 2), consistent=True, boundary="random")))
 def test_real_scalar_march_matches_complex_oracles_bit_for_bit(problem):
     scheme, f, n_max, g = problem
     trace = run_ibvp(scheme, f, n_max, g=g)
@@ -1365,22 +1354,8 @@ def test_split_accepts_rounding_of_a_growing_solution(n_max):
     assert np.all(mism <= 1e-12 * np.fmax(sizes, 1.0))
 
 
-@st.composite
-def random_half_line_schemes(draw):
-    """Random schemes with every interior and boundary tap set: N <= 2,
-    r, p, q <= 2, s <= 2."""
-    N, s = draw(st.integers(1, 2)), draw(st.integers(0, 2))
-    r, p, q = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return SchemeDef(
-        N=N, r=r, p=p, q=q, s=s, lam=1.0,
-        interior=rng.normal(scale=0.4, size=(p + r + 1, s + 1, N, N)),
-        boundary=rng.normal(scale=0.4, size=(q + 1, r, s + 2, N, N)),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_half_line_schemes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+@given(schemes(q=(0, 2), boundary="random"), st.integers(0, 2**32 - 1))
 def test_split_is_exact_on_random_schemes(scheme, seed):
     f = random_layers(scheme, n_sites=6, seed=seed)
     split = split_solution(scheme, f, n_max=25)

@@ -11,7 +11,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 import dibvp.resolvent as res
 from dibvp.core import SchemeDef, _boundary_array
@@ -22,6 +21,7 @@ from dibvp.resolvent import (
     uklc_scan,
 )
 from dibvp.symbol import von_neumann_check
+from populations import schemes
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
@@ -59,21 +59,6 @@ def lax_wendroff_system(A: np.ndarray, lam: float = 0.5) -> SchemeDef:
     )
 
 
-@st.composite
-def consistent_schemes(draw):
-    """Random consistent schemes, N <= 2, r, p <= 2, s <= 1, random boundary rows."""
-    N = draw(st.integers(1, 2))
-    r, p, s = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
-    q = draw(st.integers(0, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    interior = rng.normal(scale=0.4, size=(p + r + 1, s + 1, N, N))
-    interior[r, 0] += np.eye(N) - interior.sum(axis=(0, 1))
-    return SchemeDef(
-        N=N, r=r, p=p, q=q, s=s, lam=1.0, interior=interior,
-        boundary=rng.normal(scale=0.4, size=(q + 1, r, s + 2, N, N)),
-    )
-
-
 def _radii_outside_symbol(scheme: SchemeDef) -> tuple:
     """Offsets delta whose circles |z| = 1 + delta lie outside the sampled
     spectrum of the symbol, so the split counts are (N r, N p) there."""
@@ -81,8 +66,8 @@ def _radii_outside_symbol(scheme: SchemeDef) -> tuple:
     return tuple(base * (1 + d) - 1 for d in (1e-3, 1e-1, 1.0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(consistent_schemes())
+@settings(max_examples=60)
+@given(schemes(q=(0, 2), consistent=True, boundary="random"))
 def test_stacked_determinant_matches_schur_oracle(scheme):
     try:
         scan = uklc_scan(scheme, radii=_radii_outside_symbol(scheme), n_theta=12)

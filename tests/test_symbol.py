@@ -24,6 +24,7 @@ from dibvp.symbol import (
     track_branches,
     von_neumann_check,
 )
+from populations import random_scheme, schemes
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +78,11 @@ def test_von_neumann_flags_unstable():
     assert rep.worst_theta == pytest.approx(np.pi, abs=0.05)
 
 
-def _random_system(seed):
-    """Two-unknown, three-level scheme with r = 2, p = 1 (symbol only)."""
-    rng = np.random.default_rng(seed)
-    return SchemeDef(
-        N=2, r=2, p=1, q=0, s=2, lam=1.0,
-        interior=rng.normal(scale=0.3, size=(4, 3, 2, 2)),
-        boundary=np.zeros((1, 2, 4, 2, 2)),
-    )
-
-
 @pytest.mark.parametrize(
     "scheme",
     [upwind(1.0, 1.0), leap_frog(1.0, 0.7), lax_wendroff(1.0, 1.1),
-     _random_system(0), _random_system(1)],
+     # two-unknown, three-level schemes with r = 2, p = 1 (symbol only)
+     *(random_scheme(seed, 2, 2, 1, 0, 2, scale=0.3) for seed in (0, 1))],
     ids=["upwind-edge", "leap-frog", "lax-wendroff-unstable", "system-0",
          "system-1"],
 )
@@ -365,20 +357,7 @@ def test_import_loads_no_scipy():
 
 
 # ---------------------------------------------------------------------------
-# properties over random consistent stencils (N <= 2, r, p <= 2, s <= 1)
-
-
-@st.composite
-def consistent_schemes(draw):
-    N = draw(st.integers(1, 2))
-    r, p, s = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    interior = rng.normal(scale=0.4, size=(p + r + 1, s + 1, N, N))
-    interior[r, 0] += np.eye(N) - interior.sum(axis=(0, 1))
-    return SchemeDef(
-        N=N, r=r, p=p, q=0, s=s, lam=1.0, interior=interior,
-        boundary=np.zeros((1, r, s + 2, N, N)),
-    )
+# properties over random consistent stencils (N <= 2, r, p <= 2, s <= 2)
 
 
 def _nearest_eig(scheme, theta, ref):
@@ -404,8 +383,8 @@ def _richardson_derivative(scheme, theta, zeta, h_max):
     return est[k + 1]
 
 
-@settings(max_examples=60, deadline=None)
-@given(consistent_schemes(), st.floats(0.0, 2 * np.pi))
+@settings(max_examples=60)
+@given(schemes(consistent=True), st.floats(0.0, 2 * np.pi))
 def test_exact_derivative_matches_richardson_oracle(scheme, theta):
     zetas = np.linalg.eig(amplification_matrix(scheme, np.exp(1j * theta)))[0]
     points = [_branch_point(scheme, theta, zeta) for zeta in zetas]
@@ -435,8 +414,8 @@ def _per_theta_track(scheme, thetas):
     return np.array(out)
 
 
-@settings(max_examples=30, deadline=None)
-@given(consistent_schemes())
+@settings(max_examples=30)
+@given(schemes(consistent=True))
 def test_stacked_tracking_matches_per_theta_tracking(scheme):
     track = track_branches(scheme, n_theta=48)
     if track.ambiguous:
@@ -450,27 +429,8 @@ def test_stacked_tracking_matches_per_theta_tracking(scheme):
                 assert abs(track.derivs[k, b] - deriv) <= 1e-13 * max(abs(deriv), 1.0)
 
 
-@st.composite
-def rotated_pairs(draw):
-    """(pair, (a, b)): two random consistent scalar schemes with nonnegative
-    weights (r, p, s <= 2) and the 2x2 system P diag(Q_a, Q_b) P^T."""
-    r, p, s = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = rng.uniform(size=(2, p + r + 1, s + 1))
-    weights /= weights.sum(axis=(1, 2), keepdims=True)
-    phi = rng.uniform(0, np.pi)
-    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-
-    def scheme(N, interior):
-        return SchemeDef(N=N, r=r, p=p, q=0, s=s, lam=1.0, interior=interior,
-                         boundary=np.zeros((1, r, s + 2, N, N)))
-
-    pair = scheme(2, np.einsum("ik,kls,jk->lsij", rot, weights, rot))
-    return pair, tuple(scheme(1, w[:, :, None, None]) for w in weights)
-
-
-@settings(max_examples=400, deadline=None)
-@given(rotated_pairs())
+@settings(max_examples=400)
+@given(schemes(N=(2, 2), taps="nonnegative", parts=True))
 def test_repeated_eigenvalue_derivatives_are_the_components(case):
     # at theta = 0 both components' principal roots equal 1 (consistency),
     # so the pair has a double semisimple eigenvalue 1 there; its cluster
