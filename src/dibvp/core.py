@@ -336,7 +336,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return self.noncharacteristic_ok
+        return self.consistent and self.noncharacteristic_ok
 
 
 def _laurent(coeffs: np.ndarray, exponents, points) -> np.ndarray:

@@ -15,23 +15,28 @@ consumes p columns on the right, so allocating j_obs + n_steps * p
 columns makes every reported value identical to the half-line solution;
 no artificial outflow condition ever enters.
 
-Each solver returns its run as an ``IBVPTrace``, one (n_max+1, L, N)
-array of levels, float64 for a real scalar problem and complex128
-otherwise.  The module accumulates from it the Laplace-weighted norms
-of the trace, strong-stability, and semigroup estimates, all sums of
-|U_j^n|^2, and runs the corresponding empirical verifiers across
-(gamma, dt) grids.  A run reads dt only to scale F, so with F = g = 0 and
-the same initial layers at every dt of a fixed-lam ladder, the run to n
-levels is the first n + 1 levels of any longer run, cut to its own width:
-the trace and semigroup verifiers march such a ladder once.  Scalar runs of
-one scheme (the strong-stability ladder, a split's U and W) march as the
-components of one vector: a 1x1 tap multiplies each entry alone, columns
-marched for another run are zeros or exact half-line values, and a run
-without g adds -0.0, so every level keeps its bits.  Systems march alone.
+A run's levels pass through a ring of s+1 carry rows and a block of rows
+filling about BLOCK_BYTES, and each full block, and what is left at the
+end, goes to the run's sink.  ``run_ibvp`` and ``split_solution`` copy the
+blocks into an ``IBVPTrace``, one (n_max+1, L, N) array of levels, float64
+for a real scalar problem and complex128 otherwise.  The empirical
+verifiers reduce each block to the per-level sums of |U_j^n|^2 that the
+Laplace-weighted trace, strong-stability and semigroup estimates read, and
+hold no trace; ``accumulate_norms`` takes the same sums of a trace.  A run
+reads dt only to scale F, so with F = g = 0 and the same initial layers at
+every dt of a fixed-lam ladder, the run to n levels is the first n + 1
+levels of any longer run, cut to its own width: the trace and semigroup
+verifiers march such a ladder once and reduce each entry's prefix.  Scalar
+runs of one scheme (the strong-stability ladder, a split's U and W) march
+as the components of one vector: a 1x1 tap multiplies each entry alone,
+columns marched for another run are zeros or exact half-line values, and a
+run without g adds -0.0, so every level keeps its bits.  Systems march
+alone.
 """
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +52,10 @@ DEFAULT_GAMMAS = (1e-3, 1e-2, 1e-1, 1.0)
 SLOPE_TOL = 0.1
 #: decaying_data's amplitudes fall off like (1 + k)^-DATA_DECAY_POWER
 DATA_DECAY_POWER = 1.0
+#: levels are marched, handed over and compared in blocks of about this size
+BLOCK_BYTES = 1 << 19
+#: a run whose levels would take more bytes than the host's memory is refused
+_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class SimError(ValueError):
@@ -94,8 +103,7 @@ class IBVPTrace:
     ``levels`` is the trace, one read-only (n_max+1, L, N) array; U^n is
     zero outside its columns where ``zero_flags[n]`` is set.  Half-line
     runs start at offset 1-r, whole-line runs at their window's left end.
-    ``sq``, where given, is |levels|^2, shared by the traces cut from one
-    march.  ``layers``, one GridSequence per level, is built when read.
+    ``layers``, one GridSequence per level, is built when read.
 
     ``levels`` is float64 when the run marched a real scalar problem (see
     ``_march_dtype``) and complex128 otherwise; ``layers`` are complex
@@ -108,7 +116,6 @@ class IBVPTrace:
     offset: int
     zero_flags: tuple
     j_obs: int
-    sq: np.ndarray | None = None
 
     def __post_init__(self):
         self.levels.setflags(write=False)
@@ -197,85 +204,130 @@ def run_ibvp(
     return _march(scheme, [(f_layers, n_max, j_obs, g, F, dt)])[0]
 
 
-_Run = namedtuple("_Run", "f_layers n_max j_obs g F dt auto pad_to dtype")
+_Run = namedtuple("_Run", "f_layers n_max j_obs g F dt sink auto pad_to dtype")
+
+
+def _check_run(scheme, f_layers, n_max, j_obs, g, F, dt, sink=None) -> _Run:
+    """A run's inputs checked as ``run_ibvp`` checks them, with its window,
+    allocation edge and march dtype.  A run whose levels would take more
+    bytes than the host's memory raises before anything is allocated."""
+    r, p, q, s = scheme.r, scheme.p, scheme.q, scheme.s
+    lo = 1 - r
+    if n_max < s:
+        raise SimError(f"n_max must be at least s = {s}")
+    if len(f_layers) != s + 1:
+        raise SimError(f"need {s + 1} initial layers, got {len(f_layers)}")
+    auto = j_obs is None
+    if auto:
+        j_obs = _auto_obs(scheme, f_layers, n_max)
+    pad_to = j_obs + (n_max - s) * p
+    for f in f_layers:
+        if f.offset < lo:
+            raise SimError(f"initial layer starts at {f.offset} < {lo}")
+        if f.last > pad_to:
+            raise SimError(f"initial layer extends past the allocation {pad_to}")
+    if g is not None and len(g) < n_max + 1:
+        raise SimError(f"need {n_max + 1} rows of boundary data, got {len(g)}")
+    # the edge shrinks by p a step, down to j_obs after the last one
+    if n_max > s and j_obs <= q:
+        edge = pad_to - max(0, (pad_to - 1 - q) // p) * p if p else pad_to
+        raise SimError(f"window exhausted: right edge {edge} cannot support "
+                       "another step")
+    dtype = _march_dtype(scheme, f_layers, g, F)
+    size = (n_max + 1.0) * (j_obs - lo + 1) * scheme.N * np.dtype(dtype).itemsize
+    if size > _MEMORY_BYTES:
+        raise SimError(f"horizon too large: n_max {n_max} over a {j_obs - lo + 1}-column "
+                       f"window needs {size:.3g} bytes")
+    return _Run(f_layers, n_max, j_obs, g, F, dt, sink, auto, pad_to, dtype)
 
 
 def _march(scheme: SchemeDef, runs) -> list:
-    """``run_ibvp`` of each (f_layers, n_max, j_obs, g, F, dt) in ``runs``.
+    """``run_ibvp`` of each (f_layers, n_max, j_obs, g, F, dt[, sink]) in ``runs``.
 
-    Scalar runs of one march dtype march together, as the components of
-    one run (see the module docstring); a system marches alone.  Inputs
-    are checked in run order, so the first bad run raises what its own
-    march would; arrays too large to hold raise for the longest horizon.
+    A run with a sink hands it its levels (see ``_march_batch``) and gives
+    None; a run without one gives its IBVPTrace.  Scalar runs of one march
+    dtype march together, as the components of one run (see the module
+    docstring); a system marches alone.  Inputs are checked in run order,
+    so the first bad run raises what its own march would.
     """
-    r, p, q, s = scheme.r, scheme.p, scheme.q, scheme.s
-    lo, checked = 1 - r, []
-    for f_layers, n_max, j_obs, g, F, dt in runs:
-        if n_max < s:
-            raise SimError(f"n_max must be at least s = {s}")
-        if len(f_layers) != s + 1:
-            raise SimError(f"need {s + 1} initial layers, got {len(f_layers)}")
-        auto = j_obs is None
-        if auto:
-            j_obs = _auto_obs(scheme, f_layers, n_max)
-        pad_to = j_obs + (n_max - s) * p
-        for f in f_layers:
-            if f.offset < lo:
-                raise SimError(f"initial layer starts at {f.offset} < {lo}")
-            if f.last > pad_to:
-                raise SimError(f"initial layer extends past the allocation {pad_to}")
-        if g is not None and len(g) < n_max + 1:
-            raise SimError(f"need {n_max + 1} rows of boundary data, got {len(g)}")
-        # the edge shrinks by p a step, down to j_obs after the last one
-        if n_max > s and j_obs <= q:
-            edge = pad_to - max(0, (pad_to - 1 - q) // p) * p if p else pad_to
-            raise SimError(f"window exhausted: right edge {edge} cannot support "
-                           "another step")
-        dtype = _march_dtype(scheme, f_layers, g, F)
-        checked.append(_Run(f_layers, n_max, j_obs, g, F, dt, auto, pad_to, dtype))
+    lo, N = 1 - scheme.r, scheme.N
+    checked, levels = [_check_run(scheme, *run) for run in runs], {}
+    for i, run in enumerate(checked):
+        if run.sink is None:
+            levels[i] = _zeros([(run.n_max + 1, run.j_obs - lo + 1, N)], run.n_max, run.dtype)[0]
+            checked[i] = run._replace(sink=_copy_into(levels[i]))
     # longest first, so the runs still marching are the leading components
     batches = {}
     for i in sorted(range(len(checked)), key=lambda i: -checked[i].n_max):
-        batches.setdefault((checked[i].dtype, i if scheme.N > 1 else None), []).append(i)
-    traces = {}
+        batches.setdefault((checked[i].dtype, i if N > 1 else None), []).append(i)
+    flags = {}
     for part in batches.values():
-        traces.update(zip(part, _march_batch(scheme, [checked[i] for i in part])))
-    return [traces[i] for i in range(len(checked))]
+        flags.update(zip(part, _march_batch(scheme, [checked[i] for i in part])))
+    return [
+        IBVPTrace(scheme, run.dt, levels[i], lo, tuple(run.auto and z for z in flags[i]),
+                  run.j_obs) if i in levels else None
+        for i, run in enumerate(checked)
+    ]
 
 
 def _march_batch(scheme: SchemeDef, batch) -> list:
-    """The traces of checked runs of one dtype, longest first, marched together."""
+    """March checked runs of one dtype, longest first, together; return
+    their zero flags.
+
+    Levels live in a ring of s+1 carry rows and B more, B rows filling
+    about BLOCK_BYTES.  When the ring is full, and before a run ends, the
+    levels n0..n not yet handed over go to each marching run's sink as
+    ``sink(slice(n0, n + 1), block, cols)``: the block is one
+    (n + 1 - n0, L, N) view of the run's columns 1-r..j_obs, valid until
+    the sink returns, and zero past its first cols columns.
+    """
     r, p, s, N = scheme.r, scheme.p, scheme.s, scheme.N
     lo, n_top, dtype = 1 - r, batch[0].n_max, batch[0].dtype
     comps = [slice(b * N, (b + 1) * N) for b in range(len(batch))]
     edge = max(run.pad_to for run in batch)
-    *levels, ring, g_all = _zeros(
-        [(run.n_max + 1, run.j_obs - lo + 1, N) for run in batch]
-        # a ring of s+2 full-width rows: level n lives in row n % (s+2)
-        + [(s + 2, edge - lo + 1, len(batch) * N), (n_top + 1, r, len(batch) * N)],
+    row_bytes = (edge - lo + 1) * len(batch) * N * np.dtype(dtype).itemsize
+    depth = s + 1 + max(1, BLOCK_BYTES // row_bytes)
+    ring, g_all = _zeros(
+        [(depth, edge - lo + 1, len(batch) * N), (n_top + 1, r, len(batch) * N)],
         n_top, dtype,
     )
     has_g = any(run.g is not None for run in batch)
     np.negative(g_all, out=g_all)  # -0.0, what a run without g adds
     flags = []
-    for run, lev, c in zip(batch, levels, comps):
+    for run, c in zip(batch, comps):
         if run.g is not None:
             rows = _as_march(np.asarray(run.g), dtype)[: run.n_max + 1]
             g_all[: run.n_max + 1, :, c] = rows.reshape(run.n_max + 1, r, N)
         for n, f in enumerate(run.f_layers):
             ring[n, f.offset - lo : f.last - lo + 1, c] = _as_march(f.values, dtype)
-            lev[n] = ring[n, : len(lev[n]), c]
         flags.append([f.implicit_zero for f in run.f_layers])
     interior, boundary = _taps(scheme)
     sources = [(b, run.F) for b, run in enumerate(batch) if run.F is not None]
     # columns past hi are zero: the data's support grows by r per step,
-    # and F adds its own range; one hi serves every run
+    # and F adds its own range; one hi serves every run.  A ring row past
+    # its level's r + top columns is zero, or lies past every j_obs, so the
+    # blocks hold each run's levels.
     hi = max(0, *(f.last for run in batch for f in run.f_layers))
-    k, F_rows = len(batch), []
+    k, F_rows, base, done, top = len(batch), [], 0, 0, hi
+
+    def hand_over(n):
+        # levels done..n, in ring rows done - base.., to the marching runs
+        nonlocal done
+        for run, c in zip(batch[:k], comps):
+            run.sink(slice(done, n + 1),
+                     ring[done - base : n + 1 - base, : run.j_obs - lo + 1, c], r + top)
+        done = n + 1
+
     for n in range(s, n_top):
         if batch[k - 1].n_max <= n:  # drop the runs that are done
+            hand_over(n)
             k = sum(run.n_max > n for run in batch)
             ring, g_all = ring[..., : k * N].copy(), g_all[..., : k * N]
+        if n + 1 - base == depth:  # the ring is full: carry its last s+1 rows
+            if done <= n:
+                hand_over(n)
+            ring[: s + 1] = ring[depth - s - 1 :]
+            base += depth - s - 1
         edge, hi = edge - p, hi + r
         if sources:
             F_rows = [(b, F(n)) for b, F in sources if b < k]
@@ -284,8 +336,8 @@ def _march_batch(scheme: SchemeDef, batch) -> list:
         # numpy multiplies one row by a different BLAS routine than a block
         # of rows; two rows keep every value bit-identical to a full step
         top = max(hi, min(2, edge))
-        out = ring[(n + 1) % (s + 2)]
-        prev = [ring[m % (s + 2)] for m in range(n - s, n + 1)]
+        out = ring[n + 1 - base]
+        prev = ring[n - s - base : n + 1 - base]
         out[: r + top] = 0
         for sigma, sigma_taps in enumerate(interior):
             _apply_taps(out[r : r + top], prev[s - sigma], r, sigma_taps)
@@ -302,26 +354,56 @@ def _march_batch(scheme: SchemeDef, batch) -> list:
                 _apply_taps(acc, out if sigma == -1 else prev[s - sigma], r, sigma_taps)
             if has_g:
                 acc += g_all[n + 1, j : j + 1]
-        # columns past top hold zeros, as levels does, or lie past j_obs
-        for lev, c in zip(levels[:k], comps):
-            cols = min(lev.shape[1], r + top)
-            lev[n + 1, :cols] = out[:cols, c]
+    hand_over(n_top)
     for run, fl in zip(batch, flags):
         if run.F is None:  # a run without F keeps its data's support flag
             fl += [all(fl)] * (run.n_max - s)
-    return [
-        IBVPTrace(scheme, run.dt, lev, lo, tuple(run.auto and z for z in fl), run.j_obs)
-        for run, lev, fl in zip(batch, levels, flags)
-    ]
+    return flags
 
 
-def _ladder_traces(scheme, f_generator, refinements, t_end, seed):
-    """(dt, f_layers, trace) of the F = g = 0 run at each dt, in ladder order.
+def _copy_into(levels: np.ndarray):
+    """A sink that copies each block into ``levels``, whose zero columns
+    past the solution's support it leaves untouched."""
+    def sink(index, block, cols):
+        levels[index, :cols] = block[:, :cols]
+    return sink
 
-    Data are built first (the seeded rng is drawn as in a loop over dt);
-    entries with identical data read prefixes of one run to their largest
-    n_max, the distinct data sets march together in one call, and each
-    entry raises the SimError its own run would, in ladder order.
+
+class _LevelReduction:
+    """Per-level sums of one marched run, taken block by block as a sink.
+
+    Entry i reads the run's first ``n_max + 1`` levels on its first
+    ``cols`` columns (all of them for None), as its own run would hold
+    them; ``reduce(sq, levels)`` maps such a block of levels and sq =
+    |levels|^2 to a tuple of per-level arrays, and ``sums()[i]`` joins
+    entry i's over the blocks.
+    """
+
+    def __init__(self, entries, reduce):
+        self.entries, self.reduce = entries, reduce
+        self.parts = [[] for _ in entries]
+
+    def __call__(self, index, block, support):
+        # the sums run over every column, zeros included, as a trace's do
+        sq = _abs_sq(block)
+        for (n_max, cols), parts in zip(self.entries, self.parts):
+            m = n_max + 1 - index.start
+            if m > 0:
+                parts.append(self.reduce(sq[:m, :cols], block[:m, :cols]))
+
+    def sums(self) -> list:
+        return [tuple(map(np.concatenate, zip(*parts))) for parts in self.parts]
+
+
+def _ladder_sums(scheme, f_generator, refinements, t_end, seed, reduce) -> list:
+    """(dt, f_layers, sums) of the F = g = 0 run at each dt, in ladder order.
+
+    ``sums`` is the entry's run reduced by ``reduce`` (see
+    ``_LevelReduction``).  Data are built first (the seeded rng is drawn as
+    in a loop over dt), and each entry is checked as its own run, in ladder
+    order, so the first bad entry raises what its run would.  Entries with
+    identical data reduce prefixes of one run, marched to their largest
+    n_max, and the distinct data sets march together in one call.
     """
     if f_generator is None:
         # same data at every refinement so the slope is not fit noise
@@ -331,32 +413,18 @@ def _ladder_traces(scheme, f_generator, refinements, t_end, seed):
     rng = np.random.default_rng(seed)
     ladder = [(dt, int(round(t_end / dt))) for dt in refinements]
     data = [f_generator(scheme, dt, n, rng) for dt, n in ladder]
-    keys = [tuple((f.offset, f.implicit_zero, f.values.shape, f.values.tobytes())
-                  for f in layers) for layers in data]
-    runs = {}
-    for (_, n_max), f_layers, key in zip(ladder, data, keys):
-        if key not in runs and n_max >= scheme.s:
-            n_long = max(n for (_, n), k in zip(ladder, keys) if k == key)
-            runs[key] = (f_layers, n_long, None, None, None, 1.0)
-    try:
-        # one data set is one run_ibvp, as the default data always are;
-        # distinct data sets march together
-        jobs = list(runs.values())
-        traces = [run_ibvp(scheme, *jobs[0][:2])] if len(jobs) == 1 else _march(scheme, jobs)
-        marched = {key: (run, _abs_sq(run.levels)) for key, run in zip(runs, traces)}
-    except SimError:
-        marched = {}  # a longer run's error: each entry's own run decides
-    for (dt, n_max), f_layers, key in zip(ladder, data, keys):
-        run, sq = marched.get(key, (None, None))
-        if run is None or n_max < scheme.s:
-            run = run_ibvp(scheme, f_layers, n_max)
-            sq = _abs_sq(run.levels)
-        j_obs = run.j_obs - (run.n_max - n_max) * scheme.r
-        cut = np.s_[: n_max + 1, : j_obs + scheme.r]
-        yield dt, f_layers, IBVPTrace(
-            scheme, dt, run.levels[cut], run.offset, run.zero_flags[: n_max + 1],
-            j_obs, sq=sq[cut],
-        )
+    keys, entries = [], {}
+    for (_, n_max), f_layers in zip(ladder, data):
+        run = _check_run(scheme, f_layers, n_max, None, None, None, 1.0)
+        keys.append(tuple((f.offset, f.implicit_zero, f.values.shape, f.values.tobytes())
+                          for f in f_layers))
+        entries.setdefault(keys[-1], []).append((n_max, run.j_obs + scheme.r))
+    sinks = {key: _LevelReduction(entry, reduce) for key, entry in entries.items()}
+    _march(scheme, [(data[keys.index(key)], max(entries[key])[0], None, None, None, 1.0,
+                     sinks[key]) for key in entries])
+    sums = {key: iter(sink.sums()) for key, sink in sinks.items()}
+    return [(dt, f_layers, next(sums[key]))
+            for (dt, _), f_layers, key in zip(ladder, data, keys)]
 
 
 def run_cauchy(
@@ -469,7 +537,7 @@ def _max_level_mismatch(u, v, w, floor=np.inf) -> float:
     is passed over.  A level whose mismatch exceeds 1e-12 max(max |u[n]|,
     floor) raises, since rounding grows with the solution; the default
     floor raises for none."""
-    step = max(1, (1 << 19) // u[0].nbytes)
+    step = max(1, BLOCK_BYTES // u[0].nbytes)
     maxima = []
     for i in range(0, len(u), step):
         block = u[i : i + step]
@@ -539,26 +607,32 @@ def accumulate_norms(
     trace: IBVPTrace, gamma: float, P: int, n_start: int = 0
 ) -> NormSeries:
     """Weighted interior/trace/sup accumulators of a solution trace."""
-    return _weighted_norms(trace, _level_sums(trace, P), gamma, P, n_start)
-
-
-def _level_sums(trace: IBVPTrace, P: int) -> tuple:
-    """sum_j |U_j^n|^2 for each level n, over the stored values and over
-    1-r <= j <= P.  Neither depends on gamma, so a verifier takes them once
-    per trace and weights them for every gamma."""
     lo = 1 - trace.scheme.r
-    if P < lo:
-        raise SimError(f"trace width P must be at least {lo}")
+    _trace_cols(trace.scheme.r, P)
     start = max(lo, trace.offset)
     if start > lo and not all(trace.zero_flags):
         raise RangeError(
             f"window [{lo}, {min(P, trace.j_obs)}] outside stored range "
             f"[{trace.offset}, {trace.j_obs}]"
         )
-    sq = _abs_sq(trace.levels) if trace.sq is None else trace.sq
     # a window ending left of 1-r has no trace columns: clamp the stop
     stop = max(min(P, trace.j_obs) - trace.offset + 1, 0)
-    return sq.sum(axis=(1, 2)), sq[:, start - trace.offset : stop].sum(axis=(1, 2))
+    sums = _level_sums(_abs_sq(trace.levels), slice(start - trace.offset, stop))
+    return _weighted_norms(trace.dt, trace.dx, sums, gamma, P, n_start)
+
+
+def _trace_cols(r: int, P: int) -> slice:
+    """The trace columns 1-r..P of a half-line level's array."""
+    if P < 1 - r:
+        raise SimError(f"trace width P must be at least {1 - r}")
+    return slice(0, P + r)
+
+
+def _level_sums(sq: np.ndarray, cols: slice) -> tuple:
+    """sum_j |U_j^n|^2 for each level n of sq = |U|^2, over all its columns
+    and over ``cols``.  Neither depends on gamma, so a verifier takes them
+    once per run and weights them for every gamma."""
+    return sq.sum(axis=(1, 2)), sq[:, cols].sum(axis=(1, 2))
 
 
 def _abs_sq(levels: np.ndarray) -> np.ndarray:
@@ -566,10 +640,9 @@ def _abs_sq(levels: np.ndarray) -> np.ndarray:
     return np.square(levels) if levels.dtype == np.float64 else np.abs(levels) ** 2
 
 
-def _weighted_norms(trace, sums, gamma, P, n_start) -> NormSeries:
+def _weighted_norms(dt, dx, sums, gamma, P, n_start) -> NormSeries:
     if gamma < 0:
         raise SimError("gamma must be nonnegative")
-    dt, dx = trace.dt, trace.dx
     mass_sums, trace_sums = sums
     w = np.exp(-2 * gamma * np.arange(len(mass_sums)) * dt)
     level_mass = dx * mass_sums
@@ -724,18 +797,19 @@ def verify_thm1(
 
     is computed with sums over n >= 0; the verdict is bounded when the
     per-dt maximum shows no growth trend under dt refinement.  Refinements
-    with the same data (the default) read prefixes of one march.
+    with the same data (the default) reduce prefixes of one march.
     """
     issues = _hypothesis_report(scheme)
+    cols = _trace_cols(scheme.r, P)
     ratios = np.zeros((len(refinements), len(gammas)))
     measured = np.zeros(ratios.shape, dtype=bool)
-    runs = _ladder_traces(scheme, f_generator, refinements, t_end, seed)
-    for i, (dt, f_layers, trace) in enumerate(runs):
+    runs = _ladder_sums(scheme, f_generator, refinements, t_end, seed,
+                        lambda sq, levels: _level_sums(sq, cols))
+    for i, (dt, f_layers, sums) in enumerate(runs):
         dx = dt / scheme.lam
         rhs = sum(f.norm_sq(dx) for f in f_layers)
-        sums = _level_sums(trace, P)
         for k, gamma in enumerate(gammas):
-            ns = _weighted_norms(trace, sums, gamma, P, 0)
+            ns = _weighted_norms(dt, dx, sums, gamma, P, 0)
             lhs = gamma / (gamma * dt + 1) * ns.interior + ns.trace
             measured[i, k] = rhs > 0
             ratios[i, k] = lhs / rhs if rhs > 0 else np.nan
@@ -767,6 +841,7 @@ def verify_strong_stability(
     issues = _hypothesis_report(scheme)
     rng = np.random.default_rng(seed)
     s = scheme.s
+    cols = _trace_cols(scheme.r, scheme.p)
     ratios = np.zeros((len(refinements), len(gammas)))
     measured = np.zeros(ratios.shape, dtype=bool)
     zero = [GridSequence.zeros(1 - scheme.r, 1, scheme.N, implicit_zero=True)
@@ -776,15 +851,16 @@ def verify_strong_stability(
         n_max = int(round(t_end / dt))
         g = g_gen(scheme, dt, n_max, rng) if g_gen is not None else None
         F = F_gen(scheme, dt, n_max, rng).__getitem__ if F_gen is not None else None
-        runs.append((zero, n_max, None, g, F, dt))
-    # the whole ladder marches together
-    for i, ((_, n_max, _, g, F, dt), trace) in enumerate(zip(runs, _march(scheme, runs))):
+        sink = _LevelReduction([(n_max, None)], lambda sq, levels: _level_sums(sq, cols))
+        runs.append((zero, n_max, None, g, F, dt, sink))
+    _march(scheme, runs)  # the whole ladder marches together
+    for i, (_, n_max, _, g, F, dt, sink) in enumerate(runs):
         dx = dt / scheme.lam
-        sums = _level_sums(trace, scheme.p)
+        sums = sink.sums()[0]
         gmass = None if g is None else np.sum(np.abs(g) ** 2, axis=(1, 2))
         Fmass = [] if F is None else [F(n).norm_sq(dx) for n in range(s, n_max)]
         for k, gamma in enumerate(gammas):
-            ns = _weighted_norms(trace, sums, gamma, scheme.p, s + 1)
+            ns = _weighted_norms(dt, dx, sums, gamma, scheme.p, s + 1)
             lhs = gamma / (gamma * dt + 1) * ns.interior + ns.trace
             weights = np.exp(-2 * gamma * np.arange(n_max + 1) * dt)
             rhs = 0.0
@@ -852,31 +928,37 @@ def verify_semigroup(
         except DecompositionError:
             rate = None
 
+    r, w, N = scheme.r, scheme.r + scheme.p, scheme.N
+
+    def reduce(sq, levels):
+        sums = sq.sum(axis=(1, 2)), sq[:, r:].sum(axis=(1, 2))
+        if rate is None:
+            return sums
+        # U^n on j = 1-r..p, zero past the stored window, as 1 x d rows:
+        # their products keep rate.evaluate's bits
+        jets = np.zeros((len(levels), w, N), dtype=complex)
+        jets[:, : levels.shape[1]] = levels[:, :w]
+        jets = jets.reshape(len(levels), 1, w * N)
+        rates = (jets.conj() @ rate.matrix @ jets.transpose(0, 2, 1)).real[:, 0, 0]
+        return sums + (rates, np.sum(np.abs(jets) ** 2, axis=(1, 2)))
+
     C2 = []
     step_violation = None
     chain_ok = None
-    for dt, f_layers, trace in _ladder_traces(
-        scheme, f_generator, refinements, t_end, seed
+    for dt, f_layers, (mass, interior_mass, *steps) in _ladder_sums(
+        scheme, f_generator, refinements, t_end, seed, reduce
     ):
-        dx = trace.dx
+        dx = dt / scheme.lam
         rhs = sum(f.norm_sq(dx) for f in f_layers)
-        ns = accumulate_norms(trace, 0.0, scheme.p)
-        C2.append(ns.sup_norm / rhs if rhs > 0 else 0.0)
+        C2.append(float((dx * mass).max()) / rhs if rhs > 0 else 0.0)
         if rate is not None:
-            levels, w = trace.levels, scheme.r + scheme.p
-            interior_mass = trace.sq[:, scheme.r :].sum(axis=(1, 2))
+            rates, jets_sq = (x[:-1] for x in steps)  # the steps from n < n_max
             scale = max(float(interior_mass.max()), 1e-30)
-            # U^n on j = 1-r..p for n < n_max, zero past the stored window,
-            # as 1 x d rows: their products keep rate.evaluate's bits
-            jets = np.zeros((trace.n_max, w, scheme.N), dtype=complex)
-            jets[:, : levels.shape[1]] = levels[:-1, :w]
-            jets = jets.reshape(trace.n_max, 1, w * scheme.N)
-            rates = (jets.conj() @ rate.matrix @ jets.transpose(0, 2, 1)).real[:, 0, 0]
             # fmax skips a NaN gap; max keeps a NaN step_violation
             step_violation = max(step_violation or 0.0, np.fmax.reduce(
                 (np.diff(interior_mass) - rates) / scale, initial=-np.inf))
             traces_sq = 0.0
-            for jet_sq in (dt * np.sum(np.abs(jets) ** 2, axis=(1, 2))).tolist():
+            for jet_sq in (dt * jets_sq).tolist():
                 traces_sq += jet_sq  # in step order: a pairwise sum moves bits
             # telescoped: sup_n dx sum_{j>=1}|U^n|^2
             #   <= dx sum_{j>=1}|U^0|^2 + (C/lam) sum_n dt |trace|^2

@@ -67,7 +67,8 @@ def schemes(draw, N=(1, 2), r=(1, 2), p=(0, 2), q=(0, 0), s=(0, 2), *,
 
     ``companion`` caps N (p + r), the order of M(z).  ``symmetric`` taps
     take a log-uniform scale in [0.1, 1000].  ``valid`` and ``stable``
-    keep only schemes passing ``validate_scheme`` and ``von_neumann_check``.
+    keep only schemes passing ``validate_scheme`` (consistent and
+    noncharacteristic) and ``von_neumann_check``.
     With ``parts``, a ``nonnegative`` draw comes as (scheme, components):
     the N scalar schemes of its unrotated weights.
     """

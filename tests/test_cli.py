@@ -376,7 +376,8 @@ def test_incompatible_horizon_exits_two(paths, capsys):
 
 
 def test_oversized_horizon_exits_two_before_marching(paths, capsys):
-    # the levels array would take 1.6e17 bytes; allocating it comes first
+    # the levels would take 1.6e17 bytes, more than the host's memory: the
+    # run is refused before anything is allocated or marched
     code, out, err = run(
         ["simulate", "--scheme", paths["upwind"], "--n-max", "100000000"],
         capsys,

@@ -157,6 +157,18 @@ def test_validate_flags_inconsistent_scheme():
     assert rep.consistency_residual == pytest.approx(0.1)
 
 
+def test_validate_fails_a_noncharacteristic_inconsistent_scheme():
+    # taps 0.050 and -0.053 sum to -0.003, not 1: both extreme blocks are
+    # invertible, but the scheme is not consistent, so it is not ok
+    interior = np.array([0.050, -0.053]).reshape(2, 1, 1, 1)
+    sch = SchemeDef(N=1, r=1, p=0, q=0, s=0, lam=1.0, interior=interior,
+                    boundary=np.zeros((1, 1, 2, 1, 1)))
+    rep = validate_scheme(sch)
+    assert rep.noncharacteristic_ok
+    assert not rep.consistent
+    assert not rep.ok
+
+
 def test_validate_flags_characteristic_scheme():
     # a_plus = 0 makes the rightmost coefficient block singular for every z
     sch = three_point(0.5, 0.5, 0.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from dibvp.sim import (
     IBVPTrace,
     SimError,
     accumulate_norms,
+    decaying_boundary_data,
     decaying_data,
     reconstruct_boundary_source,
     run_cauchy,
@@ -751,7 +753,7 @@ def _assert_same_levels(trace, want, j_obs):
 
 
 @pytest.mark.parametrize("case", ["data", "boundary-data", "boundary-source",
-                                  "interior-source", "explicit-window"])
+                                  "interior-source", "explicit-window", "wide-window"])
 @pytest.mark.parametrize("name", list(ORACLE_SCHEMES))
 def test_run_ibvp_matches_reference_steps_bit_for_bit(name, case):
     scheme = ORACLE_SCHEMES[name]
@@ -775,6 +777,10 @@ def test_run_ibvp_matches_reference_steps_bit_for_bit(name, case):
         kwargs["F"] = lambda n: rows[n]
     elif case == "explicit-window":
         kwargs.update(j_obs=12)
+    elif case == "wide-window":
+        # rows of over 58 KB: a block holds at most 8 levels, so the march
+        # hands over at least 4 blocks, and a scalar run ends inside one
+        kwargs.update(j_obs=sim.BLOCK_BYTES // 72)
     trace = run_ibvp(scheme, f, n_max, dt=dt, **kwargs)
     want, j_obs = _reference_run_ibvp(scheme, f, n_max, dt=dt, **kwargs)
     _assert_same_levels(trace, want, j_obs)
@@ -818,7 +824,10 @@ def _count_marches(monkeypatch):
 
 
 def test_verifiers_march_a_shared_data_ladder_once(monkeypatch):
-    calls = _count_marches(monkeypatch)
+    # the n_max of every run marched
+    calls, march = [], sim._march
+    monkeypatch.setattr(sim, "_march", lambda sch, runs: calls.extend(
+        run[1] for run in runs) or march(sch, runs))
     ladder = (0.1, 0.05, 0.025, 0.0125, 0.00625)
     verify_thm1(upwind(0.5, 1.0), refinements=ladder, t_end=2.0)
     assert calls == [320]
@@ -857,7 +866,8 @@ def test_verifier_raises_the_first_failing_entrys_error(verify):
     # both horizons are too large to hold; the first one is reported
     with pytest.raises(SimError, match="horizon too large: n_max 100000000 "):
         verify(upwind(0.5, 1.0), refinements=(1e-7, 2e-8), t_end=10.0)
-    # the dt 0.1 entry marches on its own before the dt 1e-7 one fails
+    # the dt 0.1 entry passes its check and the dt 1e-7 one fails it, all
+    # before the first step
     with pytest.raises(SimError, match="horizon too large: n_max 100000000 "):
         verify(upwind(0.5, 1.0), refinements=(0.1, 1e-7), t_end=10.0)
 
@@ -1024,13 +1034,62 @@ def test_shared_march_matches_per_dt_runs_bit_for_bit(name):
         assert not np.all(np.isfinite(thm1.ratios[-1]))
 
 
+def _reference_strong_ratios(scheme, refinements, t_end, gammas=sim.DEFAULT_GAMMAS):
+    """verify_strong_stability's ratios from a fresh run at every dt."""
+    s = scheme.s
+    zero = [GridSequence.zeros(1 - scheme.r, 1, scheme.N, implicit_zero=True)
+            for _ in range(s + 1)]
+    ratios = np.zeros((len(refinements), len(gammas)))
+    for i, dt in enumerate(refinements):
+        n_max = int(round(t_end / dt))
+        g = decaying_boundary_data(scheme, n_max, dt, seed=0)
+        trace = run_ibvp(scheme, zero, n_max, g=g, dt=dt)
+        gmass = np.sum(np.abs(g) ** 2, axis=(1, 2))
+        for k, gamma in enumerate(gammas):
+            ns = accumulate_norms(trace, gamma, scheme.p, n_start=s + 1)
+            weights = np.exp(-2 * gamma * np.arange(n_max + 1) * dt)
+            rhs = float(np.sum(dt * weights[s + 1 :] * gmass[s + 1 :]))
+            ratios[i, k] = (gamma / (gamma * dt + 1) * ns.interior + ns.trace) / rhs
+    return ratios
+
+
+@pytest.mark.parametrize("name", list(LADDER_SCHEMES))
+@np.errstate(all="ignore")
+def test_strong_stability_matches_per_dt_runs_bit_for_bit(name):
+    scheme, t_end = LADDER_SCHEMES[name]
+    ladder = (0.1, 0.05, 0.025)
+    rep = verify_strong_stability(scheme, refinements=ladder, t_end=t_end, seed=0)
+    want = _reference_strong_ratios(scheme, ladder, t_end)
+    assert rep.ratios.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("verify", [verify_thm1, verify_strong_stability,
+                                    verify_semigroup])
+@pytest.mark.parametrize("scheme", [upwind(0.5, 1.0), leap_frog(0.7, 1.0)],
+                         ids=["upwind", "leap-frog"])
+def test_ladder_verifiers_hold_no_whole_trace(verify, scheme):
+    # at dt 0.00625 one float trace of the ladder takes 20.4 MB; the
+    # verifiers reduce the march block by block instead of holding it
+    tracemalloc.start()
+    try:
+        verify(scheme, refinements=(0.1, 0.05, 0.025, 0.0125, 0.00625), t_end=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 @pytest.mark.parametrize("name", list(ORACLE_SCHEMES))
 def test_ladder_cuts_equal_their_own_runs(name):
-    # a coarse entry's trace is its own run's window, not the long march's
+    # a coarse entry reduces its own run's window, not the long march's
     scheme = ORACLE_SCHEMES[name]
-    for dt, f, trace in sim._ladder_traces(scheme, None, (0.1, 0.05, 0.025), 2.0, 0):
+    keep = lambda sq, levels: (sq.copy(), levels.copy())
+    for dt, f, (sq, levels) in sim._ladder_sums(scheme, None, (0.1, 0.05, 0.025),
+                                                2.0, 0, keep):
         want = run_ibvp(scheme, f, int(round(2.0 / dt)))
-        _assert_same_levels(trace, want.layers, want.j_obs)
+        assert levels.dtype == want.levels.dtype
+        assert levels.tobytes() == want.levels.tobytes()
+        assert sq.tobytes() == sim._abs_sq(want.levels).tobytes()
 
 
 @pytest.mark.parametrize("verify", [verify_thm1, verify_semigroup])
