@@ -35,6 +35,9 @@ from .resolvent import (
 )
 from .sbp import DecompositionError, _boundary_rate, energy_decomposition
 from .sim import (
+    DEFAULT_GAMMAS,
+    DEFAULT_REFINEMENTS,
+    DEFAULT_T_END,
     accumulate_norms,
     decaying_data,
     run_ibvp,
@@ -238,11 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("verify", "empirical stability estimate across refinements")
     p.add_argument("--estimate", required=True,
                    choices=("thm1", "strong", "semigroup"))
-    p.add_argument("--grid-gammas", type=_floats,
-                   default=(1e-3, 1e-2, 1e-1, 1.0))
-    p.add_argument("--grid-refinements", type=_floats,
-                   default=(0.1, 0.05, 0.025, 0.0125))
-    p.add_argument("--t-end", type=float, default=10.0)
+    p.add_argument("--grid-gammas", type=_floats, default=DEFAULT_GAMMAS)
+    p.add_argument("--grid-refinements", type=_floats, default=DEFAULT_REFINEMENTS)
+    p.add_argument("--t-end", type=float, default=DEFAULT_T_END)
     p.add_argument("--p", type=int, default=3, help="trace depth")
 
     p = command("packet-experiment", "boundary-trace growth of a wave packet")

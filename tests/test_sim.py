@@ -453,6 +453,36 @@ def test_strong_stability_interior_forcing_only():
             assert rep.ratios[i, k] == lhs / rhs
 
 
+def test_strong_stability_counts_a_none_source_row_as_zero():
+    # run_ibvp reads a None row of F as no source at that level; the RHS
+    # adds nothing for it
+    scheme, dt, gammas = upwind(0.5, 1.0), 0.1, (0.1, 1.0)
+
+    def F_gen(sch, dt, n_max, rng):
+        vals = rng.standard_normal((n_max, 6, sch.N))
+        return [None if n % 2 else GridSequence(1, v, implicit_zero=True)
+                for n, v in enumerate(vals)]
+
+    rep = verify_strong_stability(
+        scheme, g_gen=lambda sch, dt, n_max, rng: None, F_gen=F_gen,
+        gammas=gammas, refinements=(dt,), t_end=2.0,
+    )
+    assert not rep.vacuous
+    n_max = 20
+    F = F_gen(scheme, dt, n_max, np.random.default_rng(0))
+    zero = [GridSequence.zeros(0, 1, 1, implicit_zero=True)]
+    trace = run_ibvp(scheme, zero, n_max, F=F.__getitem__, dt=dt)
+    dx = dt / scheme.lam
+    for k, gamma in enumerate(gammas):
+        ns = accumulate_norms(trace, gamma, scheme.p, n_start=1)
+        lhs = gamma / (gamma * dt + 1) * ns.interior + ns.trace
+        rhs = 0.0
+        for n in range(0, n_max, 2):
+            rhs += ((gamma * dt + 1) / gamma * dt
+                    * np.exp(-2 * gamma * (n + 1) * dt) * F[n].norm_sq(dx))
+        assert rep.ratios[0, k] == lhs / rhs
+
+
 def test_strong_stability_marginal_reflection_blows_up():
     # neighbor-copy closure has a determinant zero in the z -> 1 limit;
     # the ratios grow both as gamma decreases and under refinement
@@ -1081,18 +1111,27 @@ def test_ladder_verifiers_hold_no_whole_trace(verify, scheme):
 
 @pytest.mark.parametrize("name", list(ORACLE_SCHEMES))
 def test_ladder_cuts_equal_their_own_runs(name):
-    # a coarse entry reduces its own run's window, not the long march's
+    # a coarse entry of the shared-data ladder reduces its own run's window,
+    # not the long march's; an entry of the strong-stability ladder (zero
+    # layers, boundary data) reduces its own run
     scheme = ORACLE_SCHEMES[name]
     keep = lambda sq, levels: (sq.copy(), levels.copy())
-    for dt, f, (sq, levels) in sim._ladder_sums(scheme, None, (0.1, 0.05, 0.025),
-                                                2.0, 0, keep):
-        want = run_ibvp(scheme, f, int(round(2.0 / dt)))
-        assert levels.dtype == want.levels.dtype
-        assert levels.tobytes() == want.levels.tobytes()
-        assert sq.tobytes() == sim._abs_sq(want.levels).tobytes()
+    zero = [GridSequence.zeros(1 - scheme.r, 1, scheme.N, implicit_zero=True)
+            for _ in range(scheme.s + 1)]
+    boundary = lambda sch, dt, n_max, rng: decaying_boundary_data(sch, n_max, dt)
+    for f_gen, g_gen in [(None, None), (lambda *_: zero, boundary)]:
+        for dt, data, (sq, levels) in sim._ladder_sums(
+            scheme, (0.1, 0.05, 0.025), 2.0, 0, keep, f_gen, g_gen
+        ):
+            want = run_ibvp(scheme, data.f, int(round(2.0 / dt)), g=data.g, dt=dt)
+            assert (data.f is zero) == (g_gen is boundary)
+            assert levels.dtype == want.levels.dtype
+            assert levels.tobytes() == want.levels.tobytes()
+            assert sq.tobytes() == sim._abs_sq(want.levels).tobytes()
 
 
-@pytest.mark.parametrize("verify", [verify_thm1, verify_semigroup])
+@pytest.mark.parametrize("verify", [verify_thm1, verify_semigroup,
+                                    verify_strong_stability])
 @pytest.mark.parametrize("scheme", [upwind(0.5, 1.0), leap_frog(0.5, 1.0)],
                          ids=["upwind", "leap-frog"])
 def test_verifiers_build_no_per_level_sequences(monkeypatch, verify, scheme):
