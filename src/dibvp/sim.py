@@ -13,27 +13,29 @@ whose sigma = -1 term reads the freshly computed interior layer.  The
 right edge is handled by the exact shrinking-window method: each step
 consumes p columns on the right, so allocating j_obs + n_steps * p
 columns makes every reported value identical to the half-line solution;
-no artificial outflow condition ever enters.
+no artificial outflow condition ever enters.  A whole-line run
+(``run_cauchy``) steps the interior recursion alone on its window's cone.
 
-A run's levels pass through a ring of s+1 carry rows and a block of rows
-filling about BLOCK_BYTES, and each full block, and what is left at the
-end, goes to the run's sink.  ``run_ibvp`` and ``split_solution`` copy the
-blocks into an ``IBVPTrace``, one (n_max+1, L, N) array of levels, float64
-for a real scalar problem and complex128 otherwise.  The trace,
-strong-stability and semigroup verifiers march their dt ladders through
-one engine, ``_ladder_sums``: it draws every entry's f, g and F from one
-seeded rng in ladder order, marches all runs in one call, and reduces each
-block to the per-level sums of |U_j^n|^2 the estimates read, holding no
-trace; ``accumulate_norms`` takes the same sums of a trace.  A run reads dt
-only to scale F, so with F = g = 0 and the same initial layers at every dt
-of a fixed-lam ladder, the run to n levels is the first n + 1 levels of any
+Every run steps in ``_march_batch``: its levels pass through a ring of s+1
+rows and a block of rows filling about BLOCK_BYTES, and each pass round
+the ring, and what is left at the end, goes to the run's sink.  ``run_ibvp``,
+``run_cauchy`` and ``split_solution`` copy the blocks into an
+``IBVPTrace``, one (n_max+1, L, N) array of levels, float64 for a real
+scalar problem and complex128 otherwise.  The trace, strong-stability and
+semigroup verifiers march their dt ladders through one engine,
+``_ladder_sums``: it draws every entry's f, g and F from one seeded rng in
+ladder order, marches all runs in one call, and reduces each block to the
+per-level sums of |U_j^n|^2 the estimates read, holding no trace;
+``accumulate_norms`` takes the same sums of a trace.  A run reads dt only
+to scale F, so with F = g = 0 and the same initial layers at every dt of a
+fixed-lam ladder, the run to n levels is the first n + 1 levels of any
 longer run, cut to its own width: such entries share one march and reduce
 its prefixes, while an entry with g or F (the strong-stability ladder)
 never shares.  Scalar runs of one scheme (a ladder's runs, a split's U and
 W) march as the components of one vector: a 1x1 tap multiplies each entry
 alone, columns marched for another run are zeros or exact half-line
 values, and a run without g adds -0.0, so every level keeps its bits.
-Systems march alone.
+Systems and whole-line runs march alone.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class SimError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# half-line stepping
+# stepping
 
 
 def _taps(scheme: SchemeDef) -> tuple:
@@ -274,27 +276,33 @@ def _march(scheme: SchemeDef, runs) -> list:
     ]
 
 
-def _march_batch(scheme: SchemeDef, batch) -> list:
-    """March checked runs of one dtype, longest first, together; return
-    their zero flags.
+def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
+    """The package's one loop over time levels: march checked runs of one
+    dtype, longest first, together; return their zero flags.
 
-    Levels live in a ring of s+1 carry rows and B more, B rows filling
-    about BLOCK_BYTES.  When the ring is full, and before a run ends, the
+    A half-line step computes columns from j = 1 on, then the boundary
+    rows.  A whole-line run marches alone on its buffer W0..pad_to, with
+    ``cone`` = (W0, jmin) for data from jmin on: a step has no boundary
+    rows and starts at W0 + r a step or jmin - p a step, whichever is right.
+
+    Level n lives in row n mod D of a ring of D = s+1+B rows, B rows
+    filling about BLOCK_BYTES, or the longest run's n_max - s levels if
+    fewer.  Before a level wraps round to row 0, and before a run ends, the
     levels n0..n not yet handed over go to each marching run's sink as
     ``sink(slice(n0, n + 1), block, cols)``: the block is one
-    (n + 1 - n0, L, N) view of the run's columns 1-r..j_obs, valid until
-    the sink returns, and zero past its first cols columns.
+    (n + 1 - n0, L, N) view of the run's columns from 1-r (or W0) to j_obs,
+    valid until the sink returns; on the half-line it is zero past its
+    first cols columns.
     """
     r, p, s, N = scheme.r, scheme.p, scheme.s, scheme.N
-    lo, n_top, dtype = 1 - r, batch[0].n_max, batch[0].dtype
+    lo = 1 - r if cone is None else cone[0]
+    n_top, dtype = batch[0].n_max, batch[0].dtype
     comps = [slice(b * N, (b + 1) * N) for b in range(len(batch))]
     edge = max(run.pad_to for run in batch)
     row_bytes = (edge - lo + 1) * len(batch) * N * np.dtype(dtype).itemsize
-    depth = s + 1 + max(1, BLOCK_BYTES // row_bytes)
-    ring, g_all = _zeros(
-        [(depth, edge - lo + 1, len(batch) * N), (n_top + 1, r, len(batch) * N)],
-        n_top, dtype,
-    )
+    depth = s + 1 + max(1, min(BLOCK_BYTES // row_bytes, n_top - s))
+    ring, g_all = _zeros([(depth, edge - lo + 1, len(batch) * N),
+                          (n_top + 1, r, len(batch) * N)], n_top, dtype)
     has_g = any(run.g is not None for run in batch)
     np.negative(g_all, out=g_all)  # -0.0, what a run without g adds
     flags = []
@@ -303,23 +311,27 @@ def _march_batch(scheme: SchemeDef, batch) -> list:
             rows = _as_march(np.asarray(run.g), dtype)[: run.n_max + 1]
             g_all[: run.n_max + 1, :, c] = rows.reshape(run.n_max + 1, r, N)
         for n, f in enumerate(run.f_layers):
-            ring[n, f.offset - lo : f.last - lo + 1, c] = _as_march(f.values, dtype)
+            a = max(lo, f.offset)  # whole-line data outside the buffer are cut
+            b = max(a, min(edge, f.last) + 1)
+            ring[n, a - lo : b - lo, c] = _as_march(f.values[a - f.offset : b - f.offset], dtype)
         flags.append([f.implicit_zero for f in run.f_layers])
     interior, boundary = _taps(scheme)
+    boundary = boundary if cone is None else []
     sources = [(b, run.F) for b, run in enumerate(batch) if run.F is not None]
     # columns past hi are zero: the data's support grows by r per step,
     # and F adds its own range; one hi serves every run.  A ring row past
-    # its level's r + top columns is zero, or lies past every j_obs, so the
-    # blocks hold each run's levels.
-    hi = max(0, *(f.last for run in batch for f in run.f_layers))
-    k, F_rows, base, done, top = len(batch), [], 0, 0, hi
+    # its level's top columns is zero, or lies past every j_obs, so the
+    # blocks hold each run's levels.  On the whole line hi starts at W0 - 1
+    # for data left of the buffer, so no slice wraps.
+    hi = max(0 if cone is None else lo - 1, *(f.last for run in batch for f in run.f_layers))
+    k, F_rows, done, top = len(batch), [], 0, hi
 
     def hand_over(n):
-        # levels done..n, in ring rows done - base.., to the marching runs
+        # levels done..n, in ring rows done % depth.., to the marching runs
         nonlocal done
         for run, c in zip(batch[:k], comps):
             run.sink(slice(done, n + 1),
-                     ring[done - base : n + 1 - base, : run.j_obs - lo + 1, c], r + top)
+                     ring[done % depth : n % depth + 1, : run.j_obs + 1 - lo, c], top + 1 - lo)
         done = n + 1
 
     for n in range(s, n_top):
@@ -327,35 +339,37 @@ def _march_batch(scheme: SchemeDef, batch) -> list:
             hand_over(n)
             k = sum(run.n_max > n for run in batch)
             ring, g_all = ring[..., : k * N].copy(), g_all[..., : k * N]
-        if n + 1 - base == depth:  # the ring is full: carry its last s+1 rows
-            if done <= n:
-                hand_over(n)
-            ring[: s + 1] = ring[depth - s - 1 :]
-            base += depth - s - 1
+        if (n + 1) % depth == 0 and done <= n:  # level n + 1 wraps round
+            hand_over(n)
         edge, hi = edge - p, hi + r
         if sources:
             F_rows = [(b, F(n)) for b, F in sources if b < k]
             hi = max([hi] + [row.last for _, row in F_rows if row is not None])
-        hi = min(edge, hi)
-        # numpy multiplies one row by a different BLAS routine than a block
-        # of rows; two rows keep every value bit-identical to a full step
-        top = max(hi, min(2, edge))
-        out = ring[n + 1 - base]
-        prev = ring[n - s - base : n + 1 - base]
-        out[: r + top] = 0
+        # the step computes columns first..top of the valid slice left..edge
+        if cone is not None:  # the cone's and the data's left edges move
+            cone = (cone[0] + r, cone[1] - p)
+        left, first = (1, 1) if cone is None else (cone[0], max(cone))
+        top = min(edge, hi)
+        # a lone row is widened to two inside the valid slice: numpy multiplies
+        # one row by a different BLAS routine than a block of rows
+        if first == top and left < edge:
+            first, top = (first, top + 1) if top < edge else (first - 1, top)
+        out = ring[(n + 1) % depth]
+        out[0 if cone is None else first - lo : top + 1 - lo] = 0
+        span = out[first - lo : top + 1 - lo]
         for sigma, sigma_taps in enumerate(interior):
-            _apply_taps(out[r : r + top], prev[s - sigma], r, sigma_taps)
+            _apply_taps(span, ring[(n - sigma) % depth], first - lo, sigma_taps)
         for b, row in F_rows:
             if row is not None and max(1, row.offset) <= min(top, row.last):
                 flo, fhi = max(1, row.offset), min(top, row.last)
-                out[flo - 1 + r : fhi + r, comps[b]] += batch[b].dt * row.window(flo, fhi)
+                out[flo - lo : fhi + 1 - lo, comps[b]] += batch[b].dt * row.window(flo, fhi)
             flags[b].append(all(flags[b][-(s + 1):])
                             and (row is None or row.implicit_zero))
         # boundary rows j in [1-r, 0]; sigma = -1 reads the new interior values
         for j, rows in enumerate(boundary):
             acc = out[j : j + 1]
             for sigma, sigma_taps in rows:
-                _apply_taps(acc, out if sigma == -1 else prev[s - sigma], r, sigma_taps)
+                _apply_taps(acc, ring[(n - sigma) % depth], r, sigma_taps)
             if has_g:
                 acc += g_all[n + 1, j : j + 1]
     hand_over(n_top)
@@ -453,14 +467,16 @@ def run_cauchy(
     on the left and n_max*p on the right (its backward cone), which makes
     the reported values identical to the infinite-lattice solution; data
     outside the cone are neither copied nor marched.  The default window
-    contains the full support of the solution through level n_max.
+    contains the full support of the solution through level n_max.  The
+    run's blocks of levels (see ``_march_batch``) are copied into the trace.
     """
+    if n_max < 0:
+        raise SimError("n_max must be nonnegative")
     if len(f_layers) != scheme.s + 1:
         raise SimError(f"need {scheme.s + 1} initial layers, got {len(f_layers)}")
     if not all(f.implicit_zero for f in f_layers):
         raise SimError("whole-line initial layers must be finitely supported")
-    jmin = min(f.offset for f in f_layers)
-    jmax = max(f.last for f in f_layers)
+    jmin, jmax = min(f.offset for f in f_layers), max(f.last for f in f_layers)
     auto = window is None
     if auto:
         window = (jmin - n_max * scheme.p, jmax + n_max * scheme.r)
@@ -472,37 +488,14 @@ def run_cauchy(
     cone0, cone1 = Lmin - n_max * scheme.r, Rmax + n_max * scheme.p
     W0 = max(min(cone0, jmin), cone0 - 1)
     W1 = min(max(cone1, jmax), cone1 + 1)
-
-    r, p, s, N = scheme.r, scheme.p, scheme.s, scheme.N
     dtype = _march_dtype(scheme, f_layers)
-    levels, ring = _zeros(
-        [(n_max + 1, Rmax - Lmin + 1, N), (s + 2, W1 - W0 + 1, N)], n_max, dtype
-    )
-    crop = slice(Lmin - W0, Rmax - W0 + 1)
-    for n, f in enumerate(f_layers):
-        ring[n] = _as_march(f.window(W0, W1), dtype)  # the data in the buffer
-        if n <= n_max:
-            levels[n] = ring[n][crop]
-    interior = _taps(scheme)[0]
-    lo_k, hi_k = 0, W1 - W0  # currently valid slice of the buffer
-    # the solution's support; -1 for data left of the buffer: no slice wraps
-    a, b = jmin - W0, max(jmax - W0, -1)
-    for n in range(s, n_max):
-        lo_k += r
-        hi_k -= p
-        a -= p
-        b += r
-        # the observation window stays inside the valid slice, and the
-        # solution is zero outside its support, so only their overlap is
-        # computed; one row is widened to two as in run_ibvp
-        c0, c1 = max(lo_k, a), min(hi_k, b)
-        if c0 == c1 and lo_k < hi_k:
-            c0, c1 = (c0, c1 + 1) if c1 < hi_k else (c0 - 1, c1)
-        out = ring[(n + 1) % (s + 2)]
-        out[c0 : c1 + 1] = 0
-        for sigma, sigma_taps in enumerate(interior):
-            _apply_taps(out[c0 : c1 + 1], ring[(n - sigma) % (s + 2)], c0, sigma_taps)
-        levels[n + 1] = out[crop]
+    levels = _zeros([(n_max + 1, Rmax - Lmin + 1, scheme.N)], n_max, dtype)[0]
+
+    def sink(index, block, cols):  # the whole window: cols is a half-line hint
+        levels[index] = block[:, Lmin - W0 :]
+
+    run = _Run(f_layers, n_max, Rmax, None, None, dt, sink, auto, W1, dtype)
+    _march_batch(scheme, [run], (W0, jmin))
     return IBVPTrace(scheme, dt, levels, Lmin, (auto,) * (n_max + 1), Rmax)
 
 
@@ -855,9 +848,13 @@ def verify_strong_stability(
 
     LHS sums run over n >= s+1 with the trace taken over j = 1-r..p; the
     RHS couples the interior source with weight e^{-2 gamma (n+1) dt} over
-    n >= s and the boundary source over n >= s+1.  A None row of the
-    interior source adds nothing.
+    n >= s and the boundary source over n >= s+1, whose rows past n_max
+    are not read.  A None row of the interior source adds nothing, and
+    with a source every gamma must be positive.
     """
+    if F_gen is not None and any(gamma <= 0 for gamma in gammas):
+        raise SimError("gamma must be positive when F is given: F's weight is "
+                       "(gamma dt + 1)/gamma")
     if g_gen is None:
         g_gen = lambda sch, dt, n_max, rng: decaying_boundary_data(
             sch, n_max, dt, seed=seed
@@ -874,7 +871,7 @@ def verify_strong_stability(
         n_max, dx = len(sums[0]) - 1, dt / scheme.lam
         rhs = 0.0
         if data.g is not None:
-            gmass = np.sum(np.abs(data.g) ** 2, axis=(1, 2))
+            gmass = np.sum(np.abs(data.g[: n_max + 1]) ** 2, axis=(1, 2))
             weights = np.exp(-2 * gamma * np.arange(n_max + 1) * dt)
             rhs += float(np.sum(dt * weights[s + 1 :] * gmass[s + 1 :]))
         for n in range(s, n_max) if data.F is not None else ():

@@ -73,3 +73,15 @@ def test_every_module_constant_has_a_reader():
         for name in _module_constants(tree) - read
     )
     assert unread == []
+
+
+def test_one_loop_applies_the_solver_taps():
+    # half-line and whole-line runs step in _march_batch alone
+    tree = ast.parse((PACKAGE / "sim.py").read_text())
+    callers = {
+        fn.name
+        for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_apply_taps"
+    }
+    assert callers == {"_march_batch", "reconstruct_boundary_source"}

@@ -185,6 +185,18 @@ def test_cauchy_window_matches_infinite_lattice():
         assert np.array_equal(ls.values, lb.window(-4, 8))
 
 
+def test_cauchy_rejects_a_negative_horizon():
+    # as run_ibvp refuses a short one; n_max 0..s-1 returns the data's levels
+    scheme = leap_frog(0.5, 1.0)
+    f = random_layers(scheme, n_sites=4, seed=2)
+    for n_max in (-1, -2):
+        with pytest.raises(SimError, match="n_max must be nonnegative"):
+            run_cauchy(scheme, f, n_max=n_max)
+    trace = run_cauchy(scheme, f, n_max=0, window=(0, 3))
+    assert trace.n_max == 0
+    assert trace.levels[0].tobytes() == f[0].window(0, 3).tobytes()
+
+
 def test_cauchy_rejects_unsupported_layers():
     scheme = upwind(0.5, 1.0)
     f = (GridSequence(0, np.ones((3, 1))),)
@@ -481,6 +493,30 @@ def test_strong_stability_counts_a_none_source_row_as_zero():
             rhs += ((gamma * dt + 1) / gamma * dt
                     * np.exp(-2 * gamma * (n + 1) * dt) * F[n].norm_sq(dx))
         assert rep.ratios[0, k] == lhs / rhs
+
+
+def test_strong_stability_reads_the_first_n_max_plus_one_boundary_rows():
+    # run_ibvp reads a longer g's first n_max + 1 rows; so does the RHS
+    scheme, dt, t_end = upwind(0.5, 1.0), 0.1, 2.0
+    n_max = int(round(t_end / dt))
+    long_g = lambda sch, dt, n_max, rng: decaying_boundary_data(sch, n_max + 10, dt)
+    cut_g = lambda sch, dt, n_max, rng: long_g(sch, dt, n_max, rng)[: n_max + 1]
+    reps = [verify_strong_stability(scheme, g_gen=gen, refinements=(dt,), t_end=t_end)
+            for gen in (long_g, cut_g)]
+    assert len(long_g(scheme, dt, n_max, None)) == n_max + 11
+    assert not reps[0].vacuous
+    assert reps[0].ratios.tobytes() == reps[1].ratios.tobytes()
+
+
+def test_strong_stability_with_a_source_needs_positive_gammas(monkeypatch):
+    # the source's weight (gamma dt + 1)/gamma: refused before any march
+    monkeypatch.setattr(sim, "_march", lambda *a: pytest.fail("marched"))
+    F_gen = lambda sch, dt, n_max, rng: [
+        GridSequence(1, np.ones((2, 1)), implicit_zero=True)] * n_max
+    for gammas in [(0.0, 0.1), (0.1, -1.0)]:
+        with pytest.raises(SimError, match="gamma must be positive when F is given"):
+            verify_strong_stability(upwind(0.5, 1.0), F_gen=F_gen, gammas=gammas,
+                                    refinements=(0.1,), t_end=1.0)
 
 
 def test_strong_stability_marginal_reflection_blows_up():
@@ -983,16 +1019,16 @@ def test_batched_march_matches_single_runs_bit_for_bit(name):
 
 
 def test_strong_stability_ladder_and_split_march_once(monkeypatch):
-    # the whole dt ladder is one batch, and U and W are one after V
+    # the whole dt ladder is one batch, and U and W are one after V's
     batches = []
     march_batch = sim._march_batch
-    monkeypatch.setattr(sim, "_march_batch", lambda scheme, batch: batches.append(
-        [run.n_max for run in batch]) or march_batch(scheme, batch))
+    monkeypatch.setattr(sim, "_march_batch", lambda scheme, batch, *cone: batches.append(
+        [run.n_max for run in batch]) or march_batch(scheme, batch, *cone))
     scheme = upwind(0.5, 1.0)
     verify_strong_stability(scheme, refinements=(0.1, 0.025, 0.05), t_end=2.0)
     assert batches == [[80, 40, 20]]
     split_solution(scheme, decaying_data(scheme, 8, seed=1), 30)
-    assert batches[1:] == [[30, 30]]
+    assert batches[1:] == [[30], [30, 30]]
 
 
 def _reference_ladder(scheme, refinements, t_end, P=3, gammas=sim.DEFAULT_GAMMAS):
@@ -1417,6 +1453,24 @@ def test_run_cauchy_cut_to_the_cone_matches_reference_loop(name, window):
             trace = run_cauchy(scheme, f, n_max, window=window)
             want, j_obs = _reference_run_cauchy(scheme, f, n_max, window=window)
             _assert_same_levels(trace, want, j_obs)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("name", list(CONE_SCHEMES))
+def test_run_cauchy_hands_over_blocks_of_a_wide_window(name, real):
+    # rows of over 58 KB: a block holds at most 8 levels, so a whole-line
+    # run hands over several blocks and ends inside one; data inside the
+    # window, and data reaching past the cone's right edge, which binds
+    # before the support's
+    scheme = CONE_SCHEMES[name]
+    n_max, width = 30, sim.BLOCK_BYTES // 72
+    window = (-width // 2, width - width // 2 - 1)
+    cone1 = window[1] + n_max * scheme.p
+    for seed, (lo, hi) in enumerate([(-20, 20), (cone1 - 6, cone1 + 6)]):
+        f = _layers_on(scheme, lo, hi, seed, real=real)
+        trace = run_cauchy(scheme, f, n_max, window=window)
+        want, j_obs = _reference_run_cauchy(scheme, f, n_max, window=window)
+        _assert_same_levels(trace, want, j_obs)
 
 
 @pytest.mark.parametrize("name", ["upwind", "leap-frog", "random-three-level"])
