@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -130,16 +131,25 @@ class SchemeDef:
             raise RangeError(f"B[{ell},{j},{sigma}] outside declared ranges")
         return self.boundary[ell, j - (1 - self.r), sigma + 1]
 
+    @cached_property
+    def tap_table(self) -> tuple:
+        """(interior, boundary), the nonzero taps, built once per scheme for
+        every reader: ``interior[sigma]`` lists the (ell, A[ell, sigma]) of
+        Q_sigma, ``boundary[k]`` the (sigma, taps) of row j = k + 1 - r with
+        taps the (ell, B[ell, j, sigma]), sigmas without a nonzero tap left
+        out.  Each list runs in ascending order."""
+        nonzero = lambda pairs: tuple((ell, m) for ell, m in pairs if m.any())
+        interior = tuple(nonzero((ell, self.A(ell, sigma)) for ell in range(-self.r, self.p + 1))
+                         for sigma in range(self.s + 1))
+        boundary = tuple(tuple((sigma, taps) for sigma in range(-1, self.s + 1) if (taps := nonzero(
+            (ell, self.B(ell, j, sigma)) for ell in range(self.q + 1)))) for j in range(1 - self.r, 1))
+        return interior, boundary
+
     def interior_op(self, sigma: int) -> "DifferenceOp":
         """The operator Q_sigma as a DifferenceOp."""
-        taps = {
-            ell: self.A(ell, sigma)
-            for ell in range(-self.r, self.p + 1)
-            if np.any(self.A(ell, sigma))
-        }
-        if not taps:
-            taps = {0: np.zeros((self.N, self.N))}
-        return DifferenceOp(taps)
+        if not 0 <= sigma <= self.s:
+            raise RangeError(f"Q_{sigma} outside declared range [0, {self.s}]")
+        return DifferenceOp(dict(self.tap_table[0][sigma]) or {0: np.zeros((self.N, self.N))})
 
     def consistency_sum(self) -> np.ndarray:
         """sum over all (ell, sigma) of A[ell, sigma]; equals I if consistent."""
@@ -774,23 +784,17 @@ def leap_frog(lam: float, a: float, boundary: str = "dirichlet") -> SchemeDef:
 
 
 def scheme_to_dict(scheme: SchemeDef) -> dict:
-    interior = []
-    for ell in range(-scheme.r, scheme.p + 1):
-        for sigma in range(scheme.s + 1):
-            m = scheme.A(ell, sigma)
-            if np.any(m):
-                interior.append(
-                    {"ell": ell, "sigma": sigma, "matrix": m.tolist()}
-                )
-    boundary = []
-    for ell in range(scheme.q + 1):
-        for j in range(1 - scheme.r, 1):
-            for sigma in range(-1, scheme.s + 1):
-                m = scheme.B(ell, j, sigma)
-                if np.any(m):
-                    boundary.append(
-                        {"ell": ell, "j": j, "sigma": sigma, "matrix": m.tolist()}
-                    )
+    interior, boundary = scheme.tap_table
+    interior = sorted(
+        ({"ell": ell, "sigma": sigma, "matrix": m.tolist()}
+         for sigma, taps in enumerate(interior) for ell, m in taps),
+        key=lambda e: (e["ell"], e["sigma"]),
+    )
+    boundary = sorted(
+        ({"ell": ell, "j": k + 1 - scheme.r, "sigma": sigma, "matrix": m.tolist()}
+         for k, rows in enumerate(boundary) for sigma, taps in rows for ell, m in taps),
+        key=lambda e: (e["ell"], e["j"], e["sigma"]),
+    )
     return {
         "schema_version": SCHEME_SCHEMA_VERSION,
         "N": scheme.N,

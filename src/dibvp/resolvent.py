@@ -396,6 +396,8 @@ def uklc_scan(
     the resolvent only: the symbol-side hypotheses (von Neumann, no
     glancing modes) are separate checks.
     """
+    if len(radii) == 0 or n_theta < 1:
+        raise ResolventError(f"empty scan grid: {len(radii)} radii x {n_theta} angles")
     thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     zs = ((1 + np.asarray(radii, dtype=float))[:, None] * np.exp(1j * thetas)).ravel()
     values, fallbacks = _lopatinskii(scheme, zs, b_eff)

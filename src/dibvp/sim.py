@@ -18,8 +18,9 @@ no artificial outflow condition ever enters.  A whole-line run
 
 Every run steps in ``_march_batch``: its levels pass through a ring of s+1
 rows and a block of rows filling about BLOCK_BYTES, and each pass round
-the ring, and what is left at the end, goes to the run's sink.  ``run_ibvp``,
-``run_cauchy`` and ``split_solution`` copy the blocks into an
+the ring, and what is left at the end, goes to the run's sink; it reads
+the scheme's ``tap_table``, a whole-line run only its interior list.
+``run_ibvp``, ``run_cauchy`` and ``split_solution`` copy the blocks into an
 ``IBVPTrace``, one (n_max+1, L, N) array of levels, float64 for a real
 scalar problem and complex128 otherwise.  The trace, strong-stability and
 semigroup verifiers march their dt ladders through one engine,
@@ -66,36 +67,6 @@ _MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 class SimError(ValueError):
     """Raised for inconsistent solver inputs or exhausted windows."""
-
-
-# ---------------------------------------------------------------------------
-# stepping
-
-
-def _taps(scheme: SchemeDef) -> tuple:
-    """The nonzero (ell, matrix) taps of the interior and boundary recursions.
-
-    ``interior[sigma]`` lists the taps of Q_sigma; ``boundary[k]`` lists
-    (sigma, taps) for boundary row j = k + 1 - r, sigma = -1..s, leaving
-    out sigmas without a nonzero tap.  A run resolves them once.
-    """
-    r, p, q, s = scheme.r, scheme.p, scheme.q, scheme.s
-
-    def nonzero(pairs):
-        return [(ell, m) for ell, m in pairs if np.any(m)]
-
-    interior = [
-        nonzero((ell, scheme.A(ell, sigma)) for ell in range(-r, p + 1))
-        for sigma in range(s + 1)
-    ]
-    boundary = []
-    for j in range(1 - r, 1):
-        rows = [
-            (sigma, nonzero((ell, scheme.B(ell, j, sigma)) for ell in range(q + 1)))
-            for sigma in range(-1, s + 1)
-        ]
-        boundary.append([(sigma, taps) for sigma, taps in rows if taps])
-    return interior, boundary
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +184,15 @@ def run_ibvp(
 _Run = namedtuple("_Run", "f_layers n_max j_obs g F dt sink auto pad_to dtype")
 
 
+def _check_layers(scheme: SchemeDef, f_layers) -> None:
+    """s+1 initial layers of N components each, or a SimError naming both counts."""
+    if len(f_layers) != scheme.s + 1:
+        raise SimError(f"need {scheme.s + 1} initial layers, got {len(f_layers)}")
+    for f in f_layers:
+        if f.N != scheme.N:
+            raise SimError(f"initial layer has {f.N} components, the scheme {scheme.N}")
+
+
 def _check_run(scheme, f_layers, n_max, j_obs, g, F, dt, sink=None) -> _Run:
     """A run's inputs checked as ``run_ibvp`` checks them, with its window,
     allocation edge and march dtype.  A run whose levels would take more
@@ -221,8 +201,7 @@ def _check_run(scheme, f_layers, n_max, j_obs, g, F, dt, sink=None) -> _Run:
     lo = 1 - r
     if n_max < s:
         raise SimError(f"n_max must be at least s = {s}")
-    if len(f_layers) != s + 1:
-        raise SimError(f"need {s + 1} initial layers, got {len(f_layers)}")
+    _check_layers(scheme, f_layers)
     auto = j_obs is None
     if auto:
         j_obs = _auto_obs(scheme, f_layers, n_max)
@@ -232,8 +211,12 @@ def _check_run(scheme, f_layers, n_max, j_obs, g, F, dt, sink=None) -> _Run:
             raise SimError(f"initial layer starts at {f.offset} < {lo}")
         if f.last > pad_to:
             raise SimError(f"initial layer extends past the allocation {pad_to}")
-    if g is not None and len(g) < n_max + 1:
-        raise SimError(f"need {n_max + 1} rows of boundary data, got {len(g)}")
+    if g is not None:
+        if len(g) < n_max + 1:
+            raise SimError(f"need {n_max + 1} rows of boundary data, got {len(g)}")
+        width = int(np.prod(np.shape(g)[1:]))
+        if width != r * scheme.N:
+            raise SimError(f"boundary rows hold {width} values, need r N = {r * scheme.N}")
     # the edge shrinks by p a step, down to j_obs after the last one
     if n_max > s and j_obs <= q:
         edge = pad_to - max(0, (pad_to - 1 - q) // p) * p if p else pad_to
@@ -315,8 +298,8 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
             b = max(a, min(edge, f.last) + 1)
             ring[n, a - lo : b - lo, c] = _as_march(f.values[a - f.offset : b - f.offset], dtype)
         flags.append([f.implicit_zero for f in run.f_layers])
-    interior, boundary = _taps(scheme)
-    boundary = boundary if cone is None else []
+    interior = scheme.tap_table[0]
+    boundary = scheme.tap_table[1] if cone is None else ()
     sources = [(b, run.F) for b, run in enumerate(batch) if run.F is not None]
     # columns past hi are zero: the data's support grows by r per step,
     # and F adds its own range; one hi serves every run.  A ring row past
@@ -472,8 +455,7 @@ def run_cauchy(
     """
     if n_max < 0:
         raise SimError("n_max must be nonnegative")
-    if len(f_layers) != scheme.s + 1:
-        raise SimError(f"need {scheme.s + 1} initial layers, got {len(f_layers)}")
+    _check_layers(scheme, f_layers)
     if not all(f.implicit_zero for f in f_layers):
         raise SimError("whole-line initial layers must be finitely supported")
     jmin, jmax = min(f.offset for f in f_layers), max(f.last for f in f_layers)
@@ -522,7 +504,7 @@ def reconstruct_boundary_source(
     if V.offset > 1 - r or V.j_obs < 1 + q:
         raise RangeError(f"V holds columns {V.offset}..{V.j_obs}; g reads {1 - r}..{1 + q}")
     one = 1 - V.offset  # the column of j = 1
-    boundary = _taps(scheme)[1]
+    boundary = scheme.tap_table[1]
     g = np.zeros((n_max + 1, r, N), dtype=complex)
     if n_max <= s:
         return g
@@ -649,8 +631,8 @@ def _abs_sq(levels: np.ndarray) -> np.ndarray:
 
 
 def _weighted_norms(dt, dx, sums, gamma, P, n_start) -> NormSeries:
-    if gamma < 0:
-        raise SimError("gamma must be nonnegative")
+    if not gamma >= 0:  # NaN fails too
+        raise SimError(f"gamma must be nonnegative, got {gamma}")
     mass_sums, trace_sums = sums
     w = np.exp(-2 * gamma * np.arange(len(mass_sums)) * dt)
     level_mass = dx * mass_sums
@@ -744,15 +726,17 @@ class EstimateReport:
     verdict: str
 
 
-def _ratio_table(runs, gammas, cell) -> tuple:
+def _ratio_table(runs, gammas, entry) -> tuple:
     """(ratios, measured) over the entries of ``runs`` (see ``_ladder_sums``)
-    and ``gammas``: cell i, k is lhs / rhs of cell(dt, data, sums, gamma),
+    and ``gammas``: entry(dt, data, sums) takes an entry's gamma-free terms
+    once and gives its cell, and cell i, k is lhs / rhs of cell(gamma),
     measured where rhs > 0 and NaN elsewhere."""
     ratios = np.full((len(runs), len(gammas)), np.nan)
     measured = np.zeros(ratios.shape, dtype=bool)
-    for i, (dt, data, sums) in enumerate(runs):
+    for i, run in enumerate(runs):
+        cell = entry(*run)
         for k, gamma in enumerate(gammas):
-            lhs, rhs = cell(dt, data, sums, gamma)
+            lhs, rhs = cell(gamma)
             if rhs > 0:
                 measured[i, k], ratios[i, k] = True, lhs / rhs
     return ratios, measured
@@ -781,9 +765,9 @@ def _fit(name, dts, gammas, ratios, measured) -> tuple:
     return slope, top, slope <= SLOPE_TOL, f"max {text}"
 
 
-def _estimate_report(kind, dts, gammas, runs, cell, issues) -> EstimateReport:
+def _estimate_report(kind, dts, gammas, runs, entry, issues) -> EstimateReport:
     """Ratio table (see ``_ratio_table``), fit (see ``_fit``) and verdict."""
-    ratios, measured = _ratio_table(runs, gammas, cell)
+    ratios, measured = _ratio_table(runs, gammas, entry)
     vacuous = not measured.any()
     slope, max_ratio, bounded, fit = _fit("ratio", dts, gammas, ratios, measured)
     if vacuous:
@@ -828,10 +812,12 @@ def verify_thm1(
     issues, cols = _hypothesis_report(scheme), _trace_cols(scheme.r, P)
     runs = _ladder_sums(scheme, refinements, t_end, seed,
                         lambda sq, levels: _level_sums(sq, cols), f_gen=f_generator)
-    cell = lambda dt, data, sums, gamma: (
-        _trace_lhs(scheme, dt, sums, gamma, P, 0),
-        sum(f.norm_sq(dt / scheme.lam) for f in data.f))
-    return _estimate_report("trace-estimate", refinements, gammas, runs, cell, issues)
+
+    def entry(dt, data, sums):
+        mass = sum(f.norm_sq(dt / scheme.lam) for f in data.f)
+        return lambda gamma: (_trace_lhs(scheme, dt, sums, gamma, P, 0), mass)
+
+    return _estimate_report("trace-estimate", refinements, gammas, runs, entry, issues)
 
 
 @np.errstate(all="ignore")
@@ -852,7 +838,7 @@ def verify_strong_stability(
     are not read.  A None row of the interior source adds nothing, and
     with a source every gamma must be positive.
     """
-    if F_gen is not None and any(gamma <= 0 for gamma in gammas):
+    if F_gen is not None and not all(gamma > 0 for gamma in gammas):
         raise SimError("gamma must be positive when F is given: F's weight is "
                        "(gamma dt + 1)/gamma")
     if g_gen is None:
@@ -867,20 +853,24 @@ def verify_strong_stability(
                         lambda sq, levels: _level_sums(sq, cols),
                         lambda *_: zero, g_gen, F_gen)
 
-    def cell(dt, data, sums, gamma):
+    def entry(dt, data, sums):
         n_max, dx = len(sums[0]) - 1, dt / scheme.lam
-        rhs = 0.0
-        if data.g is not None:
-            gmass = np.sum(np.abs(data.g[: n_max + 1]) ** 2, axis=(1, 2))
-            weights = np.exp(-2 * gamma * np.arange(n_max + 1) * dt)
-            rhs += float(np.sum(dt * weights[s + 1 :] * gmass[s + 1 :]))
-        for n in range(s, n_max) if data.F is not None else ():
-            mass = 0.0 if data.F[n] is None else data.F[n].norm_sq(dx)
-            decay = np.exp(-2 * gamma * (n + 1) * dt)
-            rhs += (gamma * dt + 1) / gamma * dt * decay * mass
-        return _trace_lhs(scheme, dt, sums, gamma, scheme.p, s + 1), rhs
+        gmass = None if data.g is None else np.sum(np.abs(data.g[: n_max + 1]) ** 2, axis=(1, 2))
+        masses = [] if data.F is None else [
+            0.0 if data.F[n] is None else data.F[n].norm_sq(dx) for n in range(s, n_max)]
 
-    return _estimate_report("strong-stability", refinements, gammas, runs, cell, issues)
+        def cell(gamma):
+            rhs = 0.0
+            if gmass is not None:
+                weights = np.exp(-2 * gamma * np.arange(n_max + 1) * dt)
+                rhs += float(np.sum(dt * weights[s + 1 :] * gmass[s + 1 :]))
+            for n, mass in enumerate(masses, start=s):
+                rhs += (gamma * dt + 1) / gamma * dt * np.exp(-2 * gamma * (n + 1) * dt) * mass
+            return _trace_lhs(scheme, dt, sums, gamma, scheme.p, s + 1), rhs
+
+        return cell
+
+    return _estimate_report("strong-stability", refinements, gammas, runs, entry, issues)
 
 
 @dataclass(frozen=True)
@@ -947,7 +937,7 @@ def verify_semigroup(
 
     runs = _ladder_sums(scheme, refinements, t_end, seed, reduce, f_gen=f_generator)
     # one gamma-free column, whose unmeasured cells read 0.0
-    C2, measured = _ratio_table(runs, (None,), lambda dt, data, sums, _: (
+    C2, measured = _ratio_table(runs, (None,), lambda dt, data, sums: lambda _: (
         float((dt / scheme.lam * sums[0]).max()),
         sum(f.norm_sq(dt / scheme.lam) for f in data.f)))
     C2 = np.where(measured, C2, 0.0)

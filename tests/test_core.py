@@ -186,6 +186,44 @@ def test_scheme_constructor_rejects_bad_shapes():
         )
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_tap_table_lists_the_nonzero_taps_in_order(seed):
+    # every (ell, sigma) and (ell, j, sigma) block zeroed with probability
+    # 1/2, so empty sigmas and boundary rows occur
+    rng = np.random.default_rng(seed)
+    N, r, p, q, s = 1 + seed % 2, 1 + seed % 3 // 2, seed % 3, seed % 2, seed % 3
+    interior = rng.standard_normal((p + r + 1, s + 1, N, N))
+    boundary = rng.standard_normal((q + 1, r, s + 2, N, N))
+    interior[rng.random((p + r + 1, s + 1)) < 0.5] = 0.0
+    boundary[rng.random((q + 1, r, s + 2)) < 0.5] = 0.0
+    scheme = SchemeDef(N, r, p, q, s, 1.0, interior, boundary)
+    want_interior = [[(ell, scheme.A(ell, sigma)) for ell in range(-r, p + 1)
+                      if scheme.A(ell, sigma).any()] for sigma in range(s + 1)]
+    want_boundary = [
+        [(sigma, taps) for sigma in range(-1, s + 1)
+         if (taps := [(ell, scheme.B(ell, j, sigma)) for ell in range(q + 1)
+                      if scheme.B(ell, j, sigma).any()])]
+        for j in range(1 - r, 1)
+    ]
+    table = scheme.tap_table
+    assert scheme.tap_table is table
+    listed = lambda taps: [(ell, m.tolist()) for ell, m in taps]
+    assert [listed(taps) for taps in table[0]] == [listed(taps) for taps in want_interior]
+    assert [[(sigma, listed(taps)) for sigma, taps in rows] for rows in table[1]] == [
+        [(sigma, listed(taps)) for sigma, taps in rows] for rows in want_boundary]
+    for sigma, taps in enumerate(want_interior):
+        op = scheme.interior_op(sigma)
+        assert list(op.taps) == ([ell for ell, _ in taps] or [0])
+    with pytest.raises(RangeError):
+        scheme.interior_op(s + 1)
+    data = scheme_to_dict(scheme)
+    assert [(e["ell"], e["sigma"]) for e in data["interior"]] == sorted(
+        (ell, sigma) for sigma, taps in enumerate(want_interior) for ell, _ in taps)
+    assert [(e["ell"], e["j"], e["sigma"]) for e in data["boundary"]] == sorted(
+        (ell, k + 1 - r, sigma) for k, rows in enumerate(want_boundary)
+        for sigma, taps in rows for ell, _ in taps)
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 

@@ -406,6 +406,12 @@ def test_uklc_zero_rows_fails():
     assert scan.values.max() == 0.0
 
 
+@pytest.mark.parametrize("grid", [{"radii": ()}, {"n_theta": 0}])
+def test_uklc_scan_names_an_empty_grid(grid):
+    with pytest.raises(ResolventError, match="empty scan grid"):
+        uklc_scan(upwind(1.0, 0.5), **grid)
+
+
 def test_uklc_extrapolation_degenerates_toward_circle():
     # |Delta| ~ |1 - mu_s(z)| vanishes as z -> 1: verdict flips once the
     # scan radii go deep enough

@@ -18,6 +18,7 @@ from dibvp.core import (
     lax_friedrichs,
     lax_wendroff,
     leap_frog,
+    scheme_to_dict,
     three_point,
     upwind,
 )
@@ -338,8 +339,9 @@ def test_norms_rejects_bad_inputs():
     scheme = upwind(0.5, 1.0)
     f = random_layers(scheme, n_sites=4, seed=52)
     trace = run_ibvp(scheme, f, n_max=3)
-    with pytest.raises(SimError):
-        accumulate_norms(trace, -0.1, P=1)
+    for gamma in (-0.1, np.nan):
+        with pytest.raises(SimError, match="gamma must be nonnegative"):
+            accumulate_norms(trace, gamma, P=1)
     with pytest.raises(SimError):
         accumulate_norms(trace, 0.1, P=-5)
 
@@ -513,10 +515,50 @@ def test_strong_stability_with_a_source_needs_positive_gammas(monkeypatch):
     monkeypatch.setattr(sim, "_march", lambda *a: pytest.fail("marched"))
     F_gen = lambda sch, dt, n_max, rng: [
         GridSequence(1, np.ones((2, 1)), implicit_zero=True)] * n_max
-    for gammas in [(0.0, 0.1), (0.1, -1.0)]:
+    for gammas in [(0.0, 0.1), (0.1, -1.0), (np.nan,)]:
         with pytest.raises(SimError, match="gamma must be positive when F is given"):
             verify_strong_stability(upwind(0.5, 1.0), F_gen=F_gen, gammas=gammas,
                                     refinements=(0.1,), t_end=1.0)
+
+
+@pytest.mark.parametrize("verify", [verify_thm1, verify_strong_stability])
+def test_verifiers_refuse_a_nan_gamma(verify):
+    # refused where the cells are weighted, as a negative gamma is
+    with pytest.raises(SimError, match="gamma must be nonnegative, got nan"):
+        verify(upwind(0.5, 1.0), gammas=(0.1, np.nan), refinements=(0.1, 0.05), t_end=2.0)
+
+
+class _CountedRows(np.ndarray):
+    """(n, r, N) boundary rows that record each slice of levels taken of them."""
+
+    reads = []
+
+    def __getitem__(self, key):
+        if self.ndim == 3 and isinstance(key, slice):
+            _CountedRows.reads.append(key)
+        return super().__getitem__(key)
+
+
+def test_verifiers_take_gamma_free_terms_once_per_entry(monkeypatch):
+    # the data mass, the boundary-mass array and each source row's norm are
+    # the same for every gamma: one of each per ladder entry
+    calls, norm_sq = [], GridSequence.norm_sq
+    monkeypatch.setattr(GridSequence, "norm_sq",
+                        lambda self, dx=1.0: calls.append(dx) or norm_sq(self, dx))
+    gammas, ladder = (1e-3, 1e-2, 0.1, 1.0), (0.1, 0.05, 0.025)
+    verify_thm1(upwind(0.5, 1.0), gammas=gammas, refinements=ladder, t_end=2.0)
+    assert len(calls) == 3
+    calls.clear()
+    _CountedRows.reads.clear()
+    g_gen = lambda sch, dt, n_max, rng: decaying_boundary_data(
+        sch, n_max, dt).view(_CountedRows)
+    F_gen = lambda sch, dt, n_max, rng: [
+        None if n % 3 else GridSequence(1, np.ones((2, 1)), implicit_zero=True)
+        for n in range(n_max)]
+    verify_strong_stability(upwind(0.5, 1.0), g_gen=g_gen, F_gen=F_gen, gammas=gammas,
+                            refinements=ladder, t_end=1.2)
+    assert len(calls) == sum(len(range(0, n, 3)) for n in (12, 24, 48))
+    assert len(_CountedRows.reads) == 3
 
 
 def test_strong_stability_marginal_reflection_blows_up():
@@ -610,6 +652,27 @@ def test_boundary_data_array_too_short():
     f = random_layers(scheme, n_sites=4, seed=61)
     with pytest.raises(SimError, match="boundary data"):
         run_ibvp(scheme, f, n_max=6, g=np.zeros((3, 1, 1)))
+
+
+@pytest.mark.parametrize("run", [run_ibvp, run_cauchy])
+def test_runs_name_the_component_counts_of_their_layers(monkeypatch, run):
+    # refused before anything is allocated, naming both counts
+    monkeypatch.setattr(sim, "_zeros", lambda *a: pytest.fail("allocated"))
+    f = (GridSequence(0, np.ones((3, 2)), implicit_zero=True),)
+    with pytest.raises(SimError, match="initial layer has 2 components, the scheme 1"):
+        run(upwind(0.5, 1.0), f, 5)
+
+
+def test_run_ibvp_names_the_width_of_its_boundary_rows(monkeypatch):
+    monkeypatch.setattr(sim, "_zeros", lambda *a: pytest.fail("allocated"))
+    f = random_layers(upwind(0.5, 1.0), n_sites=4, seed=61)
+    for g in (np.zeros((6, 2)), np.zeros((6, 1, 2))):
+        with pytest.raises(SimError, match="boundary rows hold 2 values, need r N = 1"):
+            run_ibvp(upwind(0.5, 1.0), f, n_max=5, g=g)
+    system = random_scheme(3, 2, 2, 1, 0, 0, boundary="random")
+    f = random_layers(system, n_sites=4, seed=62)
+    with pytest.raises(SimError, match="boundary rows hold 2 values, need r N = 4"):
+        run_ibvp(system, f, n_max=5, g=np.zeros((6, 2, 1)))
 
 
 def test_decaying_data_reproducible_and_decaying():
@@ -1564,3 +1627,47 @@ def test_split_count_error_makes_uklc_implausible(monkeypatch):
     assert not verify_semigroup(upwind(0.5, 1.0), **_SHORT).uklc_plausible
     monkeypatch.undo()
     assert verify_semigroup(upwind(0.5, 1.0), **_SHORT).uklc_plausible
+
+
+# ---------------------------------------------------------------------------
+# one tap table per scheme
+
+
+def test_runs_read_the_taps_from_one_table(monkeypatch):
+    # every A and B block is read once, by the table's build, however many
+    # runs, splits and serializations read the scheme's taps
+    reads, A, B = [], SchemeDef.A, SchemeDef.B
+    monkeypatch.setattr(SchemeDef, "A", lambda self, *k: reads.append(("A", *k)) or A(self, *k))
+    monkeypatch.setattr(SchemeDef, "B", lambda self, *k: reads.append(("B", *k)) or B(self, *k))
+    scheme = random_scheme(5, 2, 2, 1, 1, 1, boundary="random")
+    f = random_layers(scheme, n_sites=6, seed=8)
+    for _ in range(3):
+        run_ibvp(scheme, f, 6)
+        run_cauchy(scheme, f, 6)
+        split_solution(scheme, f, 6)
+        scheme.interior_op(0)
+        scheme_to_dict(scheme)
+    r, p, q, s = scheme.r, scheme.p, scheme.q, scheme.s
+    assert len(reads) == len(set(reads)) == (p + r + 1) * (s + 1) + (q + 1) * r * (s + 2)
+
+
+class _Unread:
+    """A tap list that fails when read."""
+
+    def _read(self, *_):
+        raise LookupError("boundary taps read")
+
+    __iter__ = __len__ = __getitem__ = _read
+
+
+@pytest.mark.parametrize("name", ["lax-wendroff-extrapolation", "random-three-level"])
+def test_whole_line_runs_read_no_boundary_taps(name):
+    scheme = ORACLE_SCHEMES[name]
+    f = _layers_on(scheme, -5, 5, seed=3)
+    want = run_cauchy(scheme, f, 12)
+    blind = SchemeDef(scheme.N, scheme.r, scheme.p, scheme.q, scheme.s, scheme.lam,
+                      scheme.interior, scheme.boundary)
+    vars(blind)["tap_table"] = (scheme.tap_table[0], _Unread())
+    assert run_cauchy(blind, f, 12).levels.tobytes() == want.levels.tobytes()
+    with pytest.raises(LookupError, match="boundary taps read"):
+        run_ibvp(blind, random_layers(scheme, seed=3), 12)
