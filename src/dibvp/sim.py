@@ -27,7 +27,7 @@ semigroup verifiers march their dt ladders through one engine,
 ``_ladder_sums``: it draws every entry's f, g and F from one seeded rng in
 ladder order, marches all runs in one call, and reduces each block to the
 per-level sums of |U_j^n|^2 the estimates read, holding no trace;
-``accumulate_norms`` takes the same sums of a trace.  A run reads dt only
+``accumulate_norms`` takes them of a trace's blocks.  A run reads dt only
 to scale F, so with F = g = 0 and the same initial layers at every dt of a
 fixed-lam ladder, the run to n levels is the first n + 1 levels of any
 longer run, cut to its own width: such entries share one march and reduce
@@ -41,10 +41,11 @@ Systems and whole-line runs march alone.
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class IBVPTrace:
     ``levels`` is the trace, one read-only (n_max+1, L, N) array; U^n is
     zero outside its columns where ``zero_flags[n]`` is set.  Half-line
     runs start at offset 1-r, whole-line runs at their window's left end.
-    ``layers``, one GridSequence per level, is built when read.
+    ``layers`` views the levels as GridSequences, each built when read.
 
     ``levels`` is float64 when the run marched a real scalar problem (see
     ``_march_dtype``) and complex128 otherwise; ``layers`` are complex
@@ -97,14 +98,9 @@ class IBVPTrace:
     def __post_init__(self):
         self.levels.setflags(write=False)
 
-    @cached_property
-    def layers(self) -> tuple:
-        # a float trace is cast to complex once, not level by level
-        levels = self.levels.astype(complex, copy=False)
-        return tuple(
-            GridSequence(self.offset, lev, implicit_zero=z)
-            for lev, z in zip(levels, self.zero_flags)
-        )
+    @property
+    def layers(self) -> _Layers:
+        return _Layers(self)
 
     @property
     def n_max(self) -> int:
@@ -113,6 +109,20 @@ class IBVPTrace:
     @property
     def dx(self) -> float:
         return self.dt / self.scheme.lam
+
+
+class _Layers(Sequence):
+    """The levels of a trace as GridSequences, each built when read."""
+
+    def __init__(self, trace: IBVPTrace):
+        self.trace = trace
+
+    def __len__(self) -> int:
+        return len(self.trace.levels)
+
+    def __getitem__(self, n) -> GridSequence:
+        n, t = operator.index(n), self.trace
+        return GridSequence(t.offset, t.levels[n], implicit_zero=t.zero_flags[n])
 
 
 def _real(values) -> bool:
@@ -327,6 +337,9 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
         edge, hi = edge - p, hi + r
         if sources:
             F_rows = [(b, F(n)) for b, F in sources if b < k]
+            for _, row in F_rows:
+                if row is not None and row.N != N:
+                    raise SimError(f"source row F^{n} has {row.N} components, the scheme {N}")
             hi = max([hi] + [row.last for _, row in F_rows if row is not None])
         # the step computes columns first..top of the valid slice left..edge
         if cone is not None:  # the cone's and the data's left edges move
@@ -520,24 +533,30 @@ def reconstruct_boundary_source(
     return g
 
 
+def _level_blocks(levels: np.ndarray) -> list:
+    """Slices of about BLOCK_BYTES of ``levels``, in order, for the trace
+    readers: a whole-trace temporary would be as large as the trace.  Each
+    level's reductions read its own row, so no bit depends on the blocks."""
+    step = max(1, BLOCK_BYTES // levels[0].nbytes)
+    return [slice(i, i + step) for i in range(0, len(levels), step)]
+
+
 def _max_level_mismatch(u, v, w, floor=np.inf) -> float:
     """max over levels n of max |u[n] - v[n] - w[n]|, taken over blocks of
-    levels of about 512 KB each: a whole-trace difference would hold three
-    more traces.  As in a running max from 0.0, a level whose max is NaN
-    is passed over.  A level whose mismatch exceeds 1e-12 max(max |u[n]|,
-    floor) raises, since rounding grows with the solution; the default
-    floor raises for none."""
-    step = max(1, BLOCK_BYTES // u[0].nbytes)
+    levels (see ``_level_blocks``).  As in a running max from 0.0, a level
+    whose max is NaN is passed over.  A level whose mismatch exceeds 1e-12
+    max(max |u[n]|, floor) raises, since rounding grows with the solution;
+    the default floor raises for none."""
     maxima = []
-    for i in range(0, len(u), step):
-        block = u[i : i + step]
-        maxima.append(np.abs(block - v[i : i + step] - w[i : i + step]).max(axis=(1, 2)))
+    for b in _level_blocks(u):
+        block = u[b]
+        maxima.append(np.abs(block - v[b] - w[b]).max(axis=(1, 2)))
         size = np.fmax(np.abs(block).max(axis=(1, 2)), floor)
         bad = np.flatnonzero(maxima[-1] > 1e-12 * size)
         if bad.size:
             raise SimError(
                 f"splitting identity violated: max |U-(V+W)| = {maxima[-1][bad[0]]:.3e} "
-                f"at level {i + bad[0]}, against a scale of {size[bad[0]]:.3e}"
+                f"at level {b.start + bad[0]}, against a scale of {size[bad[0]]:.3e}"
             )
     return float(np.fmax.reduce(np.concatenate(maxima), initial=0.0))
 
@@ -596,7 +615,7 @@ class NormSeries:
 def accumulate_norms(
     trace: IBVPTrace, gamma: float, P: int, n_start: int = 0
 ) -> NormSeries:
-    """Weighted interior/trace/sup accumulators of a solution trace."""
+    """Weighted interior/trace/sup accumulators of a trace, read in blocks."""
     lo = 1 - trace.scheme.r
     _trace_cols(trace.scheme.r, P)
     start = max(lo, trace.offset)
@@ -607,7 +626,9 @@ def accumulate_norms(
         )
     # a window ending left of 1-r has no trace columns: clamp the stop
     stop = max(min(P, trace.j_obs) - trace.offset + 1, 0)
-    sums = _level_sums(_abs_sq(trace.levels), slice(start - trace.offset, stop))
+    cols, levels = slice(start - trace.offset, stop), trace.levels
+    sums = [_level_sums(_abs_sq(levels[b]), cols) for b in _level_blocks(levels)]
+    sums = tuple(map(np.concatenate, zip(*sums)))
     return _weighted_norms(trace.dt, trace.dx, sums, gamma, P, n_start)
 
 

@@ -351,9 +351,7 @@ def stacked_state(trace, n: int, j_min: int, j_max: int) -> np.ndarray:
             f"stacked state at level {n} needs levels up to {n + s}, "
             f"trace has {trace.n_max}"
         )
-    # only the s+1 levels read become GridSequences, not the whole trace
-    level = lambda m: GridSequence(trace.offset, trace.levels[m], trace.zero_flags[m])
-    return np.hstack([level(n + s - b).window(j_min, j_max) for b in range(s + 1)])
+    return np.hstack([trace.layers[n + s - b].window(j_min, j_max) for b in range(s + 1)])
 
 
 # ---------------------------------------------------------------------------

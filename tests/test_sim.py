@@ -289,6 +289,36 @@ def test_norms_single_value_one_term_sums():
     assert ns.sup_norm == 1.0
 
 
+def _norm_traces():
+    """Float, complex, overflowed and system traces of several blocks each."""
+    rng = np.random.default_rng(23)
+    real = rng.standard_normal((300, 701, 1))
+    cplx = real + 1j * rng.standard_normal((300, 701, 1))
+    blown = cplx.copy()
+    blown[40, 3], blown[41, 500], blown[250:, 7] = np.inf, np.nan, 1e200 - 1e200j
+    system = rng.standard_normal((120, 900, 2)) + 0j
+    return [(upwind(0.5, 1.0), real), (upwind(0.5, 1.0), cplx), (upwind(0.5, 1.0), blown),
+            (random_scheme(3, 2, 2, 1, 0, 0, boundary="random"), system)]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["float", "complex", "overflowed", "system"])
+def test_blocked_norms_equal_whole_trace_sums(case):
+    scheme, levels = _norm_traces()[case]
+    assert len(sim._level_blocks(levels)) > 3
+    trace = IBVPTrace(scheme, 0.1, levels, 1 - scheme.r, (True,) * len(levels),
+                      len(levels[0]) - scheme.r)
+    with np.errstate(all="ignore"):
+        for gamma, P, n_start in [(0.0, 2, 0), (0.3, 40, 5), (1.0, 900, 1)]:
+            got = accumulate_norms(trace, gamma, P, n_start)
+            cols = slice(0, max(min(P, trace.j_obs) + scheme.r, 0))
+            want = sim._weighted_norms(trace.dt, trace.dx,
+                                       sim._level_sums(sim._abs_sq(levels), cols),
+                                       gamma, P, n_start)
+            for field in vars(want):
+                assert np.asarray(getattr(got, field)).tobytes() == \
+                    np.asarray(getattr(want, field)).tobytes(), field
+
+
 def test_norms_upwind_shift_bookkeeping():
     # unit-CFL shift: every f_j crosses the trace columns exactly once, so
     # the gamma = 0 trace sum is computable from the data alone
@@ -673,6 +703,20 @@ def test_run_ibvp_names_the_width_of_its_boundary_rows(monkeypatch):
     f = random_layers(system, n_sites=4, seed=62)
     with pytest.raises(SimError, match="boundary rows hold 2 values, need r N = 4"):
         run_ibvp(system, f, n_max=5, g=np.zeros((6, 2, 1)))
+
+
+def test_run_ibvp_names_the_component_count_of_a_source_row():
+    f = random_layers(upwind(0.5, 1.0), n_sites=4, seed=61)
+    F = lambda n: GridSequence(1, np.ones((2, 2)), implicit_zero=True)
+    with pytest.raises(SimError, match=r"source row F\^0 has 2 components, the scheme 1"):
+        run_ibvp(upwind(0.5, 1.0), f, 5, F=F)
+
+
+def test_strong_stability_names_the_component_count_of_a_source_row():
+    F_gen = lambda sch, dt, n_max, rng: [
+        GridSequence(1, np.ones((2, 2)), implicit_zero=True)] * n_max
+    with pytest.raises(SimError, match=r"source row F\^0 has 2 components, the scheme 1"):
+        verify_strong_stability(upwind(0.5, 1.0), F_gen=F_gen, refinements=(0.5,), t_end=2.0)
 
 
 def test_decaying_data_reproducible_and_decaying():
@@ -1206,6 +1250,45 @@ def test_ladder_verifiers_hold_no_whole_trace(verify, scheme):
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_reading_split_layers_copies_no_whole_trace():
+    # U at n_max 1600 takes 21 MB as floats and 43 MB cast to complex;
+    # a level is built, and cast, only when read, and W's norms are
+    # reduced a block of levels at a time
+    scheme = upwind(0.5, 1.0)
+    split = split_solution(scheme, decaying_data(scheme, 64, seed=1), 1600)
+    tracemalloc.start()
+    try:
+        assert len(split.U.layers) == 1601
+        assert split.U.layers[-1].values.shape == split.U.levels[-1].shape
+        assert split.U.layers[800].get(5).shape == (1,)
+        accumulate_norms(split.W, 0.1, P=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+@pytest.mark.parametrize("data", ["float", "complex"])
+def test_layers_view_is_the_complex_cast_of_each_level(data):
+    scheme = lax_wendroff(0.5, 1.0)
+    f = decaying_data(scheme, 6, seed=4) if data == "float" else random_layers(scheme, 6, 4)
+    for trace in (run_ibvp(scheme, f, 12), run_cauchy(scheme, f, 12),
+                  run_ibvp(scheme, f, 12, j_obs=3)):
+        assert trace.levels.dtype == (float if data == "float" else complex)
+        layers = trace.layers
+        assert len(layers) == trace.n_max + 1 == 13
+        for n in [*range(13), -1, -13]:
+            want = trace.levels[n].astype(complex)
+            assert layers[n].values.tobytes() == want.tobytes()
+            assert layers[n].offset == trace.offset
+            assert layers[n].implicit_zero == trace.zero_flags[n]
+        assert [lay.values.tobytes() for lay in layers] == [
+            lev.astype(complex).tobytes() for lev in trace.levels]
+        for n in (13, -14):
+            with pytest.raises(IndexError):
+                layers[n]
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SCHEMES))
