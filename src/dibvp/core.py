@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -809,54 +810,51 @@ def scheme_to_dict(scheme: SchemeDef) -> dict:
     }
 
 
+def _integer(value, lo=-math.inf, hi=math.inf) -> int:
+    """An integer field's value: an integral number in [lo, hi], no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise TypeError(f"{value!r} is not an integer")
+    if not lo <= value <= hi:
+        raise ValueError(f"{value} is outside [{lo}, {hi}]")
+    return int(value)
+
+
 def scheme_from_dict(data: dict) -> SchemeDef:
-    version = data.get("schema_version")
-    if version != SCHEME_SCHEMA_VERSION:
-        raise SchemeError(
-            f"unsupported scheme schema_version {version!r} "
-            f"(this build reads version {SCHEME_SCHEMA_VERSION})"
-        )
+    """The scheme of a schema_version 1 dict.  A field that is missing,
+    malformed, out of range or repeated raises a SchemeError naming it."""
+    field = "top level"  # the field being read, which an error names
     try:
-        N, r, p, q, s = (int(data[k]) for k in ("N", "r", "p", "q", "s"))
-        lam = float(data["lambda"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemeError(f"missing or malformed scheme field: {exc}") from exc
-
-    interior = np.zeros((p + r + 1, s + 1, N, N))
-    seen = set()
-    for entry in data.get("interior", []):
-        ell, sigma = int(entry["ell"]), int(entry["sigma"])
-        if not (-r <= ell <= p) or not (0 <= sigma <= s):
-            raise SchemeError(f"interior entry (ell={ell}, sigma={sigma}) out of range")
-        if (ell, sigma) in seen:
-            raise SchemeError(f"duplicate interior entry (ell={ell}, sigma={sigma})")
-        seen.add((ell, sigma))
-        m = np.asarray(entry["matrix"], dtype=float)
-        if m.shape != (N, N):
-            raise SchemeError(f"interior matrix at (ell={ell}) has shape {m.shape}")
-        interior[ell + r, sigma] = m
-
-    boundary = np.zeros((q + 1, r, s + 2, N, N))
-    seen = set()
-    for entry in data.get("boundary", []):
-        ell, j, sigma = int(entry["ell"]), int(entry["j"]), int(entry["sigma"])
-        if not (0 <= ell <= q) or not (1 - r <= j <= 0) or not (-1 <= sigma <= s):
-            raise SchemeError(
-                f"boundary entry (ell={ell}, j={j}, sigma={sigma}) out of range"
-            )
-        if (ell, j, sigma) in seen:
-            raise SchemeError(f"duplicate boundary entry (ell={ell}, j={j}, sigma={sigma})")
-        seen.add((ell, j, sigma))
-        m = np.asarray(entry["matrix"], dtype=float)
-        if m.shape != (N, N):
-            raise SchemeError(f"boundary matrix at (ell={ell}, j={j}) has shape {m.shape}")
-        boundary[ell, j - (1 - r), sigma + 1] = m
-
-    return SchemeDef(
-        N=N, r=r, p=p, q=q, s=s, lam=lam,
-        interior=interior, boundary=boundary,
-        label=str(data.get("label", "")),
-    )
+        if not isinstance(data, dict):
+            raise TypeError(f"a {type(data).__name__}, not a JSON object")
+        if data.get(field := "schema_version") != SCHEME_SCHEMA_VERSION:
+            raise ValueError(f"only version {SCHEME_SCHEMA_VERSION} is read, not {data.get(field)!r}")
+        N, r, p, q, s = [_integer(data[field := k], lo) for k, lo in zip("Nrpqs", (1, 1, 0, 0, 0))]
+        lam = float(data[field := "lambda"])
+        # each table's fields and their ranges: a value v sits at v - lo on its axis
+        layout = {"interior": {"ell": (-r, p), "sigma": (0, s)},
+                  "boundary": {"ell": (0, q), "j": (1 - r, 0), "sigma": (-1, s)}}
+        tables = {}
+        for name, ranges in layout.items():
+            table = tables[name] = np.zeros([hi - lo + 1 for lo, hi in ranges.values()] + [N, N])
+            seen = set()
+            for k, entry in enumerate(data.get(field := name, [])):
+                at = []
+                for f, (lo, hi) in ranges.items():
+                    field = f"{name}[{k}].{f}"
+                    at.append(_integer(entry[f], lo, hi))
+                field = f"{name}[{k}]"
+                if tuple(at) in seen:
+                    raise ValueError(f"repeats {', '.join(map('{}={}'.format, ranges, at))}")
+                seen.add(tuple(at))
+                field += ".matrix"
+                m = np.asarray(entry["matrix"], dtype=float)
+                if m.shape != (N, N):
+                    raise ValueError(f"shape {m.shape} is not {(N, N)}")
+                table[tuple(v - lo for v, (lo, _) in zip(at, ranges.values()))] = m
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise SchemeError(f"{field}: {'missing' if isinstance(exc, KeyError) else exc}") from exc
+    return SchemeDef(N=N, r=r, p=p, q=q, s=s, lam=lam, interior=tables["interior"],
+                     boundary=tables["boundary"], label=str(data.get("label", "")))
 
 
 def save_scheme(scheme: SchemeDef, path) -> None:

@@ -75,15 +75,20 @@ def _singular_error(z) -> ResolventError:
     return ResolventError(f"leading coefficient RA_p({z}) is numerically singular")
 
 
-def _companion(scheme: SchemeDef, RA: np.ndarray, dRA: np.ndarray | None = None):
-    """M(z) for each stacked RA[i, l + r] = RA_l(z_i), and where RA_p is singular.
+def _companion(scheme: SchemeDef, zs, derivative: bool = False):
+    """(M, RB, singular[, dM]) at the points ``zs``, none of which may be 0.
 
-    Where RA_p(z_i) is numerically singular (condition number above
-    RA_COND_MAX) the flag is set and M is built with the identity in its
-    place, so the stack stays finite.  Given dRA = z dRA_l/dz, dM/dtau
-    along z = z_bar e^tau comes third: its top row blocks are
-    -RA_p^{-1} (dRA_l + dRA_p top_l), with top_l = -RA_p^{-1} RA_l.
+    M(z) and RB[i, l, j - (1-r)] = RB_{l,j}(z_i) are stacked on the first
+    axis, and ``singular`` flags where RA_p(z_i) is numerically singular
+    (condition number above RA_COND_MAX): there M is built with the
+    identity in its place, so the stack stays finite.  With ``derivative``
+    dM/dtau along z = z_bar e^tau comes last: its top row blocks are
+    -RA_p^{-1} (dRA_l + dRA_p top_l), with top_l = -RA_p^{-1} RA_l and
+    dRA = z dRA/dz.
     """
+    if (np.asarray(zs) == 0).any():
+        raise ResolventError("resolvent coefficients are singular at z = 0")
+    RA, RB, *deriv = _resolvent_stack(scheme, zs, derivative)
     r, p, N = scheme.r, scheme.p, scheme.N
     K, dim = RA.shape[0], N * (p + r)
     Ap = RA[:, p + r]
@@ -95,34 +100,29 @@ def _companion(scheme: SchemeDef, RA: np.ndarray, dRA: np.ndarray | None = None)
     M[:, :N] = top.transpose(0, 2, 1, 3).reshape(K, N, dim)
     if p + r > 1:
         M[:, N:, :-N] = np.eye(N * (p + r - 1))
-    if dRA is None:
-        return M, singular
+    if not derivative:
+        return M, RB, singular
+    (dRA,) = deriv
     dM = np.zeros_like(M)
     dtop = -ApInv[:, None] @ (dRA[:, p + r - 1 :: -1] + dRA[:, p + r, None] @ top)
     dM[:, :N] = dtop.transpose(0, 2, 1, 3).reshape(K, N, dim)
-    return M, singular, dM
+    return M, RB, singular, dM
 
 
-def _coefficients(scheme: SchemeDef, zs) -> tuple:
-    """_resolvent_stack at the points ``zs``, none of which may be 0."""
-    if (np.asarray(zs) == 0).any():
-        raise ResolventError("resolvent coefficients are singular at z = 0")
-    return _resolvent_stack(scheme, zs)
-
-
-def _companion_at(scheme: SchemeDef, zs) -> np.ndarray:
-    """M(z) for each z in ``zs``, stacked; raises at the first singular RA_p."""
-    M, singular = _companion(scheme, _coefficients(scheme, zs)[0])
+def _companion_at(scheme: SchemeDef, zs, derivative: bool = False) -> tuple:
+    """``_companion`` without its flags, (M, RB[, dM]); raises at the first
+    z whose RA_p is singular."""
+    M, RB, singular, *dM = _companion(scheme, zs, derivative)
     if singular.any():
         raise _singular_error(zs[int(np.argmax(singular))])
-    return M
+    return (M, RB, *dM)
 
 
 def assemble_M(scheme: SchemeDef, z: complex) -> CompanionMatrix:
     """Build M(z) of size N(p+r): top block row -RA_p^{-1}(RA_{p-1}..RA_{-r}),
     identity on the subdiagonal.  Raises ResolventError where RA_p(z) has a
     condition number above RA_COND_MAX."""
-    return CompanionMatrix(z=z, M=_companion_at(scheme, [z])[0])
+    return CompanionMatrix(z=z, M=_companion_at(scheme, [z])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +280,12 @@ def kl_boundary_matrix(scheme: SchemeDef, z: complex) -> np.ndarray:
     l >= p is extracted by iterating the companion matrix:
     W_{1+l} = E_top M(z)^{l+1-p} Wvec_1.
     """
-    M = _companion_at(scheme, [z]) if scheme.q >= scheme.p else None
-    return _boundary_rows(scheme, _coefficients(scheme, [z])[1], M)[0]
+    companion = _companion_at if scheme.q >= scheme.p else _companion
+    M, RB = companion(scheme, [z])[:2]
+    return _boundary_rows(scheme, RB, M)[0]
 
 
-def _boundary_rows(scheme: SchemeDef, RB: np.ndarray, M: np.ndarray | None):
+def _boundary_rows(scheme: SchemeDef, RB: np.ndarray, M: np.ndarray):
     """kl_boundary_matrix for each stacked RB[i, l, j-(1-r)] = RB_{l,j}(z_i);
     the stacked M(z_i) is read if q >= p."""
     r, p, q, N = scheme.r, scheme.p, scheme.q, scheme.N
@@ -327,8 +328,7 @@ def _lopatinskii(scheme: SchemeDef, zs, b_eff=None) -> tuple:
     """
     r, p, N = scheme.r, scheme.p, scheme.N
     expect, dim = (N * r, N * p), N * (p + r)
-    RA, RB = _coefficients(scheme, zs)
-    M, singular = _companion(scheme, RA)
+    M, RB, singular = _companion(scheme, zs)
     eigs, vecs = _eig(M)
     split = _split_failures(zs, eigs, expect)
     B = None if b_eff is None else np.asarray(b_eff)
@@ -464,10 +464,7 @@ def classify_boundary_blocks(scheme: SchemeDef, z_bar: complex) -> BlockClassifi
     """
     if abs(abs(z_bar) - 1) > 1e-12:
         raise ResolventError("classification point must be on the unit circle")
-    RA, _, dRA = _resolvent_stack(scheme, [z_bar], derivative=True)
-    M, singular, dM = _companion(scheme, RA, dRA)
-    if singular[0]:
-        raise _singular_error(z_bar)
+    M, _, dM = _companion_at(scheme, [z_bar], derivative=True)
     (eigs,), (derivs,), (conds,), _, _ = _eig_derivs(M, dM)
 
     blocks = []
@@ -523,7 +520,7 @@ class EigenvalueBranch:
 
     def _eigs_at(self, taus) -> np.ndarray:
         zs = self.z_bar * np.exp(np.asarray(taus))
-        return _eigvals(_companion_at(self.scheme, zs))
+        return _eigvals(_companion_at(self.scheme, zs)[0])
 
     def curve(self, gamma: float, thetas: np.ndarray) -> np.ndarray:
         """f(gamma + i theta) on the given theta grid (must include range 0)."""

@@ -222,17 +222,17 @@ def make_packet(
     )
     mus, derivs, right, left = mus[order], derivs[order], right[:, order], right_inv[order]
 
+    unimod = np.abs(np.abs(mus) - 1.0) <= UNIT_BRANCH_TOL
     projectors = []
     omegas = []
     velocities = []
     for k in range(d):
         # the rows of right^{-1} are left eigenvectors with y^H x = 1
         projectors.append(np.outer(right[:, k], left[k]))
-        unimod = abs(abs(mus[k]) - 1.0) <= UNIT_BRANCH_TOL
         omega = complex(np.angle(mus[k]) - 1j * np.log(abs(mus[k])))
-        omegas.append(complex(omega.real) if unimod else omega)
+        omegas.append(complex(omega.real) if unimod[k] else omega)
         velocities.append(
-            _velocity(scheme, complex(mus[k]), derivs[k]) if unimod
+            _velocity(scheme, complex(mus[k]), derivs[k]) if unimod[k]
             else float("nan")
         )
 
@@ -244,12 +244,8 @@ def make_packet(
     else:
         amplitude = np.asarray(amplitude, dtype=complex).reshape(d)
 
-    proj_sum = sum(
-        projectors[k] for k in range(d)
-        if abs(abs(mus[k]) - 1.0) <= UNIT_BRANCH_TOL
-    )
-    if isinstance(proj_sum, int):
-        proj_sum = np.zeros((d, d), dtype=complex)
+    proj_sum = sum((projectors[k] for k in np.flatnonzero(unimod)),
+                   np.zeros((d, d), dtype=complex))
     sharp = amplitude - proj_sum @ amplitude
     residual = float(np.linalg.norm(sharp))
     return PacketSpec(

@@ -365,6 +365,19 @@ def test_bad_float_list_exits_two(paths, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["check-cauchy", "--grid-ntheta", "4"], "dibvp: --grid-ntheta must be at least 8\n"),
+    (["packet-experiment", "--xi", "1.0", "--Ts", "2"],
+     "dibvp: --Ts needs at least two horizons\n"),
+    (["simulate", "--n-max", "0"], "dibvp: --n-max must be at least 1\n"),
+    (["check-uklc", "--grid-radii", ","], "argument --grid-radii: empty list\n"),
+], ids=["grid-ntheta", "Ts", "n-max", "grid-radii"])
+def test_option_out_of_range_exits_two(paths, capsys, argv, message):
+    code, out, err = run(argv + ["--scheme", paths["leapfrog"]], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(message) and "Traceback" not in err
+
+
 def test_incompatible_horizon_exits_two(paths, capsys):
     code, _, err = run(
         ["verify", "--scheme", paths["leapfrog"], "--estimate", "semigroup",
@@ -445,6 +458,45 @@ def test_non_finite_scheme_data_exits_two(paths, capsys, field, edit, command):
     assert code == 2
     assert out == ""
     assert field in err and "finite" in err
+
+
+def _drop(entry: dict, key: str) -> dict:
+    return {k: v for k, v in entry.items() if k != key}
+
+
+# case: (the leap-frog file's contents made malformed, the field stderr names)
+_MALFORMED_SCHEMES = {
+    "interior-entry-without-sigma": (
+        lambda d: {**d, "interior": [_drop(d["interior"][0], "sigma")]},
+        "interior[0].sigma: missing"),
+    "boundary-entry-without-matrix": (
+        lambda d: {**d, "boundary": [{"ell": 0, "j": 0, "sigma": -1}]},
+        "boundary[0].matrix: missing"),
+    "entry-is-a-list": (
+        lambda d: {**d, "interior": [[-1, 0, [[0.5]]]]},
+        "interior[0].ell: list indices must be integers"),
+    "top-level-is-a-list": (lambda d: [d], "top level: a list, not a JSON object"),
+    "s-fraction": (lambda d: {**d, "s": 1.9}, "s: 1.9 is not an integer"),
+    "N-bool": (lambda d: {**d, "N": True}, "N: True is not an integer"),
+    "r-string": (lambda d: {**d, "r": "1"}, "r: '1' is not an integer"),
+    # the (ell=0, sigma=1) entry: truncated, ell = 1.7 would land on the
+    # free slot (ell=1, sigma=1)
+    "ell-fraction": (
+        lambda d: {**d, "interior": [{**e, "ell": 1.7} if e["sigma"] == 1 else e
+                                     for e in d["interior"]]},
+        "interior[1].ell: 1.7 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_SCHEMES)
+def test_malformed_scheme_file_exits_two(paths, capsys, case):
+    edit, field = _MALFORMED_SCHEMES[case]
+    bad = paths["dir"] / "malformed.json"
+    bad.write_text(json.dumps(edit(json.loads(open(paths["leapfrog"]).read()))))
+    code, out, err = run(["check-cauchy", "--scheme", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dibvp: cannot load scheme {str(bad)!r}: {field}")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_python_dash_m_runs_the_cli(paths):

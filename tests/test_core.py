@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dibvp.core import (
     RangeError,
     SchemeDef,
     SchemeError,
+    _integer,
     apply_op,
     difference_power_taps,
     discrete_derivative,
@@ -26,6 +29,9 @@ from dibvp.core import (
     upwind,
     validate_scheme,
 )
+from populations import schemes
+
+GOLDEN_SCHEMES = Path(__file__).resolve().parent / "golden" / "schemes"
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +120,21 @@ def test_grid_sequence_get_and_window():
     assert z.get(5)[0] == 0.0
     w = z.window(0, 5)
     assert np.allclose(w[:, 0], [0, 0, 1, 2, 3, 0])
+    assert u.window(2, 4)[:, 0].tolist() == [1.0, 2.0, 3.0]
+    for jmin, jmax in ((1, 3), (3, 5)):  # past the stored range, not zero-padded
+        with pytest.raises(RangeError, match="outside stored range"):
+            u.window(jmin, jmax)
+    with pytest.raises(RangeError, match="empty window"):
+        z.window(3, 2)
+
+
+def test_difference_op_refusals():
+    with pytest.raises(SchemeError, match="at least one tap"):
+        DifferenceOp({})
+    with pytest.raises(SchemeError, match="not square"):
+        DifferenceOp({0: np.ones((1, 2))})
+    with pytest.raises(SchemeError, match="mismatched sizes"):
+        DifferenceOp({0: np.eye(2), 1: np.eye(3)})
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +205,24 @@ def test_scheme_constructor_rejects_bad_shapes():
             interior=np.zeros((3, 1, 1, 1)),  # wrong: p+r+1 = 2
             boundary=np.zeros((1, 1, 2, 1, 1)),
         )
+    with pytest.raises(SchemeError, match="boundary shape"):
+        SchemeDef(N=1, r=1, p=0, q=0, s=0, lam=1.0, interior=np.zeros((2, 1, 1, 1)),
+                  boundary=np.zeros((1, 1, 1, 1, 1)))  # wrong: s+2 = 2 levels
+    with pytest.raises(SchemeError, match="need N>=1"):  # shapes that fit N = 0
+        SchemeDef(N=0, r=1, p=0, q=0, s=0, lam=1.0, interior=np.zeros((2, 1, 0, 0)),
+                  boundary=np.zeros((1, 1, 2, 0, 0)))
+
+
+@pytest.mark.parametrize("read", [
+    lambda sch: sch.A(-2, 0), lambda sch: sch.A(1, 0), lambda sch: sch.A(0, 1),
+    lambda sch: sch.B(1, 0, 0), lambda sch: sch.B(0, -1, 0), lambda sch: sch.B(0, 1, 0),
+    lambda sch: sch.B(0, 0, -2), lambda sch: sch.B(0, 0, 1),
+], ids=["A-ell-low", "A-ell-high", "A-sigma", "B-ell", "B-j-low", "B-j-high",
+        "B-sigma-low", "B-sigma-high"])
+def test_coefficient_access_outside_the_declared_ranges_raises(read):
+    sch = upwind(1.0, 0.5)  # ell in [-1, 0], j = 0, sigma in [0, 0] (A), [-1, 0] (B)
+    with pytest.raises(RangeError, match="outside declared ranges"):
+        read(sch)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -248,6 +287,74 @@ def test_scheme_dict_rejects_unknown_version_and_duplicates():
     dup["interior"] = data["interior"] + [data["interior"][0]]
     with pytest.raises(SchemeError):
         scheme_from_dict(dup)
+
+
+@settings(max_examples=200)
+@given(schemes(q=(0, 2), boundary="random"))
+def test_scheme_dict_json_round_trip_keeps_every_bit(scheme):
+    back = scheme_from_dict(json.loads(json.dumps(scheme_to_dict(scheme))))
+    assert (back.N, back.r, back.p, back.q, back.s, back.lam) == (
+        scheme.N, scheme.r, scheme.p, scheme.q, scheme.s, scheme.lam)
+    assert back.interior.tobytes() == scheme.interior.tobytes()
+    assert back.boundary.tobytes() == scheme.boundary.tobytes()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_SCHEMES.glob("*.json")), ids=lambda p: p.stem)
+def test_golden_scheme_files_round_trip_keep_every_bit(path, tmp_path):
+    from dibvp.core import load_scheme, save_scheme
+
+    scheme = load_scheme(path)
+    save_scheme(scheme, tmp_path / "again.json")
+    # the golden files were written by save_scheme: the same bytes again
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    back = load_scheme(tmp_path / "again.json")
+    assert back.interior.tobytes() == scheme.interior.tobytes()
+    assert back.boundary.tobytes() == scheme.boundary.tobytes()
+
+
+@pytest.mark.parametrize("value", [0, 3, -2, 3.0, np.int64(4), 10**30])
+def test_integer_fields_take_integral_numbers(value):
+    assert _integer(value) == int(value) and type(_integer(value)) is int
+
+
+@pytest.mark.parametrize("value", [True, False, "1", 1.9, 0.5, float("nan"), float("inf"),
+                                   None, [1], 1j])
+def test_integer_fields_refuse_bools_strings_and_fractions(value):
+    with pytest.raises(TypeError, match="is not an integer"):
+        _integer(value)
+
+
+def _edited_upwind(edit) -> dict:
+    data = scheme_to_dict(upwind(1.0, 0.5, boundary="extrapolation"))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["interior"][0].update(ell=1), r"^interior\[0\]\.ell: 1 is outside \[-1, 0\]$"),
+    (lambda d: d["interior"][1].update(sigma=-1), r"^interior\[1\]\.sigma: -1 is outside \[0, 0\]$"),
+    (lambda d: d["boundary"][0].update(j=1), r"^boundary\[0\]\.j: 1 is outside \[0, 0\]$"),
+    (lambda d: d["boundary"][0].update(sigma=1), r"^boundary\[0\]\.sigma: 1 is outside \[-1, 0\]$"),
+    (lambda d: d["boundary"].append(dict(d["boundary"][0])),
+     r"^boundary\[1\]: repeats ell=0, j=0, sigma=-1$"),
+    (lambda d: d["interior"][0].update(matrix=[[0.5, 0.5]]),
+     r"^interior\[0\]\.matrix: shape \(1, 2\) is not \(1, 1\)$"),
+    (lambda d: d["boundary"][0].update(matrix=[["a"]]), r"^boundary\[0\]\.matrix: could not convert"),
+    (lambda d: d.update(N=0), r"^N: 0 is outside \[1, inf\]$"),
+    (lambda d: d.update(p=-3), r"^p: -3 is outside \[0, inf\]$"),
+    (lambda d: d.pop("lambda"), r"^lambda: missing$"),
+    (lambda d: d.update(interior=5), r"^interior: 'int' object is not iterable$"),
+    (lambda d: d.update(schema_version=2), r"^schema_version: only version 1 is read, not 2$"),
+], ids=["ell-range", "sigma-range", "j-range", "boundary-sigma-range", "duplicate", "shape",
+        "matrix-text", "N-zero", "p-negative", "no-lambda", "table-not-a-list", "version"])
+def test_scheme_dict_refusals_name_the_field(edit, message):
+    with pytest.raises(SchemeError, match=message):
+        scheme_from_dict(_edited_upwind(edit))
+
+
+def test_scheme_dict_refuses_a_top_level_that_is_not_an_object():
+    with pytest.raises(SchemeError, match="^top level: a list, not a JSON object$"):
+        scheme_from_dict([scheme_to_dict(upwind(1.0, 0.5))])
 
 
 def test_scheme_file_io(tmp_path):

@@ -75,13 +75,22 @@ def test_every_module_constant_has_a_reader():
     assert unread == []
 
 
+def _callers(module: str, name: str) -> set:
+    """The functions and methods of ``module`` that call ``name`` by its bare name."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {
+        fn.name
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    }
+
+
 def test_one_loop_applies_the_solver_taps():
     # half-line and whole-line runs step in _march_batch alone
-    tree = ast.parse((PACKAGE / "sim.py").read_text())
-    callers = {
-        fn.name
-        for fn in tree.body if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_apply_taps"
-    }
-    assert callers == {"_march_batch", "reconstruct_boundary_source"}
+    assert _callers("sim", "_apply_taps") == {"_march_batch", "reconstruct_boundary_source"}
+
+
+def test_one_companion_builder_evaluates_the_resolvent_coefficients():
+    # every resolvent reader takes RA, RB and M(z) from _companion
+    assert _callers("resolvent", "_resolvent_stack") == {"_companion"}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dibvp.core import (
     BRANCH_COND_MAX,
     SchemeDef,
+    _resolvent_stack,
     lax_friedrichs,
     lax_wendroff,
     leap_frog,
@@ -21,7 +22,6 @@ from dibvp.core import (
 )
 from dibvp.cli import run_command
 from dibvp.resolvent import (
-    _coefficients,
     _companion_at,
     _split_failures,
     ResolventError,
@@ -79,7 +79,7 @@ def random_annulus_z(rng, n):
 
 def _coeffs(scheme, z):
     """RA_l(z) as ``A(l)`` and RB_{l,j}(z) as ``B(l, j)`` at one z."""
-    RA, RB = _coefficients(scheme, [z])
+    RA, RB = _resolvent_stack(scheme, [z])
     r = scheme.r
     return SimpleNamespace(
         A_blocks=RA[0], B_blocks=RB[0],
@@ -118,8 +118,8 @@ def test_coeffs_boundary_blocks():
 
 
 def test_coeffs_reject_zero():
-    with pytest.raises(ResolventError):
-        _coeffs(upwind(1.0, 0.5), 0.0)
+    with pytest.raises(ResolventError, match="singular at z = 0"):
+        assemble_M(upwind(1.0, 0.5), 0.0)
 
 
 @pytest.mark.parametrize(
@@ -131,7 +131,7 @@ def test_coeffs_reject_zero():
 def test_stacked_laurent_matches_pointwise_bits(scheme):
     # every z is the same bit for bit in a stack, alone, and as the
     # recursion delta_{l0} I - z^{-1} A[l,0] - z^{-2} A[l,1] - ... written out
-    from dibvp.core import _laurent, _resolvent_stack
+    from dibvp.core import _laurent
 
     zs = [2.0, 1.3 - 0.4j, *random_annulus_z(np.random.default_rng(5), 6)]
     RA, RB = _resolvent_stack(scheme, zs)
@@ -360,6 +360,25 @@ def _leap_frog_pair_singular_at(z_star: float) -> SchemeDef:
                      boundary=np.zeros((1, 1, 3, 2, 2)))
 
 
+def _characteristic_upwind(q: int = 0) -> SchemeDef:
+    """Upwind at nu = 0.5 declared with p = 1 and A[+1] = 0: RA_p(z) = 0."""
+    interior = np.array([0.5, 0.5, 0.0]).reshape(3, 1, 1, 1)
+    return SchemeDef(N=1, r=1, p=1, q=q, s=0, lam=1.0, interior=interior,
+                     boundary=np.zeros((q + 1, 1, 2, 1, 1)))
+
+
+def test_companion_readers_refuse_a_singular_leading_block():
+    scheme = _characteristic_upwind()
+    with pytest.raises(ResolventError, match=r"^leading coefficient RA_p\(\(1\.1\+0j\)\) is "):
+        assemble_M(scheme, 1.1 + 0j)
+    with pytest.raises(ResolventError, match=r"^leading coefficient RA_p\(1\.0\) is "):
+        classify_boundary_blocks(scheme, 1.0)
+    # the boundary rows read M(z) only when q >= p
+    assert kl_boundary_matrix(scheme, 1.1).shape == (1, 2)
+    with pytest.raises(ResolventError, match="numerically singular"):
+        kl_boundary_matrix(_characteristic_upwind(q=1), 1.1)
+
+
 @pytest.mark.parametrize(
     "scheme,radii,b_eff,expect",
     [(upwind(0.5, 2.4), (0.1, 0.001), None, "got (0, 1)"),
@@ -490,7 +509,7 @@ def _richardson_drift(scheme, z_bar, mu, gap):
     def slope(step):
         zs = [z_bar * np.exp(step), z_bar * np.exp(-step)]
         plus, minus = (v[np.argmin(np.abs(v - mu))]
-                       for v in np.linalg.eigvals(_companion_at(scheme, zs)))
+                       for v in np.linalg.eigvals(_companion_at(scheme, zs)[0]))
         return (plus - minus) / (2 * step)
 
     h = 1e-3 * min(1.0, gap / abs(slope(1e-7)))
@@ -521,7 +540,7 @@ def test_split_counts_hold_outside_the_unit_circle(scheme, angles):
     # eigenvalues inside the unit disk and N p outside at every |z| > 1
     assume(validate_scheme(scheme).ok and von_neumann_check(scheme).ok)
     zs = [rho * np.exp(1j * a) for rho in (1.5, 2.0, 3.0) for a in angles]
-    eigs = np.linalg.eigvals(_companion_at(scheme, zs))
+    eigs = np.linalg.eigvals(_companion_at(scheme, zs)[0])
     expect = (scheme.N * scheme.r, scheme.N * scheme.p)
     assert not _split_failures(zs, eigs, expect).any()
 

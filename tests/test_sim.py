@@ -719,6 +719,62 @@ def test_strong_stability_names_the_component_count_of_a_source_row():
         verify_strong_stability(upwind(0.5, 1.0), F_gen=F_gen, refinements=(0.5,), t_end=2.0)
 
 
+def test_run_cauchy_rejects_an_empty_window():
+    f = random_layers(upwind(0.5, 1.0), n_sites=4, seed=63)
+    with pytest.raises(SimError, match=r"empty observation window \(3, 2\)"):
+        run_cauchy(upwind(0.5, 1.0), f, 4, window=(3, 2))
+
+
+def test_run_ibvp_rejects_layers_outside_the_allocation():
+    scheme = lax_wendroff(0.5, 1.0)  # columns from 1 - r = 0
+    with pytest.raises(SimError, match="initial layer starts at -1 < 0"):
+        run_ibvp(scheme, (GridSequence(-1, np.ones((3, 1))),), n_max=2)
+    # j_obs 4 allocates up to 4 + (n_max - s) p = 6
+    with pytest.raises(SimError, match="initial layer extends past the allocation 6"):
+        run_ibvp(scheme, (GridSequence(0, np.ones((8, 1))),), n_max=2, j_obs=4)
+
+
+def test_zeros_too_large_to_hold_is_a_horizon_error(monkeypatch):
+    # np.zeros raises as an allocation beyond the host's memory would
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(sim.np, "zeros", no_memory)
+    with pytest.raises(SimError, match="^horizon too large: n_max 7 over a 5-column "
+                                       "window needs 640 bytes$"):
+        sim._zeros([(8, 5, 1)], 7, complex)
+
+
+def test_boundary_source_through_level_s_is_zero():
+    # s = 2 with boundary taps at every sigma: below level s + 1 there is
+    # no row to reconstruct, and a level-s tap would read past V's levels
+    scheme = random_scheme(3, 1, 1, 1, 0, 2, boundary="random")
+    V = run_cauchy(scheme, random_layers(scheme, n_sites=4, seed=64), 2)
+    for n_max in range(3):
+        g = reconstruct_boundary_source(scheme, V, n_max)
+        assert g.shape == (n_max + 1, 1, 1) and not g.any()
+
+
+def _upwind_row(b: float) -> SchemeDef:
+    """Upwind at nu = 0.5 with the boundary row U_0 = b U_1: Delta(z) has
+    its zero at z_0 = 1 - nu + nu b."""
+    scheme = upwind(1.0, 0.5)
+    boundary = np.zeros((1, 1, 2, 1, 1))
+    boundary[0, 0, 0] = b
+    return SchemeDef(N=1, r=1, p=0, q=0, s=0, lam=1.0, interior=scheme.interior,
+                     boundary=boundary, label="upwind-row")
+
+
+def test_a_determinant_zero_on_the_scan_ring_is_an_unmet_hypothesis():
+    # b = 1.02 puts z_0 = 1.01 on the delta = 1e-2 ring at theta = 0
+    scheme = _upwind_row(1.02)
+    issue = "determinant lower bound fails (min 0.00e+00)"
+    assert sim._hypothesis_report(scheme) == (issue,)
+    rep = verify_thm1(scheme, refinements=(0.1, 0.05), t_end=2.0)
+    assert not rep.hypotheses_met and rep.issues == (issue,)
+    assert rep.verdict.startswith(f"trace-estimate: hypotheses unmet ({issue}), growth observed")
+
+
 def test_decaying_data_reproducible_and_decaying():
     scheme = lax_friedrichs(0.5, 1.0)
     a = decaying_data(scheme, 32, seed=5)
