@@ -819,6 +819,13 @@ def _integer(value, lo=-math.inf, hi=math.inf) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """A real field's value: a real number, no bool or string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def scheme_from_dict(data: dict) -> SchemeDef:
     """The scheme of a schema_version 1 dict.  A field that is missing,
     malformed, out of range or repeated raises a SchemeError naming it."""
@@ -829,7 +836,7 @@ def scheme_from_dict(data: dict) -> SchemeDef:
         if data.get(field := "schema_version") != SCHEME_SCHEMA_VERSION:
             raise ValueError(f"only version {SCHEME_SCHEMA_VERSION} is read, not {data.get(field)!r}")
         N, r, p, q, s = [_integer(data[field := k], lo) for k, lo in zip("Nrpqs", (1, 1, 0, 0, 0))]
-        lam = float(data[field := "lambda"])
+        lam = _number(data[field := "lambda"])
         # each table's fields and their ranges: a value v sits at v - lo on its axis
         layout = {"interior": {"ell": (-r, p), "sigma": (0, s)},
                   "boundary": {"ell": (0, q), "j": (1 - r, 0), "sigma": (-1, s)}}
@@ -847,10 +854,11 @@ def scheme_from_dict(data: dict) -> SchemeDef:
                     raise ValueError(f"repeats {', '.join(map('{}={}'.format, ranges, at))}")
                 seen.add(tuple(at))
                 field += ".matrix"
-                m = np.asarray(entry["matrix"], dtype=float)
-                if m.shape != (N, N):
-                    raise ValueError(f"shape {m.shape} is not {(N, N)}")
-                table[tuple(v - lo for v, (lo, _) in zip(at, ranges.values()))] = m
+                shape = np.asarray(entry["matrix"], dtype=float).shape
+                if shape != (N, N):
+                    raise ValueError(f"shape {shape} is not {(N, N)}")
+                table[tuple(v - lo for v, (lo, _) in zip(at, ranges.values()))] = [
+                    list(map(_number, row)) for row in entry["matrix"]]
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SchemeError(f"{field}: {'missing' if isinstance(exc, KeyError) else exc}") from exc
     return SchemeDef(N=N, r=r, p=p, q=q, s=s, lam=lam, interior=tables["interior"],

@@ -36,7 +36,9 @@ never shares.  Scalar runs of one scheme (a ladder's runs, a split's U and
 W) march as the components of one vector: a 1x1 tap multiplies each entry
 alone, columns marched for another run are zeros or exact half-line
 values, and a run without g adds -0.0, so every level keeps its bits.
-Systems and whole-line runs march alone.
+Whole-line runs of one window (a trace experiment's dts) share a march
+the same way through ``_cauchy``, on the longest run's cone.  Systems
+march alone.
 """
 
 from __future__ import annotations
@@ -244,10 +246,10 @@ def _march(scheme: SchemeDef, runs) -> list:
     """``run_ibvp`` of each (f_layers, n_max, j_obs, g, F, dt[, sink]) in ``runs``.
 
     A run with a sink hands it its levels (see ``_march_batch``) and gives
-    None; a run without one gives its IBVPTrace.  Scalar runs of one march
-    dtype march together, as the components of one run (see the module
-    docstring); a system marches alone.  Inputs are checked in run order,
-    so the first bad run raises what its own march would.
+    None; a run without one gives its IBVPTrace.  The runs march in
+    ``_batches``, a batch's scalar runs as the components of one run (see
+    the module docstring).  Inputs are checked in run order, so the first
+    bad run raises what its own march would.
     """
     lo, N = 1 - scheme.r, scheme.N
     checked, levels = [_check_run(scheme, *run) for run in runs], {}
@@ -255,18 +257,26 @@ def _march(scheme: SchemeDef, runs) -> list:
         if run.sink is None:
             levels[i] = _zeros([(run.n_max + 1, run.j_obs - lo + 1, N)], run.n_max, run.dtype)[0]
             checked[i] = run._replace(sink=_copy_into(levels[i]))
-    # longest first, so the runs still marching are the leading components
-    batches = {}
-    for i in sorted(range(len(checked)), key=lambda i: -checked[i].n_max):
-        batches.setdefault((checked[i].dtype, i if N > 1 else None), []).append(i)
-    flags = {}
-    for part in batches.values():
+    flags, n_maxes = {}, [run.n_max for run in checked]
+    for part in _batches(scheme, n_maxes, [run.dtype for run in checked]):
         flags.update(zip(part, _march_batch(scheme, [checked[i] for i in part])))
     return [
         IBVPTrace(scheme, run.dt, levels[i], lo, tuple(run.auto and z for z in flags[i]),
                   run.j_obs) if i in levels else None
         for i, run in enumerate(checked)
     ]
+
+
+def _batches(scheme: SchemeDef, n_maxes, dtypes) -> list:
+    """The runs' indices in marches: scalar runs of one march dtype march
+    together, longest first, so the runs still marching are the leading
+    components.  A system marches alone, as does a whole-line run with
+    n_max < s, which ends before the first step hands the others level s."""
+    batches = {}
+    for i in sorted(range(len(n_maxes)), key=lambda i: -n_maxes[i]):
+        alone = scheme.N > 1 or n_maxes[i] < scheme.s
+        batches.setdefault((dtypes[i], i if alone else None), []).append(i)
+    return list(batches.values())
 
 
 def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
@@ -375,11 +385,16 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
     return flags
 
 
-def _copy_into(levels: np.ndarray):
-    """A sink that copies each block into ``levels``, whose zero columns
-    past the solution's support it leaves untouched."""
+def _copy_into(levels: np.ndarray, start=None):
+    """A sink that copies each block into ``levels``: on the half-line its
+    first cols columns, leaving the zero columns past the solution's
+    support untouched; on the whole line its columns from ``start`` on,
+    the run's window."""
     def sink(index, block, cols):
-        levels[index, :cols] = block[:, :cols]
+        if start is None:
+            levels[index, :cols] = block[:, :cols]
+        else:  # cols is a half-line hint
+            levels[index] = block[:, start:]
     return sink
 
 
@@ -466,32 +481,51 @@ def run_cauchy(
     contains the full support of the solution through level n_max.  The
     run's blocks of levels (see ``_march_batch``) are copied into the trace.
     """
-    if n_max < 0:
-        raise SimError("n_max must be nonnegative")
-    _check_layers(scheme, f_layers)
-    if not all(f.implicit_zero for f in f_layers):
-        raise SimError("whole-line initial layers must be finitely supported")
-    jmin, jmax = min(f.offset for f in f_layers), max(f.last for f in f_layers)
+    return _cauchy(scheme, [(f_layers, n_max, dt)], window)[0]
+
+
+def _cauchy(scheme: SchemeDef, runs, window) -> list:
+    """``run_cauchy`` of each (f_layers, n_max, dt) in ``runs`` over one
+    window, their traces in run order; a None window holds every run's
+    full support.
+
+    Inputs are checked in run order, and the runs march in ``_batches``.
+    A batch's buffer is its longest run's cone, widened to its data's
+    extent by at most a column a side: every run's window values depend
+    only on columns inside its own cone, and a column outside a run's data
+    cone adds up +0.0 products to +0.0, so each run keeps its bits.
+    """
+    for f_layers, n_max, _ in runs:
+        if n_max < 0:
+            raise SimError("n_max must be nonnegative")
+        _check_layers(scheme, f_layers)
+        if not all(f.implicit_zero for f in f_layers):
+            raise SimError("whole-line initial layers must be finitely supported")
     auto = window is None
     if auto:
-        window = (jmin - n_max * scheme.p, jmax + n_max * scheme.r)
+        reach = [(f, n_max) for f_layers, n_max, _ in runs for f in f_layers]
+        window = (min(f.offset - n * scheme.p for f, n in reach),
+                  max(f.last + n * scheme.r for f, n in reach))
     Lmin, Rmax = window
     if Rmax < Lmin:
         raise SimError(f"empty observation window {window}")
-    # the cone and a spare column a side: cut to the cone, a one-column
-    # window would end on a one-row product, rounded unlike a block of rows
-    cone0, cone1 = Lmin - n_max * scheme.r, Rmax + n_max * scheme.p
-    W0 = max(min(cone0, jmin), cone0 - 1)
-    W1 = min(max(cone1, jmax), cone1 + 1)
-    dtype = _march_dtype(scheme, f_layers)
-    levels = _zeros([(n_max + 1, Rmax - Lmin + 1, scheme.N)], n_max, dtype)[0]
-
-    def sink(index, block, cols):  # the whole window: cols is a half-line hint
-        levels[index] = block[:, Lmin - W0 :]
-
-    run = _Run(f_layers, n_max, Rmax, None, None, dt, sink, auto, W1, dtype)
-    _march_batch(scheme, [run], (W0, jmin))
-    return IBVPTrace(scheme, dt, levels, Lmin, (auto,) * (n_max + 1), Rmax)
+    dtypes = [_march_dtype(scheme, f_layers) for f_layers, _, _ in runs]
+    levels = [_zeros([(n_max + 1, Rmax - Lmin + 1, scheme.N)], n_max, dtype)[0]
+              for (_, n_max, _), dtype in zip(runs, dtypes)]
+    for part in _batches(scheme, [n_max for _, n_max, _ in runs], dtypes):
+        layers = [f for i in part for f in runs[i][0]]
+        jmin, jmax = min(f.offset for f in layers), max(f.last for f in layers)
+        # the cone and a spare column a side: cut to the cone, a one-column
+        # window would end on a one-row product, rounded unlike a block of rows
+        n_top = runs[part[0]][1]
+        cone0, cone1 = Lmin - n_top * scheme.r, Rmax + n_top * scheme.p
+        W0 = max(min(cone0, jmin), cone0 - 1)
+        W1 = min(max(cone1, jmax), cone1 + 1)
+        _march_batch(scheme, [_Run(runs[i][0], runs[i][1], Rmax, None, None, runs[i][2],
+                                   _copy_into(levels[i], Lmin - W0), auto, W1, dtypes[i])
+                              for i in part], (W0, jmin))
+    return [IBVPTrace(scheme, dt, lv, Lmin, (auto,) * (n_max + 1), Rmax)
+            for (_, n_max, dt), lv in zip(runs, levels)]
 
 
 # ---------------------------------------------------------------------------

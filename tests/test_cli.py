@@ -485,6 +485,14 @@ _MALFORMED_SCHEMES = {
         lambda d: {**d, "interior": [{**e, "ell": 1.7} if e["sigma"] == 1 else e
                                      for e in d["interior"]]},
         "interior[1].ell: 1.7 is not an integer"),
+    "lambda-string": (lambda d: {**d, "lambda": "0.5"}, "lambda: '0.5' is not a number"),
+    "lambda-bool": (lambda d: {**d, "lambda": True}, "lambda: True is not a number"),
+    "matrix-string": (
+        lambda d: {**d, "interior": [{**d["interior"][0], "matrix": [["0.5"]]}]},
+        "interior[0].matrix: '0.5' is not a number"),
+    "matrix-bool": (
+        lambda d: {**d, "boundary": [{"ell": 0, "j": 0, "sigma": -1, "matrix": [[True]]}]},
+        "boundary[0].matrix: True is not a number"),
 }
 
 

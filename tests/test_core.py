@@ -17,6 +17,7 @@ from dibvp.core import (
     SchemeDef,
     SchemeError,
     _integer,
+    _number,
     apply_op,
     difference_power_taps,
     discrete_derivative,
@@ -322,6 +323,17 @@ def test_integer_fields_take_integral_numbers(value):
 def test_integer_fields_refuse_bools_strings_and_fractions(value):
     with pytest.raises(TypeError, match="is not an integer"):
         _integer(value)
+
+
+@pytest.mark.parametrize("value", [0, -2, 0.5, -0.0, float("nan"), np.float64(0.25), 10**30])
+def test_number_fields_take_real_numbers(value):
+    assert repr(_number(value)) == repr(float(value))
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5], 1j])
+def test_number_fields_refuse_bools_and_strings(value):
+    with pytest.raises(TypeError, match="is not a number"):
+        _number(value)
 
 
 def _edited_upwind(edit) -> dict:

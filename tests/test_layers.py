@@ -91,6 +91,12 @@ def test_one_loop_applies_the_solver_taps():
     assert _callers("sim", "_apply_taps") == {"_march_batch", "reconstruct_boundary_source"}
 
 
+def test_whole_line_runs_march_through_one_entry():
+    # half-line runs reach _march_batch through _march, whole-line runs
+    # through _cauchy, which marches a trace experiment's dts together
+    assert _callers("sim", "_march_batch") == {"_march", "_cauchy"}
+
+
 def test_one_companion_builder_evaluates_the_resolvent_coefficients():
     # every resolvent reader takes RA, RB and M(z) from _companion
     assert _callers("resolvent", "_resolvent_stack") == {"_companion"}

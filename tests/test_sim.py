@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -1689,6 +1690,66 @@ def test_run_cauchy_marches_no_more_than_the_cone(monkeypatch, name):
     run_cauchy(scheme, _layers_on(scheme, -2000, 2000, seed=1), n_max, window=(0, 0))
     cone = sum((n_max - m) * (r + p) + 1 for m in range(s + 1, n_max + 1))
     assert 0 < sum(rows) <= (s + 1) * (cone + (s * (r + p) + 2) * (n_max - s))
+
+
+def _cauchy_runs(scheme, window):
+    """Runs of several n_max, data widths and offsets, complex and real data:
+    inside the window, inside the longest run's cone only, outside every
+    cone, and a run with n_max < s for s >= 1."""
+    lo, hi = window or (0, 0)
+    placements = [(20, lo - 4, hi + 4), (7, lo - 18, lo - 10), (13, hi + 2, hi + 40),
+                  (20, hi + 50, hi + 60), (scheme.s, lo - 2, lo + 2), (3, lo, lo),
+                  (max(scheme.s - 1, 0), hi - 1, hi + 1)]
+    return [(_layers_on(scheme, a, b, seed, real=seed % 2 == 1), n_max, 0.1 * (seed + 1))
+            for seed, (n_max, a, b) in enumerate(placements)]
+
+
+@pytest.mark.parametrize("window", [(0, 0), (-3, 5), None], ids=str)
+@pytest.mark.parametrize("name", list(CONE_SCHEMES))
+def test_cauchy_runs_keep_the_bits_of_lone_runs(name, window):
+    scheme = CONE_SCHEMES[name]
+    runs = _cauchy_runs(scheme, window)
+    traces = sim._cauchy(scheme, runs, window)
+    assert len({(t.offset, t.j_obs) for t in traces}) == 1
+    for (f, n_max, dt), trace in zip(runs, traces):
+        # a None window is every run's support: the lone run over it
+        alone = run_cauchy(scheme, f, n_max, window=(trace.offset, trace.j_obs), dt=dt)
+        assert (trace.dt, trace.offset, trace.j_obs) == (dt, alone.offset, alone.j_obs)
+        assert trace.zero_flags == (window is None,) * (n_max + 1)
+        assert trace.levels.dtype == alone.levels.dtype
+        assert trace.levels.tobytes() == alone.levels.tobytes()
+        if window is None:  # it holds the lone auto-window trace
+            auto = run_cauchy(scheme, f, n_max, dt=dt)
+            cols = slice(auto.offset - trace.offset, auto.j_obs + 1 - trace.offset)
+            assert trace.levels[:, cols].tobytes() == auto.levels.tobytes()
+
+
+@pytest.mark.parametrize("name", list(CONE_SCHEMES))
+def test_cauchy_marches_scalar_runs_of_one_dtype_together(monkeypatch, name):
+    scheme = CONE_SCHEMES[name]
+    runs = [run for run in _cauchy_runs(scheme, (0, 0)) if run[1] >= scheme.s]
+    batches = []
+    march_batch = sim._march_batch
+    monkeypatch.setattr(sim, "_march_batch",
+                        lambda sch, batch, cone: batches.append(len(batch))
+                        or march_batch(sch, batch, cone))
+    sim._cauchy(scheme, runs, (0, 0))
+    # one batch per dtype for a scalar scheme, one run a batch for a system
+    dtypes = Counter(sim._march_dtype(scheme, f) for f, _, _ in runs)
+    assert sorted(batches) == ([1] * len(runs) if scheme.N > 1 else sorted(dtypes.values()))
+    assert len(dtypes) == 2 or scheme.N > 1
+
+
+def test_cauchy_checks_runs_in_order():
+    scheme = leap_frog(0.5, 1.0)
+    f = _layers_on(scheme, 0, 4, seed=1)
+    bad = _layers_on(scheme, 0, 4, seed=2)[:1]
+    with pytest.raises(SimError, match="n_max must be nonnegative"):
+        sim._cauchy(scheme, [(f, 3, 0.1), (f, -1, 0.1), (bad, 3, 0.1)], (0, 0))
+    with pytest.raises(SimError, match="need 2 initial layers"):
+        sim._cauchy(scheme, [(f, 3, 0.1), (bad, 3, 0.1), (f, -1, 0.1)], (0, 0))
+    with pytest.raises(SimError, match="empty observation window"):
+        sim._cauchy(scheme, [(f, 3, 0.1)], (2, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dibvp import sim, wavepacket
 from dibvp.core import GridSequence, SchemeDef, leap_frog, upwind
 from dibvp.sim import run_cauchy
 from dibvp.symbol import amplification_matrix, group_velocity
@@ -546,6 +547,47 @@ def test_trace_sums_match_level_by_level_reads(which, glancing_spec,
         assert rep.mass_ratios[i].tobytes() == (sums / mass).tobytes()
         slope, intercept = np.polyfit(Ts, sums, 1)
         assert (rep.slopes[i], rep.intercepts[i]) == (slope, intercept)
+
+
+@pytest.mark.parametrize("which", ["glancing", "coupled"])
+def test_trace_experiment_marches_its_dts_together(monkeypatch, which, env):
+    # a scalar packet's dts march in one batch; a system's one at a time
+    spec = make_packet(LF, np.pi / 2, env, branch=1) if which == "glancing" else \
+        make_packet(coupled_scheme(), np.pi / 2, env)
+    batches = []
+    march_batch = sim._march_batch
+    monkeypatch.setattr(sim, "_march_batch",
+                        lambda sch, batch, cone: batches.append(len(batch))
+                        or march_batch(sch, batch, cone))
+    glancing_trace_experiment(spec, T_list=(1.0, 2.0), dt_list=(0.1, 0.05, 0.025))
+    assert batches == ([3] if which == "glancing" else [1, 1, 1])
+
+
+def test_envelope_is_sampled_once_per_dx(monkeypatch):
+    # three packets on one envelope and two packet errors read two dx
+    env = make_envelope(0.5)
+    specs = [make_packet(LF, np.pi / 2, env, branch=1), make_packet(UP, 0.0, env),
+             make_packet(LF, 0.9, env)]
+    calls = []
+    grid_sum = wavepacket._grid_sum
+    monkeypatch.setattr(wavepacket, "_grid_sum", lambda x0, dx, count, *a: calls.append(
+        (x0, dx, count)) or grid_sum(x0, dx, count, *a))
+    # an explicit range is sampled afresh and not kept
+    packet_initial_data(specs[0], 0.2, j_min=-40, j_max=40)
+    for spec in specs:
+        glancing_trace_experiment(spec, T_list=(1.0, 2.0), dt_list=(0.1, 0.05))
+    for dx in (0.2, 0.1):
+        packet_error(specs[0], [2], dx)
+    half = {dx: int(np.floor(env.x_certified / dx)) for dx in (0.2, 0.1)}
+    certified = [dx for x0, dx, count in calls
+                 if dx in half and (x0, count) == (-half[dx] * dx, 2 * half[dx] + 1)]
+    assert sorted(certified) == [0.1, 0.2]
+    # approx_solution samples its shifted grids each time and keeps none
+    assert len(calls) > 2 and sorted(env._grids) == [0.1, 0.2]
+    for dx, samples in env._grids.items():
+        assert not samples.flags.writeable
+        fresh = env.on_grid(-half[dx] * dx, dx, 2 * half[dx] + 1)
+        assert samples.tobytes() == fresh.tobytes()
 
 
 def test_trace_sum_counts_a_horizon_rounded_below_an_integer(glancing_spec):
