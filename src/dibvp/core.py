@@ -295,26 +295,52 @@ def apply_op(op: DifferenceOp, u: GridSequence) -> GridSequence:
             )
     out = np.zeros((new_len, u.N), dtype=complex)
     # rows j = new_off .. new_off+new_len-1 read u_{j+ell}
+    taps = _resolved_taps([(0, op.taps.items())], complex)
     if u.implicit_zero:
         source = u.window(new_off + op.ell_min, new_off + new_len - 1 + op.ell_max)
-        _apply_taps(out, source, -op.ell_min, op.taps.items())
+        _apply_taps(out, (source,), -op.ell_min, taps)
     else:
-        _apply_taps(out, u.values, new_off - u.offset, op.taps.items())
+        _apply_taps(out, (u.values,), new_off - u.offset, taps)
     return GridSequence(new_off, out, u.implicit_zero)
 
 
-def _apply_taps(out: np.ndarray, source: np.ndarray, start: int, taps) -> None:
-    """out += source[start+ell : start+ell+len(out)] @ M.T for each (ell, M).
+def _resolved_taps(rows, dtype: type) -> tuple:
+    """The taps of ``rows``, each a (k, [(ell, M), ...]) pair, as one flat
+    tuple of (k, ell, c) in order, the form ``_apply_taps`` reads: c is
+    M.T, or for a 1x1 tap its entry as a 0-d array of ``dtype``, the
+    sources' dtype, which numpy multiplies without the conversion it makes
+    of a Python scalar.  ``tap_table``'s lists fit as they are, k = sigma."""
+    return tuple((k, ell, np.array(m[0, 0], dtype) if m.size == 1 else m.T)
+                 for k, pairs in rows for ell, m in pairs)
+
+
+def _apply_taps(out: np.ndarray, sources, start: int, taps, zero=None) -> None:
+    """out += sources[k][start+ell : start+ell+len(out)] * c for each (k, ell, c)
+    in ``taps`` (see ``_resolved_taps``), a matrix c by a matmul.
 
     The only loop in the package that applies stencil taps.  Terms are
     added in the order given, so callers that pass the taps in sigma, then
     ell order get the same bits as a step written out tap by tap.  A 1x1
     tap is one product per entry, with the matmul's bits unless out is -0.0.
+
+    Given ``zero``, a 0-d +0.0 of out's dtype, out is overwritten: the
+    first product is written into it, the others added, and a closing
+    += zero turns -0.0 into +0.0.  A sum started from its first term
+    differs from one started from +0.0 only where it is -0.0, so out gets
+    the bits of a zero fill followed by the same additions.
     """
-    m = len(out)
-    for ell, mat in taps:
-        window = source[start + ell : start + ell + m]
-        out += window * mat[0, 0] if mat.size == 1 else window @ mat.T
+    m, write = len(out), zero is not None
+    for k, ell, c in taps:
+        window = sources[k][start + ell : start + ell + m]
+        if write:
+            (np.matmul if c.ndim else np.multiply)(window, c, out=out)
+            write = False
+        else:
+            out += window @ c if c.ndim else window * c
+    if write:  # no taps: the empty sum
+        out[...] = zero
+    elif zero is not None:
+        out += zero
 
 
 def difference_power_taps(k: int) -> dict:

@@ -35,7 +35,6 @@ from .core import (BRANCH_COND_MAX, SchemeDef, _clusters, _continue_path, _eig, 
                    _eigvals, _resolvent_stack)
 
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-DEFAULT_GAMMAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 KL_TOL = 1e-6
 #: the spectral split needs |z| > 1 + SPLIT_MARGIN
 SPLIT_MARGIN = 1e-8
@@ -602,14 +601,16 @@ def _tv_for_curve(f: np.ndarray, w: float):
     return float(np.sum(np.abs(d))), float(np.abs(d).max()), False
 
 
-#: first theta grid of arg_total_variation, and the size it may not exceed
+#: the gamma grid of arg_total_variation, its first theta grid, and the
+#: size a theta grid may not exceed
+TV_GAMMAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 TV_NTHETA0 = 257
 TV_MAX_POINTS = 2**17 + 1
 
 
 def arg_total_variation(
     branch,
-    gamma_grid: tuple = DEFAULT_GAMMAS,
+    gamma_grid: tuple = TV_GAMMAS,
     w_grid: np.ndarray | None = None,
     eps: float = 0.1,
 ) -> ArgTVReport:

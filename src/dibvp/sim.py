@@ -19,7 +19,11 @@ no artificial outflow condition ever enters.  A whole-line run
 Every run steps in ``_march_batch``: its levels pass through a ring of s+1
 rows and a block of rows filling about BLOCK_BYTES, and each pass round
 the ring, and what is left at the end, goes to the run's sink; it reads
-the scheme's ``tap_table``, a whole-line run only its interior list.
+the scheme's ``tap_table``, a whole-line run only its interior list, and
+resolves the taps once per march.  A level is one ``_apply_taps`` call
+for the interior, which writes the new row from its first tap and ends
+with += +0.0, so every bit is that of a zero-filled row summed tap by
+tap, plus one call for each boundary row with taps or g.
 ``run_ibvp``, ``run_cauchy`` and ``split_solution`` copy the blocks into an
 ``IBVPTrace``, one (n_max+1, L, N) array of levels, float64 for a real
 scalar problem and complex128 otherwise.  The trace, strong-stability and
@@ -51,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSequence, RangeError, SchemeDef, SchemeError, _apply_taps
+from .core import (GridSequence, RangeError, SchemeDef, SchemeError, _apply_taps,
+                   _resolved_taps)
 from .resolvent import ResolventError, uklc_scan
 from .sbp import DecompositionError, boundary_energy_rate
 from .symbol import find_glancing, von_neumann_check
@@ -284,9 +289,18 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
     dtype, longest first, together; return their zero flags.
 
     A half-line step computes columns from j = 1 on, then the boundary
-    rows.  A whole-line run marches alone on its buffer W0..pad_to, with
-    ``cone`` = (W0, jmin) for data from jmin on: a step has no boundary
-    rows and starts at W0 + r a step or jmin - p a step, whichever is right.
+    rows.  Whole-line runs march on their buffer W0..pad_to, with ``cone``
+    = (W0, jmin) for data from jmin on: a step has no boundary rows and
+    starts at W0 + r a step or jmin - p a step, whichever is right.
+
+    The taps are resolved once per march (``core._resolved_taps``): the
+    interior's in one flat list, each boundary row's in another, a row
+    without taps left out unless the batch has g.  A step is one
+    ``_apply_taps`` call that writes the new row from its first tap, then
+    one for each boundary row, adding onto the r boundary columns that a
+    half-line step zeroes.  Entry sigma of row i of the source table,
+    built with the ring and rebuilt when runs end, is the ring row of
+    level n - sigma for the level n in row i, so entry -1 is the new row.
 
     Level n lives in row n mod D of a ring of D = s+1+B rows, B rows
     filling about BLOCK_BYTES, or the longest run's n_max - s levels if
@@ -318,8 +332,10 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
             b = max(a, min(edge, f.last) + 1)
             ring[n, a - lo : b - lo, c] = _as_march(f.values[a - f.offset : b - f.offset], dtype)
         flags.append([f.implicit_zero for f in run.f_layers])
-    interior = scheme.tap_table[0]
-    boundary = scheme.tap_table[1] if cone is None else ()
+    interior = _resolved_taps(enumerate(scheme.tap_table[0]), dtype)
+    boundary = [] if cone is not None else [
+        (j, _resolved_taps(rows, dtype)) for j, rows in enumerate(scheme.tap_table[1])
+        if rows or has_g]
     sources = [(b, run.F) for b, run in enumerate(batch) if run.F is not None]
     # columns past hi are zero: the data's support grows by r per step,
     # and F adds its own range; one hi serves every run.  A ring row past
@@ -327,7 +343,16 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
     # blocks hold each run's levels.  On the whole line hi starts at W0 - 1
     # for data left of the buffer, so no slice wraps.
     hi = max(0 if cone is None else lo - 1, *(f.last for run in batch for f in run.f_layers))
-    k, F_rows, done, top = len(batch), [], 0, hi
+    k, F_rows, done, top, zero = len(batch), [], 0, hi, np.zeros((), dtype)
+    # a step computes columns max(left, right)..top of the valid slice
+    # left..edge; on the whole line the cone's edge left and the data's
+    # edge right move, on the half-line both stay at j = 1
+    left, right = (1, 1) if cone is None else cone
+
+    def row_table():
+        views = list(ring)
+        return [tuple(views[(i - sigma) % depth] for sigma in (*range(s + 1), -1))
+                for i in range(depth)]
 
     def hand_over(n):
         # levels done..n, in ring rows done % depth.., to the marching runs
@@ -337,11 +362,13 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
                      ring[done % depth : n % depth + 1, : run.j_obs + 1 - lo, c], top + 1 - lo)
         done = n + 1
 
+    table = row_table()
     for n in range(s, n_top):
         if batch[k - 1].n_max <= n:  # drop the runs that are done
             hand_over(n)
             k = sum(run.n_max > n for run in batch)
             ring, g_all = ring[..., : k * N].copy(), g_all[..., : k * N]
+            table = row_table()
         if (n + 1) % depth == 0 and done <= n:  # level n + 1 wraps round
             hand_over(n)
         edge, hi = edge - p, hi + r
@@ -351,20 +378,18 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
                 if row is not None and row.N != N:
                     raise SimError(f"source row F^{n} has {row.N} components, the scheme {N}")
             hi = max([hi] + [row.last for _, row in F_rows if row is not None])
-        # the step computes columns first..top of the valid slice left..edge
-        if cone is not None:  # the cone's and the data's left edges move
-            cone = (cone[0] + r, cone[1] - p)
-        left, first = (1, 1) if cone is None else (cone[0], max(cone))
-        top = min(edge, hi)
+        if cone is not None:
+            left, right = left + r, right - p
+        first, top = max(left, right), min(edge, hi)
         # a lone row is widened to two inside the valid slice: numpy multiplies
         # one row by a different BLAS routine than a block of rows
         if first == top and left < edge:
             first, top = (first, top + 1) if top < edge else (first - 1, top)
-        out = ring[(n + 1) % depth]
-        out[0 if cone is None else first - lo : top + 1 - lo] = 0
-        span = out[first - lo : top + 1 - lo]
-        for sigma, sigma_taps in enumerate(interior):
-            _apply_taps(span, ring[(n - sigma) % depth], first - lo, sigma_taps)
+        rows = table[n % depth]
+        out = rows[-1]
+        if cone is None:
+            out[:r] = 0
+        _apply_taps(out[first - lo : top + 1 - lo], rows, first - lo, interior, zero)
         for b, row in F_rows:
             if row is not None and max(1, row.offset) <= min(top, row.last):
                 flo, fhi = max(1, row.offset), min(top, row.last)
@@ -372,10 +397,9 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
             flags[b].append(all(flags[b][-(s + 1):])
                             and (row is None or row.implicit_zero))
         # boundary rows j in [1-r, 0]; sigma = -1 reads the new interior values
-        for j, rows in enumerate(boundary):
+        for j, taps in boundary:
             acc = out[j : j + 1]
-            for sigma, sigma_taps in rows:
-                _apply_taps(acc, ring[(n - sigma) % depth], r, sigma_taps)
+            _apply_taps(acc, rows, r, taps)
             if has_g:
                 acc += g_all[n + 1, j : j + 1]
     hand_over(n_top)
@@ -555,15 +579,16 @@ def reconstruct_boundary_source(
     g = np.zeros((n_max + 1, r, N), dtype=complex)
     if n_max <= s:
         return g
-    # levels n > s in one product per tap, each a (1, N) row of its own
+    # levels n > s in one product per tap, each a (1, N) row of its own;
+    # jets[sigma] holds V^{n-1-sigma} on j = 1..1+q by ell, sigma = -1 last
+    jets = [V.levels[s - sigma : n_max - sigma, one : one + q + 1].swapaxes(0, 1)[:, :, None]
+            for sigma in (*range(s + 1), -1)]
     for k, rows in enumerate(boundary):
         acc = g[None, s + 1 :, k : k + 1]
         acc[0, :, 0] = -V.levels[s + 1 : n_max + 1, one + k - r]
         if rows:
             acc += 0.0  # -0.0 to +0.0, so 1x1 taps add as in a matmul
-        for sigma, sigma_taps in rows:
-            jets = V.levels[s - sigma : n_max - sigma, one : one + q + 1]
-            _apply_taps(acc, jets.swapaxes(0, 1)[:, :, None], 0, sigma_taps)
+        _apply_taps(acc, jets, 0, _resolved_taps(rows, V.levels.dtype))
     return g
 
 

@@ -7,7 +7,13 @@ and ``config.scheme`` is reduced to the file name, so the pinned bytes
 are exactly the part of a report that the CLI promises to keep stable.
 Grids are small so the whole file runs in a few seconds.
 
-A change that means to alter a report regenerates the files with
+``march_bits.json`` pins the march itself: the sha256 of the levels of
+``run_ibvp``, ``run_cauchy`` and ``split_solution`` (U, V, W and g) on the
+same schemes at MARCH_LEVELS levels, so a change that means to keep every
+bit of a run is checked for it here.
+
+A change that means to alter a report or a march regenerates the files
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -18,6 +24,7 @@ float (exit code, a verdict's ``ok`` or detail string, stderr).
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -27,7 +34,9 @@ import numpy as np
 import pytest
 
 from dibvp.cli import run_command
-from dibvp.core import SchemeDef, lax_wendroff, leap_frog, save_scheme, upwind
+from dibvp.core import (GridSequence, SchemeDef, lax_wendroff, leap_frog, load_scheme,
+                        save_scheme, upwind)
+from dibvp.sim import decaying_data, run_cauchy, run_ibvp, split_solution
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEMES = GOLDEN / "schemes"
@@ -126,6 +135,45 @@ def test_report_matches_golden(scheme_name, case):
     assert render(scheme_name, case) == expected
 
 
+MARCH_LEVELS = 300
+
+
+def _sha256(levels: np.ndarray) -> str:
+    """The hash of an array's dtype, shape and bytes."""
+    head = f"{levels.dtype.str} {levels.shape} ".encode()
+    return hashlib.sha256(head + np.ascontiguousarray(levels).tobytes()).hexdigest()
+
+
+def march_bits() -> str:
+    """The hashes of each golden scheme's runs as JSON text: real data (a
+    float march for a scalar scheme), the same data times 1 - 0.5i (a
+    complex march), half-line runs with and without boundary rows g,
+    whole-line runs over their support and over a window, and a split."""
+    bits = {}
+    for name in SCHEME_SOURCES:
+        scheme = load_scheme(SCHEMES / f"{name}.json")
+        real = decaying_data(scheme, 16, seed=3)
+        cplx = tuple(GridSequence(f.offset, f.values * (1 - 0.5j), implicit_zero=True)
+                     for f in real)
+        g = np.random.default_rng(5).standard_normal((MARCH_LEVELS + 1, scheme.r, scheme.N))
+        split = split_solution(scheme, cplx, MARCH_LEVELS, dt=0.1)
+        levels = {
+            "run_ibvp": run_ibvp(scheme, real, MARCH_LEVELS).levels,
+            "run_ibvp.complex": run_ibvp(scheme, cplx, MARCH_LEVELS).levels,
+            "run_ibvp.g": run_ibvp(scheme, real, MARCH_LEVELS, j_obs=40, g=g).levels,
+            "run_cauchy": run_cauchy(scheme, real, MARCH_LEVELS).levels,
+            "run_cauchy.window": run_cauchy(scheme, cplx, MARCH_LEVELS, window=(-3, 5)).levels,
+            **{f"split_solution.{part}": getattr(split, part).levels for part in "UVW"},
+            "split_solution.g": split.g,
+        }
+        bits[name] = {key: _sha256(lv) for key, lv in levels.items()}
+    return json.dumps(bits, indent=2, sort_keys=True) + "\n"
+
+
+def test_march_keeps_its_bits():
+    assert json.loads(march_bits()) == json.loads((GOLDEN / "march_bits.json").read_text())
+
+
 def _leaves(node, path: str = "") -> dict:
     """Map each leaf of a decoded JSON document to its path."""
     if isinstance(node, dict):
@@ -189,6 +237,7 @@ def regenerate() -> None:
             _write_if_changed(SCHEMES / fresh.name, fresh.read_text())
     for scheme_name, case in CASES:
         _write_if_changed(golden_path(scheme_name, case), render(scheme_name, case))
+    _write_if_changed(GOLDEN / "march_bits.json", march_bits())
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dibvp.core import (
@@ -505,19 +505,27 @@ def test_classify_leap_frog_glancing_point():
 def _richardson_drift(scheme, z_bar, mu, gap):
     """Lambda = (d kappa / d tau) conj(mu) by centred differences at h and
     h/2 combined by Richardson extrapolation, following kappa by nearest
-    value; h keeps kappa's move within 1e-3 of its gap to the others."""
+    value; h keeps kappa's move within 1e-3 of its gap to the others and
+    of its own size |mu|, and h itself at most 1e-3."""
     def slope(step):
         zs = [z_bar * np.exp(step), z_bar * np.exp(-step)]
         plus, minus = (v[np.argmin(np.abs(v - mu))]
                        for v in np.linalg.eigvals(_companion_at(scheme, zs)[0]))
         return (plus - minus) / (2 * step)
 
-    h = 1e-3 * min(1.0, gap / abs(slope(1e-7)))
+    h = 1e-3 * min(1.0, min(gap, abs(mu)) / abs(slope(1e-7)))
     return (4 * slope(h / 2) - slope(h)) / 3 * np.conj(mu)
+
+
+# a lone eigenvalue (gap inf) with drift -153.5: bounded by the gap alone,
+# h = 1e-3 moved kappa by 0.15 and Richardson read -153.463
+_STEEP_UPWIND = SchemeDef(1, 1, 0, 0, 0, 1.0, np.array([0.0065153, 0.9934847]).reshape(2, 1, 1, 1),
+                          np.zeros((1, 1, 2, 1, 1)))
 
 
 @settings(max_examples=60)
 @given(schemes(taps="nonnegative"), st.sampled_from([1.0, -1.0]))
+@example(_STEEP_UPWIND, 1.0)
 def test_exact_drifts_match_richardson_oracle(scheme, z_bar):
     assume(validate_scheme(scheme).ok)
     cl = classify_boundary_blocks(scheme, z_bar)

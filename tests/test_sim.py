@@ -1679,7 +1679,7 @@ def test_run_cauchy_hands_over_blocks_of_a_wide_window(name, real):
 @pytest.mark.parametrize("name", ["upwind", "leap-frog", "random-three-level"])
 def test_run_cauchy_marches_no_more_than_the_cone(monkeypatch, name):
     # data 4,001 columns wide against a cone at most 2 * 50 + 1 wide: each
-    # level takes s + 1 tap calls over its cone, the spare columns and the
+    # level takes one tap call over its cone, the spare columns and the
     # s * (r + p) columns of an allocation counted from level 0, not s
     scheme = ORACLE_SCHEMES[name]
     r, p, s, n_max = scheme.r, scheme.p, scheme.s, 50
@@ -1689,7 +1689,7 @@ def test_run_cauchy_marches_no_more_than_the_cone(monkeypatch, name):
                         lambda out, *a: rows.append(len(out)) or apply_taps(out, *a))
     run_cauchy(scheme, _layers_on(scheme, -2000, 2000, seed=1), n_max, window=(0, 0))
     cone = sum((n_max - m) * (r + p) + 1 for m in range(s + 1, n_max + 1))
-    assert 0 < sum(rows) <= (s + 1) * (cone + (s * (r + p) + 2) * (n_max - s))
+    assert 0 < sum(rows) <= cone + (s * (r + p) + 2) * (n_max - s)
 
 
 def _cauchy_runs(scheme, window):
@@ -1871,3 +1871,82 @@ def test_whole_line_runs_read_no_boundary_taps(name):
     assert run_cauchy(blind, f, 12).levels.tobytes() == want.levels.tobytes()
     with pytest.raises(LookupError, match="boundary taps read"):
         run_ibvp(blind, random_layers(scheme, seed=3), 12)
+
+
+# ---------------------------------------------------------------------------
+# a step writes its new row from its first tap
+
+
+def _negative_taps(N, r, p, q, s, boundary):
+    """Every interior tap entry negative, so a product with a +0.0 column is
+    -0.0 at every tap; boundary rows zero or every entry negative too."""
+    rng = np.random.default_rng(11 + N + s)
+    interior = -rng.uniform(0.05, 0.3, (p + r + 1, s + 1, N, N))
+    rows = -rng.uniform(0.05, 0.3, (q + 1, r, s + 2, N, N))
+    return SchemeDef(N, r, p, q, s, 0.5, interior,
+                     rows if boundary == "negative" else np.zeros_like(rows))
+
+
+NEGATIVE_SCHEMES = {
+    "scalar": _negative_taps(1, 1, 1, 1, 0, "negative"),
+    "scalar-dirichlet": _negative_taps(1, 1, 0, 0, 0, "zero"),
+    "three-level-dirichlet": _negative_taps(1, 2, 1, 0, 1, "zero"),
+    "system": _negative_taps(2, 1, 1, 1, 1, "negative"),
+    # no interior tap: the new row is the empty sum
+    "no-interior-taps": SchemeDef(1, 1, 0, 1, 0, 0.5, np.zeros((2, 1, 1, 1)),
+                                  -np.full((2, 1, 2, 1, 1), 0.25)),
+}
+
+
+def _signed_layers(scheme, kind):
+    """Layers on columns 1-r..14, nonzero on boundary columns too, with
+    zero columns between the entries: signed zeros and finite values, the
+    same times 1 - 1j (a complex march), or complex with an inf and a NaN."""
+    values = np.array([1.0, -0.0, 0.0, 0.0, -0.5, -0.0, 0.0, 0.0, 2.0, -0.0, 0.0, 0.0, 0.0, 0.0,
+                       0.0, 0.0][: scheme.r + 14], dtype=complex)
+    if kind == "complex":
+        values *= 1 - 1j
+    elif kind == "non-finite":
+        values[[4, 8]] = np.inf, np.nan
+        values[0] = 1j
+    return tuple(GridSequence(1 - scheme.r, np.roll(values, k)[:, None] * np.ones(scheme.N),
+                              implicit_zero=True) for k in range(scheme.s + 1))
+
+
+@np.errstate(all="ignore")
+@pytest.mark.parametrize("kind", ["real", "complex", "non-finite"])
+@pytest.mark.parametrize("name", list(NEGATIVE_SCHEMES))
+def test_steps_keep_the_bits_of_a_zero_filled_row(name, kind):
+    # products with zero columns are all -0.0, which the reference loops'
+    # +0.0 fill turns into +0.0; a j_obs of over 58 KB rows makes the ring
+    # reuse its rows, so boundary columns left unfilled would hold old levels
+    scheme = NEGATIVE_SCHEMES[name]
+    f = _signed_layers(scheme, kind)
+    for j_obs in (None, sim.BLOCK_BYTES // 72):
+        trace = run_ibvp(scheme, f, 20, j_obs=j_obs)
+        assert trace.levels.dtype == (np.float64 if kind == "real" and scheme.N == 1 else complex)
+        _assert_same_levels(trace, *_reference_run_ibvp(scheme, f, 20, j_obs=j_obs))
+    for window in (None, (-2, 3)):
+        trace = run_cauchy(scheme, f, 20, window=window)
+        _assert_same_levels(trace, *_reference_run_cauchy(scheme, f, 20, window=window))
+
+
+@pytest.mark.parametrize("name", ["upwind", "leap-frog", "random-three-level", "ab3-upwind"])
+def test_a_level_is_one_interior_tap_call(monkeypatch, name):
+    # one call writes the interior, and one adds onto each boundary row with
+    # taps, or onto every row when the batch has g
+    scheme = ORACLE_SCHEMES[name]
+    rows_with_taps = sum(map(bool, scheme.tap_table[1]))
+    calls = []
+    apply_taps = sim._apply_taps
+    monkeypatch.setattr(sim, "_apply_taps", lambda out, sources, start, taps, zero=None: (
+        calls.append(zero is not None) or apply_taps(out, sources, start, taps, zero)))
+    f, n_max = random_layers(scheme, seed=4), 25
+    g = np.ones((n_max + 1, scheme.r, scheme.N))
+    for run, boundary_calls in [(lambda: run_ibvp(scheme, f, n_max), rows_with_taps),
+                                (lambda: run_ibvp(scheme, f, n_max, g=g), scheme.r),
+                                (lambda: run_cauchy(scheme, f, n_max), 0)]:
+        calls.clear()
+        run()
+        assert (calls.count(True), calls.count(False)) == (n_max - scheme.s,
+                                                           boundary_calls * (n_max - scheme.s))
