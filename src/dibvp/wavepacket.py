@@ -16,6 +16,7 @@ carriers from transported ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,25 @@ def _grid_sum(x0: float, dx: float, count: int, nodes, coef) -> np.ndarray:
     return (outer @ (inner * coef[:, None])).ravel()[:count]
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """numpy's n-node Gauss-Legendre rule on [-1, 1], built once per n and
+    kept read-only; ``make_envelope`` asks only for 16, 32, ..., 8192 nodes."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+def _trim(env: np.ndarray, tail_tol: float) -> tuple:
+    """First and last index where |env| exceeds tail_tol times its peak."""
+    mag = np.abs(env)
+    keep = mag > tail_tol * np.max(mag)
+    if not np.any(keep):
+        raise WavepacketError("envelope vanishes on the requested range")
+    return int(np.argmax(keep)), int(len(keep) - np.argmax(keep[::-1]) - 1)
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Smooth envelope with Fourier transform supported in [-d0/2, d0/2].
@@ -68,7 +88,9 @@ class Envelope:
     certification grid moved by at most ENVELOPE_TOL; ``x_certified`` is the
     half-width of that grid and ``quad_error`` the last observed change.
     ``_grids`` holds the read-only samples on the certified window, at most
-    one array per dx, taken when ``packet_initial_data`` first reads them.
+    one array per dx, taken when ``packet_initial_data`` first reads them;
+    ``_trims`` holds beside them, per dx, the (lo, hi) index range that
+    trims those samples at TAIL_TOL, taken when first asked for.
     """
 
     delta0: float
@@ -77,6 +99,7 @@ class Envelope:
     x_certified: float
     quad_error: float
     _grids: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _trims: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def fourier(self, xi) -> np.ndarray:
         """The transform profile: a bump supported on |xi| <= delta0/2."""
@@ -108,25 +131,33 @@ class Envelope:
 def make_envelope(delta0: float, x_max: float | None = None) -> Envelope:
     """Build the band-limited envelope of spectral half-width delta0/2.
 
-    Quadrature nodes are doubled until values on [0, x_max] change by at
-    most ENVELOPE_TOL; the default certification range scales like 1/delta0 so
-    the envelope tail at the range edge sits below the quadrature error.
+    Quadrature nodes are doubled from 16 until values on [0, x_max] change
+    by at most ENVELOPE_TOL, and 8192 nodes is the last rule tried; the
+    default certification range scales like 1/delta0 so the envelope tail
+    at the range edge sits below the quadrature error.  Each rule is built
+    once per process (``_gauss_legendre``) and shared by every envelope.
+    A delta0 or x_max that is not finite and positive is refused before
+    any rule is built.
     """
-    if delta0 <= 0:
-        raise WavepacketError(f"spectral width must be positive, got {delta0}")
+    if not (np.isfinite(delta0) and delta0 > 0):
+        raise WavepacketError(
+            f"spectral width delta0 must be finite and positive, got {delta0}")
     if x_max is None:
         x_max = 160.0 / delta0
+    if not (np.isfinite(x_max) and x_max > 0):
+        raise WavepacketError(
+            f"certification range x_max must be finite and positive, got {x_max}")
     half = delta0 / 2.0
 
     def values(n: int) -> np.ndarray:
-        t, w = np.polynomial.legendre.leggauss(n)
+        t, w = _gauss_legendre(n)
         nodes, weights = half * t, half * w
         coef = weights * _bump(t) / (2 * np.pi)
         return _grid_sum(0.0, x_max / 256, 257, nodes, coef), nodes, weights
 
     prev, nodes, weights = values(16)
     n = 16
-    while n <= 8192:
+    while n < 8192:
         n *= 2
         cur, nodes, weights = values(n)
         err = float(np.max(np.abs(cur - prev)))
@@ -280,7 +311,9 @@ def packet_initial_data(
     covers the envelope's certified window, trimmed where the envelope
     magnitude falls below ``tail_tol`` times its peak (the truncation
     tolerance of the finitely supported data).  The envelope's samples on
-    its certified window are taken once per dx and then reused.
+    its certified window are taken once per dx and then reused, and so is
+    their trim range at the default TAIL_TOL; any other ``tail_tol``, or an
+    explicit range, is trimmed afresh.
     """
     if dx <= 0:
         raise WavepacketError(f"grid step must be positive, got {dx}")
@@ -300,10 +333,12 @@ def packet_initial_data(
         if certified:
             env.setflags(write=False)
             envelope._grids[dx] = env
-    keep = np.abs(env) > tail_tol * np.max(np.abs(env))
-    if not np.any(keep):
-        raise WavepacketError("envelope vanishes on the requested range")
-    lo, hi = int(np.argmax(keep)), int(len(keep) - np.argmax(keep[::-1]) - 1)
+    if certified and tail_tol == TAIL_TOL:
+        if dx not in envelope._trims:
+            envelope._trims[dx] = _trim(env, tail_tol)
+        lo, hi = envelope._trims[dx]
+    else:
+        lo, hi = _trim(env, tail_tol)
     j = j[lo : hi + 1]
     carrier = np.exp(1j * j * spec.xi_bar) * env[lo : hi + 1]
     layers = []

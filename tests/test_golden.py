@@ -10,7 +10,10 @@ Grids are small so the whole file runs in a few seconds.
 ``march_bits.json`` pins the march itself: the sha256 of the levels of
 ``run_ibvp``, ``run_cauchy`` and ``split_solution`` (U, V, W and g) on the
 same schemes at MARCH_LEVELS levels, so a change that means to keep every
-bit of a run is checked for it here.
+bit of a run is checked for it here.  ``packet_bits.json`` does the same
+for the packet layer: the envelope quadrature, the sampled packet data,
+and the trace experiment and packet error of the ``packets`` benchmark's
+three packet kinds on short horizons.
 
 A change that means to alter a report or a march regenerates the files
 with
@@ -37,6 +40,8 @@ from dibvp.cli import run_command
 from dibvp.core import (GridSequence, SchemeDef, lax_wendroff, leap_frog, load_scheme,
                         save_scheme, upwind)
 from dibvp.sim import decaying_data, run_cauchy, run_ibvp, split_solution
+from dibvp.wavepacket import (glancing_trace_experiment, make_envelope, make_packet,
+                              packet_error, packet_initial_data)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEMES = GOLDEN / "schemes"
@@ -174,6 +179,54 @@ def test_march_keeps_its_bits():
     assert json.loads(march_bits()) == json.loads((GOLDEN / "march_bits.json").read_text())
 
 
+# the packets benchmark's three kinds: (scheme, carrier xi, branch)
+PACKET_KINDS = {
+    "glancing": (leap_frog(0.5, 1.0), np.pi / 2, 1),
+    "control": (upwind(0.5, 1.0), 0.0, 0),
+    "carrier": (leap_frog(0.5, 1.0), 0.9, 0),
+}
+PACKET_DXS = (0.2, 0.1)
+
+
+def packet_bits() -> str:
+    """The hashes of the packet layer as JSON text: two envelopes' nodes,
+    weights and quadrature error; a glancing packet's data at the default
+    and a looser tail tolerance; and each packet kind's trace experiment
+    and packet error at PACKET_DXS."""
+    bits = {}
+    for delta0 in (0.5, 0.75):
+        env = make_envelope(delta0)
+        bits[f"make_envelope.{delta0}"] = {
+            "nodes": _sha256(env.nodes), "weights": _sha256(env.weights),
+            "quad_error": _sha256(np.array([env.quad_error])),
+        }
+    for name, (scheme, xi, branch) in PACKET_KINDS.items():
+        spec = make_packet(scheme, xi, env, branch=branch)
+        rep = glancing_trace_experiment(spec, T_list=(1.0, 2.0),
+                                        dt_list=[scheme.lam * dx for dx in PACKET_DXS])
+        fit = np.array([rep.slopes, rep.intercepts, rep.r_squared])
+        bits[f"{name}.glancing_trace_experiment"] = {
+            "trace_sums": _sha256(rep.trace_sums), "mass_ratios": _sha256(rep.mass_ratios),
+            "fit": _sha256(fit), "reference": _sha256(np.array([rep.reference])),
+        }
+        bits[f"{name}.packet_error"] = {
+            str(dx): _sha256(np.array(packet_error(spec, [0, 3, 6], dx).sup_errors))
+            for dx in PACKET_DXS
+        }
+        if name == "glancing":
+            for tol, kw in (("default", {}), ("0.001", {"tail_tol": 1e-3})):
+                layers = packet_initial_data(spec, 0.2, **kw)
+                bits[f"packet_initial_data.{tol}"] = {
+                    "offsets": _sha256(np.array([lay.offset for lay in layers])),
+                    **{f"layer{k}": _sha256(lay.values) for k, lay in enumerate(layers)},
+                }
+    return json.dumps(bits, indent=2, sort_keys=True) + "\n"
+
+
+def test_packets_keep_their_bits():
+    assert json.loads(packet_bits()) == json.loads((GOLDEN / "packet_bits.json").read_text())
+
+
 def _leaves(node, path: str = "") -> dict:
     """Map each leaf of a decoded JSON document to its path."""
     if isinstance(node, dict):
@@ -238,6 +291,7 @@ def regenerate() -> None:
     for scheme_name, case in CASES:
         _write_if_changed(golden_path(scheme_name, case), render(scheme_name, case))
     _write_if_changed(GOLDEN / "march_bits.json", march_bits())
+    _write_if_changed(GOLDEN / "packet_bits.json", packet_bits())
 
 
 if __name__ == "__main__":

@@ -150,6 +150,65 @@ def test_envelope_quadrature_nodes_are_128_gauss_legendre(delta0):
     assert envelope.quad_error <= ENVELOPE_TOL
 
 
+@pytest.fixture
+def rules(monkeypatch):
+    """The node counts of the Gauss-Legendre rules built from here on; the
+    rule cache starts empty and is emptied again afterwards."""
+    sizes = []
+    leggauss = np.polynomial.legendre.leggauss
+    wavepacket._gauss_legendre.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: sizes.append(n) or leggauss(n))
+    yield sizes
+    wavepacket._gauss_legendre.cache_clear()
+
+
+def test_envelopes_share_one_rule_per_node_count(rules):
+    first = make_envelope(0.5)
+    assert rules == [16, 32, 64, 128]
+    second = make_envelope(0.75)
+    assert rules == [16, 32, 64, 128]
+    assert wavepacket._gauss_legendre.cache_info().currsize == 4
+    # each envelope scales the shared rule into arrays of its own
+    t, w = wavepacket._gauss_legendre(128)
+    assert not t.flags.writeable and not w.flags.writeable
+    assert first.nodes.flags.writeable and first.nodes is not second.nodes
+    assert np.array_equal(second.nodes, 0.375 * t)
+
+
+@pytest.fixture
+def fake_rules(rules, monkeypatch):
+    """As ``rules``, but every rule is a cheap one whose values grow with n:
+    it never converges, and a walk up the doubling ladder runs no real
+    eigen-solve."""
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: rules.append(n) or (np.zeros(n), np.full(n, float(n))))
+    return rules
+
+
+def test_envelope_tries_8192_nodes_last(fake_rules):
+    with pytest.raises(WavepacketError, match="not converged .* with 8192 nodes"):
+        make_envelope(0.5)
+    assert fake_rules == [2**k for k in range(4, 14)]
+
+
+@pytest.mark.parametrize("delta0,x_max,name,value", [
+    (float("nan"), None, "delta0", "nan"),
+    (float("inf"), None, "delta0", "inf"),
+    (-float("inf"), None, "delta0", "-inf"),
+    (0.5, float("nan"), "x_max", "nan"),
+    (0.5, float("inf"), "x_max", "inf"),
+    (0.5, 0.0, "x_max", "0.0"),
+    (0.5, -10.0, "x_max", "-10.0"),
+    (1e-320, None, "x_max", "inf"),  # the default 160 / delta0 overflows
+])
+def test_envelope_refuses_a_width_or_range_not_finite_and_positive(
+        fake_rules, delta0, x_max, name, value):
+    with pytest.raises(WavepacketError, match=f"{name} must be finite and positive, got {value}$"):
+        make_envelope(delta0, x_max=x_max)
+    assert fake_rules == []
+
+
 # ---------------------------------------------------------------------------
 # packet construction
 
@@ -588,6 +647,39 @@ def test_envelope_is_sampled_once_per_dx(monkeypatch):
         assert not samples.flags.writeable
         fresh = env.on_grid(-half[dx] * dx, dx, 2 * half[dx] + 1)
         assert samples.tobytes() == fresh.tobytes()
+
+
+def test_default_trim_is_taken_once_per_dx(monkeypatch):
+    env = make_envelope(0.75)
+    spec = make_packet(LF, np.pi / 2, env, branch=1)
+    trims = []
+    trim = wavepacket._trim
+    monkeypatch.setattr(wavepacket, "_trim",
+                        lambda samples, tol: trims.append(tol) or trim(samples, tol))
+    for dx in (0.2, 0.2, 0.1, 0.2, 0.1):
+        packet_initial_data(spec, dx)
+    assert trims == [wavepacket.TAIL_TOL] * 2 and sorted(env._trims) == [0.1, 0.2]
+    # any other tolerance, or an explicit range, trims afresh every time
+    packet_initial_data(spec, 0.2, tail_tol=1e-3)
+    packet_initial_data(spec, 0.2, tail_tol=1e-3)
+    packet_initial_data(spec, 0.2, j_min=-40, j_max=40)
+    assert trims[2:] == [1e-3, 1e-3, wavepacket.TAIL_TOL]
+
+
+def _layer_bytes(layers):
+    return [(lay.offset, lay.values.tobytes()) for lay in layers]
+
+
+def test_cached_trims_keep_the_layers_of_a_fresh_envelope():
+    # a non-default tail_tol read before and after the default one
+    spec = make_packet(LF, np.pi / 2, make_envelope(0.75), branch=1)
+    reads = [packet_initial_data(spec, 0.2, tail_tol=1e-3), packet_initial_data(spec, 0.2),
+             packet_initial_data(spec, 0.2, tail_tol=1e-3), packet_initial_data(spec, 0.2)]
+    fresh = [packet_initial_data(make_packet(LF, np.pi / 2, make_envelope(0.75), branch=1),
+                                 0.2, **kw) for kw in ({"tail_tol": 1e-3}, {})]
+    assert reads[0][0].offset > fresh[1][0].offset  # the looser tolerance trims
+    for k, layers in enumerate(reads):
+        assert _layer_bytes(layers) == _layer_bytes(fresh[k % 2])
 
 
 def test_trace_sum_counts_a_horizon_rounded_below_an_integer(glancing_spec):
