@@ -90,7 +90,7 @@ class Envelope:
     ``_grids`` holds the read-only samples on the certified window, at most
     one array per dx, taken when ``packet_initial_data`` first reads them;
     ``_trims`` holds beside them, per dx, the (lo, hi) index range that
-    trims those samples at TAIL_TOL, taken when first asked for.
+    trims those samples at TAIL_TOL, taken with the samples.
     """
 
     delta0: float
@@ -333,9 +333,8 @@ def packet_initial_data(
         if certified:
             env.setflags(write=False)
             envelope._grids[dx] = env
+            envelope._trims[dx] = _trim(env, TAIL_TOL)
     if certified and tail_tol == TAIL_TOL:
-        if dx not in envelope._trims:
-            envelope._trims[dx] = _trim(env, tail_tol)
         lo, hi = envelope._trims[dx]
     else:
         lo, hi = _trim(env, tail_tol)

@@ -190,18 +190,18 @@ PACKET_DXS = (0.2, 0.1)
 
 def packet_bits() -> str:
     """The hashes of the packet layer as JSON text: two envelopes' nodes,
-    weights and quadrature error; a glancing packet's data at the default
-    and a looser tail tolerance; and each packet kind's trace experiment
-    and packet error at PACKET_DXS."""
+    weights and quadrature error; and, on the delta0 = 0.75 envelope, a
+    glancing packet's data at the default and a looser tail tolerance and
+    each packet kind's trace experiment and packet error at PACKET_DXS."""
     bits = {}
-    for delta0 in (0.5, 0.75):
-        env = make_envelope(delta0)
+    envs = {delta0: make_envelope(delta0) for delta0 in (0.5, 0.75)}
+    for delta0, env in envs.items():
         bits[f"make_envelope.{delta0}"] = {
             "nodes": _sha256(env.nodes), "weights": _sha256(env.weights),
             "quad_error": _sha256(np.array([env.quad_error])),
         }
     for name, (scheme, xi, branch) in PACKET_KINDS.items():
-        spec = make_packet(scheme, xi, env, branch=branch)
+        spec = make_packet(scheme, xi, envs[0.75], branch=branch)
         rep = glancing_trace_experiment(spec, T_list=(1.0, 2.0),
                                         dt_list=[scheme.lam * dx for dx in PACKET_DXS])
         fit = np.array([rep.slopes, rep.intercepts, rep.r_squared])

@@ -664,6 +664,10 @@ def test_default_trim_is_taken_once_per_dx(monkeypatch):
     packet_initial_data(spec, 0.2, tail_tol=1e-3)
     packet_initial_data(spec, 0.2, j_min=-40, j_max=40)
     assert trims[2:] == [1e-3, 1e-3, wavepacket.TAIL_TOL]
+    # the default trim is taken with the samples, whatever tolerance reads them first
+    packet_initial_data(spec, 0.4, tail_tol=1e-3)
+    packet_initial_data(spec, 0.4)
+    assert trims[5:] == [wavepacket.TAIL_TOL, 1e-3] and sorted(env._trims) == [0.1, 0.2, 0.4]
 
 
 def _layer_bytes(layers):
