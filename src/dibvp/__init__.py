@@ -28,10 +28,11 @@ from .core import (
     validate_scheme,
 )
 from .resolvent import (
+    EigenvalueBranch,
     arg_total_variation,
     assemble_M,
-    branch_log_deviation,
     classify_boundary_blocks,
+    kl_boundary_matrix,
     kl_determinant,
     spectral_split,
     uklc_scan,

@@ -563,13 +563,6 @@ class EigenvalueBranch:
         return logs[parent[len(logs) :]] + steps[len(logs) - 1 :]
 
 
-def branch_log_deviation(
-    scheme: SchemeDef, z_bar: complex, mu_bar: complex
-) -> EigenvalueBranch:
-    """Branch object exposing f(tau) = log(mu(z_bar e^tau) / mu_bar)."""
-    return EigenvalueBranch(scheme, z_bar, mu_bar)
-
-
 @dataclass(frozen=True)
 class ArgTVReport:
     """Total variation of theta -> arg(f(gamma + i theta) - i w).

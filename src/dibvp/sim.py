@@ -41,8 +41,8 @@ W) march as the components of one vector: a 1x1 tap multiplies each entry
 alone, columns marched for another run are zeros or exact half-line
 values, and a run without g adds -0.0, so every level keeps its bits.
 Whole-line runs of one window (a trace experiment's dts) share a march
-the same way through ``_cauchy``, on the longest run's cone.  Systems
-march alone.
+the same way, on the longest run's cone.  Every run enters through
+``_march``, which checks the runs in order.  Systems march alone.
 """
 
 from __future__ import annotations
@@ -133,9 +133,8 @@ class _Layers(Sequence):
 
 
 def _real(values) -> bool:
-    """Whether every imaginary part is +0.0, sign bit included."""
-    imag = np.asarray(values).imag
-    return not (imag.any() or np.signbit(imag).any())
+    """Whether every imaginary part is +0.0 (no bit set), sign bit included."""
+    return not np.count_nonzero(np.asarray(values, dtype=complex).imag.view(np.uint64))
 
 
 def _march_dtype(scheme: SchemeDef, f_layers, g=None, F=None) -> type:
@@ -199,27 +198,31 @@ def run_ibvp(
 
 
 _Run = namedtuple("_Run", "f_layers n_max j_obs g F dt sink auto pad_to dtype")
+_Cone = namedtuple("_Cone", "W0 W1 jmin Lmin")
 
 
-def _check_layers(scheme: SchemeDef, f_layers) -> None:
-    """s+1 initial layers of N components each, or a SimError naming both counts."""
-    if len(f_layers) != scheme.s + 1:
-        raise SimError(f"need {scheme.s + 1} initial layers, got {len(f_layers)}")
+def _check_run(scheme, f_layers, n_max, j_obs, g, F, dt, sink=None, whole_line=False) -> _Run:
+    """A run's inputs checked as ``run_ibvp`` checks them, with its window,
+    allocation edge and march dtype.  A run whose levels would take more
+    bytes than the host's memory raises before anything is allocated.
+
+    A whole-line run (``whole_line`` its march's window, see ``_march``)
+    needs n_max >= 0 and finitely supported layers; its march sets its
+    j_obs, and it has no allocation edge and no memory check."""
+    s, line = scheme.s, whole_line is not False
+    if n_max < (0 if line else s):
+        raise SimError("n_max must be nonnegative" if line else f"n_max must be at least s = {s}")
+    if len(f_layers) != s + 1:
+        raise SimError(f"need {s + 1} initial layers, got {len(f_layers)}")
     for f in f_layers:
         if f.N != scheme.N:
             raise SimError(f"initial layer has {f.N} components, the scheme {scheme.N}")
-
-
-def _check_run(scheme, f_layers, n_max, j_obs, g, F, dt, sink=None) -> _Run:
-    """A run's inputs checked as ``run_ibvp`` checks them, with its window,
-    allocation edge and march dtype.  A run whose levels would take more
-    bytes than the host's memory raises before anything is allocated."""
-    r, p, q, s = scheme.r, scheme.p, scheme.q, scheme.s
-    lo = 1 - r
-    if n_max < s:
-        raise SimError(f"n_max must be at least s = {s}")
-    _check_layers(scheme, f_layers)
-    auto = j_obs is None
+    if line:
+        if not all(f.implicit_zero for f in f_layers):
+            raise SimError("whole-line initial layers must be finitely supported")
+        return _Run(f_layers, n_max, None, None, None, dt, sink, whole_line is None, None,
+                    _march_dtype(scheme, f_layers))
+    r, p, q, lo, auto = scheme.r, scheme.p, scheme.q, 1 - scheme.r, j_obs is None
     if auto:
         j_obs = _auto_obs(scheme, f_layers, n_max)
     pad_to = j_obs + (n_max - s) * p
@@ -247,26 +250,51 @@ def _check_run(scheme, f_layers, n_max, j_obs, g, F, dt, sink=None) -> _Run:
     return _Run(f_layers, n_max, j_obs, g, F, dt, sink, auto, pad_to, dtype)
 
 
-def _march(scheme: SchemeDef, runs) -> list:
-    """``run_ibvp`` of each (f_layers, n_max, j_obs, g, F, dt[, sink]) in ``runs``.
+def _march(scheme: SchemeDef, runs, whole_line=False) -> list:
+    """``run_ibvp`` of each (f_layers, n_max, j_obs, g, F, dt[, sink]) in
+    ``runs``; with ``whole_line``, ``run_cauchy`` of each (f_layers, n_max,
+    None, None, None, dt) over that one window (Lmin, Rmax), or for None
+    over the window holding every run's full support.
 
     A run with a sink hands it its levels (see ``_march_batch``) and gives
     None; a run without one gives its IBVPTrace.  The runs march in
     ``_batches``, a batch's scalar runs as the components of one run (see
     the module docstring).  Inputs are checked in run order, so the first
-    bad run raises what its own march would.
+    bad run raises what its own march would, and then the window.
+
+    A whole-line batch marches on its longest run's cone and a spare column
+    a side where its data reach (cut to the cone, a one-column window would
+    end on a one-row product, rounded unlike a block of rows); a column
+    outside a run's data cone adds +0.0 products to +0.0, keeping bits.
     """
-    lo, N = 1 - scheme.r, scheme.N
-    checked, levels = [_check_run(scheme, *run) for run in runs], {}
+    lo, r, p, N = 1 - scheme.r, scheme.r, scheme.p, scheme.N
+    checked = [_check_run(scheme, *run, whole_line=whole_line) for run in runs]
+    levels, flags, window = {}, {}, whole_line
+    if whole_line is not False:
+        if window is None:
+            reach = [(f, run.n_max) for run in checked for f in run.f_layers]
+            window = (min(f.offset - n * p for f, n in reach),
+                      max(f.last + n * r for f, n in reach))
+        lo, Rmax = window  # the traces' offset and j_obs
+        if Rmax < lo:
+            raise SimError(f"empty observation window {window}")
     for i, run in enumerate(checked):
         if run.sink is None:
-            levels[i] = _zeros([(run.n_max + 1, run.j_obs - lo + 1, N)], run.n_max, run.dtype)[0]
-            checked[i] = run._replace(sink=_copy_into(levels[i]))
-    flags, n_maxes = {}, [run.n_max for run in checked]
-    for part in _batches(scheme, n_maxes, [run.dtype for run in checked]):
-        flags.update(zip(part, _march_batch(scheme, [checked[i] for i in part])))
+            j_obs = run.j_obs if whole_line is False else Rmax
+            levels[i] = _zeros([(run.n_max + 1, j_obs - lo + 1, N)], run.n_max, run.dtype)[0]
+            checked[i] = run._replace(j_obs=j_obs, sink=_copy_into(levels[i]))
+    for part in _batches(scheme, [run.n_max for run in checked], [run.dtype for run in checked]):
+        batch, cone = [checked[i] for i in part], None
+        if whole_line is not False:
+            layers, n_top = [f for run in batch for f in run.f_layers], batch[0].n_max
+            jmin, jmax = min(f.offset for f in layers), max(f.last for f in layers)
+            W0, W1 = lo - n_top * r, Rmax + n_top * p  # the longest run's cone
+            cone = _Cone(max(min(W0, jmin), W0 - 1), min(max(W1, jmax), W1 + 1), jmin, lo)
+        flags.update(zip(part, _march_batch(scheme, batch, cone)))
     return [
-        IBVPTrace(scheme, run.dt, levels[i], lo, tuple(run.auto and z for z in flags[i]),
+        # a whole-line run with n_max < s has s + 1 flags
+        IBVPTrace(scheme, run.dt, levels[i], lo,
+                  tuple(flags[i][: run.n_max + 1]) if run.auto else (False,) * (run.n_max + 1),
                   run.j_obs) if i in levels else None
         for i, run in enumerate(checked)
     ]
@@ -289,9 +317,9 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
     dtype, longest first, together; return their zero flags.
 
     A half-line step computes columns from j = 1 on, then the boundary
-    rows.  Whole-line runs march on their buffer W0..pad_to, with ``cone``
-    = (W0, jmin) for data from jmin on: a step has no boundary rows and
-    starts at W0 + r a step or jmin - p a step, whichever is right.
+    rows.  Whole-line runs march on the buffer W0..W1 of ``cone`` = (W0,
+    W1, jmin, Lmin), data from jmin on and window from Lmin on: a step has
+    no boundary rows and starts at W0 + r or jmin - p a step, whichever is right.
 
     The taps are resolved once per march (``core._resolved_taps``): the
     interior's in one flat list, each boundary row's in another, a row
@@ -307,15 +335,15 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
     fewer.  Before a level wraps round to row 0, and before a run ends, the
     levels n0..n not yet handed over go to each marching run's sink as
     ``sink(slice(n0, n + 1), block, cols)``: the block is one
-    (n + 1 - n0, L, N) view of the run's columns from 1-r (or W0) to j_obs,
-    valid until the sink returns; on the half-line it is zero past its
-    first cols columns.
+    (n + 1 - n0, L, N) view of the run's columns from its trace's offset to
+    j_obs, valid until the sink returns; cols is None on the whole line,
+    and on the half-line the block is zero past its first cols columns.
     """
     r, p, s, N = scheme.r, scheme.p, scheme.s, scheme.N
-    lo = 1 - r if cone is None else cone[0]
+    lo, edge = (1 - r, max(run.pad_to for run in batch)) if cone is None else cone[:2]
+    start = 0 if cone is None else cone.Lmin - lo  # the blocks' first column
     n_top, dtype = batch[0].n_max, batch[0].dtype
     comps = [slice(b * N, (b + 1) * N) for b in range(len(batch))]
-    edge = max(run.pad_to for run in batch)
     row_bytes = (edge - lo + 1) * len(batch) * N * np.dtype(dtype).itemsize
     depth = s + 1 + max(1, min(BLOCK_BYTES // row_bytes, n_top - s))
     ring, g_all = _zeros([(depth, edge - lo + 1, len(batch) * N),
@@ -347,7 +375,7 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
     # a step computes columns max(left, right)..top of the valid slice
     # left..edge; on the whole line the cone's edge left and the data's
     # edge right move, on the half-line both stay at j = 1
-    left, right = (1, 1) if cone is None else cone
+    left, right = (1, 1) if cone is None else (lo, cone.jmin)
 
     def row_table():
         views = list(ring)
@@ -359,7 +387,8 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
         nonlocal done
         for run, c in zip(batch[:k], comps):
             run.sink(slice(done, n + 1),
-                     ring[done % depth : n % depth + 1, : run.j_obs + 1 - lo, c], top + 1 - lo)
+                     ring[done % depth : n % depth + 1, start : run.j_obs + 1 - lo, c],
+                     top + 1 - lo if cone is None else None)
         done = n + 1
 
     table = row_table()
@@ -409,16 +438,11 @@ def _march_batch(scheme: SchemeDef, batch, cone=None) -> list:
     return flags
 
 
-def _copy_into(levels: np.ndarray, start=None):
-    """A sink that copies each block into ``levels``: on the half-line its
-    first cols columns, leaving the zero columns past the solution's
-    support untouched; on the whole line its columns from ``start`` on,
-    the run's window."""
+def _copy_into(levels: np.ndarray):
+    """A sink copying each block's first cols columns (all for None) into
+    ``levels``; the zero columns past the solution's support stay as they are."""
     def sink(index, block, cols):
-        if start is None:
-            levels[index, :cols] = block[:, :cols]
-        else:  # cols is a half-line hint
-            levels[index] = block[:, start:]
+        levels[index, :cols] = block[:, :cols]
     return sink
 
 
@@ -505,51 +529,7 @@ def run_cauchy(
     contains the full support of the solution through level n_max.  The
     run's blocks of levels (see ``_march_batch``) are copied into the trace.
     """
-    return _cauchy(scheme, [(f_layers, n_max, dt)], window)[0]
-
-
-def _cauchy(scheme: SchemeDef, runs, window) -> list:
-    """``run_cauchy`` of each (f_layers, n_max, dt) in ``runs`` over one
-    window, their traces in run order; a None window holds every run's
-    full support.
-
-    Inputs are checked in run order, and the runs march in ``_batches``.
-    A batch's buffer is its longest run's cone, widened to its data's
-    extent by at most a column a side: every run's window values depend
-    only on columns inside its own cone, and a column outside a run's data
-    cone adds up +0.0 products to +0.0, so each run keeps its bits.
-    """
-    for f_layers, n_max, _ in runs:
-        if n_max < 0:
-            raise SimError("n_max must be nonnegative")
-        _check_layers(scheme, f_layers)
-        if not all(f.implicit_zero for f in f_layers):
-            raise SimError("whole-line initial layers must be finitely supported")
-    auto = window is None
-    if auto:
-        reach = [(f, n_max) for f_layers, n_max, _ in runs for f in f_layers]
-        window = (min(f.offset - n * scheme.p for f, n in reach),
-                  max(f.last + n * scheme.r for f, n in reach))
-    Lmin, Rmax = window
-    if Rmax < Lmin:
-        raise SimError(f"empty observation window {window}")
-    dtypes = [_march_dtype(scheme, f_layers) for f_layers, _, _ in runs]
-    levels = [_zeros([(n_max + 1, Rmax - Lmin + 1, scheme.N)], n_max, dtype)[0]
-              for (_, n_max, _), dtype in zip(runs, dtypes)]
-    for part in _batches(scheme, [n_max for _, n_max, _ in runs], dtypes):
-        layers = [f for i in part for f in runs[i][0]]
-        jmin, jmax = min(f.offset for f in layers), max(f.last for f in layers)
-        # the cone and a spare column a side: cut to the cone, a one-column
-        # window would end on a one-row product, rounded unlike a block of rows
-        n_top = runs[part[0]][1]
-        cone0, cone1 = Lmin - n_top * scheme.r, Rmax + n_top * scheme.p
-        W0 = max(min(cone0, jmin), cone0 - 1)
-        W1 = min(max(cone1, jmax), cone1 + 1)
-        _march_batch(scheme, [_Run(runs[i][0], runs[i][1], Rmax, None, None, runs[i][2],
-                                   _copy_into(levels[i], Lmin - W0), auto, W1, dtypes[i])
-                              for i in part], (W0, jmin))
-    return [IBVPTrace(scheme, dt, lv, Lmin, (auto,) * (n_max + 1), Rmax)
-            for (_, n_max, dt), lv in zip(runs, levels)]
+    return _march(scheme, [(f_layers, n_max, None, None, None, dt)], whole_line=window)[0]
 
 
 # ---------------------------------------------------------------------------

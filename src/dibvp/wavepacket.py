@@ -22,12 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BRANCH_COND_MAX, GridSequence, SchemeDef, _clusters, _eig_derivs
-from .sim import _cauchy, run_cauchy
+from .sim import _march, run_cauchy
 from .symbol import _amplification_stack, _velocity
 
 UNIT_BRANCH_TOL = 1e-8
 ENVELOPE_TOL = 1e-10
-#: packet data is trimmed where the envelope falls below this times its peak
+#: packet data lose their end samples where the envelope is below this times
+#: its peak; the default window ends where |a| is still ~1.9e-5 of it, so
+#: there the data are cut at the window's edge and this trims nothing
 TAIL_TOL = 1e-12
 
 
@@ -308,9 +310,11 @@ def packet_initial_data(
 
     The stacked state at level 0 is W_j^0 = e^{i j xi_bar} amplitude
     a(j dx); block b of the amplitude is layer s-b.  The default range
-    covers the envelope's certified window, trimmed where the envelope
-    magnitude falls below ``tail_tol`` times its peak (the truncation
-    tolerance of the finitely supported data).  The envelope's samples on
+    covers the envelope's certified window |x| <= x_certified, trimmed
+    where the envelope magnitude falls below ``tail_tol`` times its peak.
+    The default window (x_certified = 160/delta0) ends where |a| is still
+    about 1.9e-5 of its peak, so the default data are cut at its edge, not
+    at TAIL_TOL, which trims nothing there.  The envelope's samples on
     its certified window are taken once per dx and then reused, and so is
     their trim range at the default TAIL_TOL; any other ``tail_tol``, or an
     explicit range, is trimmed afresh.
@@ -424,7 +428,8 @@ def packet_error(spec: PacketSpec, n_list, dx: float) -> PacketErrorReport:
     for smooth band-limited data the measured rate is first order in dx,
     since the ansatz moves the envelope rigidly and misses its O(dx)
     spreading by the branch's second derivative (diffusion for upwind).
-    The packet data is trimmed at TAIL_TOL, as in ``packet_initial_data``.
+    The packet data are ``packet_initial_data``'s default: cut at the
+    envelope's certified window, where |a| is about 1.9e-5 of its peak.
     """
     scheme = spec.scheme
     n_list = tuple(int(n) for n in n_list)
@@ -488,7 +493,8 @@ class TraceGrowthReport:
 def glancing_trace_experiment(spec: PacketSpec, T_list, dt_list) -> TraceGrowthReport:
     """Accumulate dt |W_0^n|^2 over n <= T/dt for each (dt, T) cell.
 
-    The packet data is trimmed at TAIL_TOL, as in ``packet_initial_data``.
+    The packet data are ``packet_initial_data``'s default: cut at the
+    envelope's certified window, where |a| is about 1.9e-5 of its peak.
     """
     Ts = tuple(float(T) for T in T_list)
     dts = tuple(float(dt) for dt in dt_list)
@@ -504,11 +510,11 @@ def glancing_trace_experiment(spec: PacketSpec, T_list, dt_list) -> TraceGrowthR
     # floor(T / dt), taking 0.3 / 0.1 = 2.9999999999999996 as 3
     lasts = [np.floor(np.array(Ts) / dt * (1 + 4 * np.finfo(float).eps)).astype(int)
              for dt in dts]
-    runs = [(packet_initial_data(spec, dt / scheme.lam), int(last.max()) + s, dt)
-            for dt, last in zip(dts, lasts)]
+    runs = [(packet_initial_data(spec, dt / scheme.lam), int(last.max()) + s,
+             None, None, None, dt) for dt, last in zip(dts, lasts)]
     # every dt's run over the one column j = 0, in one march
-    traces = _cauchy(scheme, runs, (0, 0))
-    for i, ((layers, n_top, dt), last, trace) in enumerate(zip(runs, lasts, traces)):
+    traces = _march(scheme, runs, whole_line=(0, 0))
+    for i, ((layers, n_top, *_, dt), last, trace) in enumerate(zip(runs, lasts, traces)):
         dx = dt / scheme.lam
         mass = sum(lay.norm_sq(dx) for lay in layers)
         col = trace.levels[:, 0]

@@ -58,8 +58,12 @@ def _module_constants(tree: ast.Module) -> set:
     return names
 
 
-def test_every_module_constant_has_a_reader():
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+def _package_trees() -> dict:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _read_names(trees: dict) -> set:
+    """Names loaded, and attributes taken, anywhere in the package."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -67,10 +71,32 @@ def test_every_module_constant_has_a_reader():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def test_every_module_constant_has_a_reader():
+    trees = _package_trees()
+    read = _read_names(trees)
     unread = sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
         for name in _module_constants(tree) - read
+    )
+    assert unread == []
+
+
+def test_every_function_and_class_has_a_reader_or_is_exported():
+    # a top-level definition that nothing in the package reads and the
+    # package does not export is code for the tests alone
+    trees = _package_trees()
+    exported = {alias.asname or alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = _read_names(trees) | exported
+    unread = sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
     )
     assert unread == []
 
@@ -92,9 +118,9 @@ def test_one_loop_applies_the_solver_taps():
 
 
 def test_whole_line_runs_march_through_one_entry():
-    # half-line runs reach _march_batch through _march, whole-line runs
-    # through _cauchy, which marches a trace experiment's dts together
-    assert _callers("sim", "_march_batch") == {"_march", "_cauchy"}
+    # half-line and whole-line runs reach _march_batch through _march,
+    # which marches a trace experiment's dts together
+    assert _callers("sim", "_march_batch") == {"_march"}
 
 
 def test_one_companion_builder_evaluates_the_resolvent_coefficients():

@@ -26,9 +26,9 @@ from dibvp.resolvent import (
     _split_failures,
     ResolventError,
     CompanionMatrix,
+    EigenvalueBranch,
     arg_total_variation,
     assemble_M,
-    branch_log_deviation,
     classify_boundary_blocks,
     kl_boundary_matrix,
     kl_determinant,
@@ -603,7 +603,7 @@ def test_tv_touch_is_skipped_and_flagged():
 
 def test_tv_default_w_grid_shape():
     rep = arg_total_variation(
-        branch_log_deviation(upwind(1.0, 0.5), 1.0, 1.0),
+        EigenvalueBranch(upwind(1.0, 0.5), 1.0, 1.0),
         gamma_grid=(1e-2, 1e-3), eps=0.1,
     )
     assert rep.ws.shape == (41,)
@@ -614,7 +614,7 @@ def test_tv_default_w_grid_shape():
 def test_branch_curve_matches_upwind_closed_form():
     # mu(z) = nu/(z - (1-nu)): f(tau) = -log((e^tau - (1-nu))/nu)
     nu = 0.5
-    branch = branch_log_deviation(upwind(1.0, nu), 1.0, 1.0)
+    branch = EigenvalueBranch(upwind(1.0, nu), 1.0, 1.0)
     thetas = np.linspace(-0.1, 0.1, 257)
     for gamma in (1e-2, 1e-4):
         f = branch.curve(gamma, thetas)
@@ -627,7 +627,7 @@ def test_branch_curve_continuous_at_glancing_point():
     # the tracked log never hops branches even though the eigenvalues
     # nearly collide at theta = 0
     z_bar = np.exp(-1j * np.pi / 6)
-    branch = branch_log_deviation(leap_frog(1.0, 0.5), z_bar, 1j)
+    branch = EigenvalueBranch(leap_frog(1.0, 0.5), z_bar, 1j)
     f = branch.curve(1e-4, np.linspace(-0.1, 0.1, 2049))
     steps = np.abs(np.diff(f))
     assert steps.max() < 0.2
@@ -697,7 +697,7 @@ def _base_points(draw, population):
 @given(_base_points(schemes(r=(1, 3), p=(0, 3), companion=4)), st.sampled_from([1e-2, 1e-3]))
 def test_branch_curve_matches_per_node_least_cost_oracle(case, gamma):
     scheme, z_bar, mu_bar = case
-    branch = branch_log_deviation(scheme, z_bar, mu_bar)
+    branch = EigenvalueBranch(scheme, z_bar, mu_bar)
     thetas = np.linspace(-0.1, 0.1, 33)
     ref = _per_node_branch(branch, gamma, thetas)
     if ref is None:
@@ -718,7 +718,7 @@ def test_unit_circle_sweeps_build_one_companion_stack_each(monkeypatch):
 
     monkeypatch.setattr(res, "_companion", counted)
     z_bar = np.exp(-1j * np.pi / 6)
-    branch = branch_log_deviation(leap_frog(1.0, 0.5), z_bar, 1j)
+    branch = EigenvalueBranch(leap_frog(1.0, 0.5), z_bar, 1j)
     branch.curve(1e-4, np.linspace(-0.1, 0.1, 257))
     # the base point, the 13-step radial walk, the reference nodes, the grid
     assert len(sizes) == 4 and sizes[:2] == [1, 13] and sizes[3] == 257
@@ -731,10 +731,10 @@ def test_unit_circle_sweeps_build_one_companion_stack_each(monkeypatch):
 def test_branch_rejects_bad_inputs():
     scheme = upwind(1.0, 0.5)
     with pytest.raises(ResolventError):
-        branch_log_deviation(scheme, 1.2, 1.0)  # base off the circle
+        EigenvalueBranch(scheme, 1.2, 1.0)  # base off the circle
     with pytest.raises(ResolventError):
-        branch_log_deviation(scheme, 1.0, 0.5)  # not an eigenvalue
-    branch = branch_log_deviation(scheme, 1.0, 1.0)
+        EigenvalueBranch(scheme, 1.0, 0.5)  # not an eigenvalue
+    branch = EigenvalueBranch(scheme, 1.0, 1.0)
     with pytest.raises(ResolventError):
         branch.curve(-1e-3, np.linspace(-0.1, 0.1, 9))
 
@@ -746,7 +746,7 @@ def test_tv_third_type_branches_stay_bounded():
         (lax_friedrichs(1.0, 0.5), 1.0, 1.0),
     ]:
         rep = arg_total_variation(
-            branch_log_deviation(scheme, z_bar, mu),
+            EigenvalueBranch(scheme, z_bar, mu),
             gamma_grid=(1e-2, 1e-4), eps=0.1,
         )
         assert rep.sup <= 6 * np.pi + 0.1
@@ -755,7 +755,7 @@ def test_tv_third_type_branches_stay_bounded():
 
 def test_tv_glancing_branch_grows_toward_circle():
     z_bar = np.exp(-1j * np.pi / 6)
-    branch = branch_log_deviation(leap_frog(1.0, 0.5), z_bar, 1j)
+    branch = EigenvalueBranch(leap_frog(1.0, 0.5), z_bar, 1j)
     rep = arg_total_variation(branch, gamma_grid=(1e-2, 1e-4), eps=0.1)
     assert rep.per_gamma_sup[1] > rep.per_gamma_sup[0] + 0.5
 

@@ -31,15 +31,14 @@ from dibvp.sbp import (
     energy_decomposition,
     ibp_hermitian,
     ibp_skew,
-    leibniz_check,
     leibniz_table,
     _check_table,
-    _energy_identity_residual,
     _gram_gap,
     _hermitian_tables,
     _skew_tables,
 )
 from populations import random_scheme, schemes
+from sbp_oracles import energy_identity_residual, leibniz_check
 
 RNG = np.random.default_rng(2718)
 
@@ -509,8 +508,8 @@ def test_energy_identity_residual_detects_a_wrong_term(field):
     terms[0] = terms[0] + 1e-6
     wrong = dataclasses.replace(dec, **{field: tuple(terms)})
     rng = np.random.default_rng(3)
-    assert _energy_identity_residual(dec, rng) < 1e-12
-    assert _energy_identity_residual(wrong, rng) > 1e-8
+    assert energy_identity_residual(dec, rng) < 1e-12
+    assert energy_identity_residual(wrong, rng) > 1e-8
     assert _gram_gap(dec) < 1e-12
     assert _gram_gap(wrong) > 1e-8
 
@@ -520,7 +519,7 @@ def test_energy_identity_residual_detects_a_wrong_term(field):
 def test_energy_identity_holds_on_random_schemes(scheme):
     dec = energy_decomposition(scheme)
     rng = np.random.default_rng(0)
-    assert _energy_identity_residual(dec, rng, trials=20) <= _identity_bound(dec)
+    assert energy_identity_residual(dec, rng, trials=20) <= _identity_bound(dec)
     if scheme.N == 1 and dec.m <= 2:
         # |Qhat|^2 does not see a shift, so the taps may sit on T^-2, T^-1, 1
         taps = list(scheme.interior[:, 0, 0, 0]) + [0.0] * (3 - len(scheme.interior))

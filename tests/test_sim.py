@@ -1704,12 +1704,18 @@ def _cauchy_runs(scheme, window):
             for seed, (n_max, a, b) in enumerate(placements)]
 
 
+def _march_whole_line(scheme, runs, window):
+    """sim._march of whole-line runs given as (f_layers, n_max, dt)."""
+    return sim._march(scheme, [(f, n_max, None, None, None, dt) for f, n_max, dt in runs],
+                      whole_line=window)
+
+
 @pytest.mark.parametrize("window", [(0, 0), (-3, 5), None], ids=str)
 @pytest.mark.parametrize("name", list(CONE_SCHEMES))
 def test_cauchy_runs_keep_the_bits_of_lone_runs(name, window):
     scheme = CONE_SCHEMES[name]
     runs = _cauchy_runs(scheme, window)
-    traces = sim._cauchy(scheme, runs, window)
+    traces = _march_whole_line(scheme, runs, window)
     assert len({(t.offset, t.j_obs) for t in traces}) == 1
     for (f, n_max, dt), trace in zip(runs, traces):
         # a None window is every run's support: the lone run over it
@@ -1733,7 +1739,7 @@ def test_cauchy_marches_scalar_runs_of_one_dtype_together(monkeypatch, name):
     monkeypatch.setattr(sim, "_march_batch",
                         lambda sch, batch, cone: batches.append(len(batch))
                         or march_batch(sch, batch, cone))
-    sim._cauchy(scheme, runs, (0, 0))
+    _march_whole_line(scheme, runs, (0, 0))
     # one batch per dtype for a scalar scheme, one run a batch for a system
     dtypes = Counter(sim._march_dtype(scheme, f) for f, _, _ in runs)
     assert sorted(batches) == ([1] * len(runs) if scheme.N > 1 else sorted(dtypes.values()))
@@ -1745,11 +1751,11 @@ def test_cauchy_checks_runs_in_order():
     f = _layers_on(scheme, 0, 4, seed=1)
     bad = _layers_on(scheme, 0, 4, seed=2)[:1]
     with pytest.raises(SimError, match="n_max must be nonnegative"):
-        sim._cauchy(scheme, [(f, 3, 0.1), (f, -1, 0.1), (bad, 3, 0.1)], (0, 0))
+        _march_whole_line(scheme, [(f, 3, 0.1), (f, -1, 0.1), (bad, 3, 0.1)], (0, 0))
     with pytest.raises(SimError, match="need 2 initial layers"):
-        sim._cauchy(scheme, [(f, 3, 0.1), (bad, 3, 0.1), (f, -1, 0.1)], (0, 0))
+        _march_whole_line(scheme, [(f, 3, 0.1), (bad, 3, 0.1), (f, -1, 0.1)], (0, 0))
     with pytest.raises(SimError, match="empty observation window"):
-        sim._cauchy(scheme, [(f, 3, 0.1)], (2, 1))
+        _march_whole_line(scheme, [(f, 3, 0.1)], (2, 1))
 
 
 # ---------------------------------------------------------------------------
