@@ -27,10 +27,6 @@ from .symbol import _amplification_stack, _velocity
 
 UNIT_BRANCH_TOL = 1e-8
 ENVELOPE_TOL = 1e-10
-#: packet data lose their end samples where the envelope is below this times
-#: its peak; the default window ends where |a| is still ~1.9e-5 of it, so
-#: there the data are cut at the window's edge and this trims nothing
-TAIL_TOL = 1e-12
 
 
 class WavepacketError(ValueError):
@@ -72,15 +68,6 @@ def _gauss_legendre(n: int) -> tuple:
     return t, w
 
 
-def _trim(env: np.ndarray, tail_tol: float) -> tuple:
-    """First and last index where |env| exceeds tail_tol times its peak."""
-    mag = np.abs(env)
-    keep = mag > tail_tol * np.max(mag)
-    if not np.any(keep):
-        raise WavepacketError("envelope vanishes on the requested range")
-    return int(np.argmax(keep)), int(len(keep) - np.argmax(keep[::-1]) - 1)
-
-
 @dataclass(frozen=True)
 class Envelope:
     """Smooth envelope with Fourier transform supported in [-d0/2, d0/2].
@@ -90,9 +77,7 @@ class Envelope:
     certification grid moved by at most ENVELOPE_TOL; ``x_certified`` is the
     half-width of that grid and ``quad_error`` the last observed change.
     ``_grids`` holds the read-only samples on the certified window, at most
-    one array per dx, taken when ``packet_initial_data`` first reads them;
-    ``_trims`` holds beside them, per dx, the (lo, hi) index range that
-    trims those samples at TAIL_TOL, taken with the samples.
+    one array per dx, taken when ``packet_initial_data`` first reads them.
     """
 
     delta0: float
@@ -101,7 +86,6 @@ class Envelope:
     x_certified: float
     quad_error: float
     _grids: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _trims: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def fourier(self, xi) -> np.ndarray:
         """The transform profile: a bump supported on |xi| <= delta0/2."""
@@ -237,8 +221,11 @@ def make_packet(
     so unit-modulus branches come first.  The default amplitude is the
     unit right eigenvector of the selected branch, which satisfies both
     polarization conditions; an explicit amplitude is accepted as long as
-    the branch eigenvalues are simple.
+    the branch eigenvalues are simple.  A carrier frequency that is not
+    finite is refused.
     """
+    if not np.isfinite(xi_bar):
+        raise WavepacketError(f"carrier frequency xi_bar must be finite, got {xi_bar}")
     # one eigen-solve: the branches, their vectors and exact theta-derivatives
     amp, damp = _amplification_stack(scheme, [np.exp(1j * xi_bar)], derivative=True)
     (mus,), (derivs,), (conds,), (right,), (right_inv,) = _eig_derivs(amp, damp)
@@ -299,51 +286,29 @@ def make_packet(
 # packet data and the approximate solution
 
 
-def packet_initial_data(
-    spec: PacketSpec,
-    dx: float,
-    j_min: int | None = None,
-    j_max: int | None = None,
-    tail_tol: float = TAIL_TOL,
-):
+def packet_initial_data(spec: PacketSpec, dx: float):
     """Sample the stacked packet into the s+1 initial layers.
 
     The stacked state at level 0 is W_j^0 = e^{i j xi_bar} amplitude
-    a(j dx); block b of the amplitude is layer s-b.  The default range
-    covers the envelope's certified window |x| <= x_certified, trimmed
-    where the envelope magnitude falls below ``tail_tol`` times its peak.
-    The default window (x_certified = 160/delta0) ends where |a| is still
-    about 1.9e-5 of its peak, so the default data are cut at its edge, not
-    at TAIL_TOL, which trims nothing there.  The envelope's samples on
-    its certified window are taken once per dx and then reused, and so is
-    their trim range at the default TAIL_TOL; any other ``tail_tol``, or an
-    explicit range, is trimmed afresh.
+    a(j dx); block b of the amplitude is layer s-b.  The data span the
+    envelope's certified window, j = -J..J with J = floor(x_certified/dx),
+    and are cut at its edge: the default window (x_certified = 160/delta0)
+    ends where |a| is still about 1.9e-5 of its peak, and past it the
+    quadrature error was never certified.  The samples are taken once per
+    dx and then reused.  A dx that is not finite and positive is refused.
     """
-    if dx <= 0:
-        raise WavepacketError(f"grid step must be positive, got {dx}")
+    if not (np.isfinite(dx) and dx > 0):
+        raise WavepacketError(f"grid step must be finite and positive, got {dx}")
     scheme, envelope = spec.scheme, spec.envelope
     N, s = scheme.N, scheme.s
-    certified = j_min is None and j_max is None
-    if j_min is None:
-        j_min = -int(np.floor(envelope.x_certified / dx))
-    if j_max is None:
-        j_max = int(np.floor(envelope.x_certified / dx))
-    if j_max < j_min:
-        raise WavepacketError(f"empty index range: j_min {j_min} > j_max {j_max}")
-    j = np.arange(j_min, j_max + 1)
-    env = envelope._grids.get(dx) if certified else None
+    half = int(np.floor(envelope.x_certified / dx))
+    j = np.arange(-half, half + 1)
+    env = envelope._grids.get(dx)
     if env is None:
-        env = envelope.on_grid(j_min * dx, dx, j.size)
-        if certified:
-            env.setflags(write=False)
-            envelope._grids[dx] = env
-            envelope._trims[dx] = _trim(env, TAIL_TOL)
-    if certified and tail_tol == TAIL_TOL:
-        lo, hi = envelope._trims[dx]
-    else:
-        lo, hi = _trim(env, tail_tol)
-    j = j[lo : hi + 1]
-    carrier = np.exp(1j * j * spec.xi_bar) * env[lo : hi + 1]
+        env = envelope.on_grid(-half * dx, dx, j.size)
+        env.setflags(write=False)
+        envelope._grids[dx] = env
+    carrier = np.exp(1j * j * spec.xi_bar) * env
     layers = []
     for sigma in range(s + 1):
         block = spec.amplitude[(s - sigma) * N : (s - sigma + 1) * N]
@@ -428,15 +393,18 @@ def packet_error(spec: PacketSpec, n_list, dx: float) -> PacketErrorReport:
     for smooth band-limited data the measured rate is first order in dx,
     since the ansatz moves the envelope rigidly and misses its O(dx)
     spreading by the branch's second derivative (diffusion for upwind).
-    The packet data are ``packet_initial_data``'s default: cut at the
-    envelope's certified window, where |a| is about 1.9e-5 of its peak.
+    The packet data are ``packet_initial_data``'s: cut at the envelope's
+    certified window, where |a| is about 1.9e-5 of its peak.  Levels must
+    be nonnegative integers.
     """
     scheme = spec.scheme
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(n_list)
     if not n_list:
         raise WavepacketError("n_list is empty: no levels to measure")
-    if any(n < 0 for n in n_list):
-        raise WavepacketError("levels must be nonnegative")
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
+               for n in n_list):
+        raise WavepacketError(f"levels must be nonnegative integers, got {n_list}")
+    n_list = tuple(int(n) for n in n_list)
     n_top = max(n_list) + scheme.s
     layers = packet_initial_data(spec, dx)
     trace = run_cauchy(scheme, layers, n_max=n_top, dt=scheme.lam * dx)
@@ -493,15 +461,21 @@ class TraceGrowthReport:
 def glancing_trace_experiment(spec: PacketSpec, T_list, dt_list) -> TraceGrowthReport:
     """Accumulate dt |W_0^n|^2 over n <= T/dt for each (dt, T) cell.
 
-    The packet data are ``packet_initial_data``'s default: cut at the
-    envelope's certified window, where |a| is about 1.9e-5 of its peak.
+    The packet data are ``packet_initial_data``'s: cut at the envelope's
+    certified window, where |a| is about 1.9e-5 of its peak.  Horizons
+    must be finite and nonnegative, at least two of them distinct, and
+    time steps finite and positive; others are refused before any march.
     """
     Ts = tuple(float(T) for T in T_list)
     dts = tuple(float(dt) for dt in dt_list)
-    if len(Ts) < 2:
-        raise WavepacketError("need at least two horizons for a linear fit")
+    if not all(np.isfinite(T) and T >= 0 for T in Ts):
+        raise WavepacketError(f"horizons must be finite and nonnegative, got {Ts}")
+    if len(set(Ts)) < 2:
+        raise WavepacketError(f"need at least two distinct horizons for a linear fit, got {Ts}")
     if not dts:
         raise WavepacketError("dt_list is empty: no time steps to run")
+    if not all(np.isfinite(dt) and dt > 0 for dt in dts):
+        raise WavepacketError(f"time steps must be finite and positive, got {dts}")
     scheme = spec.scheme
     s = scheme.s
     sums = np.zeros((len(dts), len(Ts)))

@@ -369,11 +369,16 @@ def test_bad_float_list_exits_two(paths, capsys):
     (["check-cauchy", "--grid-ntheta", "4"], "dibvp: --grid-ntheta must be at least 8\n"),
     (["packet-experiment", "--xi", "1.0", "--Ts", "2"],
      "dibvp: --Ts needs at least two horizons\n"),
+    (["packet-experiment", "--xi", "1.0", "--Ts", "2,2"],
+     "dibvp: packet-experiment: need at least two distinct horizons for a linear fit, "
+     "got (2.0, 2.0)\n"),
     (["simulate", "--n-max", "0"], "dibvp: --n-max must be at least 1\n"),
     (["check-uklc", "--grid-radii", ","], "argument --grid-radii: empty list\n"),
-], ids=["grid-ntheta", "Ts", "n-max", "grid-radii"])
+], ids=["grid-ntheta", "Ts", "Ts-repeated", "n-max", "grid-radii"])
 def test_option_out_of_range_exits_two(paths, capsys, argv, message):
-    code, out, err = run(argv + ["--scheme", paths["leapfrog"]], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv + ["--scheme", paths["leapfrog"]], capsys)
     assert (code, out) == (2, "")
     assert err.endswith(message) and "Traceback" not in err
 

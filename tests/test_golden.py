@@ -191,8 +191,8 @@ PACKET_DXS = (0.2, 0.1)
 def packet_bits() -> str:
     """The hashes of the packet layer as JSON text: two envelopes' nodes,
     weights and quadrature error; and, on the delta0 = 0.75 envelope, a
-    glancing packet's data at the default and a looser tail tolerance and
-    each packet kind's trace experiment and packet error at PACKET_DXS."""
+    glancing packet's data at dx 0.2 and each packet kind's trace
+    experiment and packet error at PACKET_DXS."""
     bits = {}
     envs = {delta0: make_envelope(delta0) for delta0 in (0.5, 0.75)}
     for delta0, env in envs.items():
@@ -214,12 +214,11 @@ def packet_bits() -> str:
             for dx in PACKET_DXS
         }
         if name == "glancing":
-            for tol, kw in (("default", {}), ("0.001", {"tail_tol": 1e-3})):
-                layers = packet_initial_data(spec, 0.2, **kw)
-                bits[f"packet_initial_data.{tol}"] = {
-                    "offsets": _sha256(np.array([lay.offset for lay in layers])),
-                    **{f"layer{k}": _sha256(lay.values) for k, lay in enumerate(layers)},
-                }
+            layers = packet_initial_data(spec, 0.2)
+            bits["packet_initial_data.default"] = {
+                "offsets": _sha256(np.array([lay.offset for lay in layers])),
+                **{f"layer{k}": _sha256(lay.values) for k, lay in enumerate(layers)},
+            }
     return json.dumps(bits, indent=2, sort_keys=True) + "\n"
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,12 @@ def test_branch_out_of_range(env):
         make_packet(LF, np.pi / 2, env, branch=5)
 
 
+@pytest.mark.parametrize("xi", [float("nan"), float("inf"), -float("inf")])
+def test_make_packet_refuses_a_carrier_not_finite(env, xi):
+    with pytest.raises(WavepacketError, match=f"xi_bar must be finite, got {xi}$"):
+        make_packet(LF, xi, env)
+
+
 def test_make_packet_solves_one_eigenproblem(monkeypatch, env):
     calls = []
     eig = np.linalg.eig
@@ -354,23 +362,24 @@ def test_zero_amplitude_gives_zero_data(env):
     assert all(np.all(lay.values == 0) for lay in layers)
 
 
-def test_tail_trim_shrinks_support(transport_spec):
-    full = packet_initial_data(transport_spec, 0.1)
-    trimmed = packet_initial_data(transport_spec, 0.1, tail_tol=1e-3)
-    assert trimmed[0].offset > full[0].offset
-    assert trimmed[0].last < full[0].last
-    peak = np.max(np.abs(trimmed[0].values))
-    assert np.abs(trimmed[0].values[0, 0]) >= 1e-3 * peak * 0.5
+@pytest.mark.parametrize("delta0", [0.2, 0.4, 0.75, 1.5])
+def test_initial_data_span_the_certified_window(delta0):
+    # the data are cut at the edge of make_envelope's default window, where
+    # |a| is still far above any tail tolerance: a window that changes fails
+    spec = make_packet(UP, 0.0, make_envelope(delta0))
+    assert spec.envelope.x_certified == 160.0 / delta0
+    for dx in (0.025, 0.1, 0.2, 0.5):
+        half = int(np.floor(spec.envelope.x_certified / dx))
+        (layer,) = packet_initial_data(spec, dx)
+        assert (layer.offset, layer.last) == (-half, half)
+        mag = np.abs(layer.values[:, 0])
+        assert min(mag[0], mag[-1]) >= 1e-5 * np.max(mag)
 
 
 def test_initial_data_rejects_bad_dx(transport_spec):
-    with pytest.raises(WavepacketError):
-        packet_initial_data(transport_spec, 0.0)
-
-
-def test_initial_data_rejects_empty_range(transport_spec):
-    with pytest.raises(WavepacketError, match="j_min 5 > j_max 2"):
-        packet_initial_data(transport_spec, 0.1, j_min=5, j_max=2)
+    for dx in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(WavepacketError, match=f"finite and positive, got {dx}$"):
+            packet_initial_data(transport_spec, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +456,7 @@ def test_ansatz_requires_polarized_spec(env):
 
 
 def test_stacked_state_needs_enough_levels(glancing_spec):
-    layers = packet_initial_data(glancing_spec, 0.2, tail_tol=1e-6)
+    layers = packet_initial_data(glancing_spec, 0.2)
     trace = run_cauchy(LF, layers, n_max=4, dt=0.1)
     with pytest.raises(WavepacketError):
         stacked_state(trace, 4, -2, 2)
@@ -522,6 +531,18 @@ def test_packet_error_rejects_empty_levels(transport_spec):
         packet_error(transport_spec, [], 0.1)
 
 
+@pytest.mark.parametrize("n_list", [[1.5], [True], [2, 1.0], [np.float64(3.0)]])
+def test_packet_error_refuses_a_level_not_an_integer(transport_spec, n_list):
+    with pytest.raises(WavepacketError, match="levels must be nonnegative integers"):
+        packet_error(transport_spec, n_list, 0.1)
+
+
+def test_packet_error_takes_numpy_integer_levels(transport_spec):
+    rep = packet_error(transport_spec, np.array([0, 3]), 0.1)
+    assert rep.n_list == (0, 3) and all(type(n) is int for n in rep.n_list)
+    assert rep.sup_errors == packet_error(transport_spec, [0, 3], 0.1).sup_errors
+
+
 # ---------------------------------------------------------------------------
 # trace growth
 
@@ -579,6 +600,28 @@ def test_trace_experiment_rejects_empty_dts(glancing_spec):
         glancing_trace_experiment(glancing_spec, T_list=(1.0, 2.0), dt_list=())
 
 
+@pytest.mark.parametrize("Ts,dts,message", [
+    ((-1.0, 2.0), (0.1,), r"horizons must be finite and nonnegative, got \(-1.0, 2.0\)"),
+    ((float("nan"), 2.0), (0.1,), "horizons must be finite and nonnegative"),
+    ((1.0, float("inf")), (0.1,), "horizons must be finite and nonnegative"),
+    ((2.0, 2.0), (0.1,), r"two distinct horizons for a linear fit, got \(2.0, 2.0\)"),
+    ((1.0, 2.0), (float("inf"),), r"time steps must be finite and positive, got \(inf,\)"),
+    ((1.0, 2.0), (0.1, float("nan")), "time steps must be finite and positive"),
+    ((1.0, 2.0), (-float("inf"),), "time steps must be finite and positive"),
+    ((1.0, 2.0), (0.1, 0.0), "time steps must be finite and positive"),
+], ids=["negative-T", "nan-T", "inf-T", "repeated-T", "inf-dt", "nan-dt", "-inf-dt", "zero-dt"])
+def test_trace_experiment_refuses_bad_horizons_and_dts(monkeypatch, glancing_spec,
+                                                        Ts, dts, message):
+    sampled = []
+    monkeypatch.setattr(wavepacket, "_march", lambda *a, **k: sampled.append("march"))
+    monkeypatch.setattr(wavepacket, "packet_initial_data", lambda *a: sampled.append("data"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WavepacketError, match=message):
+            glancing_trace_experiment(glancing_spec, T_list=Ts, dt_list=dts)
+    assert sampled == []
+
+
 @pytest.mark.parametrize("which", ["glancing", "transport", "coupled"])
 def test_trace_sums_match_level_by_level_reads(which, glancing_spec,
                                                transport_spec, env):
@@ -631,8 +674,6 @@ def test_envelope_is_sampled_once_per_dx(monkeypatch):
     grid_sum = wavepacket._grid_sum
     monkeypatch.setattr(wavepacket, "_grid_sum", lambda x0, dx, count, *a: calls.append(
         (x0, dx, count)) or grid_sum(x0, dx, count, *a))
-    # an explicit range is sampled afresh and not kept
-    packet_initial_data(specs[0], 0.2, j_min=-40, j_max=40)
     for spec in specs:
         glancing_trace_experiment(spec, T_list=(1.0, 2.0), dt_list=(0.1, 0.05))
     for dx in (0.2, 0.1):
@@ -647,43 +688,6 @@ def test_envelope_is_sampled_once_per_dx(monkeypatch):
         assert not samples.flags.writeable
         fresh = env.on_grid(-half[dx] * dx, dx, 2 * half[dx] + 1)
         assert samples.tobytes() == fresh.tobytes()
-
-
-def test_default_trim_is_taken_once_per_dx(monkeypatch):
-    env = make_envelope(0.75)
-    spec = make_packet(LF, np.pi / 2, env, branch=1)
-    trims = []
-    trim = wavepacket._trim
-    monkeypatch.setattr(wavepacket, "_trim",
-                        lambda samples, tol: trims.append(tol) or trim(samples, tol))
-    for dx in (0.2, 0.2, 0.1, 0.2, 0.1):
-        packet_initial_data(spec, dx)
-    assert trims == [wavepacket.TAIL_TOL] * 2 and sorted(env._trims) == [0.1, 0.2]
-    # any other tolerance, or an explicit range, trims afresh every time
-    packet_initial_data(spec, 0.2, tail_tol=1e-3)
-    packet_initial_data(spec, 0.2, tail_tol=1e-3)
-    packet_initial_data(spec, 0.2, j_min=-40, j_max=40)
-    assert trims[2:] == [1e-3, 1e-3, wavepacket.TAIL_TOL]
-    # the default trim is taken with the samples, whatever tolerance reads them first
-    packet_initial_data(spec, 0.4, tail_tol=1e-3)
-    packet_initial_data(spec, 0.4)
-    assert trims[5:] == [wavepacket.TAIL_TOL, 1e-3] and sorted(env._trims) == [0.1, 0.2, 0.4]
-
-
-def _layer_bytes(layers):
-    return [(lay.offset, lay.values.tobytes()) for lay in layers]
-
-
-def test_cached_trims_keep_the_layers_of_a_fresh_envelope():
-    # a non-default tail_tol read before and after the default one
-    spec = make_packet(LF, np.pi / 2, make_envelope(0.75), branch=1)
-    reads = [packet_initial_data(spec, 0.2, tail_tol=1e-3), packet_initial_data(spec, 0.2),
-             packet_initial_data(spec, 0.2, tail_tol=1e-3), packet_initial_data(spec, 0.2)]
-    fresh = [packet_initial_data(make_packet(LF, np.pi / 2, make_envelope(0.75), branch=1),
-                                 0.2, **kw) for kw in ({"tail_tol": 1e-3}, {})]
-    assert reads[0][0].offset > fresh[1][0].offset  # the looser tolerance trims
-    for k, layers in enumerate(reads):
-        assert _layer_bytes(layers) == _layer_bytes(fresh[k % 2])
 
 
 def test_trace_sum_counts_a_horizon_rounded_below_an_integer(glancing_spec):
