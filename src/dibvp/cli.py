@@ -6,6 +6,12 @@ CSV sidecar per data table into ``--out``.  Exit codes: 0 all verdicts
 pass (or the command is purely informational), 1 at least one verdict
 fails, 2 usage or configuration error.
 
+Reports are verdict-sized: ``check-cauchy`` keeps the one sample of the
+largest spectral radius and ``check-uklc`` the samples of the smallest
+and the largest |Delta| (a NaN sample, where there is one, in their
+place), beside its per-radius minima.  ``--samples`` keeps every sample
+of the scan instead.
+
 Reports are deterministic given the same configuration and seed: the
 ``meta`` block (wall clock) is the only part excluded from that
 contract.
@@ -57,7 +63,7 @@ from .wavepacket import (
     make_packet,
 )
 
-SCHEMA = "dibvp-report/1"
+SCHEMA = "dibvp-report/2"
 
 
 class ConfigError(ValueError):
@@ -213,9 +219,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         return p
 
+    def samples_flag(p, extremes):
+        p.add_argument("--samples", action="store_true",
+                       help=f"report every grid sample, not only {extremes}")
+
     p = command("check-cauchy", "von Neumann condition on the unit circle")
     p.add_argument("--grid-ntheta", type=int, default=512)
     p.add_argument("--tol-radius", type=float, default=VON_NEUMANN_TOL)
+    samples_flag(p, "the one of the largest spectral radius")
 
     p = command("check-glancing", "scan for zero-group-velocity modes")
     p.add_argument("--grid-ntheta", type=int, default=512)
@@ -224,6 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-radii", type=_floats, default=DEFAULT_RADII)
     p.add_argument("--grid-ntheta", type=int, default=64)
     p.add_argument("--tol-delta", type=float, default=KL_TOL)
+    samples_flag(p, "those of the smallest and the largest |Delta|")
 
     p = command("classify-blocks", "eigenvalue blocks of the transfer matrix")
     p.add_argument("--z-angle", type=float, default=0.0,
@@ -279,8 +291,12 @@ def _check_positive(args) -> None:
 
 def _cmd_check_cauchy(scheme, args):
     rep = von_neumann_check(scheme, n_theta=args.grid_ntheta, tol=args.tol_radius)
-    thetas = np.linspace(0.0, 2 * np.pi, rep.n_theta, endpoint=False)
-    rows = [(float(th), float(radius)) for th, radius in zip(thetas, rep.radii)]
+    if args.samples:
+        thetas = np.linspace(0.0, 2 * np.pi, rep.n_theta, endpoint=False)
+        rows = [(float(th), float(radius)) for th, radius in zip(thetas, rep.radii)]
+    else:
+        # the argmax sample (the first NaN, where there is one)
+        rows = [(rep.worst_theta, rep.max_radius)]
     verdicts = [
         verdict(
             "von-neumann-radius",
@@ -290,7 +306,7 @@ def _cmd_check_cauchy(scheme, args):
         )
     ]
     tables = {"radius_samples": table(("theta", "spectral_radius"), rows)}
-    extras = {"n_theta": rep.n_theta, "tol_radius": rep.tol}
+    extras = {"n_theta": rep.n_theta, "tol_radius": rep.tol, "samples": args.samples}
     return verdicts, tables, extras
 
 
@@ -318,7 +334,7 @@ def _cmd_check_glancing(scheme, args):
 
 def _cmd_check_uklc(scheme, args):
     extras = {"radii": list(args.grid_radii), "n_theta": args.grid_ntheta,
-              "tol_delta": args.tol_delta}
+              "tol_delta": args.tol_delta, "samples": args.samples}
     try:
         scan = uklc_scan(
             scheme,
@@ -328,10 +344,16 @@ def _cmd_check_uklc(scheme, args):
         )
     except SplitCountError as exc:
         return [verdict("determinant-lower-bound", False, str(exc))], {}, extras
+    values = scan.values
+    # flat indices in grid order: every sample, or the argmin and argmax
+    # samples (the first NaN, where there is one)
+    picks = (range(values.size) if args.samples
+             else sorted({int(np.argmin(values)), int(np.argmax(values))}))
+    n_theta = len(scan.thetas)
     rows = [
-        (float(delta), float(th), float(scan.values[i, k]))
-        for i, delta in enumerate(scan.radii)
-        for k, th in enumerate(scan.thetas)
+        (float(scan.radii[f // n_theta]), float(scan.thetas[f % n_theta]),
+         float(values.flat[f]))
+        for f in picks
     ]
     detail = (
         f"min |Delta| {scan.min_abs:.6e} at delta {scan.argmin[0]:g}, "
@@ -435,6 +457,8 @@ def _cmd_simulate(scheme, args):
 
 def _cmd_verify(scheme, args):
     refinements = tuple(args.grid_refinements)
+    if len(set(refinements)) < 2:
+        raise ConfigError("--grid-refinements needs at least two distinct refinements")
     gammas = tuple(args.grid_gammas)
     if args.estimate == "thm1":
         rep = verify_thm1(

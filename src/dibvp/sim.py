@@ -806,7 +806,8 @@ def _fit(name, dts, gammas, ratios, measured) -> tuple:
     """(slope, max, bounded, text) of a ratio table.
 
     The slope is the least-squares slope of log(per-dt max ratio) against
-    log(1/dt), positive for growth under refinement; bounded means slope
+    log(1/dt), positive for growth under refinement, and 0 unless the
+    cells with a positive max hold two distinct dts; bounded means slope
     <= SLOPE_TOL.  A measured cell that is not finite (the norms
     overflowed) counts as growth, and the first is named by its dt and,
     unless ``gammas`` is None, its gamma; slope and max read finite cells.
@@ -815,7 +816,8 @@ def _fit(name, dts, gammas, ratios, measured) -> tuple:
     finite = np.where(np.isfinite(ratios), ratios, np.nan)
     x, y = 1.0 / np.asarray(dts), np.fmax.reduce(finite, axis=1, initial=np.nan)
     good = (x > 0) & (y > 0)
-    slope = float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0]) if good.sum() >= 2 else 0.0
+    fits = len(np.unique(x[good])) >= 2
+    slope = float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0]) if fits else 0.0
     top = float(np.fmax.reduce(finite, axis=None, initial=np.nan))
     text = f"{name} {top:.3g}, slope {slope:+.3f}"
     if len(blown):

@@ -22,6 +22,7 @@ import dibvp
 import test_golden as golden
 from dibvp.cli import _report_text, emit_report, run_command
 from dibvp.core import SchemeDef, lax_wendroff, leap_frog, save_scheme, three_point, upwind
+from populations import analyze_population
 
 
 @pytest.fixture
@@ -52,10 +53,10 @@ def run(argv, capsys):
 
 
 def test_check_cauchy_stable_scheme_passes(paths, capsys):
-    code, out, _ = run(["check-cauchy", "--scheme", paths["upwind"]], capsys)
+    code, out, _ = run(["check-cauchy", "--scheme", paths["upwind"], "--samples"], capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema"] == "dibvp-report/1"
+    assert rep["schema"] == "dibvp-report/2"
     assert rep["command"] == "check-cauchy"
     assert rep["verdicts"][0]["ok"] is True
     radii = [row[1] for row in rep["data"]["radius_samples"]["rows"]]
@@ -383,6 +384,20 @@ def test_option_out_of_range_exits_two(paths, capsys, argv, message):
     assert err.endswith(message) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("refinements", ["0.1", "0.1,0.1"], ids=["one", "repeated"])
+@pytest.mark.parametrize("estimate", ["thm1", "strong", "semigroup"])
+def test_verify_needs_two_distinct_refinements(paths, capsys, estimate, refinements):
+    # a slope from one refinement read 0 and passed an unstable scheme as
+    # bounded; a repeated one reached np.polyfit's RankWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["verify", "--scheme", paths["upwind_unstable"],
+                              "--estimate", estimate, "--grid-refinements", refinements],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == "dibvp: --grid-refinements needs at least two distinct refinements\n"
+
+
 def test_incompatible_horizon_exits_two(paths, capsys):
     code, _, err = run(
         ["verify", "--scheme", paths["leapfrog"], "--estimate", "semigroup",
@@ -622,6 +637,111 @@ def test_parser_is_built_once(paths, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# verdict-sized tables: the default rows decide what every sample decides
+
+
+def _deviation(rows):
+    """max |abs_delta - 1| over delta_samples rows, a null counting as inf:
+    the benchmark's reading of a Dirichlet scheme's table."""
+    return max(math.inf if row[2] is None else abs(row[2] - 1.0) for row in rows)
+
+
+def _truth_paths(population, tmp_path):
+    if population == "golden":
+        return [str(golden.SCHEMES / f"{name}.json") for name in golden.SCHEME_SOURCES]
+    paths = []
+    for k, (_, scheme) in enumerate(analyze_population(population)):
+        paths.append(str(tmp_path / f"{k}.json"))
+        save_scheme(scheme, paths[-1])
+    return paths
+
+
+@pytest.mark.parametrize("population", ["golden", 1, 2, 3])
+def test_default_tables_read_the_same_truth_as_samples(population, tmp_path, capsys):
+    for path in _truth_paths(population, tmp_path):
+        for command, name in (("check-cauchy", "radius_samples"),
+                              ("check-uklc", "delta_samples")):
+            code, small, _ = run([command, "--scheme", path], capsys)
+            full_code, full, _ = run([command, "--scheme", path, "--samples"], capsys)
+            small, full = json.loads(small), json.loads(full)
+            assert (code, small["verdicts"]) == (full_code, full["verdicts"])
+            assert (small["config"].pop("samples"), full["config"].pop("samples")) == (False, True)
+            assert small["config"] == full["config"]
+            if not full["data"]:  # a failed stable-subspace split has no tables
+                assert small["data"] == {}
+                continue
+            rows, every = small["data"][name]["rows"], full["data"][name]["rows"]
+            assert [row for row in every if row in rows] == rows  # grid order
+            # the first sample of each extreme, or the first NaN sample
+            values = [row[-1] for row in every]
+            if None in values:
+                extremes = [None]
+            elif command == "check-cauchy":
+                extremes = [max(values)]
+            else:
+                extremes = [min(values), max(values)]
+            if command == "check-uklc":
+                assert _deviation(rows) == _deviation(every)
+                assert small["data"]["per_radius_min"] == full["data"]["per_radius_min"]
+            assert rows == [every[i] for i in sorted({values.index(v) for v in extremes})]
+
+
+def test_a_nan_sample_shows_as_null(paths, capsys, monkeypatch):
+    # one stubbed NaN sample: numpy's argmax and argmin both pick it
+    from dibvp.resolvent import _lopatinskii as lopatinskii
+    from dibvp.symbol import _eigvals as eigvals
+
+    def nan_delta(*args):
+        values, fallbacks = lopatinskii(*args)
+        values = values.copy()
+        values[9] = np.nan
+        return values, fallbacks
+
+    def nan_radius(amp):
+        vals = eigvals(amp).copy()
+        vals[5] = np.nan
+        return vals
+
+    for command, name, target, stub, index in (
+        ("check-cauchy", "radius_samples", "dibvp.symbol._eigvals", nan_radius, 5),
+        ("check-uklc", "delta_samples", "dibvp.resolvent._lopatinskii", nan_delta, 9),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, stub)
+            argv = [command, "--scheme", paths["leapfrog"], "--grid-ntheta", "16"]
+            code, out, _ = run(argv, capsys)
+            full_code, full, _ = run(argv + ["--samples"], capsys)
+        assert code == full_code == 1
+        every = json.loads(full)["data"][name]["rows"]
+        assert every[index][-1] is None
+        assert json.loads(out)["data"][name]["rows"] == [every[index]]
+
+
+@pytest.mark.parametrize("scheme_name", list(golden.SCHEME_SOURCES))
+def test_default_check_reports_are_small(scheme_name, capsys):
+    # at the default grids: 512 angles, 6 radii x 64 angles
+    path = str(golden.SCHEMES / f"{scheme_name}.json")
+    for command in ("check-cauchy", "check-uklc"):
+        _, out, _ = run([command, "--scheme", path], capsys)
+        assert len(out.encode()) < 2048
+
+
+@pytest.mark.parametrize("command,name,small,every", [
+    ("check-cauchy", "radius_samples", 1, 512),
+    ("check-uklc", "delta_samples", 2, 6 * 64),
+])
+def test_csv_sidecars_hold_the_report_tables(paths, capsys, command, name, small, every):
+    for flags, count in (([], small), (["--samples"], every)):
+        out_dir = paths["dir"] / f"{command}-{count}"
+        _, out, _ = run([command, "--scheme", paths["leapfrog"], *flags,
+                         "--out", str(out_dir)], capsys)
+        rows = json.loads(out)["data"][name]["rows"]
+        lines = (out_dir / f"{name}.csv").read_text().splitlines()
+        assert len(rows) == count
+        assert lines[1:] == [",".join(map(repr, row)) for row in rows]
+
+
+# ---------------------------------------------------------------------------
 # artifacts
 
 
@@ -666,7 +786,7 @@ def test_reports_byte_stable_given_seed(paths, capsys):
 
 def test_emit_report_handles_non_finite(tmp_path):
     report = {
-        "schema": "dibvp-report/1",
+        "schema": "dibvp-report/2",
         "command": "demo",
         "config": {"seed": 0},
         "verdicts": [],

@@ -90,9 +90,12 @@ SCHEME_SOURCES = {
 # case -> command line after "--scheme <file>"; grids kept small
 COMMANDS = {
     "check-cauchy": ["check-cauchy", "--grid-ntheta", "64"],
+    "check-cauchy-samples": ["check-cauchy", "--grid-ntheta", "64", "--samples"],
     "check-glancing": ["check-glancing", "--grid-ntheta", "64"],
     "check-uklc": ["check-uklc", "--grid-ntheta", "16",
                    "--grid-radii", "0.1,0.001"],
+    "check-uklc-samples": ["check-uklc", "--grid-ntheta", "16",
+                           "--grid-radii", "0.1,0.001", "--samples"],
     "classify-blocks": ["classify-blocks", "--z-angle", "0.7"],
     "sbp-decompose": ["sbp-decompose"],
     "simulate": ["simulate", "--n-max", "40", "--sites", "16", "--seed", "3"],

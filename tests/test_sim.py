@@ -559,6 +559,19 @@ def test_verifiers_refuse_a_nan_gamma(verify):
         verify(upwind(0.5, 1.0), gammas=(0.1, np.nan), refinements=(0.1, 0.05), t_end=2.0)
 
 
+def test_fit_counts_distinct_dts(recwarn):
+    # a repeated dt is one point: no slope, and nothing reaches np.polyfit
+    measured = np.ones((3, 1), dtype=bool)
+    slope, top, bounded, text = sim._fit("ratio", (0.1, 0.1), (1.0,),
+                                         np.array([[2.0], [4.0]]), measured[:2])
+    assert (slope, top, bounded, text) == (0.0, 4.0, True, "max ratio 4, slope +0.000")
+    # two distinct dts fit one line, however often each appears
+    ratios = np.array([[1.0], [1.0], [2.0]])
+    slope = sim._fit("ratio", (0.1, 0.1, 0.05), (1.0,), ratios, measured)[0]
+    assert slope == pytest.approx(1.0)
+    assert recwarn.list == []
+
+
 class _CountedRows(np.ndarray):
     """(n, r, N) boundary rows that record each slice of levels taken of them."""
 
