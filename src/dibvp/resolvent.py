@@ -75,7 +75,7 @@ def _singular_error(z) -> ResolventError:
 
 
 def _companion(scheme: SchemeDef, zs, derivative: bool = False):
-    """(M, RB, singular[, dM]) at the points ``zs``, none of which may be 0.
+    """(M, RB, singular[, dM]) at the points ``zs``, each finite and nonzero.
 
     M(z) and RB[i, l, j - (1-r)] = RB_{l,j}(z_i) are stacked on the first
     axis, and ``singular`` flags where RA_p(z_i) is numerically singular
@@ -87,6 +87,9 @@ def _companion(scheme: SchemeDef, zs, derivative: bool = False):
     """
     if (np.asarray(zs) == 0).any():
         raise ResolventError("resolvent coefficients are singular at z = 0")
+    if not np.isfinite(zs).all():
+        bad = np.asarray(zs)[~np.isfinite(zs)][0]
+        raise ResolventError(f"resolvent coefficients need a finite z, got z = {bad}")
     RA, RB, *deriv = _resolvent_stack(scheme, zs, derivative)
     r, p, N = scheme.r, scheme.p, scheme.N
     K, dim = RA.shape[0], N * (p + r)
@@ -137,10 +140,9 @@ class SpectralSplit:
     """Stable/unstable invariant subspaces of M(z) for |z| > 1.
 
     ``V_s`` and ``V_u`` have orthonormal columns spanning the invariant
-    subspaces (QR of the eigenvector blocks, or of the sign-function
-    projectors where those blocks are ill-conditioned); ``proj_s``/``proj_u``
-    are the spectral projectors built from them.  ``counts_ok`` records
-    whether the dimensions match (N r, N p).
+    subspaces (see ``spectral_split``); ``proj_s``/``proj_u`` are the
+    spectral projectors built from them.  ``counts_ok`` records whether the
+    dimensions match (N r, N p).
     """
 
     z: complex
@@ -157,20 +159,8 @@ class SpectralSplit:
     message: str = ""
 
 
-def _split_failures(zs, eigs, expect) -> np.ndarray:
-    """(K, 3) table of the split checks each z fails, in the order they are
-    raised: |z| too close to 1, an eigenvalue on the circle, wrong counts."""
-    mod = np.abs(eigs)
-    counts = np.stack([(mod < 1).sum(-1), (mod > 1).sum(-1)], axis=-1)
-    return np.column_stack([
-        np.abs(np.asarray(zs)) <= 1 + SPLIT_MARGIN,
-        np.abs(mod - 1).min(-1) < UNIT_TOL,
-        np.any(counts != expect, axis=-1),
-    ])
-
-
 def _split_error(z, eigs, check: int, expect) -> ResolventError:
-    """The error of split check ``check`` (a column of _split_failures) at z."""
+    """The error of split check ``check`` (a column of _split_stack's failures) at z."""
     if check == 0:
         return ResolventError(
             f"spectral split needs |z| > 1 + {SPLIT_MARGIN:g}, got |z| = {abs(z):.12f}"
@@ -187,9 +177,9 @@ def _split_error(z, eigs, check: int, expect) -> ResolventError:
     )
 
 
-def _sign_basis(M: np.ndarray, k: int, stable: bool) -> np.ndarray:
-    """Orthonormal bases of the k-dimensional stable (or unstable) invariant
-    subspaces of the stacked M, by the matrix sign function.
+def _sign_basis(M: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal bases of the k-dimensional stable invariant subspaces of
+    the stacked M, by the matrix sign function.
 
     The Cayley transform (M + I)(M - I)^{-1} sends the inside of the unit
     disk to the left half-plane; its sign S comes from the scaled Newton
@@ -207,22 +197,35 @@ def _sign_basis(M: np.ndarray, k: int, stable: bool) -> np.ndarray:
         S = new
         if change.max() <= 1e-10:
             break
-    P = (eye - S) / 2 if stable else (eye + S) / 2
-    return np.linalg.svd(P)[0][..., :k]
+    return np.linalg.svd((eye - S) / 2)[0][..., :k]
 
 
-def _invariant_basis(M, eigs, vecs, k: int, stable: bool = True):
-    """Orthonormal bases of the k-dimensional stable (or unstable) subspaces
-    of the stacked M from its eigen-decomposition, and where the sign
-    function had to replace an ill-conditioned eigenvector block."""
+def _split_stack(zs, M: np.ndarray, expect) -> tuple:
+    """(eigs, failures, V_s, fallback): the split of each stacked M(z_i).
+
+    ``failures`` is the (K, 3) table of the split checks each z fails, in
+    the order they are raised: |z| too close to 1, an eigenvalue on the
+    circle, counts other than ``expect``.  V_s holds orthonormal bases of
+    E^s as wide as the largest stable count: the QR of the stable
+    eigenvectors, or the sign-function basis (``fallback``) where their
+    block is ill-conditioned and z passes the first two checks.
+    """
+    eigs, vecs = _eig(M)
     mod = np.abs(eigs)
-    cols = np.argsort(mod if stable else -mod, axis=-1)[:, :k]
-    Q, R = np.linalg.qr(np.take_along_axis(vecs, cols[:, None, :], axis=2))
+    counts = np.stack([(mod < 1).sum(-1), (mod > 1).sum(-1)], axis=-1)
+    failures = np.column_stack([
+        np.abs(np.asarray(zs)) <= 1 + SPLIT_MARGIN,
+        np.abs(mod - 1).min(-1) < UNIT_TOL,
+        np.any(counts != expect, axis=-1),
+    ])
+    cols = np.argsort(mod, axis=-1)[:, : counts[:, 0].max()]
+    V_s, R = np.linalg.qr(np.take_along_axis(vecs, cols[:, None, :], axis=2))
     rdiag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     fallback = rdiag.min(-1, initial=np.inf) < BASIS_RCOND_MIN * rdiag.max(-1, initial=0)
+    fallback &= ~failures[:, :2].any(-1)
     if fallback.any():
-        Q[fallback] = _sign_basis(M[fallback], k, stable)
-    return Q, fallback
+        V_s[fallback] = _sign_basis(M[fallback], V_s.shape[-1])
+    return eigs, failures, V_s, fallback
 
 
 def spectral_split(companion: CompanionMatrix, scheme: SchemeDef) -> SpectralSplit:
@@ -232,38 +235,37 @@ def spectral_split(companion: CompanionMatrix, scheme: SchemeDef) -> SpectralSpl
     unit circle cannot be assigned a side and raises SplitCountError; a
     count different from (N r, N p) is reported in ``counts_ok``/``message``
     rather than raised, since it indicates an assumption violation of the
-    scheme, not a numerical failure.
+    scheme, not a numerical failure.  The scan's split of the stack
+    [M, M^H] gives V_s and the stable basis W of M^H, which M's left stable
+    eigenvectors span: E^u is W's orthogonal complement, and
+    proj_s = V_s (W^H V_s)^{-1} W^H.
     """
-    z, M = companion.z, companion.M[None]
-    eigs, vecs = _eig(M)
+    z, M = companion.z, companion.M
     expect = (scheme.N * scheme.r, scheme.N * scheme.p)
-    fails = _split_failures([z], eigs, expect)[0]
-    for check in (0, 1):
-        if fails[check]:
-            raise _split_error(z, eigs[0], check, expect)
-    message = "" if not fails[2] else str(_split_error(z, eigs[0], 2, expect))
-    ns = int(np.sum(np.abs(eigs) < 1))
-    V_s = _invariant_basis(M, eigs, vecs, ns)[0][0]
-    V_u = _invariant_basis(M, eigs, vecs, M.shape[-1] - ns, stable=False)[0][0]
-    Xinv = np.linalg.inv(np.concatenate([V_s, V_u], axis=1))
+    eigs, fails, (V_s, W), _ = _split_stack([z, z], np.stack([M, M.conj().T]), expect)
+    if fails[0, :2].any():
+        raise _split_error(z, eigs[0], int(np.argmax(fails[0])), expect)
+    ns = V_s.shape[1]
+    V_u = np.linalg.svd(W)[0][:, ns:]
+    proj_s = V_s @ np.linalg.solve(W.conj().T @ V_s, W.conj().T)
     res = 0.0
     for V in (V_s, V_u):
         if V.shape[1]:
-            MV = M[0] @ V
+            MV = M @ V
             res = max(res, float(np.linalg.norm(MV - V @ (V.conj().T @ MV), 2)))
     return SpectralSplit(
         z=z,
         eigenvalues=eigs[0],
         V_s=V_s,
         V_u=V_u,
-        proj_s=V_s @ Xinv[:ns],
-        proj_u=V_u @ Xinv[ns:],
+        proj_s=proj_s,
+        proj_u=np.eye(len(M)) - proj_s,
         n_stable=ns,
-        n_unstable=M.shape[-1] - ns,
-        counts_ok=not fails[2],
-        unit_gap=float(np.min(np.abs(np.abs(eigs) - 1))),
+        n_unstable=len(M) - ns,
+        counts_ok=not fails[0, 2],
+        unit_gap=float(np.min(np.abs(np.abs(eigs[0]) - 1))),
         invariance_residual=res,
-        message=message,
+        message=str(_split_error(z, eigs[0], 2, expect)) if fails[0, 2] else "",
     )
 
 
@@ -328,8 +330,7 @@ def _lopatinskii(scheme: SchemeDef, zs, b_eff=None) -> tuple:
     r, p, N = scheme.r, scheme.p, scheme.N
     expect, dim = (N * r, N * p), N * (p + r)
     M, RB, singular = _companion(scheme, zs)
-    eigs, vecs = _eig(M)
-    split = _split_failures(zs, eigs, expect)
+    eigs, split, V_s, fallback = _split_stack(zs, M, expect)
     B = None if b_eff is None else np.asarray(b_eff)
     bad_shape = B is not None and B.shape != (expect[0], dim)
     fails = np.column_stack([singular, split, np.full(len(zs), bad_shape)])
@@ -344,7 +345,6 @@ def _lopatinskii(scheme: SchemeDef, zs, b_eff=None) -> tuple:
                 f"state dimension {dim}"
             )
         raise _split_error(zs[i], eigs[i], check - 1, expect)
-    V_s, fallback = _invariant_basis(M, eigs, vecs, expect[0])
     if B is None:
         B = _boundary_rows(scheme, RB, M)
     return np.abs(np.linalg.det(B @ V_s)), int(fallback.sum())

@@ -3,6 +3,8 @@
 ``random_scheme`` draws one scheme from a seed or numpy generator, and
 ``schemes`` is the hypothesis strategy over it.  A property states its
 population in its ``@given`` line and widens it by one argument.
+``lax_wendroff_system`` is the named 2x2 fixture that the split tests and
+the standing-defect probes share.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from dibvp.core import SchemeDef, validate_scheme
+from dibvp.core import SchemeDef, _boundary_array, validate_scheme
 from dibvp.symbol import von_neumann_check
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -57,6 +59,18 @@ def random_scheme(rng, N, r, p, q, s, *, taps="normal", scale=0.4,
     shape = (q + 1, r, s + 2, N, N)
     rows = rng.normal(scale=scale, size=shape) if boundary == "random" else np.zeros(shape)
     return SchemeDef(N=N, r=r, p=p, q=q, s=s, lam=lam, interior=interior, boundary=rows)
+
+
+def lax_wendroff_system(A: np.ndarray, lam: float = 0.5) -> SchemeDef:
+    """Lax-Wendroff for u_t + A u_x = 0 with the inflow row U_0 = U_1."""
+    L = lam * A
+    L2 = L @ L
+    return SchemeDef(
+        N=2, r=1, p=1, q=0, s=0, lam=lam,
+        interior=np.stack([(L + L2) / 2, np.eye(2) - L2, (L2 - L) / 2])[:, None],
+        boundary=_boundary_array(1, 0, 0, 2, "extrapolation"),
+        label="lax-wendroff-system",
+    )
 
 
 @st.composite

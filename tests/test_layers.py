@@ -126,3 +126,10 @@ def test_whole_line_runs_march_through_one_entry():
 def test_one_companion_builder_evaluates_the_resolvent_coefficients():
     # every resolvent reader takes RA, RB and M(z) from _companion
     assert _callers("resolvent", "_resolvent_stack") == {"_companion"}
+
+
+def test_one_stacked_split_serves_the_scan_and_spectral_split():
+    # the eigen-solve, the split checks and the stable basis live in
+    # _split_stack; spectral_split reads it on the stack [M, M^H]
+    assert _callers("resolvent", "_split_stack") == {"_lopatinskii", "spectral_split"}
+    assert _callers("resolvent", "_eig") == {"_split_stack"}

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from dibvp.core import (
     lax_friedrichs,
     lax_wendroff,
     leap_frog,
+    load_scheme,
     save_scheme,
     upwind,
     validate_scheme,
@@ -23,7 +25,7 @@ from dibvp.core import (
 from dibvp.cli import run_command
 from dibvp.resolvent import (
     _companion_at,
-    _split_failures,
+    _split_stack,
     ResolventError,
     CompanionMatrix,
     EigenvalueBranch,
@@ -36,7 +38,7 @@ from dibvp.resolvent import (
     uklc_scan,
 )
 from dibvp.symbol import von_neumann_check
-from populations import random_scheme, schemes
+from populations import lax_wendroff_system, random_scheme, schemes
 
 RNG = np.random.default_rng(20240811)
 
@@ -120,6 +122,21 @@ def test_coeffs_boundary_blocks():
 def test_coeffs_reject_zero():
     with pytest.raises(ResolventError, match="singular at z = 0"):
         assemble_M(upwind(1.0, 0.5), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.5, np.nan)])
+def test_coeffs_reject_a_non_finite_z(bad):
+    # refused before the coefficients reach LAPACK, which cannot converge
+    scheme = leap_frog(1.0, 0.5)
+    with pytest.raises(ResolventError, match="need a finite z, got z = "):
+        kl_determinant(scheme, bad)
+    with pytest.raises(ResolventError, match="need a finite z"):
+        spectral_split(assemble_M(scheme, bad), scheme)
+    if np.isreal(bad):
+        # the scan grid's own product (1 + inf) * e^{i 0} = inf + nan i
+        # warns before _companion refuses it
+        with pytest.raises(ResolventError, match="need a finite z"), np.errstate(invalid="ignore"):
+            uklc_scan(scheme, radii=(1e-2, bad), n_theta=8)
 
 
 @pytest.mark.parametrize(
@@ -225,24 +242,67 @@ def test_split_counts(scheme, n_stable, n_unstable):
         assert sp.invariance_residual <= 1e-12
 
 
-def test_split_projectors():
-    scheme = leap_frog(1.0, 0.5)
-    for z in random_annulus_z(RNG, 10):
-        sp = spectral_split(assemble_M(scheme, z), scheme)
-        eye = np.eye(sp.proj_s.shape[0])
-        assert np.linalg.norm(sp.proj_s @ sp.proj_s - sp.proj_s) <= 1e-10
-        assert np.linalg.norm(sp.proj_u @ sp.proj_u - sp.proj_u) <= 1e-10
-        assert np.linalg.norm(sp.proj_s + sp.proj_u - eye) <= 1e-10
-        # projectors commute with M and reproduce the invariant subspaces
-        M = assemble_M(scheme, z).M
-        assert np.linalg.norm(sp.proj_s @ M - M @ sp.proj_s) <= 1e-10
+# A = [[1, 1], [0, 1]] makes M(z)'s stable eigenvector block rank
+# deficient at every z, so its E^s takes the sign function; M^H's stable
+# block mostly passes the rank test, with min|R_kk| / max|R_kk| near 5e-8,
+# and then E^u is good only to about eps ||M|| / 5e-8
+JORDAN_SYSTEM = lax_wendroff_system(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_split_orthonormal_bases():
-    scheme = lax_wendroff(1.0, 0.6)
-    sp = spectral_split(assemble_M(scheme, 1.4 + 0.3j), scheme)
-    for V in (sp.V_s, sp.V_u):
-        assert np.allclose(V.conj().T @ V, np.eye(V.shape[1]), atol=1e-13)
+def _split_paths(monkeypatch):
+    """(scheme or None, invariance tolerance) for an eigenvector split, the
+    Jordan block's own fallback, and a fallback forced on both M and M^H by
+    BASIS_RCOND_MIN = inf (patched last, undone at teardown); each path's
+    sign-function calls are checked once its body has run."""
+    import dibvp.resolvent as res
+
+    calls = []
+    sign_basis = res._sign_basis
+    monkeypatch.setattr(res, "_sign_basis", lambda M, k: calls.append(len(M)) or sign_basis(M, k))
+    yield None, 1e-10
+    assert calls == []
+    yield JORDAN_SYSTEM, 1e-6
+    assert calls and set(calls) <= {1, 2}  # one call per split, on its rows that fall back
+    calls.clear()
+    monkeypatch.setattr(res, "BASIS_RCOND_MIN", np.inf)
+    yield None, 1e-10
+    assert calls and set(calls) == {2}
+
+
+def test_split_projectors(monkeypatch):
+    for scheme, tol in _split_paths(monkeypatch):
+        scheme = scheme or leap_frog(1.0, 0.5)
+        for z in random_annulus_z(RNG, 10):
+            sp = spectral_split(assemble_M(scheme, z), scheme)
+            eye = np.eye(sp.proj_s.shape[0])
+            assert np.linalg.norm(sp.proj_s @ sp.proj_s - sp.proj_s) <= 1e-10
+            assert np.linalg.norm(sp.proj_u @ sp.proj_u - sp.proj_u) <= 1e-10
+            assert np.linalg.norm(sp.proj_s + sp.proj_u - eye) <= 1e-10
+            # projectors commute with M and reproduce the invariant subspaces
+            M = assemble_M(scheme, z).M
+            assert np.linalg.norm(sp.proj_s @ M - M @ sp.proj_s) <= tol
+
+
+def test_split_orthonormal_bases(monkeypatch):
+    for scheme, _ in _split_paths(monkeypatch):
+        scheme = scheme or lax_wendroff(1.0, 0.6)
+        sp = spectral_split(assemble_M(scheme, 1.4 + 0.3j), scheme)
+        for V in (sp.V_s, sp.V_u):
+            assert np.allclose(V.conj().T @ V, np.eye(V.shape[1]), atol=1e-13)
+        # the two bases together span the whole state space
+        assert np.linalg.matrix_rank(np.hstack([sp.V_s, sp.V_u])) == len(sp.proj_s)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent / "golden"
+                                         / "schemes").glob("*.json")), ids=lambda p: p.stem)
+def test_split_basis_gives_the_scan_determinant_bit_for_bit(path):
+    # spectral_split is a one-z view of the scan's split: its V_s is the
+    # basis kl_determinant reads
+    scheme = load_scheme(path)
+    for z in (3.0, 4.0 * np.exp(0.7j), 5.0 * np.exp(-2.1j)):
+        V_s = spectral_split(assemble_M(scheme, z), scheme).V_s
+        B = kl_boundary_matrix(scheme, z)
+        assert kl_determinant(scheme, z) == abs(np.linalg.det(B @ V_s))
 
 
 def test_split_rejects_z_too_close_to_circle():
@@ -548,9 +608,8 @@ def test_split_counts_hold_outside_the_unit_circle(scheme, angles):
     # eigenvalues inside the unit disk and N p outside at every |z| > 1
     assume(validate_scheme(scheme).ok and von_neumann_check(scheme).ok)
     zs = [rho * np.exp(1j * a) for rho in (1.5, 2.0, 3.0) for a in angles]
-    eigs = np.linalg.eigvals(_companion_at(scheme, zs)[0])
     expect = (scheme.N * scheme.r, scheme.N * scheme.p)
-    assert not _split_failures(zs, eigs, expect).any()
+    assert not _split_stack(zs, _companion_at(scheme, zs)[0], expect)[1].any()
 
 
 def test_classify_rejects_off_circle():

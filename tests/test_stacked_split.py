@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import dibvp.resolvent as res
-from dibvp.core import SchemeDef, _boundary_array
+from dibvp.core import SchemeDef
 from dibvp.resolvent import (
     ResolventError,
     assemble_M,
@@ -21,7 +21,7 @@ from dibvp.resolvent import (
     uklc_scan,
 )
 from dibvp.symbol import von_neumann_check
-from populations import schemes
+from populations import lax_wendroff_system, schemes
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
@@ -45,18 +45,6 @@ def _oracle(scheme: SchemeDef, scan) -> tuple:
     zs = [(1 + d) * np.exp(1j * t) for d in scan.radii for t in scan.thetas]
     ref, scale = np.array([schur_determinant(scheme, z) for z in zs]).T
     return ref, scale
-
-
-def lax_wendroff_system(A: np.ndarray, lam: float = 0.5) -> SchemeDef:
-    """Lax-Wendroff for u_t + A u_x = 0 with the inflow row U_0 = U_1."""
-    L = lam * A
-    L2 = L @ L
-    return SchemeDef(
-        N=2, r=1, p=1, q=0, s=0, lam=lam,
-        interior=np.stack([(L + L2) / 2, np.eye(2) - L2, (L2 - L) / 2])[:, None],
-        boundary=_boundary_array(1, 0, 0, 2, "extrapolation"),
-        label="lax-wendroff-system",
-    )
 
 
 def _radii_outside_symbol(scheme: SchemeDef) -> tuple:
