@@ -152,13 +152,13 @@ def _report_text(report) -> str:
     return _text(report, "\n")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
+def _cell(value):
+    """A CSV cell: a float's repr, empty if not finite; csv.writer writes
+    None as empty and anything else as str(value)."""
     if isinstance(value, (float, np.floating)):
         val = float(value)
         return repr(val) if math.isfinite(val) else ""
-    return str(value)
+    return value
 
 
 def table(columns, rows) -> dict:

@@ -199,15 +199,6 @@ class GridSequence:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def get(self, j: int) -> np.ndarray:
-        """Value at grid index j (zero-padded when implicit_zero)."""
-        k = j - self.offset
-        if 0 <= k < len(self.values):
-            return self.values[k]
-        if self.implicit_zero:
-            return np.zeros(self.N, dtype=complex)
-        raise RangeError(f"index {j} outside stored range [{self.offset}, {self.last}]")
-
     def window(self, jmin: int, jmax: int) -> np.ndarray:
         """Values on [jmin, jmax] as an array, zero-padded if implicit_zero."""
         if jmax < jmin:
@@ -248,8 +239,6 @@ class DifferenceOp:
         taps = {}
         for ell, m in sorted(self.taps.items()):
             m = np.asarray(m, dtype=float)
-            if m.ndim == 0:
-                m = m[None, None]
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise SchemeError(f"tap {ell} is not square: {m.shape}")
             if N is None:

@@ -397,6 +397,8 @@ def uklc_scan(
     """
     if len(radii) == 0 or n_theta < 1:
         raise ResolventError(f"empty scan grid: {len(radii)} radii x {n_theta} angles")
+    if not np.isfinite(radii).all():
+        raise ResolventError(f"the scan needs finite radii, got {tuple(radii)}")
     thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     zs = ((1 + np.asarray(radii, dtype=float))[:, None] * np.exp(1j * thetas)).ravel()
     values, fallbacks = _lopatinskii(scheme, zs, b_eff)

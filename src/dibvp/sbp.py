@@ -236,11 +236,6 @@ class IBPDecomposition:
     Q_form: np.ndarray
     coefficients: np.ndarray  # alpha (length k) or beta (length k-1)
 
-    def q_of(self, jet: np.ndarray) -> complex:
-        """Evaluate the boundary form q on a stacked jet vector."""
-        vec = np.asarray(jet, dtype=complex).reshape(-1)
-        return complex(np.conj(vec) @ self.Q_form @ vec)
-
 
 def _materialize_hermitian(A: np.ndarray, k: int) -> IBPDecomposition:
     C, alpha = (np.array(t, dtype=float) for t in _hermitian_tables(k))
@@ -392,8 +387,6 @@ def energy_decomposition(scheme: SchemeDef) -> EnergyDecomposition:
             B = mono.get((i, j), np.zeros((N, N))) + mono.get(
                 (j, i), np.zeros((N, N))
             ).T
-            if not np.any(B):
-                continue
             # (D^i U)* B (D^j U) is the order j-i monomial of D^i U; its
             # boundary form fills the jet block i..j-1
             k = j - i
@@ -537,10 +530,6 @@ class BoundaryEnergyRate:
     scheme: SchemeDef
     matrix: np.ndarray
     constant: float
-
-    def evaluate(self, trace: np.ndarray) -> float:
-        vec = np.asarray(trace, dtype=complex).reshape(-1)
-        return float(np.real(np.conj(vec) @ self.matrix @ vec))
 
 
 def boundary_energy_rate(scheme: SchemeDef) -> BoundaryEnergyRate:

@@ -770,7 +770,8 @@ class EstimateReport:
 
     ``ratios[i, k]`` is the ratio at dts[i], gammas[k]; ``slope`` is the
     log-log slope of the per-dt max ratio against 1/dt (positive means
-    growth under refinement); bounded means slope <= 0.1.
+    growth under refinement, NaN with fewer than two dts to fit); bounded
+    means slope <= 0.1.
     """
 
     kind: str
@@ -803,28 +804,35 @@ def _ratio_table(runs, gammas, entry) -> tuple:
 
 
 def _fit(name, dts, gammas, ratios, measured) -> tuple:
-    """(slope, max, bounded, text) of a ratio table.
+    """(slope, max, bounded, finding) of a ratio table; ``finding`` is the
+    verdict's phrase with the figures.
 
     The slope is the least-squares slope of log(per-dt max ratio) against
-    log(1/dt), positive for growth under refinement, and 0 unless the
-    cells with a positive max hold two distinct dts; bounded means slope
-    <= SLOPE_TOL.  A measured cell that is not finite (the norms
-    overflowed) counts as growth, and the first is named by its dt and,
-    unless ``gammas`` is None, its gamma; slope and max read finite cells.
+    log(1/dt), positive for growth under refinement; bounded means slope
+    <= SLOPE_TOL.  Unless the cells with a positive max hold two distinct
+    dts there is no slope (NaN) and no bound.  A measured cell that is not
+    finite (the norms overflowed) counts as growth, and the first is named
+    by its dt and, unless ``gammas`` is None, its gamma; slope and max read
+    finite cells.
     """
     blown = np.argwhere(measured & ~np.isfinite(ratios))
     finite = np.where(np.isfinite(ratios), ratios, np.nan)
     x, y = 1.0 / np.asarray(dts), np.fmax.reduce(finite, axis=1, initial=np.nan)
     good = (x > 0) & (y > 0)
     fits = len(np.unique(x[good])) >= 2
-    slope = float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0]) if fits else 0.0
+    slope = float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0]) if fits else np.nan
     top = float(np.fmax.reduce(finite, axis=None, initial=np.nan))
-    text = f"{name} {top:.3g}, slope {slope:+.3f}"
+    text = f"{name} {top:.3g}" + (f", slope {slope:+.3f}" if fits else "")
     if len(blown):
         i, k = blown[0]
         at = f"dt {dts[i]:g}" + ("" if gammas is None else f", gamma {gammas[k]:g}")
-        return slope, top, False, f"non-finite {name} at {at}; max finite {text}"
-    return slope, top, slope <= SLOPE_TOL, f"max {text}"
+        return slope, top, False, (f"growth observed (non-finite {name} at {at}; "
+                                   f"max finite {text})")
+    if not fits:
+        return slope, top, False, (f"no slope: fewer than two dts hold a positive {name} "
+                                   f"(max {text})")
+    bounded = slope <= SLOPE_TOL
+    return slope, top, bounded, f"{'bounded' if bounded else 'growth observed'} (max {text})"
 
 
 def _estimate_report(kind, dts, gammas, runs, entry, issues) -> EstimateReport:
@@ -836,7 +844,7 @@ def _estimate_report(kind, dts, gammas, runs, entry, issues) -> EstimateReport:
         max_ratio, verdict = 0.0, f"{kind}: vacuous (zero data)"
     else:
         parts = ["hypotheses unmet (" + "; ".join(issues) + ")"] if issues else []
-        parts.append(f"{'bounded' if bounded else 'growth observed'} ({fit})")
+        parts.append(fit)
         verdict = f"{kind}: " + ", ".join(parts)
     return EstimateReport(
         kind=kind, dts=tuple(dts), gammas=tuple(gammas), ratios=ratios,
@@ -989,8 +997,8 @@ def verify_semigroup(
         sums = sq.sum(axis=(1, 2)), sq[:, r:].sum(axis=(1, 2))
         if rate is None:
             return sums
-        # U^n on j = 1-r..p, zero past the stored window, as 1 x d rows:
-        # their products keep rate.evaluate's bits
+        # U^n on j = 1-r..p, zero past the stored window, as 1 x d rows v,
+        # and the rate v^H rate.matrix v of each
         jets = np.zeros((len(levels), w, N), dtype=complex)
         jets[:, : levels.shape[1]] = levels[:, :w]
         jets = jets.reshape(len(levels), 1, w * N)
@@ -1025,7 +1033,7 @@ def verify_semigroup(
     slope, _, bounded, fit = _fit("C2", refinements, None, C2, measured)
     consistent = bounded == uklc_plausible
     verdict = (
-        f"semigroup: {'bounded' if bounded else 'growth observed'} ({fit}); "
+        f"semigroup: {fit}; "
         f"determinant scan {'passes' if uklc_plausible else 'fails'}"
         f"{' — consistent' if consistent else ' — INCONSISTENT'}"
     )

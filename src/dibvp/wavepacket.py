@@ -107,12 +107,6 @@ class Envelope:
     def value_at_zero(self) -> float:
         return float(np.real(self(0.0)))
 
-    @property
-    def norm_l2_sq(self) -> float:
-        """L2 norm squared of a, via the transform (Plancherel)."""
-        f = self.fourier(self.nodes)
-        return float(np.sum(self.weights * np.abs(f) ** 2)) / (2 * np.pi)
-
 
 def make_envelope(delta0: float, x_max: float | None = None) -> Envelope:
     """Build the band-limited envelope of spectral half-width delta0/2.
@@ -190,10 +184,6 @@ class PacketSpec:
     @property
     def z_bar(self) -> complex:
         return self.eigenvalues[self.branch]
-
-    @property
-    def omega(self) -> complex:
-        return self.omegas[self.branch]
 
     @property
     def velocity(self) -> float:

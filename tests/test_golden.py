@@ -40,6 +40,7 @@ from dibvp.cli import run_command
 from dibvp.core import (GridSequence, SchemeDef, lax_wendroff, leap_frog, load_scheme,
                         save_scheme, upwind)
 from dibvp.sim import decaying_data, run_cauchy, run_ibvp, split_solution
+from dibvp.symbol import find_glancing
 from dibvp.wavepacket import (glancing_trace_experiment, make_envelope, make_packet,
                               packet_error, packet_initial_data)
 
@@ -76,6 +77,27 @@ def _ab3_upwind() -> SchemeDef:
     )
 
 
+def _leapfrog4() -> SchemeDef:
+    """Fourth-order leap-frog (r = p = 2, s = 1), nu = 0.5, lam = 0.5, with
+    zero boundary rows:
+
+    U^{n+1} = U^{n-1} - (nu/6) [8 (U_{j+1} - U_{j-1}) - (U_{j+2} - U_{j-2})].
+
+    Its omega' is proportional to 8 cos theta - 2 cos 2 theta, which
+    vanishes at theta* = arccos(1 - sqrt(3/2)) and 2 pi - theta*, on no
+    node of a 64- or 512-point grid: the glancing refiner's fixture.
+    """
+    nu = 0.5
+    interior = np.zeros((5, 2, 1, 1))
+    for ell, c in ((-2, -1), (-1, 8), (1, -8), (2, 1)):
+        interior[ell + 2, 0] = c * nu / 6
+    interior[2, 1] = 1.0
+    return SchemeDef(
+        N=1, r=2, p=2, q=0, s=1, lam=0.5, interior=interior,
+        boundary=np.zeros((1, 2, 3, 1, 1)), label="leap-frog-4",
+    )
+
+
 # name -> scheme that regenerate() writes to schemes/<name>.json
 SCHEME_SOURCES = {
     "upwind": lambda: upwind(0.5, 1.0),
@@ -85,6 +107,7 @@ SCHEME_SOURCES = {
     "upwind_unstable": lambda: upwind(0.5, 2.4),
     "leapfrog_unstable": lambda: leap_frog(1.5, 1.0),
     "ab3_upwind": _ab3_upwind,
+    "leapfrog4": _leapfrog4,
 }
 
 # case -> command line after "--scheme <file>"; grids kept small
@@ -141,6 +164,20 @@ def golden_path(scheme_name: str, case: str) -> Path:
 def test_report_matches_golden(scheme_name, case):
     expected = golden_path(scheme_name, case).read_text()
     assert render(scheme_name, case) == expected
+
+
+@pytest.mark.parametrize("n_theta", [64, 512])
+def test_leapfrog4_glancing_points_are_found_between_grid_nodes(n_theta):
+    # omega' ~ 8 cos theta - 2 cos 2 theta vanishes at cos theta = 1 - sqrt(3/2),
+    # on both branches; the secant refiner finds each zero inside its cell
+    t_star = np.arccos(1 - np.sqrt(1.5))
+    report = find_glancing(load_scheme(SCHEMES / "leapfrog4.json"), n_theta=n_theta)
+    points = sorted((p.branch, p.theta) for p in report.points)
+    assert [b for b, _ in points] == [0, 0, 1, 1]
+    for (_, theta), want in zip(points, [t_star, 2 * np.pi - t_star] * 2):
+        node = want * n_theta / (2 * np.pi)
+        assert abs(node - round(node)) > 0.1  # off the grid
+        assert abs(theta - want) <= 1e-9
 
 
 MARCH_LEVELS = 300

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -133,9 +134,9 @@ def test_coeffs_reject_a_non_finite_z(bad):
     with pytest.raises(ResolventError, match="need a finite z"):
         spectral_split(assemble_M(scheme, bad), scheme)
     if np.isreal(bad):
-        # the scan grid's own product (1 + inf) * e^{i 0} = inf + nan i
-        # warns before _companion refuses it
-        with pytest.raises(ResolventError, match="need a finite z"), np.errstate(invalid="ignore"):
+        # refused before the scan grid's product (1 + inf) * e^{i 0} = inf + nan i
+        with pytest.raises(ResolventError, match="needs finite radii"), warnings.catch_warnings():
+            warnings.simplefilter("error")
             uklc_scan(scheme, radii=(1e-2, bad), n_theta=8)
 
 

@@ -86,7 +86,6 @@ def test_defect_6_jordan_block_symbol_fails_check_cauchy(cli):
     assert _failed_verdicts(report)
 
 
-@pytest.mark.xfail(strict=True, reason="standing defect 8; Direction 18")
 def test_defect_8_one_dt_claims_no_bound():
     # one dt fits no slope, so it cannot show the ratio bounded under refinement
     rep = verify_thm1(upwind(0.5, 2.4), gammas=(0.1,), refinements=(0.1,), t_end=2.0)

@@ -231,6 +231,23 @@ def test_no_glancing_for_dissipative_fixtures(scheme):
     assert rep.min_abs_deriv > 0.1
 
 
+def test_find_glancing_skips_a_cell_with_no_trusted_evaluation(monkeypatch):
+    # a refinement whose every evaluation is ill-conditioned reports no point
+    import dibvp.symbol as symbol
+
+    branch_point = symbol._branch_point
+    calls = []
+
+    def untrusted(*args):
+        calls.append(args)
+        zeta, deriv, _, err = branch_point(*args)
+        return zeta, deriv, np.inf, err
+
+    monkeypatch.setattr(symbol, "_branch_point", untrusted)
+    rep = find_glancing(leap_frog(1.0, 0.7), n_theta=64)
+    assert calls and rep.points == () and not rep.has_glancing
+
+
 def test_find_glancing_leap_frog_points_sit_on_the_quarter_circle():
     # pi/2 is a grid node when 4 divides n_theta (64, 512) and falls inside
     # a cell otherwise (510, 513); the refined zeros agree either way
